@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import MalformedInputError
+from .errors import InvariantBreachError, MalformedInputError
 
 Factorization = list[tuple[int, int]]
 
@@ -252,5 +252,5 @@ def solve_modular_system(system: ModularLinearSystem) -> Optional[list[int]]:
     for k in range(n_eq):
         lhs = sum(system.rows[k][j] * y[j] for j in range(n_var))
         if (lhs - system.rhs[k]) % system.moduli[k]:
-            raise AssertionError("modular solver produced an invalid assignment")
+            raise InvariantBreachError("modular solver produced an invalid assignment")
     return y

@@ -15,7 +15,6 @@ coprime with p.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -500,6 +499,29 @@ def _n_pattern(ptype: PType) -> list[list[int]]:
     return out
 
 
+def require_coprime_order(u: AutMatrix, order_cap: int) -> None:
+    """The precondition of conjugacy on one input.
+
+    u must be a unit whose order is at most order_cap and coprime with p.
+    """
+    if not is_in_R(u):
+        raise MalformedInputError("conjugacy inputs must be units")
+    order = matrix_order(u, order_cap)
+    if order is None:
+        raise Condition3Error(f"matrix order exceeds cap {order_cap}")
+    if order % u.ptype.p == 0:
+        raise Condition3Error(f"matrix order {order} is not coprime with p={u.ptype.p}")
+
+
+def psi_invariants(u: AutMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """RCF invariant factors of each block of psi(u).
+
+    For inputs that pass require_coprime_order, conjugacy(u1, u2) is None
+    exactly when these differ: they are what gl_conjugator compares.
+    """
+    return tuple(rcf(block, u.ptype.p).factors for block in psi(u).blocks)
+
+
 def conjugacy(u1: AutMatrix, u2: AutMatrix, order_cap: int) -> Optional[AutMatrix]:
     """Solve U * u1 = u2 * U for U in the unit group, or report None.
 
@@ -511,13 +533,7 @@ def conjugacy(u1: AutMatrix, u2: AutMatrix, order_cap: int) -> Optional[AutMatri
     ptype = u1.ptype
     p, s = ptype.p, ptype.s
     for u in (u1, u2):
-        if not is_in_R(u):
-            raise MalformedInputError("conjugacy inputs must be units")
-        order = matrix_order(u, order_cap)
-        if order is None:
-            raise Condition3Error(f"matrix order exceeds cap {order_cap}")
-        if order % p == 0:
-            raise Condition3Error(f"matrix order {order} is not coprime with p={p}")
+        require_coprime_order(u, order_cap)
 
     spans = ptype.block_structure()
     v1, v2 = psi(u1), psi(u2)
@@ -641,19 +657,6 @@ def blocks_pow(a: AutBlocks, n: int) -> AutBlocks:
 
 def blocks_is_identity(a: AutBlocks) -> bool:
     return all(b == identity_matrix(b.ptype) for b in a.blocks)
-
-
-def blocks_order(a: AutBlocks, cap: int) -> Optional[int]:
-    orders = []
-    for b in a.blocks:
-        o = matrix_order(b, cap)
-        if o is None:
-            return None
-        orders.append(o)
-    out = 1
-    for o in orders:
-        out = math.lcm(out, o)
-    return out if out <= cap else None
 
 
 def apply_blocks(a: AutBlocks, vec: Sequence[int]) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from . import autring
 from .arith import prime_power
-from .errors import MalformedInputError, OpBudgetExceeded
+from .errors import MalformedInputError
 
 ElementCode = bytes
 
@@ -40,9 +40,7 @@ class _OpCounter:
 class GroupHandle:
     """Oracle view of a finite group.
 
-    mul and inv each increment the operation counter by exactly one. A budget
-    handle created with with_budget shares the oracles (and keeps feeding the
-    parent counter) but aborts once its own allowance runs out.
+    mul and inv each increment the operation counter by exactly one.
     """
 
     def __init__(
@@ -60,40 +58,23 @@ class GroupHandle:
         self._mul = mul
         self._inv = inv
         self._counter = _OpCounter()
-        self._budget: Optional[int] = None
-        self._parent: Optional[GroupHandle] = None
         self.parse_element = parse_element or self._parse_raw
 
     @staticmethod
     def _parse_raw(text: str) -> ElementCode:
         return text.encode("ascii")
 
-    def _tick(self):
-        self._counter.tick()
-        if self._budget is not None and self._counter.value > self._budget:
-            raise OpBudgetExceeded(f"operation budget {self._budget} exceeded")
-        if self._parent is not None:
-            self._parent._tick()
-
     def mul(self, a: ElementCode, b: ElementCode) -> ElementCode:
-        self._tick()
+        self._counter.tick()
         return self._mul(a, b)
 
     def inv(self, a: ElementCode) -> ElementCode:
-        self._tick()
+        self._counter.tick()
         return self._inv(a)
 
     @property
     def operation_count(self) -> int:
         return self._counter.value
-
-    def with_budget(self, budget: int) -> "GroupHandle":
-        child = GroupHandle(
-            self.identity, self.generators, self._mul, self._inv, self.name, self.parse_element
-        )
-        child._budget = budget
-        child._parent = self
-        return child
 
 
 def with_generators(G: GroupHandle, generators: Sequence[ElementCode]) -> GroupHandle:

@@ -38,9 +38,5 @@ class InvariantBreachError(GrpextError):
     """An internal guarantee failed; indicates a bug or corrupted input."""
 
 
-class OpBudgetExceeded(GrpextError):
-    """A budgeted computation used more group-oracle calls than allowed."""
-
-
 class MemoryBudgetError(GrpextError):
     """A baby-step table would exceed the configured memory cap."""

@@ -1,10 +1,13 @@
 """Isomorphism testing for coprime cyclic extensions of abelian groups.
 
 Two groups are isomorphic exactly when their standard decompositions share the
-cyclic order gamma and the abelian type, and the two conjugation actions are
-conjugate up to raising one side to a power k coprime with gamma. A positive
-verdict always carries a witness (k plus a basis-to-basis matrix) from which
-an explicit isomorphism can be built and verified.
+cyclic order gamma and the abelian type, and the two conjugation actions M1,
+M2 are conjugate up to raising M2 to a power k coprime with gamma. Each group
+is decomposed once. The search for k compares the RCF invariant factors of the
+psi-blocks of M1 with those of M2^k, which decide conjugacy of blocks whose
+order is coprime with p; only the smallest matching k reaches the conjugacy
+solver. A positive verdict always carries a witness (k plus a basis-to-basis
+matrix) from which an explicit isomorphism can be built and verified.
 """
 
 from __future__ import annotations
@@ -18,12 +21,7 @@ from . import autring
 from .abelian import DecompositionTable, group_pow
 from .blackbox import ElementCode, GroupHandle, closure
 from .decomp import StandardDecomposition, standard_decomposition
-from .errors import (
-    InvariantBreachError,
-    MalformedInputError,
-    MembershipError,
-    OpBudgetExceeded,
-)
+from .errors import InvariantBreachError, MalformedInputError, MembershipError
 
 GAMMA_MISMATCH = "gamma-mismatch"          # condition (ii)
 ABELIAN_MISMATCH = "abelian-part-mismatch"  # condition (i)
@@ -110,36 +108,17 @@ def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> Conjugation
     return ConjugationAction(action, sd)
 
 
-def _paired_standard_decompositions(
-    G: GroupHandle, H: GroupHandle
-) -> tuple[StandardDecomposition, StandardDecomposition]:
-    """Alternate between the two inputs under a doubling operation budget.
-
-    Each round retries both sides from scratch with twice the allowance; the
-    geometric growth keeps the total cost proportional to the cheaper side's.
-    Once one side finishes, the other is completed without a budget, since a
-    definite verdict needs both decompositions.
-    """
-    results: dict[str, StandardDecomposition] = {}
-    budget = 1024
-    while not results:
-        for key, grp in (("g", G), ("h", H)):
-            try:
-                results[key] = standard_decomposition(grp.with_budget(budget))
-                break
-            except OpBudgetExceeded:
-                continue
-        budget *= 2
-    if "g" not in results:
-        results["g"] = standard_decomposition(G)
-    if "h" not in results:
-        results["h"] = standard_decomposition(H)
-    return results["g"], results["h"]
-
-
 def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
-    """Full pipeline: decompose both groups, compare, search the power k."""
-    sd1, sd2 = _paired_standard_decompositions(G, H)
+    """Full pipeline: decompose both groups, compare, search the power k.
+
+    The action blocks are checked once against the conjugacy precondition:
+    M2^k has the order of M2 for every k coprime with gamma. For each such k
+    in ascending order, the psi-invariants of M2^k are compared with those of
+    M1, computed once; the conjugacy solver runs only for the first k that
+    matches, so the reported k is the smallest one.
+    """
+    sd1 = standard_decomposition(G)
+    sd2 = standard_decomposition(H)
     if sd1.gamma != sd2.gamma:
         return IsoResult(False, None, GAMMA_MISMATCH)
     if sd1.a_basis.orders != sd2.a_basis.orders:
@@ -147,26 +126,27 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     gamma = sd1.gamma
     m1 = conjugation_action(G, sd1).blocks
     m2 = conjugation_action(H, sd2).blocks
+    for block in m1.blocks + m2.blocks:
+        autring.require_coprime_order(block, gamma)
+    targets = [autring.psi_invariants(b) for b in m1.blocks]
     for k in range(1, gamma + 1):
         if math.gcd(k, gamma) != 1:
             continue
         m2k = autring.blocks_pow(m2, k)
-        found = []
-        for b1, b2 in zip(m1.blocks, m2k.blocks):
-            conj = autring.conjugacy(b1, b2, order_cap=gamma)
-            if conj is None:
-                break
-            found.append(conj)
-        else:
-            witness = IsomorphismWitness(
-                k=k,
-                psi_blocks=autring.AutBlocks(tuple(found)),
-                source_group=G,
-                target_group=H,
-                source=sd1,
-                target=sd2,
-            )
-            return IsoResult(True, witness, None)
+        if any(autring.psi_invariants(b) != t for b, t in zip(m2k.blocks, targets)):
+            continue
+        found = [autring.conjugacy(b1, b2, order_cap=gamma) for b1, b2 in zip(m1.blocks, m2k.blocks)]
+        if None in found:
+            raise InvariantBreachError("psi-invariants agree but a block has no conjugator")
+        witness = IsomorphismWitness(
+            k=k,
+            psi_blocks=autring.AutBlocks(tuple(found)),
+            source_group=G,
+            target_group=H,
+            source=sd1,
+            target=sd2,
+        )
+        return IsoResult(True, witness, None)
     return IsoResult(False, None, NO_CONJUGATING_K)
 
 

@@ -24,6 +24,7 @@ from grpext.autring import (
     matrix_order,
     parse_matrix_file,
     psi,
+    psi_invariants,
     random_unit,
     rcf,
     star_mul,
@@ -244,6 +245,7 @@ def test_conjugacy_complete_small(ptype):
             got = conjugacy(u1, u2, order_cap=exponent)
             want = _exhaustive_conjugate(units, u1, u2)
             assert (got is not None) == want
+            assert (psi_invariants(u1) == psi_invariants(u2)) == want
             if got is not None:
                 assert star_mul(got, u1) == star_mul(u2, got)
 
@@ -261,6 +263,7 @@ def test_conjugacy_complete_gl2_3_all_eligible_pairs():
             got = conjugacy(u1, u2, order_cap=exponent)
             want = _exhaustive_conjugate(units, u1, u2)
             assert (got is not None) == want
+            assert (psi_invariants(u1) == psi_invariants(u2)) == want
 
 
 def test_conjugacy_round_trip_mixed_type():

@@ -17,7 +17,7 @@ from grpext.blackbox import (
     parse_group_file,
     table_group,
 )
-from grpext.errors import MalformedInputError, OpBudgetExceeded
+from grpext.errors import MalformedInputError
 
 # smallest loop with identity that fails associativity
 NONASSOC_5 = (
@@ -100,18 +100,12 @@ def test_oracle_laws_random_sample():
             assert G.mul(G.identity, a) == a == G.mul(a, G.identity)
 
 
-def test_operation_counter_and_budget():
+def test_operation_counter():
     G = build("G21a")
     base = G.operation_count
     a = G.mul(G.identity, G.identity)
     G.inv(a)
     assert G.operation_count == base + 2
-    budgeted = G.with_budget(5)
-    with pytest.raises(OpBudgetExceeded):
-        for _ in range(10):
-            budgeted.mul(G.identity, G.identity)
-    # parent kept counting the budgeted calls
-    assert G.operation_count >= base + 2 + 5
 
 
 def test_operation_counter_thread_safety():

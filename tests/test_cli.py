@@ -2,7 +2,9 @@ import re
 
 import pytest
 
+from grpext import arith
 from grpext.cli import main
+from grpext.errors import InvariantBreachError
 
 G21A = "semidirect\nA 7\nm 3\n2\n"
 G21B = "semidirect\nA 7\nm 3\n4\n"
@@ -140,3 +142,27 @@ def test_selftest(capsys):
     assert code == 0
     assert "failures 0" in out
     assert out.count(" pass") >= 7
+
+
+def test_invalid_solver_assignment_is_an_invariant_breach(tmp_path, capsys, monkeypatch):
+    real = arith._matvec
+    products = []
+
+    def shifted_solution(mat, vec):
+        # every solve makes two products; the second one yields the assignment
+        out = real(mat, vec)
+        products.append(out)
+        if len(products) % 2 == 0:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(arith, "_matvec", shifted_solution)
+    system = arith.ModularLinearSystem(((1,),), (1,), (5,))
+    with pytest.raises(InvariantBreachError):
+        arith.solve_modular_system(system)
+    path = tmp_path / "w.mat"
+    path.write_text("ptype 3 2 2\n0 8\n1 0\n")
+    code, out, err = run_cli(capsys, "conjugacy", str(path), str(path), "--order-cap", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error modular solver produced an invalid assignment\n"

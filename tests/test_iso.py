@@ -1,12 +1,12 @@
 import itertools
+import math
 
 import pytest
 
-from corpus import build, expected_isomorphic, naive_isomorphic, semidirect
+from corpus import ISOMORPHIC_PAIRS, build, corpus_names, expected_isomorphic, naive_isomorphic, semidirect
 from grpext import autring
 from grpext.blackbox import closure, with_generators
 from grpext.decomp import standard_decomposition
-from grpext.errors import OpBudgetExceeded
 from grpext.iso import (
     ABELIAN_MISMATCH,
     GAMMA_MISMATCH,
@@ -148,14 +148,15 @@ def test_verify_isomorphism_sampled_mode():
     )
 
 
-def test_budget_wrapper_interleaving():
-    G = build("Z3^2xZ4_W")
-    tight = G.with_budget(3)
-    with pytest.raises(OpBudgetExceeded):
-        standard_decomposition(tight)
-    # the paired driver still completes by doubling and then finishing
-    result = isomorphic(G, build("Z3^2xZ4_W"))
+def test_each_side_decomposed_once():
+    G, H = build("Z3^2xZ4_W"), build("Z3^2xZ4_W")
+    result = isomorphic(G, H)
     assert result.is_isomorphic
+    # one standard decomposition and one conjugation action per side, nothing more
+    for used in (G, H):
+        fresh = build("Z3^2xZ4_W")
+        conjugation_action(fresh, standard_decomposition(fresh))
+        assert used.operation_count == fresh.operation_count
 
 
 def test_alternative_generators_do_not_change_verdicts():
@@ -163,3 +164,86 @@ def test_alternative_generators_do_not_change_verdicts():
     alt = with_generators(G, [G.parse_element("1,0;1"), G.parse_element("0,0;1")])
     assert isomorphic(G, alt).is_isomorphic
     assert isomorphic(alt, build("Z9xZ2_inv")).failed_condition == ABELIAN_MISMATCH
+
+
+def _per_k_conjugacy_search(G, H):
+    """Reference k-search: conjugacy on every block for each k coprime with gamma."""
+    sd1, sd2 = standard_decomposition(G), standard_decomposition(H)
+    gamma = sd1.gamma
+    m1 = conjugation_action(G, sd1).blocks
+    m2 = conjugation_action(H, sd2).blocks
+    for k in range(1, gamma + 1):
+        if math.gcd(k, gamma) != 1:
+            continue
+        m2k = autring.blocks_pow(m2, k)
+        found = []
+        for b1, b2 in zip(m1.blocks, m2k.blocks):
+            conj = autring.conjugacy(b1, b2, order_cap=gamma)
+            if conj is None:
+                break
+            found.append(conj)
+        else:
+            return k, autring.AutBlocks(tuple(found))
+    return None
+
+
+_ISOMORPHIC_CORPUS_PAIRS = sorted(
+    {(a, a) for a in corpus_names()}
+    | {pair for p in ISOMORPHIC_PAIRS for pair in itertools.permutations(sorted(p))}
+)
+
+
+@pytest.mark.parametrize("pair", _ISOMORPHIC_CORPUS_PAIRS, ids="-".join)
+def test_k_search_matches_per_k_conjugacy_loop(pair):
+    result = isomorphic(build(pair[0]), build(pair[1]))
+    want = _per_k_conjugacy_search(build(pair[0]), build(pair[1]))
+    assert result.is_isomorphic
+    assert (result.witness.k, result.witness.psi_blocks) == want
+
+
+def test_k_search_matches_per_k_conjugacy_loop_at_the_last_unit():
+    result = isomorphic(semidirect((211,), 210, [[2]]), semidirect((211,), 210, [[106]]))
+    want = _per_k_conjugacy_search(semidirect((211,), 210, [[2]]), semidirect((211,), 210, [[106]]))
+    assert want[0] == 209
+    assert (result.witness.k, result.witness.psi_blocks) == want
+
+
+def _count_conjugacy_calls(monkeypatch):
+    calls = []
+    real = autring.conjugacy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(autring, "conjugacy", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [
+        lambda: (build("G21a"), build("G21b")),
+        lambda: (build("Z20xZ3"), build("Z20xZ3")),
+        lambda: (semidirect((211,), 210, [[2]]), semidirect((211,), 210, [[106]])),
+    ],
+)
+def test_yes_calls_conjugacy_once_per_action_block(monkeypatch, make_pair):
+    calls = _count_conjugacy_calls(monkeypatch)
+    result = isomorphic(*make_pair())
+    assert result.is_isomorphic
+    assert len(calls) == len(result.witness.psi_blocks.blocks)
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [
+        lambda: (build("Z3^2xZ4_W"), build("Z3^2xZ4_diag")),
+        # action orders 12 vs 6 with the same gamma: every k is tried and fails
+        lambda: (semidirect((13,), 12, [[2]]), semidirect((13,), 12, [[4]])),
+    ],
+)
+def test_no_conjugating_k_never_calls_conjugacy(monkeypatch, make_pair):
+    calls = _count_conjugacy_calls(monkeypatch)
+    assert isomorphic(*make_pair()).failed_condition == NO_CONJUGATING_K
+    assert calls == []
