@@ -9,7 +9,6 @@ backends (multiplication table, semidirect product) live here.
 from __future__ import annotations
 
 import math
-import random
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -145,10 +144,17 @@ def closure(G: GroupHandle, seeds: Sequence[ElementCode], limit: Optional[int] =
 
 @dataclass(frozen=True)
 class TableGroupSpec:
-    """n x n Cayley table over indices 0..n-1 with index 0 the identity."""
+    """n x n Cayley table over indices 0..n-1 with index 0 the identity.
+
+    Construction validates the table (validate_table_spec), so every spec is
+    the table of a group.
+    """
 
     n: int
     table: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        validate_table_spec(self)
 
 
 def _greedy_generators(table: Sequence[Sequence[int]]) -> list[int]:
@@ -174,49 +180,37 @@ def _greedy_generators(table: Sequence[Sequence[int]]) -> list[int]:
 
 
 def validate_table_spec(spec: TableGroupSpec) -> None:
-    """Latin square, identity row/column, and associativity.
+    """Latin square, identity row/column, and associativity, all exact.
 
-    Associativity is verified in full (through a generating set) for n <= 512
-    and on sampled triples above that.
+    Associativity uses Light's test: (a*g)*b == a*(g*b) for every a, b and
+    every g of a generating set implies it for all triples. For fixed a and g
+    both sides are a whole row, so each pair (a, g) is one tuple compare.
     """
     n = spec.n
     table = spec.table
     if len(table) != n or any(len(r) != n for r in table):
         raise MalformedInputError("table shape does not match the declared order")
     full = set(range(n))
-    for i in range(n):
-        if set(table[i]) != full:
+    for i, row in enumerate(table):
+        if set(row) != full:
             raise MalformedInputError(f"row {i} is not a permutation")
-        if {table[r][i] for r in range(n)} != full:
+    for i, col in enumerate(zip(*table)):
+        if set(col) != full:
             raise MalformedInputError(f"column {i} is not a permutation")
     for i in range(n):
         if table[0][i] != i or table[i][0] != i:
             raise MalformedInputError("index 0 must act as the identity")
-    if n <= 512:
-        # Light's test: checking (a*g)*b == a*(g*b) over a generating set
-        # suffices for full associativity.
-        for g in _greedy_generators(table):
-            for a in range(n):
-                row = table[a]
-                ag = row[g]
-                grow = table[g]
-                for b in range(n):
-                    if table[ag][b] != table[a][grow[b]]:
-                        raise MalformedInputError(
-                            f"associativity fails at ({a},{g},{b})"
-                        )
-    else:
-        rng = random.Random(0)
-        for _ in range(4096):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise MalformedInputError(f"associativity fails at ({a},{b},{c})")
+    for g in _greedy_generators(table):
+        grow = table[g]
+        for a, row in enumerate(table):
+            if table[row[g]] != tuple(map(row.__getitem__, grow)):
+                b = next(b for b in range(n) if table[row[g]][b] != row[grow[b]])
+                raise MalformedInputError(f"associativity fails at ({a},{g},{b})")
 
 
 def table_group(
     spec: TableGroupSpec, generators: Optional[Sequence[int]] = None, name: str = "table"
 ) -> GroupHandle:
-    validate_table_spec(spec)
     n = spec.n
     width = len(str(n - 1))
     codes = [str(i).zfill(width).encode("ascii") for i in range(n)]
@@ -320,12 +314,30 @@ class SemidirectGroupSpec:
 
     Elements are pairs (a, j) with a an exponent tuple reduced per coordinate
     and j in {0, ..., m-1}; (a, j) * (b, j') = (a + M^j b, j + j' mod m).
+    Construction checks m, gcd(|A|, m), the action's order and the generator
+    ranges; the action blocks themselves are checked by action_from_rows.
     """
 
     qs: tuple[int, ...]
     m: int
     action: autring.AutBlocks
     generators: Optional[tuple[tuple[tuple[int, ...], int], ...]] = None
+
+    def __post_init__(self):
+        qs, m = self.qs, self.m
+        if m < 1:
+            raise MalformedInputError("m must be >= 1")
+        a_order = math.prod(qs)
+        if math.gcd(a_order, m) != 1:
+            raise MalformedInputError(f"gcd(|A|={a_order}, m={m}) must be 1")
+        if len(self.action.blocks) != len(_split_prime_blocks(qs)):
+            raise MalformedInputError("action blocks do not match the prime split")
+        if not autring.blocks_is_identity(autring.blocks_pow(self.action, m)):
+            raise MalformedInputError("action order does not divide m")
+        s = len(qs)
+        for a, j in self.generators or ():
+            if len(a) != s or any(not 0 <= a[i] < qs[i] for i in range(s)) or not 0 <= j < m:
+                raise MalformedInputError(f"generator {(a, j)} out of range")
 
 
 def _split_prime_blocks(qs: Sequence[int]) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -384,16 +396,6 @@ def action_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> autrin
 def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> GroupHandle:
     qs = spec.qs
     m = spec.m
-    if m < 1:
-        raise MalformedInputError("m must be >= 1")
-    a_order = math.prod(qs)
-    if math.gcd(a_order, m) != 1:
-        raise MalformedInputError(f"gcd(|A|={a_order}, m={m}) must be 1")
-    spans = _split_prime_blocks(qs)
-    if len(spec.action.blocks) != len(spans):
-        raise MalformedInputError("action blocks do not match the prime split")
-    if not autring.blocks_is_identity(autring.blocks_pow(spec.action, m)):
-        raise MalformedInputError("action order does not divide m")
     powers = [autring.blocks_identity([b.ptype for b in spec.action.blocks])]
     for _ in range(1, m):
         powers.append(autring.blocks_star(powers[-1], spec.action))
@@ -435,11 +437,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         return encode([-back[i] % qs[i] for i in range(s)], (m - j) % m)
 
     if spec.generators is not None:
-        gens = []
-        for a, j in spec.generators:
-            if len(a) != s or any(not 0 <= a[i] < qs[i] for i in range(s)) or not 0 <= j < m:
-                raise MalformedInputError(f"generator {(a, j)} out of range")
-            gens.append(encode(a, j))
+        gens = [encode(a, j) for a, j in spec.generators]
     else:
         gens = [encode([int(t == i) for t in range(s)], 0) for i in range(s)]
         if m > 1:
@@ -495,9 +493,7 @@ def parse_group_file(text: str):
             if len(row) != n or any(not 0 <= x < n for x in row):
                 raise MalformedInputError(f"bad table row {ln!r}")
             rows.append(tuple(row))
-        spec = TableGroupSpec(n, tuple(rows))
-        validate_table_spec(spec)
-        return spec
+        return TableGroupSpec(n, tuple(rows))
     if head[0] == "semidirect":
         if len(head) != 1:
             raise MalformedInputError("semidirect header takes no arguments")
@@ -537,9 +533,7 @@ def parse_group_file(text: str):
                 raise MalformedInputError(f"bad gens line {ln!r}") from None
             gens.append((tuple(vals[:s]), vals[s]))
         action = action_from_rows(qs, rows)
-        spec = SemidirectGroupSpec(qs, m, action, tuple(gens) if gens else None)
-        semidirect_group(spec)  # full validation (gcd, action order, generators)
-        return spec
+        return SemidirectGroupSpec(qs, m, action, tuple(gens) if gens else None)
     raise MalformedInputError(f"unknown group kind {head[0]!r}")
 
 

@@ -1,9 +1,11 @@
 """Standard decompositions: split a group into an abelian part and a cyclic part.
 
-For a candidate cyclic order m the finder follows a fixed recipe: reduce the
-derived subgroup to a basis, factor m, assemble an element z of order m from
+For a candidate cyclic order m the finder follows a fixed recipe: take a basis
+of the derived subgroup, factor m, assemble an element z of order m from
 suitable generator powers, collect the m-th powers of the generators, and
 accept only if the resulting set is abelian with all orders coprime with m.
+The derived-subgroup basis and the generator orders do not depend on m; they
+form a GroupContext, built once per group and shared by every m.
 Sweeping m over the divisors of the lcm of the generator orders and keeping
 the smallest m whose abelian part is maximal yields the standard
 decomposition; the full sweep is reported so callers can see which candidates
@@ -20,6 +22,23 @@ from .abelian import AbelianBasis, abelian_basis, element_order
 from .arith import divisors, lcm_list, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
 from .errors import DecompositionFailed, NotAbelianError, NotInClassError
+
+
+@dataclass(frozen=True)
+class GroupContext:
+    """The finder's data about G that is the same for every m."""
+
+    derived: Optional[AbelianBasis]  # basis of G'; None when G' is not abelian
+    gen_orders: tuple[int, ...]  # orders of G.generators, in order
+
+
+def group_context(G: GroupHandle) -> GroupContext:
+    gen_orders = tuple(element_order(G, g) for g in G.generators)
+    try:
+        derived = abelian_basis(commutator_generators(G), G)
+    except NotAbelianError:
+        derived = None
+    return GroupContext(derived, gen_orders)
 
 
 @dataclass(frozen=True)
@@ -51,25 +70,28 @@ class DecompositionAttempt:
     product: Optional[int]  # m * |abelian part| on success
 
 
-def find_decomposition(G: GroupHandle, m: int) -> CandidateDecomposition:
+def find_decomposition(
+    G: GroupHandle, m: int, context: Optional[GroupContext] = None
+) -> CandidateDecomposition:
     """One sweep of the finder for a fixed m; raises DecompositionFailed.
 
+    context must be group_context(G); it is built here when not given.
     When the group really decomposes at this m, the result generates the whole
     group; a non-error result is in general only guaranteed to decompose the
     subgroup generated by the output.
     """
     if m < 1:
         raise DecompositionFailed(m, "m must be >= 1")
+    if context is None:
+        context = group_context(G)
     gens = G.generators
-    try:
-        derived = abelian_basis(commutator_generators(G), G)
-    except NotAbelianError:
-        raise DecompositionFailed(m, "derived subgroup is not abelian") from None
-    xs = list(derived.elements)
-    x_orders = list(derived.orders)
+    if context.derived is None:
+        raise DecompositionFailed(m, "derived subgroup is not abelian")
+    xs = list(context.derived.elements)
+    x_orders = list(context.derived.orders)
 
     factors = trial_factor(m)
-    gen_orders = [element_order(G, g) for g in gens]
+    gen_orders = context.gen_orders
     picks = []
     for p, e in factors:
         q = p**e
@@ -95,8 +117,8 @@ def find_decomposition(G: GroupHandle, m: int) -> CandidateDecomposition:
     for order in x_orders:
         if math.gcd(order, m) != 1:
             raise DecompositionFailed(m, "derived subgroup order shares a factor with m")
-    for h in hs:
-        if math.gcd(element_order(G, h), m) != 1:
+    for n in gen_orders:  # g_j^m has order n / gcd(n, m)
+        if math.gcd(n // math.gcd(n, m), m) != 1:
             raise DecompositionFailed(m, "generator power order shares a factor with m")
 
     basis = abelian_basis(combined, G)
@@ -125,12 +147,13 @@ def standard_decomposition_with_attempts(
             StandardDecomposition(1, trivial, G.identity),
             [DecompositionAttempt(1, None, 1)],
         )
-    m_bar = lcm_list([element_order(G, g) for g in gens])
+    context = group_context(G)
+    m_bar = lcm_list(context.gen_orders)
     attempts: list[DecompositionAttempt] = []
     candidates: dict[int, CandidateDecomposition] = {}
     for m in divisors(m_bar):
         try:
-            cand = find_decomposition(G, m)
+            cand = find_decomposition(G, m, context)
         except DecompositionFailed as exc:
             attempts.append(DecompositionAttempt(m, exc.reason, None))
             continue

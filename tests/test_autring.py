@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpext.autring import (
     AutBlocks,
@@ -326,6 +328,26 @@ def test_matrix_to_automorphism_respects_composition():
         w = star_mul(u, v)
         for vec in vectors:
             assert act(w, vec) == act(u, act(v, vec))
+
+
+@st.composite
+def _matrix_files(draw):
+    p = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7]))
+    exps = draw(st.lists(st.integers(min_value=-1, max_value=3), max_size=3))
+    nrows = draw(st.integers(min_value=0, max_value=4))
+    rows = [draw(st.lists(st.integers(min_value=-2, max_value=64), max_size=4)) for _ in range(nrows)]
+    lines = [" ".join(["ptype", str(p), *map(str, exps)])] + [" ".join(map(str, r)) for r in rows]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_matrix_files(), st.text(max_size=24)))
+def test_parse_matrix_file_fuzz(text):
+    try:
+        u = parse_matrix_file(text)
+    except MalformedInputError:
+        return
+    assert parse_matrix_file(format_matrix(u)) == u
 
 
 def test_blocks_apply_and_pow():

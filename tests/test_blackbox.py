@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import build, semidirect
 from grpext import blackbox
@@ -13,6 +15,7 @@ from grpext.blackbox import (
     cyclic_group,
     cyclic_table_spec,
     group_pow,
+    build_group,
     load_group,
     parse_group_file,
     table_group,
@@ -123,8 +126,7 @@ def test_operation_counter_thread_safety():
     assert G.operation_count == base + 8 * 200
 
 
-def test_large_table_uses_sampled_associativity():
-    # n > 512 switches to sampled triples; a valid table must still load
+def test_large_table_validation_is_exact():
     spec = cyclic_table_spec(600)
     G = table_group(spec)
     assert len(G.generators) == 1
@@ -132,6 +134,18 @@ def test_large_table_uses_sampled_associativity():
     bad[350][400], bad[350][401] = bad[350][401], bad[350][400]
     with pytest.raises(MalformedInputError):  # Latin check still exact
         table_group(TableGroupSpec(600, tuple(tuple(r) for r in bad)))
+
+
+def test_nonassociative_latin_square_z2048_rejected():
+    # Swapping the intercalate at rows/cols {1, 1025} of Z_2048 keeps a Latin
+    # square with identity 0, but breaks associativity on only a few
+    # millionths of the triples, so a sampled check lets it through.
+    n = 2048
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i in (1, 1025):
+        rows[i][1], rows[i][1025] = rows[i][1025], rows[i][1]
+    with pytest.raises(MalformedInputError, match=r"associativity fails at \(1,1,"):
+        TableGroupSpec(n, tuple(map(tuple, rows)))
 
 
 def test_commutator_generators_abelian_trivial():
@@ -225,3 +239,86 @@ def test_greedy_generators_are_small():
     G = table_group(spec)
     assert len(G.generators) <= 3
     assert len(closure(G, G.generators)) == 8
+
+
+_SMALL = st.integers(min_value=-2, max_value=64)
+_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(["table", "semidirect", "A", "m", "gens", "#"]), st.lists(_SMALL, max_size=5)
+    ).map(lambda t: " ".join([t[0], *map(str, t[1])])),
+    st.lists(_SMALL, max_size=5).map(lambda xs: " ".join(map(str, xs))),
+    st.text(max_size=10),
+)
+
+
+@st.composite
+def _semidirect_files(draw):
+    qs = draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25]), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        qs.sort()
+    m = draw(st.integers(min_value=0, max_value=64))
+    rows = [
+        " ".join(str(draw(st.integers(0, q))) for _ in qs) for q in qs  # q itself is out of range
+    ]
+    gens = draw(
+        st.lists(st.lists(st.integers(0, 64), min_size=len(qs) + 1, max_size=len(qs) + 1), max_size=2)
+    )
+    return "\n".join(
+        ["semidirect", "A " + " ".join(map(str, qs)), f"m {m}", *rows]
+        + ["gens " + " ".join(map(str, g)) for g in gens]
+    )
+
+
+@st.composite
+def _table_files(draw):
+    # Z_n, possibly with one entry pair swapped in a row (not Latin) or with an
+    # intercalate swapped (Latin with identity, but not a group)
+    n = draw(st.integers(min_value=1, max_value=10))
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["plain", "row", "intercalate"]))
+    if kind == "row":
+        rows[a][b], rows[a][(b + 1) % n] = rows[a][(b + 1) % n], rows[a][b]
+    elif kind == "intercalate" and n % 2 == 0:
+        for i in (a, (a + n // 2) % n):
+            rows[i][b], rows[i][(b + n // 2) % n] = rows[i][(b + n // 2) % n], rows[i][b]
+    return f"table {n}\n" + "\n".join(" ".join(map(str, r)) for r in rows), rows
+
+
+def _is_group_table(rows) -> bool:
+    n = len(rows)
+    full = set(range(n))
+    return (
+        all(set(r) == full for r in rows)
+        and all({r[i] for r in rows} == full for i in range(n))
+        and all(rows[0][i] == i == rows[i][0] for i in range(n))
+        and all(
+            rows[rows[a][b]][c] == rows[a][rows[b][c]]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(_LINES, max_size=8).map("\n".join), _semidirect_files()))
+def test_parse_group_file_fuzz(text):
+    # a file is either rejected with MalformedInputError or gives a spec that builds
+    try:
+        spec = parse_group_file(text)
+    except MalformedInputError:
+        return
+    build_group(spec)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_table_files())
+def test_parse_table_file_fuzz_accepts_exactly_groups(case):
+    text, rows = case
+    try:
+        parse_group_file(text)
+    except MalformedInputError:
+        assert not _is_group_table(rows)
+    else:
+        assert _is_group_table(rows)

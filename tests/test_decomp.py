@@ -5,12 +5,15 @@ import pytest
 from corpus import (
     build,
     corpus_entry,
+    corpus_names,
     mixed_generators,
     naive_gamma,
     naive_order,
     naive_power,
     semidirect,
 )
+from grpext import decomp
+from grpext.arith import divisors, lcm_list
 from grpext.blackbox import closure, commutator_generators, table_group, TableGroupSpec
 from grpext.decomp import (
     find_decomposition,
@@ -20,6 +23,11 @@ from grpext.decomp import (
 from grpext.errors import DecompositionFailed, NotInClassError
 
 IDENT2 = [[1, 0], [0, 1]]
+
+
+def a1009():
+    # m-bar = 1009 * 1008 has 60 divisors
+    return semidirect((1009,), 1008, [[11]], name="A1009")
 
 
 def test_find_decomposition_abelian_m1():
@@ -187,3 +195,35 @@ def test_not_in_class_error():
     Q8 = table_group(_quaternion_table(), name="Q8")
     with pytest.raises(NotInClassError):
         standard_decomposition(Q8)
+
+
+def _finder_alone(G, m):
+    try:
+        cand = find_decomposition(G, m)
+    except DecompositionFailed as exc:
+        return (m, exc.reason, None), None
+    return (m, None, m * cand.a_order), cand
+
+
+@pytest.mark.parametrize("name", corpus_names() + ["A1009"])
+def test_sweep_matches_finder_run_alone(name):
+    # the sweep shares one group context across m; each m run on its own
+    # builds its own and must give the same outcome, reason and product
+    G = a1009() if name == "A1009" else build(name)
+    sd, attempts = standard_decomposition_with_attempts(G)
+    ms = divisors(lcm_list([naive_order(G, g) for g in G.generators]))
+    alone = {m: _finder_alone(G, m) for m in ms}
+    assert [(a.m, a.error, a.product) for a in attempts] == [alone[m][0] for m in ms]
+    chosen = alone[sd.gamma][1]
+    assert (chosen.a_basis, chosen.z) == (sd.a_basis, sd.y)
+
+
+def test_group_context_built_once_per_sweep(monkeypatch):
+    calls = []
+    real = decomp.commutator_generators
+    monkeypatch.setattr(decomp, "commutator_generators", lambda G: calls.append(G) or real(G))
+    G = a1009()
+    before = G.operation_count
+    standard_decomposition_with_attempts(G)
+    assert calls == [G]
+    assert G.operation_count - before <= 4676
