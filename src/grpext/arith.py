@@ -39,20 +39,77 @@ def trial_factor(n: int) -> Factorization:
     return factors
 
 
+_TRIAL_BOUND = 1000
+# Miller-Rabin with these bases is exact below _MR_LIMIT (Sorenson & Webster,
+# Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return trial_factor(n) == [(n, 1)]
+    return prime_power(n) == (n, 1)
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
-    """Return (p, e) if q = p^e for a prime p and e >= 1, else None."""
+    """Return (p, e) if q = p^e for a prime p and e >= 1, else None.
+
+    Trial division up to _TRIAL_BOUND decides every q below its square. A
+    larger q without a small factor can only be p^e with p > _TRIAL_BOUND, so
+    it is decided by integer roots and Miller-Rabin, in time polynomial in the
+    number of digits. Raises MalformedInputError if that needs a primality
+    test of a number of _MR_LIMIT or more, where Miller-Rabin is not exact.
+    """
     if q < 2:
         return None
-    factors = trial_factor(q)
-    if len(factors) != 1:
-        return None
-    return factors[0]
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            e = 0
+            while q % d == 0:
+                q //= d
+                e += 1
+            return (d, e) if q == 1 else None
+        if d > _TRIAL_BOUND:
+            break
+        d += 1 if d == 2 else 2
+    else:
+        return (q, 1)
+    for e in range(q.bit_length() // (_TRIAL_BOUND.bit_length() - 1), 0, -1):
+        root = _integer_root(q, e)
+        if root**e == q:
+            return (root, e) if _miller_rabin(root) else None
+    return None
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _miller_rabin(n: int) -> bool:
+    """Exact primality of an odd n > 41 below _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise MalformedInputError(f"{n} is too large to test for primality exactly")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def valuation(p: int, n: int) -> int:

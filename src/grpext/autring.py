@@ -643,14 +643,6 @@ class AutBlocks:
             raise MalformedInputError("blocks must come in strictly ascending primes")
 
 
-def blocks_identity(ptypes: Sequence[PType]) -> AutBlocks:
-    return AutBlocks(tuple(identity_matrix(t) for t in ptypes))
-
-
-def blocks_star(a: AutBlocks, b: AutBlocks) -> AutBlocks:
-    return AutBlocks(tuple(star_mul(x, y) for x, y in zip(a.blocks, b.blocks)))
-
-
 def blocks_pow(a: AutBlocks, n: int) -> AutBlocks:
     return AutBlocks(tuple(star_pow(x, n) for x in a.blocks))
 

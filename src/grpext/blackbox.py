@@ -2,15 +2,24 @@
 
 A group handle exposes a generator list, an identity code, and two oracles
 (product and inverse) that each count as one operation. Algorithms elsewhere
-in the package only ever touch groups through this surface; the two concrete
-backends (multiplication table, semidirect product) live here.
+in the package only ever touch groups through this surface; the concrete
+backends (multiplication table, cyclic, semidirect product) live here.
+
+Element codes are `bytes` of one fixed width per group, so that sorting codes
+is deterministic. Table and cyclic codes are the zero-padded ASCII index.
+A semidirect code is the big-endian integer of (a_1, ..., a_s, j) in mixed
+radix (q_1, ..., q_s, m); its byte order is the order of the (a, j) tuples.
+The text form of an element exists only at the edges: `parse_element` reads
+it and `format_element` writes it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import autring
@@ -50,6 +59,7 @@ class GroupHandle:
         inv: Callable[[ElementCode], ElementCode],
         name: str = "group",
         parse_element: Optional[Callable[[str], ElementCode]] = None,
+        format_element: Optional[Callable[[ElementCode], str]] = None,
     ):
         self.identity = identity
         self.generators = list(generators)
@@ -58,10 +68,15 @@ class GroupHandle:
         self._inv = inv
         self._counter = _OpCounter()
         self.parse_element = parse_element or self._parse_raw
+        self.format_element = format_element or self._format_raw
 
     @staticmethod
     def _parse_raw(text: str) -> ElementCode:
         return text.encode("ascii")
+
+    @staticmethod
+    def _format_raw(code: ElementCode) -> str:
+        return code.decode("ascii")
 
     def mul(self, a: ElementCode, b: ElementCode) -> ElementCode:
         self._counter.tick()
@@ -82,7 +97,13 @@ def with_generators(G: GroupHandle, generators: Sequence[ElementCode]) -> GroupH
     The caller is responsible for the new list actually generating the group.
     """
     return GroupHandle(
-        G.identity, generators, G._mul, G._inv, name=G.name, parse_element=G.parse_element
+        G.identity,
+        generators,
+        G._mul,
+        G._inv,
+        name=G.name,
+        parse_element=G.parse_element,
+        format_element=G.format_element,
     )
 
 
@@ -314,8 +335,13 @@ class SemidirectGroupSpec:
 
     Elements are pairs (a, j) with a an exponent tuple reduced per coordinate
     and j in {0, ..., m-1}; (a, j) * (b, j') = (a + M^j b, j + j' mod m).
-    Construction checks m, gcd(|A|, m), the action's order and the generator
-    ranges; the action blocks themselves are checked by action_from_rows.
+    The group's element code of (a, j) is the integer
+    ((a_1 q_2 + a_2) q_3 + ... + a_s) m + j as fixed-width big-endian bytes,
+    so codes sort like the (a, j) tuples; its text form is `a_1,...,a_s;j`
+    with each field zero-padded to the width of its largest value.
+    Construction checks m, gcd(|A|, m), the action's order, the generator
+    ranges and that the generators generate the group; the action blocks
+    themselves are checked by action_from_rows.
     """
 
     qs: tuple[int, ...]
@@ -330,14 +356,137 @@ class SemidirectGroupSpec:
         a_order = math.prod(qs)
         if math.gcd(a_order, m) != 1:
             raise MalformedInputError(f"gcd(|A|={a_order}, m={m}) must be 1")
-        if len(self.action.blocks) != len(_split_prime_blocks(qs)):
+        spans = _split_prime_blocks(qs)
+        if len(self.action.blocks) != len(spans):
             raise MalformedInputError("action blocks do not match the prime split")
-        if not autring.blocks_is_identity(autring.blocks_pow(self.action, m)):
+        if _mat_pow(self.rows, m, qs) != _mat_pow(self.rows, 0, qs):
             raise MalformedInputError("action order does not divide m")
+        if self.generators is None:
+            return
         s = len(qs)
-        for a, j in self.generators or ():
+        for a, j in self.generators:
             if len(a) != s or any(not 0 <= a[i] < qs[i] for i in range(s)) or not 0 <= j < m:
                 raise MalformedInputError(f"generator {(a, j)} out of range")
+        _require_generation(qs, m, self.rows, spans, self.generators)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The action as one s x s matrix, zero between distinct primes."""
+        s = len(self.qs)
+        full = [[0] * s for _ in range(s)]
+        pos = 0
+        for block in self.action.blocks:
+            k = block.ptype.s
+            for i in range(k):
+                full[pos + i][pos : pos + k] = block.rows[i]
+            pos += k
+        return tuple(map(tuple, full))
+
+
+def _mat_mul(x, y, qs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Product of two action matrices, row i reduced modulo q_i."""
+    cols = tuple(zip(*y))
+    return tuple(
+        tuple(sum(map(operator.mul, row, col)) % q for col in cols) for row, q in zip(x, qs)
+    )
+
+
+def _mat_vec(rows, vec: Sequence[int], qs: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(map(operator.mul, row, vec)) % q for row, q in zip(rows, qs))
+
+
+def _mat_pow(rows, n: int, qs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """rows^n for n >= 0 by square-and-multiply."""
+    s = len(qs)
+    power = tuple(tuple(int(i == k) for k in range(s)) for i in range(s))
+    while n:
+        if n & 1:
+            power = _mat_mul(power, rows, qs)
+        n >>= 1
+        if n:
+            rows = _mat_mul(rows, rows, qs)
+    return power
+
+
+class _ActionPowers(dict):
+    """j -> M^j as a tuple of rows, by square-and-multiply on first use, then kept."""
+
+    def __init__(self, qs: Sequence[int], rows):
+        super().__init__()
+        self.qs = qs
+        self.rows = rows
+
+    def __missing__(self, j: int):
+        power = self[j] = _mat_pow(self.rows, j, self.qs)
+        return power
+
+
+def _require_generation(qs, m, rows, spans, generators) -> None:
+    """Raise MalformedInputError unless the generators generate A x| Z_m.
+
+    Exact, without enumerating the group. The j-parts must generate Z_m; then
+    some product h of generators has j-part 1, and by Schreier's lemma the
+    subgroup meets A in the M-closed subgroup generated by g_i h^{-j_i} and
+    h^m (conjugation by h acts on A as M). By the Burnside basis theorem that
+    subgroup is A when, for every prime p, its image in A_p/pA_p spans the
+    whole F_p-space.
+    """
+    s = len(qs)
+    powers = _ActionPowers(qs, rows)
+    zero = (0,) * s
+
+    def mul(x, y):
+        (a, j), (b, k) = x, y
+        moved = _mat_vec(powers[j], b, qs) if any(b) else b
+        return tuple((u + v) % q for u, v, q in zip(a, moved, qs)), (j + k) % m
+
+    def power(x, n):
+        out = (zero, 0)
+        while n:
+            if n & 1:
+                out = mul(out, x)
+            n >>= 1
+            if n:
+                x = mul(x, x)
+        return out
+
+    moving = [g for g in generators if g[1]]
+    gcd, coeffs = m, []  # sum(coeffs[i] * j_i) = gcd modulo m
+    for _, j in moving:
+        x0, x1, y0, y1, a, b = 1, 0, 0, 1, gcd, j
+        while b:
+            t = a // b
+            a, b, x0, x1, y0, y1 = b, a - t * b, x1, x0 - t * x1, y1, y0 - t * y1
+        gcd, coeffs = a, [c * x0 for c in coeffs] + [y0]
+    if gcd != 1:
+        raise MalformedInputError(f"the generators' j-parts do not generate Z_{m}")
+    h = (zero, 0)
+    for g, c in zip(moving, coeffs):
+        h = mul(h, power(g, c % m))
+    vectors = [a for a, j in generators if not j]
+    vectors += [tuple(u - v for u, v in zip(a, power(h, j)[0])) for a, j in moving]
+    vectors.append(power(h, m)[0])
+    for p, start, stop, _ in spans:
+        mod_p = [[x % p for x in row[start:stop]] for row in rows[start:stop]]
+        basis: list[tuple[int, list[int]]] = []  # (pivot, row with 1 at pivot)
+        queue = [[x % p for x in v[start:stop]] for v in vectors]
+        while queue and len(basis) < stop - start:
+            v = queue.pop()
+            for pivot, row in basis:
+                if v[pivot]:
+                    c = v[pivot]
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
+            pivot = next((i for i, x in enumerate(v) if x), None)
+            if pivot is None:
+                continue
+            scale = pow(v[pivot], -1, p)
+            v = [x * scale % p for x in v]
+            basis.append((pivot, v))
+            queue.append([sum(map(operator.mul, row, v)) % p for row in mod_p])
+        if len(basis) < stop - start:
+            raise MalformedInputError(
+                f"the generators do not generate the {p}-part of A (rank {len(basis)} of {stop - start})"
+            )
 
 
 def _split_prime_blocks(qs: Sequence[int]) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -394,47 +543,52 @@ def action_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> autrin
 
 
 def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> GroupHandle:
+    """Oracles on the packed codes of SemidirectGroupSpec; M^j is computed lazily."""
     qs = spec.qs
     m = spec.m
-    powers = [autring.blocks_identity([b.ptype for b in spec.action.blocks])]
-    for _ in range(1, m):
-        powers.append(autring.blocks_star(powers[-1], spec.action))
-
     s = len(qs)
-    widths = [len(str(q - 1)) for q in qs]
-    jwidth = len(str(m - 1)) if m > 1 else 1
+    order = math.prod(qs) * m
+    width = max(1, ((order - 1).bit_length() + 7) // 8)
+    powers = _ActionPowers(qs, spec.rows)
+    radices = tuple(reversed(qs))
+    text_widths = [len(str(q - 1)) for q in qs]
+    jwidth = len(str(m - 1))
 
     def encode(a: Sequence[int], j: int) -> ElementCode:
-        parts = [str(a[i]).zfill(widths[i]) for i in range(s)]
-        return (",".join(parts) + ";" + str(j).zfill(jwidth)).encode("ascii")
+        n = 0
+        for q, x in zip(qs, a):
+            n = n * q + x
+        return (n * m + j).to_bytes(width, "big")
 
-    def decode(code: ElementCode) -> tuple[tuple[int, ...], int]:
-        try:
-            text = code.decode("ascii")
-            apart, jpart = text.split(";")
-            coords = apart.split(",")
-            if len(coords) != s or len(jpart) != jwidth:
-                raise ValueError("shape")
-            a = tuple(int(c) for c in coords)
-            j = int(jpart)
-        except (ValueError, UnicodeDecodeError):
-            raise MalformedInputError(f"unknown element code {code!r}") from None
-        if any(len(coords[i]) != widths[i] or not 0 <= a[i] < qs[i] for i in range(s)):
+    def decode(code: ElementCode) -> tuple[list[int], int]:
+        if type(code) is not bytes or len(code) != width:
             raise MalformedInputError(f"unknown element code {code!r}")
-        if not 0 <= j < m:
+        n = int.from_bytes(code, "big")
+        if n >= order:
             raise MalformedInputError(f"unknown element code {code!r}")
+        n, j = divmod(n, m)
+        a = []
+        for q in radices:
+            n, x = divmod(n, q)
+            a.append(x)
+        a.reverse()
         return a, j
 
     def mul(x: ElementCode, y: ElementCode) -> ElementCode:
         a, j = decode(x)
-        b, j2 = decode(y)
-        moved = autring.apply_blocks(powers[j], b)
-        return encode([(a[i] + moved[i]) % qs[i] for i in range(s)], (j + j2) % m)
+        b, k = decode(y)
+        n = 0
+        for q, row, u in zip(qs, powers[j], a):
+            n = n * q + (u + sum(map(operator.mul, row, b))) % q
+        return (n * m + (j + k) % m).to_bytes(width, "big")
 
     def inv(x: ElementCode) -> ElementCode:
         a, j = decode(x)
-        back = autring.apply_blocks(powers[(m - j) % m], a)
-        return encode([-back[i] % qs[i] for i in range(s)], (m - j) % m)
+        k = -j % m
+        n = 0
+        for q, row in zip(qs, powers[k]):
+            n = n * q + -sum(map(operator.mul, row, a)) % q
+        return (n * m + k).to_bytes(width, "big")
 
     if spec.generators is not None:
         gens = [encode(a, j) for a, j in spec.generators]
@@ -454,8 +608,18 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
             raise MalformedInputError(f"element {text!r} out of range")
         return encode(a, j)
 
+    def format_element(code: ElementCode) -> str:
+        a, j = decode(code)
+        return ",".join(map(str.zfill, map(str, a), text_widths)) + ";" + str(j).zfill(jwidth)
+
     return GroupHandle(
-        encode([0] * s, 0), gens, mul, inv, name=name, parse_element=parse_element
+        encode([0] * s, 0),
+        gens,
+        mul,
+        inv,
+        name=name,
+        parse_element=parse_element,
+        format_element=format_element,
     )
 
 
@@ -556,16 +720,7 @@ def format_semidirect_file(spec: SemidirectGroupSpec, comment: str = "") -> str:
     out.append("semidirect")
     out.append("A " + " ".join(str(q) for q in spec.qs))
     out.append(f"m {spec.m}")
-    s = len(spec.qs)
-    full = [[0] * s for _ in range(s)]
-    pos = 0
-    for block in spec.action.blocks:
-        k = block.ptype.s
-        for i in range(k):
-            for j in range(k):
-                full[pos + i][pos + j] = block.rows[i][j]
-        pos += k
-    for row in full:
+    for row in spec.rows:
         out.append(" ".join(str(x) for x in row))
     if spec.generators:
         for a, j in spec.generators:

@@ -64,7 +64,7 @@ def cmd_standard_decomposition(args) -> int:
         f"abelian-order {sd.a_basis.group_order}",
         "abelian-type " + (" ".join(str(q) for q in sd.a_basis.orders) or "-"),
         f"group-order {sd.group_order}",
-        f"y {sd.y.decode('ascii')}",
+        f"y {G.format_element(sd.y)}",
     ]
     for att in attempts:
         if att.error is None:

@@ -1,5 +1,7 @@
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from corpus import build, semidirect
 from grpext import blackbox
+from grpext.abelian import element_order
+from grpext.arith import prime_power
 from grpext.blackbox import (
     SemidirectGroupSpec,
     TableGroupSpec,
@@ -63,6 +67,59 @@ def test_unknown_codes_rejected():
     G = build("G21a")
     with pytest.raises(MalformedInputError):
         G.mul(G.identity, b"7;0")
+    order = 21
+    for foreign in (
+        b"\x00\x00",  # wrong width
+        order.to_bytes(1, "big"),  # N = |G|
+        b"0;0",  # the ASCII text form of the identity
+        "0;0",  # not bytes
+        bytearray(G.identity),
+    ):
+        with pytest.raises(MalformedInputError):
+            G.mul(G.identity, foreign)
+        with pytest.raises(MalformedInputError):
+            G.inv(foreign)
+        with pytest.raises(MalformedInputError):
+            G.format_element(foreign)
+    assert G.format_element((order - 1).to_bytes(1, "big")) == "6;2"
+
+
+_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 25, 27, 49, 121, 125, 1009]
+
+
+@st.composite
+def _packed_groups(draw):
+    qs = sorted(draw(st.lists(st.sampled_from(_PRIME_POWERS), min_size=1, max_size=4)), key=prime_power)
+    m = draw(st.integers(1, 3000).filter(lambda m: math.gcd(m, math.prod(qs)) == 1))
+    elements = draw(
+        st.lists(
+            st.tuples(st.tuples(*(st.integers(0, q - 1) for q in qs)), st.integers(0, m - 1)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return qs, m, elements
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_packed_groups())
+def test_packed_codes_keep_tuple_order_and_text(case):
+    qs, m, elements = case
+    s = len(qs)
+    identity = [[int(i == j) for j in range(s)] for i in range(s)]
+    G = semidirect(qs, m, identity)
+    widths = [len(str(q - 1)) for q in qs]
+    texts = [
+        ",".join(str(x).zfill(w) for x, w in zip(a, widths)) + ";" + str(j).zfill(len(str(m - 1)))
+        for a, j in elements
+    ]
+    codes = [G.parse_element(t) for t in texts]
+    assert {len(c) for c in codes} == {len(G.identity)}
+    assert sorted(range(len(codes)), key=codes.__getitem__) == sorted(
+        range(len(codes)), key=elements.__getitem__
+    )
+    for t, c in zip(texts, codes):
+        assert G.format_element(c) == t
 
 
 def test_semidirect_product_law_order21():
@@ -201,6 +258,112 @@ def test_parse_explicit_generators():
     G = load_group(text)
     assert len(G.generators) == 2
     assert len(closure(G, G.generators)) == 18
+
+
+def test_non_generating_gens_rejected():
+    # gens 1 0 reaches only Z_7, so this file must not pose as a group of order 21
+    with pytest.raises(MalformedInputError, match="j-parts"):
+        load_group("semidirect\nA 7\nm 3\n2\ngens 1 0\n")
+    with pytest.raises(MalformedInputError, match="3-part"):
+        load_group("semidirect\nA 3 3\nm 2\n0 1\n1 0\ngens 1 1 1\n")
+
+
+# valid (qs, m, action rows) with |A| * m <= 500
+_SMALL_SEMIDIRECT = [
+    ((7,), 3, [[2]]),
+    ((7,), 6, [[3]]),
+    ((7,), 9, [[2]]),
+    ((5,), 4, [[2]]),
+    ((13,), 4, [[5]]),
+    ((11,), 5, [[3]]),
+    ((3, 3), 2, [[0, 1], [1, 0]]),
+    ((3, 3), 4, [[0, 2], [1, 0]]),
+    ((2, 2), 3, [[0, 1], [1, 1]]),
+    ((3, 9), 2, [[2, 0], [0, 8]]),
+    ((2, 3), 1, [[1, 0], [0, 1]]),
+    ((5, 7), 6, [[4, 0], [0, 6]]),
+    ((2, 4), 3, [[1, 0], [0, 1]]),
+]
+
+
+def _closure_size(qs, m, rows, gens) -> int:
+    # breadth-first closure over (a, j) pairs with the action applied j times
+    def mul(x, y):
+        (a, j), (b, k) = x, y
+        for _ in range(j):
+            b = tuple(sum(r * v for r, v in zip(row, b)) % q for row, q in zip(rows, qs))
+        return tuple((u + v) % q for u, v, q in zip(a, b, qs)), (j + k) % m
+
+    seen = {((0,) * len(qs), 0)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen)
+
+
+@st.composite
+def _gens_files(draw):
+    qs, m, rows = draw(st.sampled_from(_SMALL_SEMIDIRECT))
+    gens = draw(
+        st.lists(
+            st.tuples(st.tuples(*(st.integers(0, q - 1) for q in qs)), st.integers(0, m - 1)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return qs, m, rows, gens
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_gens_files())
+def test_gens_accepted_exactly_when_they_generate(case):
+    qs, m, rows, gens = case
+    text = "\n".join(
+        ["semidirect", "A " + " ".join(map(str, qs)), f"m {m}"]
+        + [" ".join(map(str, r)) for r in rows]
+        + ["gens " + " ".join(map(str, a)) + f" {j}" for a, j in gens]
+    )
+    generates = _closure_size(qs, m, rows, gens) == math.prod(qs) * m
+    try:
+        G = load_group(text)
+    except MalformedInputError:
+        assert not generates
+    else:
+        assert generates
+        assert len(closure(G, G.generators)) == math.prod(qs) * m
+
+
+def test_action_powers_are_lazy():
+    tracemalloc.start()
+    try:
+        G = load_group("semidirect\nA 7\nm 1000000\n6\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+    assert element_order(G, G.parse_element("0;1")) == 1_000_000
+
+
+@pytest.mark.parametrize(
+    "q,accepted", [(1000000000000000003, True), (1000000007 * 1000000009, False)]
+)
+def test_large_a_entry_parse_is_bounded(q, accepted):
+    # a 19-digit prime, and a 19-digit product of two 10-digit primes
+    began = time.perf_counter()
+    try:
+        parse_group_file(f"semidirect\nA {q}\nm 1\n1\n")
+    except MalformedInputError as exc:
+        assert not accepted and "prime power" in str(exc)
+    else:
+        assert accepted
+    assert time.perf_counter() - began < 1
 
 
 @pytest.mark.parametrize(
