@@ -47,7 +47,10 @@ class AbelianBasis:
 
 
 def _max_table_entries(code_len: int) -> int:
-    mem_mb = int(os.environ.get("GRPEXT_MEM_MB", "1024"))
+    text = os.environ.get("GRPEXT_MEM_MB", "1024")
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise MalformedInputError(f"GRPEXT_MEM_MB must be a positive integer, not {text!r}")
+    mem_mb = int(text)
     per_entry = code_len + 96  # code bytes plus container overhead, roughly
     return max(1024, (mem_mb << 20) // per_entry)
 

@@ -10,15 +10,23 @@ The module also provides the block-reduction map psi onto block-diagonal
 invertible matrices over F_p, rational canonical forms with explicit
 transformation matrices, and a conjugacy solver for matrices whose order is
 coprime with p.
+
+It owns the arithmetic of action matrices over per-row moduli (mat_mul,
+mat_vec, mat_pow): the action of a cyclic group on a general abelian group
+A = Z_{q_1} x ... x Z_{q_s} is one s x s matrix with row i reduced mod q_i,
+and blocks_from_rows is the only place that splits such a matrix into one
+AutMatrix per prime.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .arith import ModularLinearSystem, is_prime, solve_modular_system
+from .arith import ModularLinearSystem, is_prime, prime_power, solve_modular_system
 from .errors import (
     Condition3Error,
     InvariantBreachError,
@@ -124,31 +132,43 @@ def identity_matrix(ptype: PType) -> AutMatrix:
     return AutMatrix(ptype, _freeze([[int(i == j) for j in range(ptype.s)] for i in range(ptype.s)]))
 
 
+def mat_mul(x, y, moduli: Sequence[int]) -> IntMatrix:
+    """Product of two matrices, row i reduced modulo moduli[i]."""
+    cols = tuple(zip(*y))
+    return tuple(
+        tuple(sum(map(operator.mul, row, col)) % q for col in cols) for row, q in zip(x, moduli)
+    )
+
+
+def mat_vec(rows, vec: Sequence[int], moduli: Sequence[int]) -> tuple[int, ...]:
+    """rows * vec, coordinate i reduced modulo moduli[i]."""
+    return tuple(sum(map(operator.mul, row, vec)) % q for row, q in zip(rows, moduli))
+
+
+def mat_pow(rows, n: int, moduli: Sequence[int]) -> IntMatrix:
+    """rows^n for n >= 0 by square-and-multiply, row i reduced modulo moduli[i]."""
+    s = len(moduli)
+    power = tuple(tuple(int(i == k) for k in range(s)) for i in range(s))
+    while n:
+        if n & 1:
+            power = mat_mul(power, rows, moduli)
+        n >>= 1
+        if n:
+            rows = mat_mul(rows, rows, moduli)
+    return power
+
+
 def star_mul(u: AutMatrix, u2: AutMatrix) -> AutMatrix:
     """Matrix product with row i of the result reduced modulo p^{e_i}."""
     if u.ptype != u2.ptype:
         raise MalformedInputError("star_mul requires matching types")
-    s = u.ptype.s
-    moduli = u.ptype.moduli
-    a, b = u.rows, u2.rows
-    out = [
-        tuple(sum(a[i][k] * b[k][j] for k in range(s)) % moduli[i] for j in range(s))
-        for i in range(s)
-    ]
-    return AutMatrix(u.ptype, tuple(out))
+    return AutMatrix(u.ptype, mat_mul(u.rows, u2.rows, u.ptype.moduli))
 
 
 def star_pow(u: AutMatrix, n: int) -> AutMatrix:
     if n < 0:
         raise MalformedInputError("star_pow needs n >= 0")
-    result = identity_matrix(u.ptype)
-    base = u
-    while n:
-        if n & 1:
-            result = star_mul(result, base)
-        base = star_mul(base, base)
-        n >>= 1
-    return result
+    return AutMatrix(u.ptype, mat_pow(u.rows, n, u.ptype.moduli))
 
 
 def _det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -207,24 +227,11 @@ def psi(u: AutMatrix) -> BlockDiagGF:
     return BlockDiagGF(p, tuple(blocks))
 
 
-def identity_gf(p: int, sizes: Sequence[int]) -> BlockDiagGF:
-    return BlockDiagGF(
-        p, tuple(_freeze([[int(i == j) for j in range(n)] for i in range(n)]) for n in sizes)
-    )
-
-
 # --- F_p matrix and polynomial helpers ------------------------------------
 
 
 def _gf_mul(a, b, p):
-    n, m, k = len(a), len(b[0]), len(b)
-    return _freeze(
-        [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)] for i in range(n)]
-    )
-
-
-def _gf_identity(n):
-    return _freeze([[int(i == j) for j in range(n)] for i in range(n)])
+    return mat_mul(a, b, (p,) * len(a))
 
 
 def _gf_inv(rows, p):
@@ -414,7 +421,7 @@ def rcf(mat: Sequence[Sequence[int]], p: int) -> RCFResult:
     diag, u_inv = _poly_snf_uinv(char, p)
     entries = sorted(range(n), key=lambda t: len(diag[t]))
     factors = []
-    basis_cols: list[list[int]] = []
+    basis_cols: list[Sequence[int]] = []
     for t in entries:
         d = diag[t]
         if len(d) <= 1:
@@ -433,7 +440,7 @@ def rcf(mat: Sequence[Sequence[int]], p: int) -> RCFResult:
         col = gen
         for _ in range(len(d) - 1):
             basis_cols.append(col)
-            col = [sum(mat[r][k] * col[k] for k in range(n)) % p for r in range(n)]
+            col = mat_vec(mat, col, (p,) * n)
     if sum(len(f) - 1 for f in factors) != n:
         raise InvariantBreachError("invariant factor degrees do not sum to n")
     q = [[basis_cols[j][i] for j in range(n)] for i in range(n)]
@@ -451,7 +458,7 @@ def rcf(mat: Sequence[Sequence[int]], p: int) -> RCFResult:
                 form[pos + i][pos + j] = block[i][j]
         pos += k
     form_f = _freeze(form)
-    if _gf_mul(t_mat, _freeze(mat), p) != _gf_mul(form_f, t_mat, p):
+    if _gf_mul(t_mat, mat, p) != _gf_mul(form_f, t_mat, p):
         raise InvariantBreachError("canonical form transform failed verification")
     return RCFResult(p, form_f, t_mat, tuple(factors))
 
@@ -464,7 +471,7 @@ def gl_conjugator(v1, v2, p: int) -> Optional[IntMatrix]:
         return None
     t2_inv = _gf_inv(r2.transform, p)
     t = _gf_mul(t2_inv, r1.transform, p)
-    if _gf_mul(t, _freeze(v1), p) != _gf_mul(_freeze(v2), t, p):
+    if _gf_mul(t, v1, p) != _gf_mul(v2, t, p):
         raise InvariantBreachError("conjugator failed verification")
     return t
 
@@ -642,6 +649,65 @@ class AutBlocks:
         if primes != sorted(set(primes)):
             raise MalformedInputError("blocks must come in strictly ascending primes")
 
+    @cached_property
+    def moduli(self) -> tuple[int, ...]:
+        """The prime powers q_1, ..., q_s of the coordinates, block after block."""
+        return tuple(q for b in self.blocks for q in b.ptype.moduli)
+
+    @cached_property
+    def rows(self) -> IntMatrix:
+        """The action as one s x s matrix, zero between distinct primes."""
+        s = len(self.moduli)
+        full = [[0] * s for _ in range(s)]
+        pos = 0
+        for block in self.blocks:
+            k = block.ptype.s
+            for i in range(k):
+                full[pos + i][pos : pos + k] = block.rows[i]
+            pos += k
+        return tuple(map(tuple, full))
+
+
+def blocks_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> AutBlocks:
+    """Validate a full s x s action matrix and split it into per-prime blocks.
+
+    The q_i must be prime powers ascending by (prime, exponent). Entries
+    coupling distinct primes must be zero; each prime block must be an
+    invertible endomorphism matrix of its component, entries in range.
+    """
+    s = len(qs)
+    if len(rows) != s or any(len(r) != s for r in rows):
+        raise MalformedInputError(f"action matrix must be {s}x{s}")
+    parsed = []
+    for q in qs:
+        pp = prime_power(q)
+        if pp is None:
+            raise MalformedInputError(f"{q} is not a prime power")
+        parsed.append(pp)
+    if parsed != sorted(parsed):
+        raise MalformedInputError("prime powers must be ascending (prime, then exponent)")
+    spans = []  # (p, start, stop) of equal-prime runs
+    start = 0
+    for i in range(1, s + 1):
+        if i == s or parsed[i][0] != parsed[start][0]:
+            spans.append((parsed[start][0], start, i))
+            start = i
+    block_of = [b for b, (_, lo, hi) in enumerate(spans) for _ in range(lo, hi)]
+    for i in range(s):
+        for j in range(s):
+            if block_of[i] != block_of[j] and rows[i][j] != 0:
+                raise MalformedInputError(
+                    f"entry ({i + 1},{j + 1}) couples distinct primes; must be 0"
+                )
+    blocks = []
+    for p, start, stop in spans:
+        ptype = PType(p, tuple(e for _, e in parsed[start:stop]))
+        block = validate_M(ptype, [row[start:stop] for row in rows[start:stop]])
+        if not is_in_R(block):
+            raise MalformedInputError(f"action block for p={p} is not invertible")
+        blocks.append(block)
+    return AutBlocks(tuple(blocks))
+
 
 def blocks_pow(a: AutBlocks, n: int) -> AutBlocks:
     return AutBlocks(tuple(star_pow(x, n) for x in a.blocks))
@@ -652,18 +718,10 @@ def blocks_is_identity(a: AutBlocks) -> bool:
 
 
 def apply_blocks(a: AutBlocks, vec: Sequence[int]) -> tuple[int, ...]:
-    """Apply the blockwise matrix to an exponent vector, per-coordinate moduli."""
-    out = []
-    pos = 0
-    for b in a.blocks:
-        s = b.ptype.s
-        seg = vec[pos : pos + s]
-        for i in range(s):
-            out.append(sum(b.rows[i][j] * seg[j] for j in range(s)) % b.ptype.moduli[i])
-        pos += s
-    if pos != len(vec):
+    """Apply the full action matrix to an exponent vector, per-coordinate moduli."""
+    if len(vec) != len(a.moduli):
         raise MalformedInputError("vector length does not match block sizes")
-    return tuple(out)
+    return mat_vec(a.rows, vec, a.moduli)
 
 
 # --- Matrix text format -----------------------------------------------------

@@ -10,7 +10,9 @@ is deterministic. Table and cyclic codes are the zero-padded ASCII index.
 A semidirect code is the big-endian integer of (a_1, ..., a_s, j) in mixed
 radix (q_1, ..., q_s, m); its byte order is the order of the (a, j) tuples.
 The text form of an element exists only at the edges: `parse_element` reads
-it and `format_element` writes it.
+it and `format_element` writes it. The semidirect backend's action matrix is
+an autring.AutBlocks; its arithmetic and its split into prime blocks live in
+autring.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import autring
-from .arith import prime_power
 from .errors import MalformedInputError
 
 ElementCode = bytes
@@ -229,9 +229,7 @@ def validate_table_spec(spec: TableGroupSpec) -> None:
                 raise MalformedInputError(f"associativity fails at ({a},{g},{b})")
 
 
-def table_group(
-    spec: TableGroupSpec, generators: Optional[Sequence[int]] = None, name: str = "table"
-) -> GroupHandle:
+def table_group(spec: TableGroupSpec, name: str = "table") -> GroupHandle:
     n = spec.n
     width = len(str(n - 1))
     codes = [str(i).zfill(width).encode("ascii") for i in range(n)]
@@ -252,26 +250,6 @@ def table_group(
     def inv(a: ElementCode) -> ElementCode:
         return codes[inverse[decode(a)]]
 
-    if generators is None:
-        gen_idx = _greedy_generators(spec.table)
-    else:
-        gen_idx = [int(g) for g in generators]
-        if any(not 0 <= g < n for g in gen_idx):
-            raise MalformedInputError("generator index out of range")
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gen_idx:
-                    b = spec.table[a][g]
-                    if b not in reached:
-                        reached.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        if len(reached) != n:
-            raise MalformedInputError("given generators do not generate the group")
-
     def parse_element(text: str) -> ElementCode:
         try:
             i = int(text)
@@ -282,7 +260,12 @@ def table_group(
         return codes[i]
 
     return GroupHandle(
-        codes[0], [codes[g] for g in gen_idx], mul, inv, name=name, parse_element=parse_element
+        codes[0],
+        [codes[g] for g in _greedy_generators(spec.table)],
+        mul,
+        inv,
+        name=name,
+        parse_element=parse_element,
     )
 
 
@@ -339,9 +322,9 @@ class SemidirectGroupSpec:
     ((a_1 q_2 + a_2) q_3 + ... + a_s) m + j as fixed-width big-endian bytes,
     so codes sort like the (a, j) tuples; its text form is `a_1,...,a_s;j`
     with each field zero-padded to the width of its largest value.
-    Construction checks m, gcd(|A|, m), the action's order, the generator
-    ranges and that the generators generate the group; the action blocks
-    themselves are checked by action_from_rows.
+    Construction checks m, gcd(|A|, m), that the action's moduli are qs, the
+    action's order, the generator ranges and that the generators generate the
+    group; autring.blocks_from_rows builds a valid action from a full matrix.
     """
 
     qs: tuple[int, ...]
@@ -356,10 +339,12 @@ class SemidirectGroupSpec:
         a_order = math.prod(qs)
         if math.gcd(a_order, m) != 1:
             raise MalformedInputError(f"gcd(|A|={a_order}, m={m}) must be 1")
-        spans = _split_prime_blocks(qs)
-        if len(self.action.blocks) != len(spans):
-            raise MalformedInputError("action blocks do not match the prime split")
-        if _mat_pow(self.rows, m, qs) != _mat_pow(self.rows, 0, qs):
+        if self.action.moduli != tuple(qs):
+            raise MalformedInputError(
+                f"action acts on {self.action.moduli}, not on A = {tuple(qs)}"
+            )
+        rows = self.action.rows
+        if autring.mat_pow(rows, m, qs) != autring.mat_pow(rows, 0, qs):
             raise MalformedInputError("action order does not divide m")
         if self.generators is None:
             return
@@ -367,45 +352,7 @@ class SemidirectGroupSpec:
         for a, j in self.generators:
             if len(a) != s or any(not 0 <= a[i] < qs[i] for i in range(s)) or not 0 <= j < m:
                 raise MalformedInputError(f"generator {(a, j)} out of range")
-        _require_generation(qs, m, self.rows, spans, self.generators)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The action as one s x s matrix, zero between distinct primes."""
-        s = len(self.qs)
-        full = [[0] * s for _ in range(s)]
-        pos = 0
-        for block in self.action.blocks:
-            k = block.ptype.s
-            for i in range(k):
-                full[pos + i][pos : pos + k] = block.rows[i]
-            pos += k
-        return tuple(map(tuple, full))
-
-
-def _mat_mul(x, y, qs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Product of two action matrices, row i reduced modulo q_i."""
-    cols = tuple(zip(*y))
-    return tuple(
-        tuple(sum(map(operator.mul, row, col)) % q for col in cols) for row, q in zip(x, qs)
-    )
-
-
-def _mat_vec(rows, vec: Sequence[int], qs: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(map(operator.mul, row, vec)) % q for row, q in zip(rows, qs))
-
-
-def _mat_pow(rows, n: int, qs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """rows^n for n >= 0 by square-and-multiply."""
-    s = len(qs)
-    power = tuple(tuple(int(i == k) for k in range(s)) for i in range(s))
-    while n:
-        if n & 1:
-            power = _mat_mul(power, rows, qs)
-        n >>= 1
-        if n:
-            rows = _mat_mul(rows, rows, qs)
-    return power
+        _require_generation(m, self.action, self.generators)
 
 
 class _ActionPowers(dict):
@@ -417,11 +364,11 @@ class _ActionPowers(dict):
         self.rows = rows
 
     def __missing__(self, j: int):
-        power = self[j] = _mat_pow(self.rows, j, self.qs)
+        power = self[j] = autring.mat_pow(self.rows, j, self.qs)
         return power
 
 
-def _require_generation(qs, m, rows, spans, generators) -> None:
+def _require_generation(m, action: autring.AutBlocks, generators) -> None:
     """Raise MalformedInputError unless the generators generate A x| Z_m.
 
     Exact, without enumerating the group. The j-parts must generate Z_m; then
@@ -431,13 +378,14 @@ def _require_generation(qs, m, rows, spans, generators) -> None:
     subgroup is A when, for every prime p, its image in A_p/pA_p spans the
     whole F_p-space.
     """
+    qs = action.moduli
     s = len(qs)
-    powers = _ActionPowers(qs, rows)
+    powers = _ActionPowers(qs, action.rows)
     zero = (0,) * s
 
     def mul(x, y):
         (a, j), (b, k) = x, y
-        moved = _mat_vec(powers[j], b, qs) if any(b) else b
+        moved = autring.mat_vec(powers[j], b, qs) if any(b) else b
         return tuple((u + v) % q for u, v, q in zip(a, moved, qs)), (j + k) % m
 
     def power(x, n):
@@ -466,8 +414,9 @@ def _require_generation(qs, m, rows, spans, generators) -> None:
     vectors = [a for a, j in generators if not j]
     vectors += [tuple(u - v for u, v in zip(a, power(h, j)[0])) for a, j in moving]
     vectors.append(power(h, m)[0])
-    for p, start, stop, _ in spans:
-        mod_p = [[x % p for x in row[start:stop]] for row in rows[start:stop]]
+    start = 0
+    for block in action.blocks:
+        p, stop = block.ptype.p, start + block.ptype.s
         basis: list[tuple[int, list[int]]] = []  # (pivot, row with 1 at pivot)
         queue = [[x % p for x in v[start:stop]] for v in vectors]
         while queue and len(basis) < stop - start:
@@ -482,64 +431,12 @@ def _require_generation(qs, m, rows, spans, generators) -> None:
             scale = pow(v[pivot], -1, p)
             v = [x * scale % p for x in v]
             basis.append((pivot, v))
-            queue.append([sum(map(operator.mul, row, v)) % p for row in mod_p])
+            queue.append(autring.mat_vec(block.rows, v, (p,) * len(v)))
         if len(basis) < stop - start:
             raise MalformedInputError(
                 f"the generators do not generate the {p}-part of A (rank {len(basis)} of {stop - start})"
             )
-
-
-def _split_prime_blocks(qs: Sequence[int]) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """Spans (p, start, stop, exps) of equal-prime runs in the q list."""
-    parsed = []
-    for q in qs:
-        pp = prime_power(q)
-        if pp is None:
-            raise MalformedInputError(f"{q} is not a prime power")
-        parsed.append(pp)
-    keys = [(p, e) for p, e in parsed]
-    if keys != sorted(keys):
-        raise MalformedInputError("prime powers must be ascending (prime, then exponent)")
-    spans = []
-    start = 0
-    for i in range(1, len(parsed) + 1):
-        if i == len(parsed) or parsed[i][0] != parsed[start][0]:
-            p = parsed[start][0]
-            exps = tuple(e for _, e in parsed[start:i])
-            spans.append((p, start, i, exps))
-            start = i
-    return spans
-
-
-def action_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> autring.AutBlocks:
-    """Validate a full s x s action matrix and split it into per-prime blocks.
-
-    Entries coupling distinct primes must be zero; each prime block must be an
-    invertible endomorphism matrix of its component.
-    """
-    s = len(qs)
-    if len(rows) != s or any(len(r) != s for r in rows):
-        raise MalformedInputError(f"action matrix must be {s}x{s}")
-    spans = _split_prime_blocks(qs)
-    block_of = [0] * s
-    for b, (_, start, stop, _) in enumerate(spans):
-        for i in range(start, stop):
-            block_of[i] = b
-    for i in range(s):
-        for j in range(s):
-            if block_of[i] != block_of[j] and rows[i][j] != 0:
-                raise MalformedInputError(
-                    f"entry ({i + 1},{j + 1}) couples distinct primes; must be 0"
-                )
-    blocks = []
-    for p, start, stop, exps in spans:
-        ptype = autring.PType(p, exps)
-        sub = [[rows[i][j] for j in range(start, stop)] for i in range(start, stop)]
-        block = autring.validate_M(ptype, sub)
-        if not autring.is_in_R(block):
-            raise MalformedInputError(f"action block for p={p} is not invertible")
-        blocks.append(block)
-    return autring.AutBlocks(tuple(blocks))
+        start = stop
 
 
 def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> GroupHandle:
@@ -549,7 +446,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
     s = len(qs)
     order = math.prod(qs) * m
     width = max(1, ((order - 1).bit_length() + 7) // 8)
-    powers = _ActionPowers(qs, spec.rows)
+    powers = _ActionPowers(qs, spec.action.rows)
     radices = tuple(reversed(qs))
     text_widths = [len(str(q - 1)) for q in qs]
     jwidth = len(str(m - 1))
@@ -696,7 +593,7 @@ def parse_group_file(text: str):
             except ValueError:
                 raise MalformedInputError(f"bad gens line {ln!r}") from None
             gens.append((tuple(vals[:s]), vals[s]))
-        action = action_from_rows(qs, rows)
+        action = autring.blocks_from_rows(qs, rows)
         return SemidirectGroupSpec(qs, m, action, tuple(gens) if gens else None)
     raise MalformedInputError(f"unknown group kind {head[0]!r}")
 
@@ -720,7 +617,7 @@ def format_semidirect_file(spec: SemidirectGroupSpec, comment: str = "") -> str:
     out.append("semidirect")
     out.append("A " + " ".join(str(q) for q in spec.qs))
     out.append(f"m {spec.m}")
-    for row in spec.rows:
+    for row in spec.action.rows:
         out.append(" ".join(str(x) for x in row))
     if spec.generators:
         for a, j in spec.generators:

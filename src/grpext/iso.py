@@ -53,24 +53,6 @@ class IsoResult:
     failed_condition: Optional[str]
 
 
-def _prime_spans(basis) -> list[tuple[autring.PType, int, int]]:
-    from .arith import trial_factor
-
-    spans = []
-    start = 0
-    orders = basis.orders
-    while start < len(orders):
-        p = trial_factor(orders[start])[0][0]
-        stop = start
-        exps = []
-        while stop < len(orders) and trial_factor(orders[stop])[0][0] == p:
-            exps.append(trial_factor(orders[stop])[0][1])
-            stop += 1
-        spans.append((autring.PType(p, tuple(exps)), start, stop))
-        start = stop
-    return spans
-
-
 def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> ConjugationAction:
     """Column i holds the decomposition of y g_i y^{-1} over the basis."""
     basis = sd.a_basis
@@ -88,21 +70,10 @@ def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> Conjugation
                 "conjugate of a basis element left the abelian part"
             ) from None
     rows = [[columns[j][i] for j in range(s)] for i in range(s)]
-    blocks = []
-    for ptype, start, stop in _prime_spans(basis):
-        for i in range(start, stop):
-            for j in range(s):
-                if not start <= j < stop and rows[i][j] != 0:
-                    raise InvariantBreachError("conjugation action couples distinct primes")
-        sub = [[rows[i][j] for j in range(start, stop)] for i in range(start, stop)]
-        try:
-            block = autring.make_matrix(ptype, sub)
-        except MalformedInputError:
-            raise InvariantBreachError("conjugation action is not an endomorphism") from None
-        if not autring.is_in_R(block):
-            raise InvariantBreachError("conjugation action block is singular")
-        blocks.append(block)
-    action = autring.AutBlocks(tuple(blocks))
+    try:
+        action = autring.blocks_from_rows(basis.orders, rows)
+    except MalformedInputError as exc:
+        raise InvariantBreachError(f"conjugation action is not an automorphism: {exc}") from None
     if not autring.blocks_is_identity(autring.blocks_pow(action, sd.gamma)):
         raise InvariantBreachError("conjugation action order does not divide gamma")
     return ConjugationAction(action, sd)

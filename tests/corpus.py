@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from grpext import blackbox
+from grpext import autring, blackbox
 from grpext.arith import divisors
 from grpext.blackbox import GroupHandle, closure, with_generators
 
@@ -29,7 +29,7 @@ def mixed_generators(G: GroupHandle) -> GroupHandle:
 
 
 def semidirect(qs, m, rows, gens=None, name="G"):
-    action = blackbox.action_from_rows(qs, rows)
+    action = autring.blocks_from_rows(qs, rows)
     spec = blackbox.SemidirectGroupSpec(tuple(qs), m, action,
                                         tuple(gens) if gens else None)
     return blackbox.semidirect_group(spec, name=name)

@@ -14,7 +14,7 @@ from grpext.abelian import (
     element_order,
 )
 from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow
-from grpext.errors import MembershipError, NotAbelianError
+from grpext.errors import MalformedInputError, MembershipError, NotAbelianError
 
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -171,6 +171,14 @@ def test_memory_budget_env(monkeypatch):
     # 1 MiB still leaves room for thousands of entries; just ensure it is read
     G = cyclic_group(5000)
     assert element_order(G, G.parse_element("1")) == 5000
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "", " 8"])
+def test_memory_budget_env_must_be_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("GRPEXT_MEM_MB", value)
+    G = cyclic_group(50)
+    with pytest.raises(MalformedInputError, match="GRPEXT_MEM_MB"):
+        element_order(G, G.parse_element("1"))
 
 
 def test_memory_budget_rejects_oversized_tables(monkeypatch):

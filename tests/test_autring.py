@@ -355,6 +355,11 @@ def test_blocks_apply_and_pow():
         (make_matrix(PType(2, (1, 1)), [[0, 1], [1, 1]]), make_matrix(PType(5, (1,)), [[2]]))
     )
     assert apply_blocks(blocks, (1, 0, 3)) == (0, 1, 1)
+    assert blocks.moduli == (2, 2, 5)
+    assert blocks.rows == ((0, 1, 0), (1, 1, 0), (0, 0, 2))
+    for vec in [(1, 0), (1, 0, 3, 0)]:
+        with pytest.raises(MalformedInputError):
+            apply_blocks(blocks, vec)
     cubed = blocks_pow(blocks, 3)
     assert cubed.blocks[0] == identity_matrix(PType(2, (1, 1)))
     assert cubed.blocks[1] == make_matrix(PType(5, (1,)), [[3]])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import build, semidirect
-from grpext import blackbox
+from grpext import autring, blackbox
 from grpext.abelian import element_order
 from grpext.arith import prime_power
 from grpext.blackbox import (
@@ -376,14 +376,27 @@ def test_large_a_entry_parse_is_bounded(q, accepted):
         ("semidirect\nA 7\nm 3\n3\n", "order"),  # 3 has order 6 mod 7, not | 3
         ("semidirect\nA 3 3\nm 2\n0 3\n1 0\n", "out-of-range"),  # entry 3 >= 3
         ("semidirect\nA 9 3\nm 2\n8 0\n0 2\n", "ascending"),  # 9 before 3
+        ("semidirect\nA 2 3\nm 5\n1 1\n0 1\n", "couples"),  # entry between primes 2 and 3
         ("table 2\n0 1\n1 2\n", "row"),  # entry out of range
         ("", "empty"),
         ("ring 3\n", "unknown"),
     ],
 )
 def test_parse_rejects_bad_files(text, hint):
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match=hint):
         parse_group_file(text)
+
+
+@pytest.mark.parametrize(
+    "qs,m,block",
+    [
+        ((7,), 3, autring.validate_M(autring.PType(5, (1,)), [[2]])),  # wrong prime
+        ((9,), 2, autring.identity_matrix(autring.PType(3, (1, 1)))),  # Z_3 x Z_3, not Z_9
+    ],
+)
+def test_spec_rejects_action_on_other_group(qs, m, block):
+    with pytest.raises(MalformedInputError, match="action acts on"):
+        SemidirectGroupSpec(qs, m, autring.AutBlocks((block,)))
 
 
 def test_cyclic_group_matches_table_backend():

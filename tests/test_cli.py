@@ -30,6 +30,16 @@ def test_order_command(tmp_path, capsys):
     assert code == 0 and "order 7" in out
 
 
+def test_bad_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.grp"
+    path.write_text(G21A)
+    monkeypatch.setenv("GRPEXT_MEM_MB", "abc")
+    code, out, err = run_cli(capsys, "order", str(path), "1;0")
+    assert code == 2
+    assert out == ""
+    assert err == "error GRPEXT_MEM_MB must be a positive integer, not 'abc'\n"
+
+
 def test_order_identity_is_one(tmp_path, capsys):
     path = tmp_path / "g.grp"
     path.write_text("table 6\n" + "\n".join(
