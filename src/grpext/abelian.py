@@ -12,6 +12,7 @@ import bisect
 import math
 import os
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .arith import trial_factor, valuation
 from .blackbox import ElementCode, GroupHandle, group_pow
@@ -237,19 +238,28 @@ def _insert_p_element(
     return new_basis
 
 
-def abelian_basis(gens, G: GroupHandle) -> AbelianBasis:
+def abelian_basis(
+    gens: Sequence[ElementCode], G: GroupHandle, orders: Optional[Sequence[int]] = None
+) -> AbelianBasis:
     """Basis of the abelian subgroup generated by gens.
 
     The generators are first split into their prime-power parts; within each
     prime the basis is built incrementally, decomposing each new element over
     the partial basis and repairing via an integer normal form when needed.
+    Without orders, every pair of gens is checked to commute (NotAbelianError
+    otherwise) and each order is found by element_order. A caller that has
+    already checked that gens commute and knows their orders passes the
+    orders, in the order of gens, and neither is done again.
     """
     unique: list[ElementCode] = []
     for g in gens:
         if g != G.identity and g not in unique:
             unique.append(g)
-    _check_commuting(G, unique)
-    orders = {g: element_order(G, g) for g in unique}
+    if orders is None:
+        _check_commuting(G, unique)
+        orders = {g: element_order(G, g) for g in unique}
+    else:
+        orders = dict(zip(gens, orders))
     per_prime: dict[int, list[tuple[ElementCode, int]]] = {}
     for g in unique:
         n = orders[g]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .arith import ModularLinearSystem, is_prime, prime_power, solve_modular_system
+from .arith import ModularLinearSystem, is_prime, prime_power, solve_modular_system, trial_factor
 from .errors import (
     Condition3Error,
     InvariantBreachError,
@@ -84,6 +84,10 @@ class AutMatrix:
 
     ptype: PType
     rows: IntMatrix
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return self.ptype.moduli
 
 
 def _check_divisibility(ptype: PType, rows: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
@@ -146,15 +150,18 @@ def mat_vec(rows, vec: Sequence[int], moduli: Sequence[int]) -> tuple[int, ...]:
 
 
 def mat_pow(rows, n: int, moduli: Sequence[int]) -> IntMatrix:
-    """rows^n for n >= 0 by square-and-multiply, row i reduced modulo moduli[i]."""
-    s = len(moduli)
-    power = tuple(tuple(int(i == k) for k in range(s)) for i in range(s))
-    while n:
-        if n & 1:
-            power = mat_mul(power, rows, moduli)
-        n >>= 1
-        if n:
-            rows = mat_mul(rows, rows, moduli)
+    """rows^n for n >= 0 by left-to-right square-and-multiply, row i reduced modulo moduli[i]."""
+    if len(moduli) == 1:  # a 1 x 1 matrix is a scalar modulo q
+        return ((pow(rows[0][0], n, moduli[0]),),)
+    if n == 0:
+        s = len(moduli)
+        return tuple(tuple(int(i == k) for k in range(s)) for i in range(s))
+    base = tuple(tuple(x % q for x in row) for row, q in zip(rows, moduli))
+    power = base
+    for bit in bin(n)[3:]:
+        power = mat_mul(power, power, moduli)
+        if bit == "1":
+            power = mat_mul(power, base, moduli)
     return power
 
 
@@ -476,8 +483,33 @@ def gl_conjugator(v1, v2, p: int) -> Optional[IntMatrix]:
     return t
 
 
-def matrix_order(u: AutMatrix, cap: int) -> Optional[int]:
-    """Least n <= cap with u^n = identity; None when the cap is exceeded."""
+def matrix_order(u, cap: Optional[int] = None, *, multiple: Optional[int] = None) -> Optional[int]:
+    """Order of u; give exactly one of cap and multiple.
+
+    With a known multiple n of the order (an action's m or gamma), u is an
+    AutMatrix or AutBlocks: u^n = I is checked, then the p-part of the order,
+    for each p^e exactly dividing n, is found by raising u^{n/p^e} to the p-th
+    power until it is I, in O(omega(n) log n) products. None when u^n != I.
+
+    With only cap, for callers that know no multiple (the CLI's --order-cap):
+    the least n <= cap with u^n = I by walking u, u^2, ...; None past the cap.
+    """
+    if (cap is None) == (multiple is None):
+        raise MalformedInputError("matrix_order needs exactly one of cap and multiple")
+    if multiple is not None:
+        if multiple < 1:
+            raise MalformedInputError("order multiple must be >= 1")
+        rows, moduli = u.rows, u.moduli
+        ident = mat_pow(rows, 0, moduli)
+        if mat_pow(rows, multiple, moduli) != ident:
+            return None
+        order = 1
+        for p, e in trial_factor(multiple):
+            v = mat_pow(rows, multiple // p**e, moduli)
+            while v != ident:
+                v = mat_pow(v, p, moduli)
+                order *= p
+        return order
     if cap < 1:
         raise MalformedInputError("order cap must be >= 1")
     ident = identity_matrix(u.ptype)
@@ -506,15 +538,20 @@ def _n_pattern(ptype: PType) -> list[list[int]]:
     return out
 
 
-def require_coprime_order(u: AutMatrix, order_cap: int) -> None:
+def require_coprime_order(
+    u: AutMatrix, order_cap: Optional[int] = None, *, multiple: Optional[int] = None
+) -> None:
     """The precondition of conjugacy on one input.
 
-    u must be a unit whose order is at most order_cap and coprime with p.
+    u must be a unit whose order is coprime with p and either divides the
+    known multiple or is at most order_cap (see matrix_order).
     """
     if not is_in_R(u):
         raise MalformedInputError("conjugacy inputs must be units")
-    order = matrix_order(u, order_cap)
+    order = matrix_order(u, order_cap, multiple=multiple)
     if order is None:
+        if multiple is not None:
+            raise Condition3Error(f"matrix order does not divide {multiple}")
         raise Condition3Error(f"matrix order exceeds cap {order_cap}")
     if order % u.ptype.p == 0:
         raise Condition3Error(f"matrix order {order} is not coprime with p={u.ptype.p}")
@@ -529,18 +566,21 @@ def psi_invariants(u: AutMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(rcf(block, u.ptype.p).factors for block in psi(u).blocks)
 
 
-def conjugacy(u1: AutMatrix, u2: AutMatrix, order_cap: int) -> Optional[AutMatrix]:
+def conjugacy(
+    u1: AutMatrix, u2: AutMatrix, order_cap: Optional[int] = None, *, multiple: Optional[int] = None
+) -> Optional[AutMatrix]:
     """Solve U * u1 = u2 * U for U in the unit group, or report None.
 
-    Requires both input orders to be finite within order_cap and coprime with
-    p. The found conjugator is verified by substitution before returning.
+    Requires both input orders to be coprime with p and to divide the known
+    multiple, or to be at most order_cap when no multiple is known. The found
+    conjugator is verified by substitution before returning.
     """
     if u1.ptype != u2.ptype:
         raise MalformedInputError("conjugacy requires matching types")
     ptype = u1.ptype
     p, s = ptype.p, ptype.s
     for u in (u1, u2):
-        require_coprime_order(u, order_cap)
+        require_coprime_order(u, order_cap, multiple=multiple)
 
     spans = ptype.block_structure()
     v1, v2 = psi(u1), psi(u2)

@@ -17,10 +17,11 @@ autring.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import autring
@@ -29,26 +30,12 @@ from .errors import MalformedInputError
 ElementCode = bytes
 
 
-class _OpCounter:
-    """Oracle-call counter, safe to bump from concurrent readers."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def tick(self):
-        with self._lock:
-            self._count += 1
-
-    @property
-    def value(self) -> int:
-        return self._count
-
-
 class GroupHandle:
     """Oracle view of a finite group.
 
-    mul and inv each increment the operation counter by exactly one.
+    mul and inv each increment the operation counter by exactly one. The
+    counter is an itertools.count, whose next() is atomic under the GIL, so
+    concurrent callers need no lock.
     """
 
     def __init__(
@@ -66,7 +53,7 @@ class GroupHandle:
         self.name = name
         self._mul = mul
         self._inv = inv
-        self._counter = _OpCounter()
+        self._ticks = itertools.count()
         self.parse_element = parse_element or self._parse_raw
         self.format_element = format_element or self._format_raw
 
@@ -79,16 +66,16 @@ class GroupHandle:
         return code.decode("ascii")
 
     def mul(self, a: ElementCode, b: ElementCode) -> ElementCode:
-        self._counter.tick()
+        next(self._ticks)
         return self._mul(a, b)
 
     def inv(self, a: ElementCode) -> ElementCode:
-        self._counter.tick()
+        next(self._ticks)
         return self._inv(a)
 
     @property
     def operation_count(self) -> int:
-        return self._counter.value
+        return int(repr(self._ticks)[6:-1])  # "count(n)": the next value, unconsumed
 
 
 def with_generators(G: GroupHandle, generators: Sequence[ElementCode]) -> GroupHandle:
@@ -108,16 +95,20 @@ def with_generators(G: GroupHandle, generators: Sequence[ElementCode]) -> GroupH
 
 
 def group_pow(G: GroupHandle, g: ElementCode, n: int) -> ElementCode:
-    """g^n through the oracles, square-and-multiply; n may be negative."""
+    """g^n through the oracles; n may be negative (one inv more).
+
+    Left-to-right square-and-multiply from g itself: for n >= 1 it makes
+    exactly n.bit_length() + popcount(n) - 2 products, none for n in {0, 1}.
+    """
     if n < 0:
         return group_pow(G, G.inv(g), -n)
-    result = G.identity
-    base = g
-    while n:
-        if n & 1:
-            result = G.mul(result, base)
-        base = G.mul(base, base)
-        n >>= 1
+    if n == 0:
+        return G.identity
+    result = g
+    for bit in bin(n)[3:]:
+        result = G.mul(result, result)
+        if bit == "1":
+            result = G.mul(result, g)
     return result
 
 
@@ -311,6 +302,8 @@ def cyclic_table_spec(n: int) -> TableGroupSpec:
 
 # --- Semidirect-product backend ----------------------------------------------
 
+_FACTOR_LIMIT = 2**32  # below it, trial division of m takes at most ~33 000 steps
+
 
 @dataclass(frozen=True)
 class SemidirectGroupSpec:
@@ -343,8 +336,7 @@ class SemidirectGroupSpec:
             raise MalformedInputError(
                 f"action acts on {self.action.moduli}, not on A = {tuple(qs)}"
             )
-        rows = self.action.rows
-        if autring.mat_pow(rows, m, qs) != autring.mat_pow(rows, 0, qs):
+        if self.action_period is None:
             raise MalformedInputError("action order does not divide m")
         if self.generators is None:
             return
@@ -352,23 +344,43 @@ class SemidirectGroupSpec:
         for a, j in self.generators:
             if len(a) != s or any(not 0 <= a[i] < qs[i] for i in range(s)) or not 0 <= j < m:
                 raise MalformedInputError(f"generator {(a, j)} out of range")
-        _require_generation(m, self.action, self.generators)
+        _require_generation(self)
+
+    @cached_property
+    def action_period(self) -> Optional[int]:
+        """ord(M), found from the divisors of m; None when M^m != 1.
+
+        For m above _FACTOR_LIMIT, where trial division of m could take
+        billions of steps, it is m itself (a multiple of ord(M)) once M^m = 1
+        is checked.
+        """
+        rows, qs, m = self.action.rows, self.qs, self.m
+        if m <= _FACTOR_LIMIT:
+            return autring.matrix_order(self.action, multiple=m)
+        return m if autring.mat_pow(rows, m, qs) == autring.mat_pow(rows, 0, qs) else None
+
 
 
 class _ActionPowers(dict):
-    """j -> M^j as a tuple of rows, by square-and-multiply on first use, then kept."""
+    """r -> M^r for 0 <= r < period, by square-and-multiply on first use, then kept.
 
-    def __init__(self, qs: Sequence[int], rows):
+    Callers index by j mod self.period (SemidirectGroupSpec.action_period), so
+    one handle keeps at most ord(M) matrices (m when m > _FACTOR_LIMIT),
+    however many j it multiplies by.
+    """
+
+    def __init__(self, spec: SemidirectGroupSpec):
         super().__init__()
-        self.qs = qs
-        self.rows = rows
+        self.qs = spec.qs
+        self.rows = spec.action.rows
+        self.period = spec.action_period
 
-    def __missing__(self, j: int):
-        power = self[j] = autring.mat_pow(self.rows, j, self.qs)
+    def __missing__(self, r: int):
+        power = self[r] = autring.mat_pow(self.rows, r, self.qs)
         return power
 
 
-def _require_generation(m, action: autring.AutBlocks, generators) -> None:
+def _require_generation(spec: SemidirectGroupSpec) -> None:
     """Raise MalformedInputError unless the generators generate A x| Z_m.
 
     Exact, without enumerating the group. The j-parts must generate Z_m; then
@@ -378,14 +390,16 @@ def _require_generation(m, action: autring.AutBlocks, generators) -> None:
     subgroup is A when, for every prime p, its image in A_p/pA_p spans the
     whole F_p-space.
     """
+    m, action, generators = spec.m, spec.action, spec.generators
     qs = action.moduli
     s = len(qs)
-    powers = _ActionPowers(qs, action.rows)
+    powers = _ActionPowers(spec)
+    period = powers.period
     zero = (0,) * s
 
     def mul(x, y):
         (a, j), (b, k) = x, y
-        moved = autring.mat_vec(powers[j], b, qs) if any(b) else b
+        moved = autring.mat_vec(powers[j % period], b, qs) if any(b) else b
         return tuple((u + v) % q for u, v, q in zip(a, moved, qs)), (j + k) % m
 
     def power(x, n):
@@ -446,7 +460,8 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
     s = len(qs)
     order = math.prod(qs) * m
     width = max(1, ((order - 1).bit_length() + 7) // 8)
-    powers = _ActionPowers(qs, spec.action.rows)
+    powers = _ActionPowers(spec)
+    period = powers.period
     radices = tuple(reversed(qs))
     text_widths = [len(str(q - 1)) for q in qs]
     jwidth = len(str(m - 1))
@@ -475,7 +490,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         a, j = decode(x)
         b, k = decode(y)
         n = 0
-        for q, row, u in zip(qs, powers[j], a):
+        for q, row, u in zip(qs, powers[j % period], a):
             n = n * q + (u + sum(map(operator.mul, row, b))) % q
         return (n * m + (j + k) % m).to_bytes(width, "big")
 
@@ -483,7 +498,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         a, j = decode(x)
         k = -j % m
         n = 0
-        for q, row in zip(qs, powers[k]):
+        for q, row in zip(qs, powers[-j % period]):
             n = n * q + -sum(map(operator.mul, row, a)) % q
         return (n * m + k).to_bytes(width, "big")
 

@@ -114,13 +114,10 @@ def brute_force_class_count(ptype: autring.PType, m: int) -> int:
     relation (conjugate after raising one side to some k coprime with m)."""
     if ptype.order > 2**10:
         raise MalformedInputError("brute-force counting is restricted to |A| <= 1024")
-    ident = autring.identity_matrix(ptype)
     p = ptype.p
     candidates = []
     for mat in autring.enumerate_R(ptype):
-        if autring.star_pow(mat, m) != ident:
-            continue
-        order = autring.matrix_order(mat, m)
+        order = autring.matrix_order(mat, multiple=m)  # None unless U^m = I
         if order is None or order % p == 0:
             continue
         candidates.append(mat)
@@ -130,7 +127,7 @@ def brute_force_class_count(ptype: autring.PType, m: int) -> int:
         related = False
         for rep in reps:
             for k in ks:
-                if autring.conjugacy(mat, autring.star_pow(rep, k), order_cap=m) is not None:
+                if autring.conjugacy(mat, autring.star_pow(rep, k), multiple=m) is not None:
                     related = True
                     break
             if related:

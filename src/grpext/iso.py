@@ -83,10 +83,12 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     """Full pipeline: decompose both groups, compare, search the power k.
 
     The action blocks are checked once against the conjugacy precondition:
-    M2^k has the order of M2 for every k coprime with gamma. For each such k
-    in ascending order, the psi-invariants of M2^k are compared with those of
-    M1, computed once; the conjugacy solver runs only for the first k that
-    matches, so the reported k is the smallest one.
+    M2^k has the order of M2 for every k coprime with gamma. conjugation_action
+    has proved M^gamma = 1, so each block's order is found from the divisors
+    of gamma (matrix_order with multiple gamma), not by walking its powers.
+    For each such k in ascending order, the psi-invariants of M2^k are
+    compared with those of M1, computed once; the conjugacy solver runs only
+    for the first k that matches, so the reported k is the smallest one.
     """
     sd1 = standard_decomposition(G)
     sd2 = standard_decomposition(H)
@@ -98,7 +100,7 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     m1 = conjugation_action(G, sd1).blocks
     m2 = conjugation_action(H, sd2).blocks
     for block in m1.blocks + m2.blocks:
-        autring.require_coprime_order(block, gamma)
+        autring.require_coprime_order(block, multiple=gamma)
     targets = [autring.psi_invariants(b) for b in m1.blocks]
     for k in range(1, gamma + 1):
         if math.gcd(k, gamma) != 1:
@@ -106,7 +108,7 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
         m2k = autring.blocks_pow(m2, k)
         if any(autring.psi_invariants(b) != t for b, t in zip(m2k.blocks, targets)):
             continue
-        found = [autring.conjugacy(b1, b2, order_cap=gamma) for b1, b2 in zip(m1.blocks, m2k.blocks)]
+        found = [autring.conjugacy(b1, b2, multiple=gamma) for b1, b2 in zip(m1.blocks, m2k.blocks)]
         if None in found:
             raise InvariantBreachError("psi-invariants agree but a block has no conjugator")
         witness = IsomorphismWitness(

@@ -207,6 +207,25 @@ def test_matrix_order():
     w = make_matrix(PType(3, (1, 1)), [[0, 2], [1, 0]])
     assert matrix_order(w, 10) == 4
     assert matrix_order(two, 2) is None  # over the cap
+    assert matrix_order(two, multiple=6) == 3
+    assert matrix_order(two, multiple=4) is None  # 2^4 != 1 mod 7
+    for kwargs in ({}, {"cap": 10, "multiple": 6}, {"multiple": 0}, {"cap": 0}):
+        with pytest.raises(MalformedInputError):
+            matrix_order(two, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "ptype", [PType(3, (2,)), PType(2, (1, 1)), PType(2, (1, 2)), PType(3, (1, 1))]
+)
+def test_matrix_order_from_a_multiple_matches_the_walk(ptype):
+    units = enumerate_R(ptype)
+    orders = [matrix_order(u, 10**6) for u in units]
+    exponent = math.lcm(*orders)
+    divs = [d for d in range(1, 3 * exponent + 1) if (3 * exponent) % d == 0]
+    for u, order in zip(units, orders):
+        for d in divs:
+            assert matrix_order(u, multiple=d) == (order if d % order == 0 else None)
+        assert matrix_order(AutBlocks((u,)), multiple=exponent) == order
 
 
 def test_conjugacy_self_and_1x1():
@@ -219,6 +238,7 @@ def test_conjugacy_self_and_1x1():
     assert conjugacy(two, four, order_cap=10) is None  # 1x1 ring is commutative
     assert star_pow(four, 2) == two  # 16 = 2 mod 7
     assert conjugacy(two, star_pow(four, 2), order_cap=10) is not None
+    assert conjugacy(two, two, multiple=6) is not None
 
 
 def test_conjugacy_condition3_enforced():
@@ -229,6 +249,10 @@ def test_conjugacy_condition3_enforced():
     minus = make_matrix(ptype, [[2, 0], [0, 2]])  # order 2, above a cap of 1
     with pytest.raises(Condition3Error):
         conjugacy(minus, minus, order_cap=1)
+    with pytest.raises(Condition3Error, match="does not divide 3"):
+        conjugacy(minus, minus, multiple=3)
+    with pytest.raises(Condition3Error, match="not coprime"):
+        conjugacy(shear, shear, multiple=6)
 
 
 def _exhaustive_conjugate(units, u1, u2):

@@ -234,6 +234,42 @@ def test_group_pow_matches_naive():
     assert group_pow(G, g, -1) == G.inv(g)
 
 
+def test_group_pow_product_count():
+    # left-to-right square-and-multiply from g: bit_length + popcount - 2
+    G = semidirect((1009,), 1008, [[11]])
+    g = G.parse_element("1;1")
+    w = G.identity
+    for n in list(range(300)) + [1008, 1009 * 1008 - 1, 2**40 + 1]:
+        before = G.operation_count
+        got = group_pow(G, g, n)
+        spent = G.operation_count - before
+        assert spent == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+        if n < 300:
+            assert got == w
+            w = G.mul(w, g)
+    before = G.operation_count
+    assert group_pow(G, g, -5) == group_pow(G, G.inv(g), 5)
+    assert G.operation_count - before == 1 + 3 + 1 + 3
+
+
+def test_action_powers_keyed_by_j_mod_action_order():
+    from grpext.decomp import standard_decomposition
+
+    G = load_group("semidirect\nA 7\nm 1000000\n6\n")  # 6 = -1 has order 2
+    standard_decomposition(G)
+    (powers,) = [
+        c.cell_contents
+        for c in G._mul.__closure__
+        if isinstance(c.cell_contents, blackbox._ActionPowers)
+    ]
+    assert powers.period == 2
+    assert len(powers) <= 2
+    spec = parse_group_file("semidirect\nA 7\nm 1000000\n6\n")
+    assert spec.action_period == 2
+    big = parse_group_file(f"semidirect\nA 7\nm {2**33}\n1\n")
+    assert big.action_period == 2**33  # above the factoring limit: m itself
+
+
 def test_parse_semidirect_file_round_trip():
     text = "# order-21 group\nsemidirect\nA 7\nm 3\n2\n"
     spec = parse_group_file(text)

@@ -226,4 +226,4 @@ def test_group_context_built_once_per_sweep(monkeypatch):
     before = G.operation_count
     standard_decomposition_with_attempts(G)
     assert calls == [G]
-    assert G.operation_count - before <= 4676
+    assert G.operation_count - before == 1807

@@ -208,6 +208,48 @@ def test_k_search_matches_per_k_conjugacy_loop_at_the_last_unit():
     assert (result.witness.k, result.witness.psi_blocks) == want
 
 
+# the k-search pairs of the kscan-large-gamma benchmark workload: (A, m, action of G, of H)
+KSCAN_PAIRS = [((211,), 210, 2, 106), ((1009,), 1008, 11, 367), ((1009,), 1008, 11, 121), ((1019,), 1018, 2, 510)]
+
+
+@pytest.mark.parametrize("qs,m,a,b", KSCAN_PAIRS)
+def test_action_block_orders_from_gamma_match_the_walk(qs, m, a, b):
+    for G in (semidirect(qs, m, [[a]]), semidirect(qs, m, [[b]])):
+        sd = standard_decomposition(G)
+        for block in conjugation_action(G, sd).blocks.blocks:
+            walked = autring.matrix_order(block, sd.gamma)
+            assert autring.matrix_order(block, multiple=sd.gamma) == walked
+
+
+def test_a1009_decision_finds_orders_from_gamma(monkeypatch):
+    # conjugation_action proved M^gamma = 1, so no order is walked power by power
+    counts = {"star_mul": 0, "order_products": 0}
+    inside = []
+    real_star, real_mat_mul, real_order = autring.star_mul, autring.mat_mul, autring.matrix_order
+
+    def star_mul(*args):
+        counts["star_mul"] += 1
+        return real_star(*args)
+
+    def mat_mul(*args):
+        counts["order_products"] += bool(inside)
+        return real_mat_mul(*args)
+
+    def matrix_order(*args, **kwargs):
+        inside.append(args)
+        try:
+            return real_order(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(autring, "star_mul", star_mul)
+    monkeypatch.setattr(autring, "mat_mul", mat_mul)
+    monkeypatch.setattr(autring, "matrix_order", matrix_order)
+    result = isomorphic(semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[367]]))
+    assert result.witness.k == 1007
+    assert counts["star_mul"] + counts["order_products"] <= 500
+
+
 def _count_conjugacy_calls(monkeypatch):
     calls = []
     real = autring.conjugacy
