@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import trial_factor, valuation
+from .arith import smith_normal_form, trial_factor, valuation
 from .blackbox import ElementCode, GroupHandle, group_pow
 from .errors import (
     InvariantBreachError,
@@ -191,8 +191,6 @@ def _insert_p_element(
     x_order: int,
 ) -> list[tuple[ElementCode, int]]:
     """Extend a p-group basis by one element of order p^K; may rebuild it."""
-    from .arith import smith_normal_form
-
     current = AbelianBasis(tuple(e for e, _ in basis), tuple(o for _, o in basis))
     table = DecompositionTable(G, current)
     k_exp = valuation(p, x_order)
@@ -221,7 +219,7 @@ def _insert_p_element(
     member_orders = [o for _, o in basis] + [x_order]
     new_basis: list[tuple[ElementCode, int]] = []
     for j in range(size):
-        order = form.s[j][j]
+        order = form.diagonal[j]
         if order == 1:
             continue
         y = G.identity
@@ -277,6 +275,3 @@ def abelian_basis(
         tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs)
     )
 
-
-def abelian_order(gens, G: GroupHandle) -> int:
-    return abelian_basis(gens, G).group_order

@@ -1,16 +1,18 @@
-"""Exact integer utilities: factorization, divisors, lcm, and modular linear systems.
+"""Exact integer utilities: factorization, divisors, lcm, and the Smith normal form.
 
 Everything here works on plain Python integers, so intermediate values may grow
-arbitrarily large without overflow.
+arbitrarily large without overflow. smith_normal_form also runs over any other
+Euclidean ring whose elements supply the integer operators (autring uses it
+over F_p[x]).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import InvariantBreachError, MalformedInputError
+from .errors import MalformedInputError
 
 Factorization = list[tuple[int, int]]
 
@@ -143,171 +145,85 @@ def lcm_list(xs: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ModularLinearSystem:
-    """rows[k] . y == rhs[k]  (mod moduli[k]) for each equation k."""
-
-    rows: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
-    moduli: tuple[int, ...]
-
-    def __post_init__(self):
-        n_eq = len(self.rows)
-        if len(self.rhs) != n_eq or len(self.moduli) != n_eq:
-            raise MalformedInputError("system dimensions are inconsistent")
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise MalformedInputError("coefficient rows have unequal lengths")
-        if any(m < 1 for m in self.moduli):
-            raise MalformedInputError("all moduli must be >= 1")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+def _int_unit(a: int):
+    return (-1, -1) if a < 0 else None
 
 
 @dataclass(frozen=True)
 class SmithForm:
-    """S = U * A * V with U, V unimodular; u_inv is the exact inverse of U."""
+    """U * A * V is diagonal with this diagonal, for invertible U and V; u_inv is U^{-1}."""
 
-    s: tuple[tuple[int, ...], ...]
-    u: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
-    u_inv: tuple[tuple[int, ...], ...]
+    diagonal: tuple
+    u_inv: tuple[tuple, ...]
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
-    """Smith normal form of an integer matrix with full transform tracking.
+def smith_normal_form(
+    rows: Sequence[Sequence], size: Callable = abs, unit: Callable = _int_unit, one=1
+) -> SmithForm:
+    """Smith normal form of a matrix over a Euclidean ring; integers by default.
 
-    Diagonal entries are nonnegative and each divides the next.
+    Entries support +, -, *, // and %, and are false exactly when zero; one
+    is the ring's identity. The pivot is an entry of least size(x); unit(x)
+    is None when x is normalised, else a pair (c, c^{-1}) of units with c * x
+    normalised (for the integers, x >= 0). Each diagonal entry divides the
+    next, and of the transforms only U^{-1} is tracked.
     """
-    a = [list(map(int, r)) for r in rows]
+    a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    u_inv = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:  # column swap on the inverse accumulator
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+    u_inv = [[one if i == j else one - one for j in range(m)] for i in range(m)]
 
     def add_row(dst, src, c):
-        # row_dst += c * row_src; inverse accumulator gets col_src -= c * col_dst
-        if c == 0:
-            return
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-        for r in u_inv:
-            r[src] -= c * r[dst]
-
-    def add_col(dst, src, c):
-        if c == 0:
-            return
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
+        # row_dst += c * row_src; the inverse accumulator gets col_src -= c * col_dst
+        if c:
+            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+            for r in u_inv:
+                r[src] -= c * r[dst]
 
     for t in range(min(m, n)):
         while True:
-            pivot = None
-            best = None
+            pos = None
             for i in range(t, m):
                 for j in range(t, n):
-                    x = abs(a[i][j])
-                    if x and (best is None or x < best):
-                        pivot, best = (i, j), x
-            if pivot is None:
+                    if a[i][j]:
+                        x = size(a[i][j])
+                        if pos is None or x < best:
+                            pos, best = (i, j), x
+            if pos is None:
                 break
-            pi, pj = pivot
+            pi, pj = pos
             if pi != t:
-                swap_rows(t, pi)
+                a[t], a[pi] = a[pi], a[t]
+                for r in u_inv:  # column swap on the inverse accumulator
+                    r[t], r[pi] = r[pi], r[t]
             if pj != t:
-                swap_cols(t, pj)
-            if a[t][t] < 0:
-                negate_row(t)
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
+            scale = unit(a[t][t])
+            if scale is not None:
+                c, c_inv = scale
+                a[t] = [c * x for x in a[t]]
+                for r in u_inv:
+                    r[t] *= c_inv
+            pivot = a[t][t]
             clean = True
             for i in range(t + 1, m):
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                if a[i][t]:
-                    clean = False
+                add_row(i, t, -(a[i][t] // pivot))
+                clean = clean and not a[i][t]
             for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j]:
-                    clean = False
+                q = a[t][j] // pivot
+                if q:
+                    for r in a:
+                        r[j] -= q * r[t]
+                clean = clean and not a[t][j]
             if not clean:
                 continue
-            # pull in any entry the pivot does not divide yet
-            culprit = None
+            # pull in the first row with an entry the pivot does not divide yet
             for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        culprit = i
-                        break
-                if culprit is not None:
+                if any(a[i][j] % pivot for j in range(t + 1, n)):
+                    add_row(t, i, one)
                     break
-            if culprit is None:
+            else:
                 break
-            add_row(t, culprit, 1)
 
-    freeze = lambda mat: tuple(tuple(r) for r in mat)
-    return SmithForm(freeze(a), freeze(u), freeze(v), freeze(u_inv))
-
-
-def _matvec(mat, vec):
-    return [sum(r[j] * vec[j] for j in range(len(vec))) for r in mat]
-
-
-def solve_modular_system(system: ModularLinearSystem) -> Optional[list[int]]:
-    """One solution of a system of linear modular equations, or None.
-
-    The system is turned into a linear Diophantine one by adding a slack
-    variable with coefficient moduli[k] to equation k, then solved through the
-    Smith normal form. Free variables are fixed to zero, and the returned
-    assignment is reduced modulo lcm(moduli), so the output is deterministic.
-    Every returned assignment is re-checked against the system by substitution.
-    """
-    n_eq = len(system.rows)
-    n_var = system.n_vars
-    if n_eq == 0:
-        return []
-    aug = [list(system.rows[k]) + [system.moduli[k] if j == k else 0 for j in range(n_eq)]
-           for k in range(n_eq)]
-    form = smith_normal_form(aug)
-    c = _matvec(form.u, list(system.rhs))
-    width = n_var + n_eq
-    t = [0] * width
-    for i in range(n_eq):
-        d = form.s[i][i] if i < width else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            t[i] = c[i] // d
-    x = _matvec(form.v, t)
-    period = lcm_list(list(system.moduli))
-    y = [x[j] % period for j in range(n_var)]
-    for k in range(n_eq):
-        lhs = sum(system.rows[k][j] * y[j] for j in range(n_var))
-        if (lhs - system.rhs[k]) % system.moduli[k]:
-            raise InvariantBreachError("modular solver produced an invalid assignment")
-    return y
+    return SmithForm(tuple(a[t][t] for t in range(min(m, n))), tuple(map(tuple, u_inv)))

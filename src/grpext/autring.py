@@ -8,8 +8,10 @@ the exponents of the image of the j-th basis generator. Entry (i, j) lives in
 
 The module also provides the block-reduction map psi onto block-diagonal
 invertible matrices over F_p, rational canonical forms with explicit
-transformation matrices, and a conjugacy solver for matrices whose order is
-coprime with p.
+transformation matrices (from arith.smith_normal_form of xI - B over F_p[x]),
+and a conjugacy solver for matrices whose order is coprime with p: it
+conjugates the psi blocks over F_p and lifts the answer to the whole ring by
+averaging over the cyclic group the matrices generate.
 
 It owns the arithmetic of action matrices over per-row moduli (mat_mul,
 mat_vec, mat_pow): the action of a cyclic group on a general abelian group
@@ -21,12 +23,13 @@ AutMatrix per prime.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .arith import ModularLinearSystem, is_prime, prime_power, solve_modular_system, trial_factor
+from .arith import is_prime, prime_power, smith_normal_form, trial_factor
 from .errors import (
     Condition3Error,
     InvariantBreachError,
@@ -202,17 +205,6 @@ def is_in_R(u: AutMatrix) -> bool:
     return _det_mod(u.rows, u.ptype.p) != 0
 
 
-def is_in_N(u: AutMatrix) -> bool:
-    """Kernel pattern: diagonal blocks congruent to the identity mod p."""
-    p = u.ptype.p
-    for _, start, stop in u.ptype.block_structure():
-        for i in range(start, stop):
-            for j in range(start, stop):
-                if (u.rows[i][j] - int(i == j)) % p:
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class BlockDiagGF:
     """Block-diagonal invertible matrices over F_p, one block per exponent run."""
@@ -258,140 +250,67 @@ def _gf_inv(rows, p):
     return _freeze([r[n:] for r in a])
 
 
-def _pnorm(c):
-    c = [x for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+class _Fpx:
+    """Element of F_p[x] for arith.smith_normal_form: coefficients low degree first."""
 
+    __slots__ = ("c", "p")
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _pnorm([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
+    def __init__(self, c, p):
+        while c and not c[-1]:
+            c = c[:-1]
+        self.c = c
+        self.p = p
 
+    def __bool__(self):
+        return bool(self.c)
 
-def _pscale(a, k, p):
-    return _pnorm([x * k % p for x in a])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pnorm(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b) and _pnorm(a):
-        a = _pnorm(a)
+    def __add__(self, other):
+        a, b, p = self.c, other.c, self.p
         if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        f = a[-1] * inv % p
-        q[shift] = f
-        for i, x in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * x) % p
-        a = _pnorm(a)
-    return _pnorm(q), _pnorm(a)
+            a, b = b, a
+        return _Fpx(tuple((x + y) % p for x, y in zip(a, b)) + a[len(b):], p)
+
+    def __neg__(self):
+        return _Fpx(tuple(-x % self.p for x in self.c), self.p)
+
+    def __sub__(self, other):
+        a, b, p = self.c, other.c, self.p
+        n = max(len(a), len(b))
+        a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+        return _Fpx(tuple((x - y) % p for x, y in zip(a, b)), p)
+
+    def __mul__(self, other):
+        a, b, p = self.c, other.c, self.p
+        if not a or not b:
+            return _Fpx((), p)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _Fpx(tuple(x % p for x in out), p)
+
+    def __divmod__(self, other):
+        a, b, p = list(self.c), other.c, self.p
+        inv = pow(b[-1], -1, p)
+        q = [0] * max(0, len(a) - len(b) + 1)
+        for shift in range(len(q) - 1, -1, -1):
+            f = a[shift + len(b) - 1] * inv % p
+            q[shift] = f
+            for i, x in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * x) % p
+        return _Fpx(tuple(q), p), _Fpx(tuple(a[: len(b) - 1]), p)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
 
 
-def _pmonic(a, p):
-    if not a:
-        return []
-    return _pscale(a, pow(a[-1], -1, p), p)
-
-
-def _poly_snf_uinv(mat, p):
-    """Diagonalize a polynomial matrix; return (diagonal, U^{-1}) for S = U A V."""
-    n = len(mat)
-    a = [[list(c) for c in row] for row in mat]
-    u_inv = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):
-        if not c:
-            return
-        a[dst] = [_padd(x, _pmul(c, y, p), p) for x, y in zip(a[dst], a[src])]
-        neg = _pscale(c, p - 1, p)
-        for r in u_inv:
-            r[src] = _padd(r[src], _pmul(neg, r[dst], p), p)
-
-    def add_col(dst, src, c):
-        if not c:
-            return
-        for r in a:
-            r[dst] = _padd(r[dst], _pmul(c, r[src], p), p)
-
-    def scale_row(i, k):
-        a[i] = [_pscale(x, k, p) for x in a[i]]
-        kinv = pow(k, -1, p)
-        for r in u_inv:
-            r[i] = _pscale(r[i], kinv, p)
-
-    for t in range(n):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] and (best is None or len(a[i][j]) < best):
-                        pivot, best = (i, j), len(a[i][j])
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            clean = True
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q, _ = _pdivmod(a[i][t], a[t][t], p)
-                    add_row(i, t, _pscale(q, p - 1, p))
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q, _ = _pdivmod(a[t][j], a[t][t], p)
-                    add_col(j, t, _pscale(q, p - 1, p))
-                    if a[t][j]:
-                        clean = False
-            if not clean:
-                continue
-            culprit = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    _, rem = _pdivmod(a[i][j], a[t][t], p)
-                    if rem:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            add_row(t, culprit, [1])
-    for t in range(n):
-        if a[t][t] and a[t][t][-1] != 1:
-            scale_row(t, pow(a[t][t][-1], -1, p))
-    diag = [a[t][t] for t in range(n)]
-    return diag, u_inv
+def _fpx_unit(a: _Fpx):
+    """Units that make a monic: None when it is, else (lead^{-1}, lead)."""
+    lead = a.c[-1]
+    return None if lead == 1 else (_Fpx((pow(lead, -1, a.p),), a.p), _Fpx((lead,), a.p))
 
 
 def _companion(poly, p):
@@ -417,15 +336,14 @@ class RCFResult:
 def rcf(mat: Sequence[Sequence[int]], p: int) -> RCFResult:
     """Rational (Frobenius) canonical form over F_p with its transformation.
 
-    Works through the invariant factors of xI - mat; the transformation T
-    satisfies T * mat = form * T and is verified before returning.
+    Works through the invariant factors of xI - mat, the Smith normal form
+    over F_p[x] (arith.smith_normal_form); the transformation T satisfies
+    T * mat = form * T and is verified before returning.
     """
     n = len(mat)
-    char = [
-        [_pnorm([(-mat[i][j]) % p]) if i != j else _pnorm([(-mat[i][j]) % p, 1]) for j in range(n)]
-        for i in range(n)
-    ]
-    diag, u_inv = _poly_snf_uinv(char, p)
+    char = [[_Fpx((-mat[i][j] % p,) + (1,) * (i == j), p) for j in range(n)] for i in range(n)]
+    snf = smith_normal_form(char, size=lambda a: len(a.c), unit=_fpx_unit, one=_Fpx((1,), p))
+    diag, u_inv = [d.c for d in snf.diagonal], snf.u_inv
     entries = sorted(range(n), key=lambda t: len(diag[t]))
     factors = []
     basis_cols: list[Sequence[int]] = []
@@ -433,10 +351,10 @@ def rcf(mat: Sequence[Sequence[int]], p: int) -> RCFResult:
         d = diag[t]
         if len(d) <= 1:
             continue
-        factors.append(tuple(_pmonic(d, p)))
+        factors.append(d)
         gen = [0] * n
         for j in range(n):
-            coeffs = u_inv[j][t]
+            coeffs = u_inv[j][t].c
             vec = [0] * n
             for c in reversed(coeffs):
                 vec = [
@@ -521,27 +439,10 @@ def matrix_order(u, cap: Optional[int] = None, *, multiple: Optional[int] = None
     return None
 
 
-def _n_pattern(ptype: PType) -> list[list[int]]:
-    """Exponent c_ij such that kernel entries are delta_ij + p^{c_ij} * free."""
-    s = ptype.s
-    block_of = [0] * s
-    for b, (_, start, stop) in enumerate(ptype.block_structure()):
-        for i in range(start, stop):
-            block_of[i] = b
-    out = [[0] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(s):
-            if i == j or block_of[i] == block_of[j]:
-                out[i][j] = 1
-            else:
-                out[i][j] = max(ptype.exps[i] - ptype.exps[min(i, j)], 0)
-    return out
-
-
 def require_coprime_order(
     u: AutMatrix, order_cap: Optional[int] = None, *, multiple: Optional[int] = None
-) -> None:
-    """The precondition of conjugacy on one input.
+) -> int:
+    """The precondition of conjugacy on one input; returns the order of u.
 
     u must be a unit whose order is coprime with p and either divides the
     known multiple or is at most order_cap (see matrix_order).
@@ -555,6 +456,7 @@ def require_coprime_order(
         raise Condition3Error(f"matrix order exceeds cap {order_cap}")
     if order % u.ptype.p == 0:
         raise Condition3Error(f"matrix order {order} is not coprime with p={u.ptype.p}")
+    return order
 
 
 def psi_invariants(u: AutMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -572,71 +474,52 @@ def conjugacy(
     """Solve U * u1 = u2 * U for U in the unit group, or report None.
 
     Requires both input orders to be coprime with p and to divide the known
-    multiple, or to be at most order_cap when no multiple is known. The found
-    conjugator is verified by substitution before returning.
+    multiple, or to be at most order_cap when no multiple is known. The psi
+    blocks are conjugated over F_p by gl_conjugator; their block lift X is
+    then averaged over the cyclic group, Y = n^{-1} sum_{i<n} u2^{-i} X u1^i
+    with n = lcm of the two orders (a unit mod p), which gives Y u1 = u2 Y and
+    psi(Y) = psi(X) (Maschke's argument). The sum is built by doubling in
+    O(log n) products, and Y is verified by substitution before returning.
     """
     if u1.ptype != u2.ptype:
         raise MalformedInputError("conjugacy requires matching types")
     ptype = u1.ptype
     p, s = ptype.p, ptype.s
-    for u in (u1, u2):
-        require_coprime_order(u, order_cap, multiple=multiple)
+    n = math.lcm(*(require_coprime_order(u, order_cap, multiple=multiple) for u in (u1, u2)))
 
-    spans = ptype.block_structure()
-    v1, v2 = psi(u1), psi(u2)
     conjugators = []
-    for b1, b2 in zip(v1.blocks, v2.blocks):
+    for b1, b2 in zip(psi(u1).blocks, psi(u2).blocks):
         t = gl_conjugator(b1, b2, p)
         if t is None:
             return None
         conjugators.append(t)
 
+    moduli = ptype.moduli
+    n_inv = pow(n, -1, moduli[-1])
     x_rows = [[0] * s for _ in range(s)]
-    for t, (_, start, stop) in zip(conjugators, spans):
+    for t, (_, start, stop) in zip(conjugators, ptype.block_structure()):
         for i in range(start, stop):
-            for j in range(start, stop):
-                x_rows[i][j] = t[i - start][j - start]
-    x = make_matrix(ptype, x_rows)
-    if not is_in_R(x):
-        raise InvariantBreachError("block lift of the conjugators is singular")
+            x_rows[i][start:stop] = [n_inv * v for v in t[i - start]]
+    x = make_matrix(ptype, x_rows).rows
 
-    pc = [[p**c for c in row] for row in _n_pattern(ptype)]
-    xu1 = star_mul(x, u1)
-    u2x = star_mul(u2, x)
-    n_var = s * s
-    rows = []
-    rhs = []
-    moduli = []
-    for i in range(s):
-        for j in range(s):
-            row = [0] * n_var
-            for k in range(s):
-                xik = x.rows[i][k]
-                if xik == 0:
-                    continue
-                for l in range(s):
-                    row[k * s + l] += xik * u1.rows[l][j] * pc[k][l]
-            for l in range(s):
-                row[l * s + j] -= u2x.rows[i][l] * pc[l][j]
-            rows.append(tuple(row))
-            rhs.append(u2x.rows[i][j] - xu1.rows[i][j])
-            moduli.append(ptype.moduli[i])
-    solution = solve_modular_system(
-        ModularLinearSystem(tuple(rows), tuple(rhs), tuple(moduli))
-    )
-    if solution is None:
-        raise InvariantBreachError("kernel correction system is infeasible")
-    y_rows = [
-        [(int(i == j) + pc[i][j] * solution[i * s + j]) % ptype.moduli[i] for j in range(s)]
-        for i in range(s)
-    ]
-    y = make_matrix(ptype, y_rows)
-    if not is_in_N(y):
-        raise InvariantBreachError("kernel correction left the kernel pattern")
-    result = star_mul(x, y)
-    if star_mul(result, u1) != star_mul(u2, result) or not is_in_R(result):
+    def mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+        return mat_mul(a, b, moduli)
+
+    def add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+        return tuple(tuple((v + w) % q for v, w in zip(r1, r2)) for r1, r2, q in zip(a, b, moduli))
+
+    u2_inv = mat_pow(u2.rows, n - 1, moduli)
+    total, left, right = x, u2_inv, u1.rows  # sum_{i<k} u2^{-i} X u1^i, u2^{-k}, u1^k for k = 1
+    for bit in bin(n)[3:]:
+        total = add(total, mul(mul(left, total), right))
+        left, right = mul(left, left), mul(right, right)
+        if bit == "1":
+            total = add(total, mul(mul(left, x), right))
+            left, right = mul(left, u2_inv), mul(right, u1.rows)
+    total = AutMatrix(ptype, total)
+    if star_mul(total, u1) != star_mul(u2, total) or not is_in_R(total):
         raise InvariantBreachError("conjugator failed final verification")
-    return result
+    return total
 
 
 def random_unit(ptype: PType, rng) -> AutMatrix:
@@ -795,8 +678,3 @@ def parse_matrix_file(text: str) -> AutMatrix:
         rows.append(row)
     return validate_M(ptype, rows)
 
-
-def format_matrix(u: AutMatrix) -> str:
-    head = "ptype " + str(u.ptype.p) + " " + " ".join(str(e) for e in u.ptype.exps)
-    body = "\n".join(" ".join(str(x) for x in row) for row in u.rows)
-    return head + "\n" + body + "\n"

@@ -78,22 +78,6 @@ class GroupHandle:
         return int(repr(self._ticks)[6:-1])  # "count(n)": the next value, unconsumed
 
 
-def with_generators(G: GroupHandle, generators: Sequence[ElementCode]) -> GroupHandle:
-    """A view of the same group with a different generator list.
-
-    The caller is responsible for the new list actually generating the group.
-    """
-    return GroupHandle(
-        G.identity,
-        generators,
-        G._mul,
-        G._inv,
-        name=G.name,
-        parse_element=G.parse_element,
-        format_element=G.format_element,
-    )
-
-
 def group_pow(G: GroupHandle, g: ElementCode, n: int) -> ElementCode:
     """g^n through the oracles; n may be negative (one inv more).
 
@@ -146,7 +130,7 @@ def closure(G: GroupHandle, seeds: Sequence[ElementCode], limit: Optional[int] =
                     seen.add(b)
                     nxt.append(b)
                     if limit is not None and len(seen) > limit:
-                        raise MalformedInputError(f"closure exceeded limit {limit}")
+                        raise MalformedInputError(f"subgroup has more than {limit} elements")
         frontier = nxt
     return sorted(seen)
 
@@ -294,10 +278,6 @@ def cyclic_group(n: int, name: Optional[str] = None) -> GroupHandle:
 
     gens = [] if n == 1 else [encode(1)]
     return GroupHandle(encode(0), gens, mul, inv, name=name or f"Z{n}", parse_element=parse_element)
-
-
-def cyclic_table_spec(n: int) -> TableGroupSpec:
-    return TableGroupSpec(n, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
 # --- Semidirect-product backend ----------------------------------------------
@@ -639,15 +619,3 @@ def format_semidirect_file(spec: SemidirectGroupSpec, comment: str = "") -> str:
             out.append("gens " + " ".join(str(x) for x in a) + f" {j}")
     return "\n".join(out) + "\n"
 
-
-def materialize_table(G: GroupHandle, limit: int = 4096) -> TableGroupSpec:
-    """Cayley table of a small black-box group, identity mapped to index 0."""
-    elements = closure(G, G.generators, limit=limit)
-    elements.remove(G.identity)
-    elements.insert(0, G.identity)
-    index = {c: i for i, c in enumerate(elements)}
-    n = len(elements)
-    table = tuple(
-        tuple(index[G.mul(elements[i], elements[j])] for j in range(n)) for i in range(n)
-    )
-    return TableGroupSpec(n, table)

@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 from . import abelian, autring, blackbox, classes, decomp, iso
-from .arith import ModularLinearSystem, solve_modular_system
 from .errors import GrpextError
 
 
@@ -168,18 +167,17 @@ def cmd_count_classes(args) -> int:
 def _selftest_checks():
     rng = random.Random(0)
 
-    def solver_roundtrip():
-        for _ in range(50):
-            moduli = tuple(rng.choice([2, 3, 4, 9, 27]) for _ in range(3))
-            rows = tuple(tuple(rng.randrange(-9, 10) for _ in range(3)) for _ in range(3))
-            hidden = [rng.randrange(27) for _ in range(3)]
-            rhs = tuple(
-                sum(r[j] * hidden[j] for j in range(3)) % m for r, m in zip(rows, moduli)
-            )
-            if solve_modular_system(ModularLinearSystem(rows, rhs, moduli)) is None:
+    def conjugator_lift():
+        ptype = autring.PType(3, (1, 1, 2))
+        for _ in range(20):
+            u1 = autring.star_pow(autring.random_unit(ptype, rng), 27)  # order prime to 3
+            x = autring.random_unit(ptype, rng)
+            x_inv = autring.star_pow(x, autring.matrix_order(x, 10**4) - 1)
+            u2 = autring.star_mul(autring.star_mul(x, u1), x_inv)
+            found = autring.conjugacy(u1, u2, order_cap=16)
+            if found is None or autring.star_mul(found, u1) != autring.star_mul(u2, found):
                 return False
-        no_sol = ModularLinearSystem(((3,),), (1,), (9,))
-        return solve_modular_system(no_sol) is None
+        return True
 
     def order_bsgs():
         G = blackbox.cyclic_group(5040)
@@ -252,7 +250,7 @@ def _selftest_checks():
         )
 
     return [
-        ("modular-solver", solver_roundtrip),
+        ("conjugator-lift", conjugator_lift),
         ("element-order", order_bsgs),
         ("decompose", decompose_table),
         ("psi-homomorphism", psi_homomorphism),

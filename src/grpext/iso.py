@@ -27,6 +27,8 @@ GAMMA_MISMATCH = "gamma-mismatch"          # condition (ii)
 ABELIAN_MISMATCH = "abelian-part-mismatch"  # condition (i)
 NO_CONJUGATING_K = "no-conjugating-k"       # condition (iii)
 
+EXHAUSTIVE_LIMIT = 1024  # group elements, so at most ~10^6 pairs are checked
+
 
 @dataclass(frozen=True)
 class ConjugationAction:
@@ -178,9 +180,16 @@ def verify_isomorphism(
     seed: int = 0,
     sample_pairs: int = 10_000,
 ) -> bool:
-    """Check that mu preserves products (and is injective, in exhaustive mode)."""
+    """Check that mu preserves products (and is injective, in exhaustive mode).
+
+    Exhaustive mode checks all |G|^2 pairs, so it is refused with
+    MalformedInputError for a G of more than EXHAUSTIVE_LIMIT elements.
+    """
     if mode == "exhaustive":
-        elements = closure(G, G.generators)
+        try:
+            elements = closure(G, G.generators, limit=EXHAUSTIVE_LIMIT)
+        except MalformedInputError as exc:
+            raise MalformedInputError(f"exhaustive verification refused: {exc}") from None
         images = {a: mu(a) for a in elements}
         if len(set(images.values())) != len(elements):
             return False

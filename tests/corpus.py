@@ -14,7 +14,48 @@ from typing import Optional
 
 from grpext import autring, blackbox
 from grpext.arith import divisors
-from grpext.blackbox import GroupHandle, closure, with_generators
+from grpext.blackbox import GroupHandle, TableGroupSpec, closure
+
+
+def with_generators(G: GroupHandle, generators) -> GroupHandle:
+    """A view of the same group with a different generator list (the caller's to get right)."""
+    return GroupHandle(G.identity, generators, G._mul, G._inv, name=G.name,
+                       parse_element=G.parse_element, format_element=G.format_element)
+
+
+def cyclic_table_spec(n: int) -> TableGroupSpec:
+    return TableGroupSpec(n, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+
+
+def materialize_table(G: GroupHandle, limit: int = 4096) -> TableGroupSpec:
+    """Cayley table of a small black-box group, identity mapped to index 0."""
+    elements = closure(G, G.generators, limit=limit)
+    elements.remove(G.identity)
+    elements.insert(0, G.identity)
+    index = {c: i for i, c in enumerate(elements)}
+    n = len(elements)
+    table = tuple(
+        tuple(index[G.mul(elements[i], elements[j])] for j in range(n)) for i in range(n)
+    )
+    return TableGroupSpec(n, table)
+
+
+def is_in_N(u: autring.AutMatrix) -> bool:
+    """Kernel pattern of psi: diagonal blocks congruent to the identity mod p."""
+    p = u.ptype.p
+    return all(
+        (u.rows[i][j] - int(i == j)) % p == 0
+        for _, start, stop in u.ptype.block_structure()
+        for i in range(start, stop)
+        for j in range(start, stop)
+    )
+
+
+def format_matrix(u: autring.AutMatrix) -> str:
+    """The text that autring.parse_matrix_file reads back."""
+    head = "ptype " + str(u.ptype.p) + " " + " ".join(str(e) for e in u.ptype.exps)
+    body = "\n".join(" ".join(str(x) for x in row) for row in u.rows)
+    return head + "\n" + body + "\n"
 
 
 def mixed_generators(G: GroupHandle) -> GroupHandle:
@@ -36,7 +77,7 @@ def semidirect(qs, m, rows, gens=None, name="G"):
 
 
 def table_from(handle: GroupHandle, name: str) -> GroupHandle:
-    return blackbox.table_group(blackbox.materialize_table(handle), name=name)
+    return blackbox.table_group(materialize_table(handle), name=name)
 
 
 @dataclass(frozen=True)
@@ -50,7 +91,7 @@ def _builders():
     ident = lambda n: [[int(i == j) for j in range(n)] for i in range(n)]
     return {
         # abelian, gamma = 1
-        "Z12_table": (1, 12, lambda: blackbox.table_group(blackbox.cyclic_table_spec(12), name="Z12")),
+        "Z12_table": (1, 12, lambda: blackbox.table_group(cyclic_table_spec(12), name="Z12")),
         "Z72": (1, 72, lambda: semidirect((8, 9), 1, ident(2), name="Z72")),
         "Z2xZ4xZ9": (1, 72, lambda: semidirect((2, 4, 9), 1, ident(3), name="Z2xZ4xZ9")),
         "Z100": (1, 100, lambda: semidirect((4, 25), 1, ident(2), name="Z100")),

@@ -1,20 +1,11 @@
 import itertools
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpext.arith import (
-    ModularLinearSystem,
-    divisors,
-    is_prime,
-    lcm_list,
-    smith_normal_form,
-    solve_modular_system,
-    trial_factor,
-)
+from grpext.arith import divisors, is_prime, lcm_list, smith_normal_form, trial_factor
 from grpext.errors import MalformedInputError
 
 
@@ -64,6 +55,15 @@ def test_lcm_rejects_empty():
         lcm_list([])
 
 
+def _det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j, x in enumerate(rows[0]) if x
+    )
+
+
 @given(
     st.lists(
         st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=4),
@@ -75,131 +75,31 @@ def test_lcm_rejects_empty():
 def test_smith_normal_form_properties(rows):
     form = smith_normal_form(rows)
     m, n = len(rows), len(rows[0])
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))
-        ]
-
-    product = matmul(matmul([list(r) for r in form.u], [list(r) for r in rows]),
-                     [list(r) for r in form.v])
-    assert product == [list(r) for r in form.s]
-    ident = [[int(i == j) for j in range(m)] for i in range(m)]
-    assert matmul([list(r) for r in form.u], [list(r) for r in form.u_inv]) == ident
-    diag = [form.s[i][i] for i in range(min(m, n))]
+    diag = list(form.diagonal)
+    assert len(diag) == min(m, n)
+    assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
-        if a and b:
-            assert b % a == 0
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert form.s[i][j] == 0
-
-
-def test_solver_single_equation_examples():
-    assert solve_modular_system(ModularLinearSystem(((3,),), (6,), (9,))) in ([2], [5], [8])
-    assert solve_modular_system(ModularLinearSystem(((3,),), (1,), (9,))) is None
-
-
-def test_solver_dimension_checks():
-    with pytest.raises(MalformedInputError):
-        ModularLinearSystem(((1, 2), (1,)), (0, 0), (2, 2))
-    with pytest.raises(MalformedInputError):
-        ModularLinearSystem(((1,),), (0,), (0,))
-
-
-def _brute_force_solvable(rows, rhs, moduli):
-    """Exhaustive search over residue assignments, one prime at a time.
-
-    Equations with modulus a power of p only see the variables mod p^max, so
-    the system is solvable iff each per-prime subsystem is.
-    """
-    n_var = len(rows[0])
-    by_prime: dict[int, list[int]] = {}
-    for k, m in enumerate(moduli):
-        p = trial_factor(m)[0][0] if m > 1 else 1
-        by_prime.setdefault(p, []).append(k)
-    for p, eq_idx in by_prime.items():
-        if p == 1:
-            continue
-        span = max(moduli[k] for k in eq_idx)
-        eqs = [(rows[k], rhs[k], moduli[k]) for k in eq_idx]
-        ok = False
-        for assign in itertools.product(range(span), repeat=n_var):
-            if all(
-                sum(r[j] * assign[j] for j in range(n_var)) % m == b % m
-                for r, b, m in eqs
-            ):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
-def test_solver_agrees_with_exhaustive_search():
-    rng = random.Random(42)
-    solvable = unsolvable = 0
-    for _ in range(8):
-        moduli = tuple(rng.choice([2, 3, 4, 9, 27]) for _ in range(4))
-        rows = tuple(tuple(rng.randrange(-8, 9) for _ in range(4)) for _ in range(4))
-        rhs = tuple(rng.randrange(27) for _ in range(4))
-        got = solve_modular_system(ModularLinearSystem(rows, rhs, moduli))
-        expected = _brute_force_solvable(rows, rhs, moduli)
-        assert (got is not None) == expected
-        solvable += got is not None
-        unsolvable += got is None
-    assert solvable and unsolvable  # the sample exercises both outcomes
-
-
-def test_solver_full_enumeration_small_case():
-    # no prime-splitting shortcut: lcm of moduli is small enough to sweep whole
-    rng = random.Random(3)
-    for _ in range(10):
-        moduli = tuple(rng.choice([2, 3, 4]) for _ in range(3))
-        rows = tuple(tuple(rng.randrange(-5, 6) for _ in range(3)) for _ in range(3))
-        rhs = tuple(rng.randrange(12) for _ in range(3))
-        period = lcm_list(list(moduli))
-        expected = any(
-            all(
-                sum(r[j] * a[j] for j in range(3)) % m == b % m
-                for r, b, m in zip(rows, rhs, moduli)
-            )
-            for a in itertools.product(range(period), repeat=3)
-        )
-        got = solve_modular_system(ModularLinearSystem(rows, rhs, moduli))
-        assert (got is not None) == expected
-
-
-def test_solver_finds_planted_solutions():
-    rng = random.Random(0)
-    for _ in range(1000):
-        n_var = rng.randrange(1, 5)
-        n_eq = rng.randrange(1, 5)
-        moduli = tuple(rng.choice([2, 3, 4, 5, 9, 27, 32]) for _ in range(n_eq))
-        rows = tuple(
-            tuple(rng.randrange(-50, 51) for _ in range(n_var)) for _ in range(n_eq)
-        )
-        hidden = [rng.randrange(1000) for _ in range(n_var)]
-        rhs = tuple(
-            sum(r[j] * hidden[j] for j in range(n_var)) % m for r, m in zip(rows, moduli)
-        )
-        y = solve_modular_system(ModularLinearSystem(rows, rhs, moduli))
-        assert y is not None
-        for r, b, m in zip(rows, rhs, moduli):
-            assert (sum(r[j] * y[j] for j in range(n_var)) - b) % m == 0
-
-
-def test_solver_deterministic():
-    system = ModularLinearSystem(((2, 3), (5, 1)), (1, 4), (9, 27))
-    first = solve_modular_system(system)
-    assert first == solve_modular_system(system)
-
-
-def test_solver_huge_coefficients_exact():
-    # coefficients far beyond machine words must be handled exactly
-    big = 10**40
-    system = ModularLinearSystem(((big + 3,),), (6,), (9,))
-    y = solve_modular_system(system)
-    assert y is not None and ((big + 3) * y[0] - 6) % 9 == 0
+        assert b % a == 0 if a else b == 0
+    # d_1 * ... * d_k is the gcd of the k x k minors
+    for k in range(1, min(m, n) + 1):
+        minors = [
+            _det([[rows[i][j] for j in cols] for i in rs])
+            for rs in itertools.combinations(range(m), k)
+            for cols in itertools.combinations(range(n), k)
+        ]
+        assert math.prod(diag[:k]) == math.gcd(*minors)
+    # U^{-1} is unimodular, and U = adj(U^{-1}) / det(U^{-1}) is an integer matrix
+    u_inv = [list(r) for r in form.u_inv]
+    det = _det(u_inv)
+    assert det in (1, -1)
+    u = [
+        [(-1) ** (i + j) * det * _det([r[:i] + r[i + 1 :] for k, r in enumerate(u_inv) if k != j])
+         for j in range(m)]
+        for i in range(m)
+    ]
+    ua = [[sum(u[i][k] * rows[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+    # every column of U * A = S * V^{-1} lies in the column lattice of S
+    for j in range(n):
+        for i in range(m):
+            d = diag[i] if i < len(diag) else 0
+            assert ua[i][j] % d == 0 if d else ua[i][j] == 0

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import format_matrix, is_in_N
 from grpext.autring import (
     AutBlocks,
     BlockDiagGF,
     PType,
+    _Fpx,
     _det_mod,
     _gf_inv,
     _gf_mul,
@@ -17,10 +19,8 @@ from grpext.autring import (
     blocks_pow,
     conjugacy,
     enumerate_R,
-    format_matrix,
     gl_conjugator,
     identity_matrix,
-    is_in_N,
     is_in_R,
     make_matrix,
     matrix_order,
@@ -164,11 +164,7 @@ def test_rcf_transform_and_invariance():
             result.form, result.transform, p
         )
         for a, b in zip(result.factors, result.factors[1:]):
-            # each invariant factor divides the next
-            from grpext.autring import _pdivmod
-
-            _, rem = _pdivmod(list(b), list(a), p)
-            assert rem == []
+            assert not _Fpx(b, p) % _Fpx(a, p)  # each invariant factor divides the next
         while True:
             basis = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             if _det_mod(basis, p):
@@ -179,6 +175,46 @@ def test_rcf_transform_and_invariance():
             p,
         )
         assert rcf(conj, p).factors == result.factors
+
+
+def _poly_mul(a, b, p):
+    """Product over F_p of coefficient lists, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _char_poly(mat, p):
+    """det(xI - mat) over F_p by cofactor expansion."""
+
+    def det(rows):
+        if not rows:
+            return [1]
+        total = [0]
+        for j, entry in enumerate(rows[0]):
+            term = _poly_mul(entry, det([r[:j] + r[j + 1 :] for r in rows[1:]]), p)
+            sign = -1 if j % 2 else 1
+            total = [(x + sign * y) % p for x, y in itertools.zip_longest(total, term, fillvalue=0)]
+        return total
+
+    n = len(mat)
+    rows = [[[-mat[i][j] % p, 1] if i == j else [-mat[i][j] % p] for j in range(n)] for i in range(n)]
+    return det(rows)
+
+
+def test_rcf_factors_multiply_to_the_characteristic_polynomial():
+    rng = random.Random(11)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(1, 5)
+        mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        product = [1]
+        for f in rcf(mat, p).factors:
+            assert f[-1] == 1
+            product = _poly_mul(product, list(f), p)
+        assert product == _char_poly(mat, p)
 
 
 def test_gl_conjugator():
@@ -259,6 +295,11 @@ def _exhaustive_conjugate(units, u1, u2):
     return any(star_mul(x, u1) == star_mul(u2, x) for x in units)
 
 
+def _block_conjugators(u1, u2):
+    p = u1.ptype.p
+    return tuple(gl_conjugator(b1, b2, p) for b1, b2 in zip(psi(u1).blocks, psi(u2).blocks))
+
+
 @pytest.mark.parametrize("ptype", [PType(3, (2,)), PType(2, (1, 1)), PType(2, (1, 2))])
 def test_conjugacy_complete_small(ptype):
     units = enumerate_R(ptype)
@@ -274,6 +315,7 @@ def test_conjugacy_complete_small(ptype):
             assert (psi_invariants(u1) == psi_invariants(u2)) == want
             if got is not None:
                 assert star_mul(got, u1) == star_mul(u2, got)
+                assert psi(got).blocks == _block_conjugators(u1, u2)
 
 
 def test_conjugacy_complete_gl2_3_all_eligible_pairs():
@@ -290,6 +332,8 @@ def test_conjugacy_complete_gl2_3_all_eligible_pairs():
             want = _exhaustive_conjugate(units, u1, u2)
             assert (got is not None) == want
             assert (psi_invariants(u1) == psi_invariants(u2)) == want
+            if got is not None:
+                assert psi(got).blocks == _block_conjugators(u1, u2)
 
 
 def test_conjugacy_round_trip_mixed_type():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import build, semidirect
+from corpus import build, cyclic_table_spec, materialize_table, semidirect
 from grpext import autring, blackbox
 from grpext.abelian import element_order
 from grpext.arith import prime_power
@@ -17,7 +17,6 @@ from grpext.blackbox import (
     closure,
     commutator_generators,
     cyclic_group,
-    cyclic_table_spec,
     group_pow,
     build_group,
     load_group,
@@ -447,7 +446,7 @@ def test_cyclic_group_matches_table_backend():
 
 
 def test_greedy_generators_are_small():
-    spec = blackbox.materialize_table(semidirect((2, 2, 2), 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    spec = materialize_table(semidirect((2, 2, 2), 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     G = table_group(spec)
     assert len(G.generators) <= 3
     assert len(closure(G, G.generators)) == 8

@@ -1,8 +1,9 @@
 import re
+import time
 
 import pytest
 
-from grpext import arith
+from grpext import autring
 from grpext.cli import main
 from grpext.errors import InvariantBreachError
 
@@ -72,6 +73,19 @@ def test_isomorphic_command_yes(tmp_path, capsys):
     assert "k 2" in out
     assert "psi-block 7 1" in out
     assert "mu-check exhaustive pass" in out
+
+
+def test_exhaustive_verification_refuses_a_large_group(tmp_path, capsys):
+    # |G| = 1009 * 1008: the |G|^2 check would take hours, so it stops at 1024 elements
+    a, b = tmp_path / "a.grp", tmp_path / "b.grp"
+    a.write_text("semidirect\nA 1009\nm 1008\n11\n")
+    b.write_text("semidirect\nA 1009\nm 1008\n367\n")
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "isomorphic", str(a), str(b), "--verify", "exhaustive")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error exhaustive verification refused: subgroup has more than 1024 elements\n"
 
 
 def test_isomorphic_command_no(tmp_path, capsys):
@@ -155,24 +169,19 @@ def test_selftest(capsys):
 
 
 def test_invalid_solver_assignment_is_an_invariant_breach(tmp_path, capsys, monkeypatch):
-    real = arith._matvec
-    products = []
+    real = autring.mat_pow
 
-    def shifted_solution(mat, vec):
-        # every solve makes two products; the second one yields the assignment
-        out = real(mat, vec)
-        products.append(out)
-        if len(products) % 2 == 0:
-            out[0] += 1
-        return out
+    def one_power_too_many(rows, n, moduli):
+        # conjugacy takes u2^{-1} as u2^{n-1}; this spoils the averaged conjugator
+        return real(rows, n + 1, moduli)
 
-    monkeypatch.setattr(arith, "_matvec", shifted_solution)
-    system = arith.ModularLinearSystem(((1,),), (1,), (5,))
-    with pytest.raises(InvariantBreachError):
-        arith.solve_modular_system(system)
+    monkeypatch.setattr(autring, "mat_pow", one_power_too_many)
+    u = autring.parse_matrix_file("ptype 3 2 2\n0 8\n1 0\n")
+    with pytest.raises(InvariantBreachError, match="final verification"):
+        autring.conjugacy(u, u, order_cap=4)
     path = tmp_path / "w.mat"
     path.write_text("ptype 3 2 2\n0 8\n1 0\n")
     code, out, err = run_cli(capsys, "conjugacy", str(path), str(path), "--order-cap", "4")
     assert code == 2
     assert out == ""
-    assert err == "error modular solver produced an invalid assignment\n"
+    assert err == "error conjugator failed final verification\n"

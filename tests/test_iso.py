@@ -3,9 +3,17 @@ import math
 
 import pytest
 
-from corpus import ISOMORPHIC_PAIRS, build, corpus_names, expected_isomorphic, naive_isomorphic, semidirect
+from corpus import (
+    ISOMORPHIC_PAIRS,
+    build,
+    corpus_names,
+    expected_isomorphic,
+    naive_isomorphic,
+    semidirect,
+    with_generators,
+)
 from grpext import autring
-from grpext.blackbox import closure, with_generators
+from grpext.blackbox import closure
 from grpext.decomp import standard_decomposition
 from grpext.iso import (
     ABELIAN_MISMATCH,
