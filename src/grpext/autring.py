@@ -7,11 +7,16 @@ the exponents of the image of the j-th basis generator. Entry (i, j) lives in
 (matrices invertible mod p) form a group isomorphic to Aut of the group.
 
 The module also provides the block-reduction map psi onto block-diagonal
-invertible matrices over F_p, rational canonical forms with explicit
-transformation matrices (from arith.smith_normal_form of xI - B over F_p[x]),
-and a conjugacy solver for matrices whose order is coprime with p: it
-conjugates the psi blocks over F_p and lifts the answer to the whole ring by
-averaging over the cyclic group the matrices generate.
+invertible matrices over F_p, characteristic polynomials over F_p (Hessenberg
+reduction), rational canonical forms with explicit transformation matrices
+(from arith.smith_normal_form of xI - B over F_p[x]), and a conjugacy solver
+for matrices whose order is coprime with p: it conjugates the psi blocks over
+F_p and lifts the answer to the whole ring by averaging over the cyclic group
+the matrices generate. A unit whose order is coprime with p has semisimple psi
+blocks (their minimal polynomials divide x^n - 1, which has no repeated roots
+over F_p), and a semisimple matrix is fixed up to conjugacy by its
+characteristic polynomial; so for such units psi_charpolys decides conjugacy,
+and rcf is needed only to build a conjugator.
 
 It owns the arithmetic of action matrices over per-row moduli (mat_mul,
 mat_vec, mat_pow): the action of a cyclic group on a general abelian group
@@ -212,6 +217,11 @@ class BlockDiagGF:
     p: int
     blocks: tuple[IntMatrix, ...]
 
+    def charpolys(self, k: int = 1) -> tuple[tuple[int, ...], ...]:
+        """Characteristic polynomial of each block of this matrix raised to the power k."""
+        p = self.p
+        return tuple(charpoly(mat_pow(b, k, (p,) * len(b)), p) for b in self.blocks)
+
 
 def psi(u: AutMatrix) -> BlockDiagGF:
     """Reduce the diagonal blocks mod p, discarding everything off-block."""
@@ -321,6 +331,49 @@ def _companion(poly, p):
     for i in range(k):
         c[i][k - 1] = (-poly[i]) % p
     return c
+
+
+def charpoly(mat: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
+    """det(xI - mat) over F_p, coefficients low degree first (monic).
+
+    The matrix is brought to upper Hessenberg form H by similarity over F_p,
+    then the characteristic polynomials of the leading principal submatrices
+    of H follow from one recurrence; O(n^3) operations in all.
+    """
+    n = len(mat)
+    if n == 1:
+        return (-mat[0][0] % p, 1)
+    h = [[x % p for x in row] for row in mat]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            f = h[i][m - 1] * inv % p
+            if f:  # row i -= f * row m, then column m += f * column i
+                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + f * row[i]) % p
+    polys = [[1]]  # polys[m]: characteristic polynomial of the leading m x m block of H
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        poly = [0] + prev  # x * prev
+        for d, c in enumerate(prev):
+            poly[d] -= h[m - 1][m - 1] * c
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % p
+            f = t * h[m - i - 1][m - 1] % p
+            if f:
+                for d, c in enumerate(polys[m - i - 1]):
+                    poly[d] -= f * c
+        polys.append([c % p for c in poly])
+    return tuple(polys[n])
 
 
 @dataclass(frozen=True)
@@ -459,13 +512,14 @@ def require_coprime_order(
     return order
 
 
-def psi_invariants(u: AutMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """RCF invariant factors of each block of psi(u).
+def psi_charpolys(u: AutMatrix) -> tuple[tuple[int, ...], ...]:
+    """Characteristic polynomial of each block of psi(u).
 
     For inputs that pass require_coprime_order, conjugacy(u1, u2) is None
-    exactly when these differ: they are what gl_conjugator compares.
+    exactly when these differ: the blocks are semisimple, so equal
+    characteristic polynomials mean equal RCF invariant factors.
     """
-    return tuple(rcf(block, u.ptype.p).factors for block in psi(u).blocks)
+    return psi(u).charpolys()
 
 
 def conjugacy(

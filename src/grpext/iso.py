@@ -3,11 +3,14 @@
 Two groups are isomorphic exactly when their standard decompositions share the
 cyclic order gamma and the abelian type, and the two conjugation actions M1,
 M2 are conjugate up to raising M2 to a power k coprime with gamma. Each group
-is decomposed once. The search for k compares the RCF invariant factors of the
-psi-blocks of M1 with those of M2^k, which decide conjugacy of blocks whose
-order is coprime with p; only the smallest matching k reaches the conjugacy
-solver. A positive verdict always carries a witness (k plus a basis-to-basis
-matrix) from which an explicit isomorphism can be built and verified.
+is decomposed once. Both actions have order coprime with p, so their psi-blocks
+over F_p are semisimple, and a semisimple matrix is fixed up to conjugacy by
+its characteristic polynomial. The search for k therefore compares the
+characteristic polynomials of the psi-blocks of M1 with those of psi(M2)^k;
+only the smallest matching k reaches the conjugacy solver, which proves the
+match with an explicit conjugator. A positive verdict always carries a witness
+(k plus a basis-to-basis matrix) from which an explicit isomorphism can be
+built and verified.
 """
 
 from __future__ import annotations
@@ -88,9 +91,13 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     M2^k has the order of M2 for every k coprime with gamma. conjugation_action
     has proved M^gamma = 1, so each block's order is found from the divisors
     of gamma (matrix_order with multiple gamma), not by walking its powers.
-    For each such k in ascending order, the psi-invariants of M2^k are
-    compared with those of M1, computed once; the conjugacy solver runs only
-    for the first k that matches, so the reported k is the smallest one.
+    That order is coprime with p, so every psi-block of M1 and of M2^k is
+    semisimple and the characteristic polynomials decide its conjugacy class.
+    psi is multiplicative on units, so psi(M2) is taken once and, for each k
+    in ascending order, its F_p blocks are raised to the power k and their
+    characteristic polynomials compared with those of M1's blocks, computed
+    once. The conjugacy solver runs only for the first k that matches, so the
+    reported k is the smallest one.
     """
     sd1 = standard_decomposition(G)
     sd2 = standard_decomposition(H)
@@ -103,16 +110,19 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     m2 = conjugation_action(H, sd2).blocks
     for block in m1.blocks + m2.blocks:
         autring.require_coprime_order(block, multiple=gamma)
-    targets = [autring.psi_invariants(b) for b in m1.blocks]
+    targets = [autring.psi_charpolys(b) for b in m1.blocks]
+    psi2 = [autring.psi(b) for b in m2.blocks]
     for k in range(1, gamma + 1):
         if math.gcd(k, gamma) != 1:
             continue
-        m2k = autring.blocks_pow(m2, k)
-        if any(autring.psi_invariants(b) != t for b, t in zip(m2k.blocks, targets)):
+        if any(v.charpolys(k) != t for v, t in zip(psi2, targets)):
             continue
+        m2k = autring.blocks_pow(m2, k)
         found = [autring.conjugacy(b1, b2, multiple=gamma) for b1, b2 in zip(m1.blocks, m2k.blocks)]
         if None in found:
-            raise InvariantBreachError("psi-invariants agree but a block has no conjugator")
+            raise InvariantBreachError(
+                "characteristic polynomials agree but a block has no conjugator"
+            )
         witness = IsomorphismWitness(
             k=k,
             psi_blocks=autring.AutBlocks(tuple(found)),
@@ -162,8 +172,10 @@ def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode
     return mu
 
 
-def _random_element(G: GroupHandle, rng: random.Random, word_length: int = 24) -> ElementCode:
-    atoms = list(G.generators) + [G.inv(g) for g in G.generators]
+def _random_element(
+    G: GroupHandle, atoms: list[ElementCode], rng: random.Random, word_length: int = 24
+) -> ElementCode:
+    """A word of word_length letters drawn from atoms (the generators and their inverses)."""
     if not atoms:
         return G.identity
     out = G.identity
@@ -204,9 +216,10 @@ def verify_isomorphism(
                 if mu(G.mul(a, b)) != H.mul(mu(a), mu(b)):
                     return False
         rng = random.Random(seed)
+        atoms = list(G.generators) + [G.inv(g) for g in G.generators]
         for _ in range(sample_pairs):
-            a = _random_element(G, rng)
-            b = _random_element(G, rng)
+            a = _random_element(G, atoms, rng)
+            b = _random_element(G, atoms, rng)
             if mu(G.mul(a, b)) != H.mul(mu(a), mu(b)):
                 return False
         return True

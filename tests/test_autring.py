@@ -16,6 +16,7 @@ from grpext.autring import (
     _gf_inv,
     _gf_mul,
     apply_blocks,
+    charpoly,
     blocks_pow,
     conjugacy,
     enumerate_R,
@@ -26,7 +27,7 @@ from grpext.autring import (
     matrix_order,
     parse_matrix_file,
     psi,
-    psi_invariants,
+    psi_charpolys,
     random_unit,
     rcf,
     star_mul,
@@ -217,6 +218,66 @@ def test_rcf_factors_multiply_to_the_characteristic_polynomial():
         assert product == _char_poly(mat, p)
 
 
+def _random_invertible(n, p, rng):
+    while True:
+        basis = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if _det_mod(basis, p):
+            return tuple(map(tuple, basis))
+
+
+def _block_repeat(p, rng):
+    """A conjugate of diag(B, ..., B), r >= 2 copies: it has several invariant factors."""
+    b = rng.randrange(1, 4)
+    r = rng.randrange(2, 6 // b + 1)
+    block = [[rng.randrange(p) for _ in range(b)] for _ in range(b)]
+    n = b * r
+    diag = tuple(
+        tuple(block[i % b][j % b] if i // b == j // b else 0 for j in range(n)) for i in range(n)
+    )
+    basis = _random_invertible(n, p, rng)
+    return _gf_mul(_gf_mul(basis, diag, p), _gf_inv(basis, p), p)
+
+
+def test_charpoly_is_the_product_of_the_invariant_factors():
+    rng = random.Random(13)
+    cases = []
+    for p in (2, 3, 5, 7, 11):
+        for n in range(1, 7):
+            cases.append(([[0] * n for _ in range(n)], p))
+            cases.append(([[int(i == j) for j in range(n)] for i in range(n)], p))
+    for t in range(1050):
+        p = rng.choice([2, 3, 5, 7, 11])
+        if t % 3 == 0:
+            mat = _block_repeat(p, rng)
+            assert len(rcf(mat, p).factors) >= 2
+        else:
+            n = rng.randrange(1, 7)
+            mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        cases.append((mat, p))
+    for mat, p in cases:
+        product = [1]
+        for f in rcf(mat, p).factors:
+            product = _poly_mul(product, list(f), p)
+        assert charpoly(mat, p) == tuple(product)
+    assert charpoly([[3]], 7) == (4, 1)
+    assert charpoly([[0, 0], [0, 0]], 5) == (0, 0, 1)
+    assert charpoly([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2) == (1, 1, 1, 1)  # (x + 1)^3 over F_2
+
+
+@pytest.mark.parametrize("ptype", [PType(5, (1, 1)), PType(2, (1, 1, 1)), PType(3, (1, 2))])
+def test_charpolys_and_rcf_agree_on_coprime_order_units(ptype):
+    # blocks of order coprime with p are semisimple: charpoly equality is RCF equality
+    units = enumerate_R(ptype)
+    exponent = math.lcm(*(matrix_order(u, 10**6) for u in units))
+    classes = {}
+    for u in units:
+        if matrix_order(u, multiple=exponent) % ptype.p:
+            factors = tuple(rcf(b, ptype.p).factors for b in psi(u).blocks)
+            classes.setdefault(psi_charpolys(u), set()).add(factors)
+    assert all(len(f) == 1 for f in classes.values())
+    assert len({f for fs in classes.values() for f in fs}) == len(classes)
+
+
 def test_gl_conjugator():
     v = ((0, 2), (1, 0))
     assert gl_conjugator(v, v, 3) is not None
@@ -312,7 +373,7 @@ def test_conjugacy_complete_small(ptype):
             got = conjugacy(u1, u2, order_cap=exponent)
             want = _exhaustive_conjugate(units, u1, u2)
             assert (got is not None) == want
-            assert (psi_invariants(u1) == psi_invariants(u2)) == want
+            assert (psi_charpolys(u1) == psi_charpolys(u2)) == want
             if got is not None:
                 assert star_mul(got, u1) == star_mul(u2, got)
                 assert psi(got).blocks == _block_conjugators(u1, u2)
@@ -331,7 +392,7 @@ def test_conjugacy_complete_gl2_3_all_eligible_pairs():
             got = conjugacy(u1, u2, order_cap=exponent)
             want = _exhaustive_conjugate(units, u1, u2)
             assert (got is not None) == want
-            assert (psi_invariants(u1) == psi_invariants(u2)) == want
+            assert (psi_charpolys(u1) == psi_charpolys(u2)) == want
             if got is not None:
                 assert psi(got).blocks == _block_conjugators(u1, u2)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from corpus import (
     semidirect,
     with_generators,
 )
-from grpext import autring
+from grpext import autring, iso
 from grpext.blackbox import closure
 from grpext.decomp import standard_decomposition
 from grpext.iso import (
@@ -156,6 +157,42 @@ def test_verify_isomorphism_sampled_mode():
     )
 
 
+def _random_element_rebuilding_atoms(G, rng, word_length=24):
+    """Reference sampler that recomputes the generator inverses on every call."""
+    atoms = list(G.generators) + [G.inv(g) for g in G.generators]
+    out = G.identity
+    for _ in range(word_length):
+        out = G.mul(out, rng.choice(atoms))
+    return out
+
+
+def test_sampled_verification_builds_atoms_once(monkeypatch):
+    G, H = build("G21a"), build("G21b")
+    mu = build_mu(isomorphic(G, H).witness)
+    sampled = []
+    real = iso._random_element
+
+    def recording(*args):
+        sampled.append(real(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(iso, "_random_element", recording)
+    before = G.operation_count
+    assert verify_isomorphism(G, H, mu, seed=0, sample_pairs=1000)
+    calls = G.operation_count - before
+    reference = build("G21a")
+    rng = random.Random(0)
+    assert sampled == [_random_element_rebuilding_atoms(reference, rng) for _ in range(2000)]
+
+    monkeypatch.setattr(iso, "_random_element", lambda G, atoms, rng: _random_element_rebuilding_atoms(G, rng))
+    before = G.operation_count
+    assert verify_isomorphism(G, H, mu, seed=0, sample_pairs=1000)
+    # the patched run builds the atoms once as well and then ignores them
+    rebuilding_calls = G.operation_count - before - len(G.generators)
+    # one inverse per generator for the whole run, not one per generator per element
+    assert rebuilding_calls - calls == (2 * 1000 - 1) * len(G.generators) == 3998
+
+
 def test_each_side_decomposed_once():
     G, H = build("Z3^2xZ4_W"), build("Z3^2xZ4_W")
     result = isomorphic(G, H)
@@ -209,6 +246,29 @@ def test_k_search_matches_per_k_conjugacy_loop(pair):
     assert (result.witness.k, result.witness.psi_blocks) == want
 
 
+# (qs, m, action of G, action of H, k of the reference search or None)
+BEYOND_1X1_PAIRS = [
+    # irreducible 2x2 block of order 24 (eigenvalues in F_121 outside F_11) against its 7th power
+    ((11, 11), 24, [[0, 1], [1, 2]], [[4, 4], [4, 1]], 5),
+    # mixed exponents (1, 1, 2): an irreducible 2x2 run and a 1x1 run mod 25; H is a conjugate of its cube
+    ((5, 5, 25), 8, [[0, 3, 1], [1, 0, 3], [5, 10, 7]], [[0, 2, 3], [1, 0, 2], [0, 0, 18]], 3),
+    # scalar against non-scalar blocks of the same order: no k
+    ((11, 11), 10, [[2, 0], [0, 2]], [[2, 0], [0, 4]], None),
+]
+
+
+@pytest.mark.parametrize("qs,m,a,b,k", BEYOND_1X1_PAIRS)
+def test_k_search_matches_per_k_conjugacy_loop_beyond_1x1_blocks(qs, m, a, b, k):
+    result = isomorphic(semidirect(qs, m, a), semidirect(qs, m, b))
+    want = _per_k_conjugacy_search(semidirect(qs, m, a), semidirect(qs, m, b))
+    if k is None:
+        assert want is None
+        assert result.failed_condition == NO_CONJUGATING_K
+    else:
+        assert want[0] == k
+        assert (result.witness.k, result.witness.psi_blocks) == want
+
+
 def test_k_search_matches_per_k_conjugacy_loop_at_the_last_unit():
     result = isomorphic(semidirect((211,), 210, [[2]]), semidirect((211,), 210, [[106]]))
     want = _per_k_conjugacy_search(semidirect((211,), 210, [[2]]), semidirect((211,), 210, [[106]]))
@@ -258,6 +318,43 @@ def test_a1009_decision_finds_orders_from_gamma(monkeypatch):
     assert counts["star_mul"] + counts["order_products"] <= 500
 
 
+def _count_rcf_calls(monkeypatch):
+    """rcf calls made inside conjugacy and elsewhere."""
+    counts = {"in_conjugacy": 0, "elsewhere": 0}
+    inside = []
+    real_rcf, real_conjugacy = autring.rcf, autring.conjugacy
+
+    def rcf(*args):
+        counts["in_conjugacy" if inside else "elsewhere"] += 1
+        return real_rcf(*args)
+
+    def conjugacy(*args, **kwargs):
+        inside.append(args)
+        try:
+            return real_conjugacy(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(autring, "rcf", rcf)
+    monkeypatch.setattr(autring, "conjugacy", conjugacy)
+    return counts
+
+
+def test_a1009_k_search_runs_no_rcf(monkeypatch):
+    # all 288 units mod 1008 are tried by characteristic polynomials alone
+    counts = _count_rcf_calls(monkeypatch)
+    result = isomorphic(semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[121]]))
+    assert result.failed_condition == NO_CONJUGATING_K
+    assert counts == {"in_conjugacy": 0, "elsewhere": 0}
+
+
+def test_a1009_rcf_runs_only_to_build_the_conjugator(monkeypatch):
+    counts = _count_rcf_calls(monkeypatch)
+    result = isomorphic(semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[367]]))
+    assert result.witness.k == 1007
+    assert counts == {"in_conjugacy": 2 * len(result.witness.psi_blocks.blocks), "elsewhere": 0}
+
+
 def _count_conjugacy_calls(monkeypatch):
     calls = []
     real = autring.conjugacy
@@ -276,6 +373,7 @@ def _count_conjugacy_calls(monkeypatch):
         lambda: (build("G21a"), build("G21b")),
         lambda: (build("Z20xZ3"), build("Z20xZ3")),
         lambda: (semidirect((211,), 210, [[2]]), semidirect((211,), 210, [[106]])),
+        lambda: (semidirect((11, 11), 24, [[0, 1], [1, 2]]), semidirect((11, 11), 24, [[4, 4], [4, 1]])),
     ],
 )
 def test_yes_calls_conjugacy_once_per_action_block(monkeypatch, make_pair):
@@ -291,6 +389,7 @@ def test_yes_calls_conjugacy_once_per_action_block(monkeypatch, make_pair):
         lambda: (build("Z3^2xZ4_W"), build("Z3^2xZ4_diag")),
         # action orders 12 vs 6 with the same gamma: every k is tried and fails
         lambda: (semidirect((13,), 12, [[2]]), semidirect((13,), 12, [[4]])),
+        lambda: (semidirect((11, 11), 10, [[2, 0], [0, 2]]), semidirect((11, 11), 10, [[2, 0], [0, 4]])),
     ],
 )
 def test_no_conjugating_k_never_calls_conjugacy(monkeypatch, make_pair):
