@@ -152,6 +152,11 @@ class TableGroupSpec:
     def __post_init__(self):
         validate_table_spec(self)
 
+    @cached_property
+    def generators(self) -> list[int]:
+        """The greedy generating set, found once per spec (validation and build share it)."""
+        return _greedy_generators(self.table)
+
 
 def _greedy_generators(table: Sequence[Sequence[int]]) -> list[int]:
     n = len(table)
@@ -176,11 +181,15 @@ def _greedy_generators(table: Sequence[Sequence[int]]) -> list[int]:
 
 
 def validate_table_spec(spec: TableGroupSpec) -> None:
-    """Latin square, identity row/column, and associativity, all exact.
+    """Permutation rows, identity row and column, and associativity, all exact.
 
-    Associativity uses Light's test: (a*g)*b == a*(g*b) for every a, b and
-    every g of a generating set implies it for all triples. For fixed a and g
-    both sides are a whole row, so each pair (a, g) is one tuple compare.
+    A row of n entries whose set is {0, ..., n-1} is a permutation, so the row
+    check is also the range check. Light's test: the g with (a*g)*b == a*(g*b)
+    for all a, b are closed under products, so checking a generating set
+    proves associativity; for fixed a and g each side is a row, so each pair
+    (a, g) is one tuple compare. Columns need no scan: an associative table
+    with an identity and permutation rows gives every element a right inverse,
+    so it is a group, and every column of a group table is a permutation.
     """
     n = spec.n
     table = spec.table
@@ -190,17 +199,14 @@ def validate_table_spec(spec: TableGroupSpec) -> None:
     for i, row in enumerate(table):
         if set(row) != full:
             raise MalformedInputError(f"row {i} is not a permutation")
-    for i, col in enumerate(zip(*table)):
-        if set(col) != full:
-            raise MalformedInputError(f"column {i} is not a permutation")
-    for i in range(n):
-        if table[0][i] != i or table[i][0] != i:
-            raise MalformedInputError("index 0 must act as the identity")
-    for g in _greedy_generators(table):
-        grow = table[g]
+    ident = tuple(range(n))
+    if table[0] != ident or tuple(row[0] for row in table) != ident:
+        raise MalformedInputError("index 0 must act as the identity")
+    for g in spec.generators:
+        compose = operator.itemgetter(*table[g])
         for a, row in enumerate(table):
-            if table[row[g]] != tuple(map(row.__getitem__, grow)):
-                b = next(b for b in range(n) if table[row[g]][b] != row[grow[b]])
+            if table[row[g]] != compose(row):
+                b = next(b for b in range(n) if table[row[g]][b] != row[table[g][b]])
                 raise MalformedInputError(f"associativity fails at ({a},{g},{b})")
 
 
@@ -209,9 +215,8 @@ def table_group(spec: TableGroupSpec, name: str = "table") -> GroupHandle:
     width = len(str(n - 1))
     codes = [str(i).zfill(width).encode("ascii") for i in range(n)]
     index = {c: i for i, c in enumerate(codes)}
-    inverse = [0] * n
-    for i in range(n):
-        inverse[i] = spec.table[i].index(0)
+    table = spec.table
+    inverse = [row.index(0) for row in table]
 
     def decode(code: ElementCode) -> int:
         i = index.get(code)
@@ -220,7 +225,7 @@ def table_group(spec: TableGroupSpec, name: str = "table") -> GroupHandle:
         return i
 
     def mul(a: ElementCode, b: ElementCode) -> ElementCode:
-        return codes[spec.table[decode(a)][decode(b)]]
+        return codes[table[decode(a)][decode(b)]]
 
     def inv(a: ElementCode) -> ElementCode:
         return codes[inverse[decode(a)]]
@@ -236,7 +241,7 @@ def table_group(spec: TableGroupSpec, name: str = "table") -> GroupHandle:
 
     return GroupHandle(
         codes[0],
-        [codes[g] for g in _greedy_generators(spec.table)],
+        [codes[g] for g in spec.generators],
         mul,
         inv,
         name=name,
@@ -523,6 +528,10 @@ def parse_group_file(text: str):
 
     Returns a TableGroupSpec or SemidirectGroupSpec. Parsing is strict: any
     out-of-range entry, ordering violation, or invalid action is rejected.
+    A table row is read as integers and checked for length only: the
+    permutation check of validate_table_spec is also its range check, and
+    columns need no scan, since an associative table with an identity and
+    permutation rows is a group (see validate_table_spec).
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -543,12 +552,12 @@ def parse_group_file(text: str):
         rows = []
         for ln in lines[1:]:
             try:
-                row = [int(x) for x in ln.split()]
+                row = tuple(map(int, ln.split()))
             except ValueError:
                 raise MalformedInputError(f"bad table row {ln!r}") from None
-            if len(row) != n or any(not 0 <= x < n for x in row):
+            if len(row) != n:
                 raise MalformedInputError(f"bad table row {ln!r}")
-            rows.append(tuple(row))
+            rows.append(row)
         return TableGroupSpec(n, tuple(rows))
     if head[0] == "semidirect":
         if len(head) != 1:

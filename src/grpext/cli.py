@@ -17,15 +17,22 @@ import time
 from pathlib import Path
 
 from . import abelian, autring, blackbox, classes, decomp, iso
-from .errors import GrpextError
+from .errors import GrpextError, MalformedInputError
 
 
-def _digest(path: str) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read(path: str) -> tuple[str, str]:
+    """The file's UTF-8 text and the sha256 digest of the bytes it was decoded from."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not UTF-8 text: {exc}") from None
+    return text, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _load(path: str) -> blackbox.GroupHandle:
-    return blackbox.load_group(Path(path).read_text(encoding="utf-8"), name=Path(path).name)
+def _load(path: str) -> tuple[blackbox.GroupHandle, str]:
+    text, digest = _read(path)
+    return blackbox.load_group(text, name=Path(path).name), digest
 
 
 def _emit(lines: list[str], started: float) -> None:
@@ -36,13 +43,13 @@ def _emit(lines: list[str], started: float) -> None:
 
 def cmd_order(args) -> int:
     started = time.perf_counter()
-    G = _load(args.group)
+    G, digest = _load(args.group)
     g = G.parse_element(args.element)
     order = abelian.element_order(G, g)
     _emit(
         [
             "command order",
-            f"input {_digest(args.group)}",
+            f"input {digest}",
             f"element {args.element}",
             f"order {order}",
             f"oracle-calls {G.operation_count}",
@@ -54,11 +61,11 @@ def cmd_order(args) -> int:
 
 def cmd_standard_decomposition(args) -> int:
     started = time.perf_counter()
-    G = _load(args.group)
+    G, digest = _load(args.group)
     sd, attempts = decomp.standard_decomposition_with_attempts(G)
     lines = [
         "command standard-decomposition",
-        f"input {_digest(args.group)}",
+        f"input {digest}",
         f"gamma {sd.gamma}",
         f"abelian-order {sd.a_basis.group_order}",
         "abelian-type " + (" ".join(str(q) for q in sd.a_basis.orders) or "-"),
@@ -89,13 +96,13 @@ def _psi_block_lines(blocks: autring.AutBlocks) -> list[str]:
 
 def cmd_isomorphic(args) -> int:
     started = time.perf_counter()
-    G = _load(args.group_g)
-    H = _load(args.group_h)
+    G, digest_g = _load(args.group_g)
+    H, digest_h = _load(args.group_h)
     result = iso.isomorphic(G, H)
     lines = [
         "command isomorphic",
-        f"input-g {_digest(args.group_g)}",
-        f"input-h {_digest(args.group_h)}",
+        f"input-g {digest_g}",
+        f"input-h {digest_h}",
     ]
     if not result.is_isomorphic:
         lines.append("verdict no")
@@ -120,13 +127,15 @@ def cmd_isomorphic(args) -> int:
 
 def cmd_conjugacy(args) -> int:
     started = time.perf_counter()
-    u1 = autring.parse_matrix_file(Path(args.matrix1).read_text(encoding="utf-8"))
-    u2 = autring.parse_matrix_file(Path(args.matrix2).read_text(encoding="utf-8"))
+    text1, digest1 = _read(args.matrix1)
+    u1 = autring.parse_matrix_file(text1)
+    text2, digest2 = _read(args.matrix2)
+    u2 = autring.parse_matrix_file(text2)
     witness = autring.conjugacy(u1, u2, order_cap=args.order_cap)
     lines = [
         "command conjugacy",
-        f"input-1 {_digest(args.matrix1)}",
-        f"input-2 {_digest(args.matrix2)}",
+        f"input-1 {digest1}",
+        f"input-2 {digest2}",
     ]
     if witness is None:
         lines.append("conjugate no")

@@ -175,11 +175,12 @@ def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode
 def _random_element(
     G: GroupHandle, atoms: list[ElementCode], rng: random.Random, word_length: int = 24
 ) -> ElementCode:
-    """A word of word_length letters drawn from atoms (the generators and their inverses)."""
+    """A word of word_length >= 1 letters drawn from atoms (the generators and their
+    inverses), built from its first letter with word_length - 1 products."""
     if not atoms:
         return G.identity
-    out = G.identity
-    for _ in range(word_length):
+    out = rng.choice(atoms)
+    for _ in range(word_length - 1):
         out = G.mul(out, rng.choice(atoms))
     return out
 

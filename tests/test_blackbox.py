@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import build, cyclic_table_spec, materialize_table, semidirect
+from corpus import build, corpus_names, cyclic_table_spec, materialize_table, semidirect
 from grpext import autring, blackbox
 from grpext.abelian import element_order
 from grpext.arith import prime_power
@@ -413,6 +414,8 @@ def test_large_a_entry_parse_is_bounded(q, accepted):
         ("semidirect\nA 9 3\nm 2\n8 0\n0 2\n", "ascending"),  # 9 before 3
         ("semidirect\nA 2 3\nm 5\n1 1\n0 1\n", "couples"),  # entry between primes 2 and 3
         ("table 2\n0 1\n1 2\n", "row"),  # entry out of range
+        ("table 2\n0 1\n0 1\n", "identity"),  # x*y = y: associative, permutation rows, column 0 is (0, 0)
+        ("table 3\n0 2 1\n1 0 2\n2 1 0\n", "identity"),  # column 0 is the identity, row 0 is not
         ("", "empty"),
         ("ring 3\n", "unknown"),
     ],
@@ -420,6 +423,13 @@ def test_large_a_entry_parse_is_bounded(q, accepted):
 def test_parse_rejects_bad_files(text, hint):
     with pytest.raises(MalformedInputError, match=hint):
         parse_group_file(text)
+
+
+@pytest.mark.parametrize("entry", ["-1", "3", str(10**30), "2"])
+def test_table_entry_out_of_range_or_repeated_names_its_row(entry):
+    # row 1 of Z_3 is "1 2 0"; its last entry becomes the given one ("2" repeats)
+    with pytest.raises(MalformedInputError, match=r"^row 1 is not a permutation$"):
+        parse_group_file(f"table 3\n0 1 2\n1 2 {entry}\n2 0 1\n")
 
 
 @pytest.mark.parametrize(
@@ -533,3 +543,61 @@ def test_parse_table_file_fuzz_accepts_exactly_groups(case):
         assert not _is_group_table(rows)
     else:
         assert _is_group_table(rows)
+
+
+def test_latin_rows_with_a_bad_column_fail_associativity():
+    # rows are permutations and index 0 is the identity, but column 1 is (1, 0, 0)
+    with pytest.raises(MalformedInputError, match="associativity fails at"):
+        parse_group_file("table 3\n0 1 2\n1 0 2\n2 0 1\n")
+
+
+def _table_text(rows) -> str:
+    return f"table {len(rows)}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
+
+
+@pytest.mark.parametrize("n,groups", [(1, 1), (2, 1), (3, 1), (4, 4)])
+def test_permutation_rows_with_identity_accepted_exactly_when_a_group(n, groups):
+    # every table with identity row and column 0 and permutation rows: (n-1)!^(n-1)
+    # of them, 216 at n = 4; validation scans no column, and the naive check does
+    choices = [
+        [(i, *rest) for rest in itertools.permutations(sorted(set(range(n)) - {i}))]
+        for i in range(1, n)
+    ]
+    accepted = 0
+    tables = 0
+    for tail in itertools.product(*choices):
+        rows = [tuple(range(n)), *tail]
+        tables += 1
+        try:
+            parse_group_file(_table_text(rows))
+        except MalformedInputError:
+            assert not _is_group_table(rows)
+        else:
+            assert _is_group_table(rows)
+            accepted += 1
+    assert tables == math.factorial(n - 1) ** (n - 1)
+    assert accepted == groups  # Z_4 labelled 3 ways and V_4 once at n = 4
+
+
+# generators of table_group on the corpus tables, as before the greedy set was cached
+_CORPUS_TABLE_GENERATORS = {
+    "Z12_table": [b"01"],
+    "Z2^3_table": [b"1", b"2", b"4"],
+    "S3_table": [b"1", b"2"],
+    "D7_table": [b"01", b"02"],
+    "A4_table": [b"01", b"03"],
+}
+
+
+def test_table_load_finds_generators_once(monkeypatch):
+    names = [name for name in corpus_names() if name.endswith("_table")]
+    assert sorted(names) == sorted(_CORPUS_TABLE_GENERATORS)
+    for name in names:
+        assert build(name).generators == _CORPUS_TABLE_GENERATORS[name]
+    text = _table_text(materialize_table(build("A4")).table)
+    calls = []
+    real = blackbox._greedy_generators
+    monkeypatch.setattr(blackbox, "_greedy_generators", lambda table: calls.append(1) or real(table))
+    G = load_group(text)
+    assert len(calls) == 1
+    assert len(closure(G, G.generators)) == 12

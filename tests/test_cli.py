@@ -1,3 +1,4 @@
+import hashlib
 import re
 import time
 
@@ -27,6 +28,7 @@ def test_order_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "order", str(path), "0;1")
     assert code == 0
     assert "order 3" in out
+    assert f"input sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}\n" in out
     code, out, _ = run_cli(capsys, "order", str(path), "1;0")
     assert code == 0 and "order 7" in out
 
@@ -152,6 +154,30 @@ def test_malformed_input_exits_nonzero(tmp_path, capsys):
     missing = tmp_path / "missing.grp"
     code, _, err = run_cli(capsys, "order", str(missing), "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("order", ["0"]),
+        ("standard-decomposition", []),
+        ("isomorphic", []),
+        ("conjugacy", ["--order-cap", "10"]),
+    ],
+)
+def test_non_utf8_input_is_malformed(tmp_path, capsys, command, extra):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    if command == "conjugacy":
+        good.write_text("ptype 11 1\n3\n")
+        bad.write_bytes(b"ptype 11 1\n3\xff\n")
+    else:
+        good.write_text(G21A)
+        bad.write_bytes(b"table 1\n0\xff\n")
+    files = [str(good), str(bad)] if command in ("isomorphic", "conjugacy") else [str(bad)]
+    code, out, err = run_cli(capsys, command, *files, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error {bad} is not UTF-8 text: ") and err.count("\n") == 1
 
 
 def test_precondition_violation_exits_nonzero(tmp_path, capsys):

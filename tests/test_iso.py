@@ -160,10 +160,25 @@ def test_verify_isomorphism_sampled_mode():
 def _random_element_rebuilding_atoms(G, rng, word_length=24):
     """Reference sampler that recomputes the generator inverses on every call."""
     atoms = list(G.generators) + [G.inv(g) for g in G.generators]
-    out = G.identity
-    for _ in range(word_length):
+    out = rng.choice(atoms)
+    for _ in range(word_length - 1):
         out = G.mul(out, rng.choice(atoms))
     return out
+
+
+@pytest.mark.parametrize("length", [1, 2, 24])
+def test_random_word_of_l_letters_costs_l_minus_1_products(length):
+    G = build("G21a")
+    atoms = list(G.generators) + [G.inv(g) for g in G.generators]
+    rng, reference_rng = random.Random(length), random.Random(length)
+    before = G.operation_count
+    word = iso._random_element(G, atoms, rng, word_length=length)
+    assert G.operation_count - before == length - 1
+    # the same draws as a word built from the identity, so the same element
+    expected = G.identity
+    for _ in range(length):
+        expected = G.mul(expected, reference_rng.choice(atoms))
+    assert word == expected and rng.getstate() == reference_rng.getstate()
 
 
 def test_sampled_verification_builds_atoms_once(monkeypatch):
