@@ -1,6 +1,6 @@
 """Isomorphism testing for coprime cyclic extensions of abelian groups."""
 
-from .abelian import AbelianBasis, abelian_basis, decompose, element_order
+from .abelian import AbelianBasis, abelian_basis, element_order
 from .autring import (
     AutBlocks,
     AutMatrix,

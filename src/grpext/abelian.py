@@ -1,9 +1,11 @@
 """Square-root-time primitives on abelian subgroups of a black-box group.
 
 Element order uses baby-step/giant-step with a doubling radius, so no a-priori
-bound on the group order is needed. Decomposition over a basis uses the
-meet-in-the-middle table over the low digits of each exponent. The baby-step
-tables are capped by the GRPEXT_MEM_MB environment variable (default 1024).
+bound on the group order is needed. Factoring an element over fixed
+generators (an abelian basis, or y followed by a basis of the abelian part A)
+uses the meet-in-the-middle table over the low digits of each exponent. The
+baby-step tables are capped by the GRPEXT_MEM_MB environment variable
+(default 1024).
 """
 
 from __future__ import annotations
@@ -91,19 +93,25 @@ def element_order(G: GroupHandle, g: ElementCode) -> int:
 
 
 class DecompositionTable:
-    """Meet-in-the-middle table for decomposing elements over a fixed basis.
+    """Meet-in-the-middle table for factoring elements over fixed generators.
 
-    Stores S = {g_1^{c_1} ... g_t^{c_t} | 0 <= c_i < r_i} with r_i = ceil of
-    sqrt of the basis orders, indexed by code with binary search.
+    Stores S = {g_0^{c_0} ... g_t^{c_t} | 0 <= c_i < r_i}, r_i = ceil(sqrt(n_i))
+    for the orders n_i, sorted by code. A lookup walks the high digits with
+    the strides g_i^{-r_i} until it lands in S: at most prod ceil(n_i / r_i)
+    products. Coordinate 0 is walked from the left and the others from the
+    right, so a hit proves g = g_0^{v_0} prod g_i^{v_i} whenever g_1, ..., g_t
+    commute, whether or not g_0 commutes with them: over (y,) + a basis of A
+    the table factors all of <y>A. Over an abelian basis both walks give the
+    same element for the same product.
     """
 
-    def __init__(self, G: GroupHandle, basis: AbelianBasis):
+    def __init__(self, G: GroupHandle, elements: Sequence[ElementCode], orders: Sequence[int]):
         self.G = G
-        self.basis = basis
-        t = len(basis.elements)
-        self.radii = [math.isqrt(q - 1) + 1 for q in basis.orders]
-        self.b_counts = [-(-q // r) for q, r in zip(basis.orders, self.radii)]
-        table_size = math.prod(self.radii) if t else 1
+        self.orders = tuple(orders)
+        t = len(self.orders)
+        self.radii = [math.isqrt(q - 1) + 1 for q in self.orders]
+        self.b_counts = [-(-q // r) for q, r in zip(self.orders, self.radii)]
+        table_size = math.prod(self.radii)
         cap = _max_table_entries(len(G.identity))
         if table_size > cap:
             raise MemoryBudgetError(f"decomposition table of {table_size} exceeds {cap}")
@@ -116,7 +124,7 @@ class DecompositionTable:
             cur = prefix
             for c in range(self.radii[i]):
                 if c > 0:
-                    cur = G.mul(cur, basis.elements[i])
+                    cur = G.mul(cur, elements[i])
                 digits.append(c)
                 grow(i + 1, cur, digits)
                 digits.pop()
@@ -129,7 +137,7 @@ class DecompositionTable:
             if a == b:
                 raise MalformedInputError("elements do not form a basis (collision)")
         # strides g_i^{-r_i} for walking the high digits
-        self._down = [group_pow(G, G.inv(e), r) for e, r in zip(basis.elements, self.radii)]
+        self._down = [group_pow(G, G.inv(e), r) for e, r in zip(elements, self.radii)]
 
     def _lookup(self, code: ElementCode):
         i = bisect.bisect_left(self._codes, code)
@@ -138,40 +146,31 @@ class DecompositionTable:
         return None
 
     def decompose(self, g: ElementCode) -> tuple[int, ...]:
-        """Exponent vector a with g = prod g_i^{a_i}, components reduced."""
+        """Exponent vector v with g = prod g_i^{v_i}, components reduced."""
         G = self.G
-        t = len(self.basis.elements)
-        found: list[tuple[int, ...]] = []
+        t = len(self.orders)
 
-        def search(i: int, value: ElementCode, highs: list[int]) -> bool:
+        def search(i: int, value: ElementCode, highs: tuple[int, ...]):
             if i == t:
                 low = self._lookup(value)
                 if low is None:
-                    return False
-                found.append(
-                    tuple(
-                        (h * r + c) % q
-                        for h, r, c, q in zip(highs, self.radii, low, self.basis.orders)
-                    )
+                    return None
+                return tuple(
+                    (h * r + c) % q for h, r, c, q in zip(highs, self.radii, low, self.orders)
                 )
-                return True
             cur = value
             for b in range(self.b_counts[i]):
                 if b > 0:
-                    cur = G.mul(cur, self._down[i])
-                highs.append(b)
-                if search(i + 1, cur, highs):
-                    return True
-                highs.pop()
-            return False
+                    cur = G.mul(self._down[0], cur) if i == 0 else G.mul(cur, self._down[i])
+                vec = search(i + 1, cur, highs + (b,))
+                if vec is not None:
+                    return vec
+            return None
 
-        if search(0, g, []):
-            return found[0]
-        raise MembershipError("element is not in the span of the basis")
-
-
-def decompose(basis: AbelianBasis, g: ElementCode, G: GroupHandle) -> tuple[int, ...]:
-    return DecompositionTable(G, basis).decompose(g)
+        vec = search(0, g, ())
+        if vec is None:
+            raise MembershipError("element is not in the span of the basis")
+        return vec
 
 
 def _check_commuting(G: GroupHandle, gens: list[ElementCode]):
@@ -191,8 +190,7 @@ def _insert_p_element(
     x_order: int,
 ) -> list[tuple[ElementCode, int]]:
     """Extend a p-group basis by one element of order p^K; may rebuild it."""
-    current = AbelianBasis(tuple(e for e, _ in basis), tuple(o for _, o in basis))
-    table = DecompositionTable(G, current)
+    table = DecompositionTable(G, [e for e, _ in basis], [o for _, o in basis])
     k_exp = valuation(p, x_order)
     w = x
     k = 0

@@ -550,13 +550,19 @@ def parse_group_file(text: str):
         if len(lines) != 1 + n:
             raise MalformedInputError(f"expected {n} table rows, got {len(lines) - 1}")
         rows = []
-        for ln in lines[1:]:
+        for i, ln in enumerate(lines[1:]):
             try:
                 row = tuple(map(int, ln.split()))
             except ValueError:
-                raise MalformedInputError(f"bad table row {ln!r}") from None
+                for tok in ln.split():
+                    try:
+                        int(tok)
+                    except ValueError:
+                        raise MalformedInputError(
+                            f"row {i} entry {tok[:20]!r} is not an integer"
+                        ) from None
             if len(row) != n:
-                raise MalformedInputError(f"bad table row {ln!r}")
+                raise MalformedInputError(f"row {i} has {len(row)} entries, expected {n}")
             rows.append(row)
         return TableGroupSpec(n, tuple(rows))
     if head[0] == "semidirect":

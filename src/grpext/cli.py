@@ -208,7 +208,7 @@ def _selftest_checks():
             )
         )
         basis = abelian.abelian_basis(G.generators, G)
-        table = abelian.DecompositionTable(G, basis)
+        table = abelian.DecompositionTable(G, basis.elements, basis.orders)
         for _ in range(40):
             target = [rng.randrange(q) for q in (8, 9, 5)]
             code = G.parse_element(",".join(map(str, target)) + ";0")

@@ -9,12 +9,15 @@ its characteristic polynomial. The search for k therefore compares the
 characteristic polynomials of the psi-blocks of M1 with those of psi(M2)^k;
 only the smallest matching k reaches the conjugacy solver, which proves the
 match with an explicit conjugator. A positive verdict always carries a witness
-(k plus a basis-to-basis matrix) from which an explicit isomorphism can be
-built and verified.
+(k plus a basis-to-basis matrix psi). build_mu turns it into the explicit
+isomorphism mu(y1^j x) = y2^{k j} psi(x), which factors each element of G as
+y1^j x with one decomposition-table lookup over <y1>A1, and
+verify_isomorphism checks it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -64,7 +67,7 @@ def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> Conjugation
     s = len(basis.elements)
     y = sd.y
     y_inv = G.inv(y)
-    table = DecompositionTable(G, basis)
+    table = DecompositionTable(G, basis.elements, basis.orders)
     columns = []
     for g in basis.elements:
         moved = G.mul(G.mul(y, g), y_inv)
@@ -136,38 +139,29 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
 
 
 def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode]:
-    """Total map mu(x * y1^j) = psi(x) * y2^{k j} realized through the oracles.
+    """Total map mu(y1^j * x) = y2^{k j} * psi(x) realized through the oracles.
 
-    The coset exponent j of an input is recovered by stripping powers of y1
-    until the remainder decomposes over the abelian basis.
+    One DecompositionTable over (y1,) + the basis of A1 factors each g as
+    y1^j * x in at most ~sqrt(gamma |A1|) products; g outside <y1>A1 raises
+    MembershipError. A table of more codes than the GRPEXT_MEM_MB cap allows
+    raises MemoryBudgetError (exit code 2 in the CLI).
     """
-    G = witness.source_group
     H = witness.target_group
     sd1, sd2 = witness.source, witness.target
     gamma = sd1.gamma
-    table = DecompositionTable(G, sd1.a_basis)
-    y1_inv = G.inv(sd1.y)
-    target_elems = sd2.a_basis.elements
-    k = witness.k
+    table = DecompositionTable(
+        witness.source_group, (sd1.y,) + sd1.a_basis.elements, (gamma,) + sd1.a_basis.orders
+    )
+    factors = (sd2.y,) + sd2.a_basis.elements
 
     def mu(g: ElementCode) -> ElementCode:
-        w = g
-        for j in range(gamma):
-            try:
-                vec = table.decompose(w)
-            except MembershipError:
-                w = G.mul(w, y1_inv)
-                continue
-            mapped = autring.apply_blocks(witness.psi_blocks, vec)
-            out = H.identity
-            for h, e in zip(target_elems, mapped):
-                if e:
-                    out = H.mul(out, group_pow(H, h, e))
-            power = (k * j) % gamma
-            if power:
-                out = H.mul(out, group_pow(H, sd2.y, power))
-            return out
-        raise MembershipError("element does not factor over the decomposition")
+        try:
+            j, *x = table.decompose(g)
+        except MembershipError:
+            raise MembershipError("element does not factor over the decomposition") from None
+        exps = (witness.k * j % gamma,) + autring.apply_blocks(witness.psi_blocks, x)
+        parts = [group_pow(H, h, e) for h, e in zip(factors, exps) if e]
+        return functools.reduce(H.mul, parts) if parts else H.identity
 
     return mu
 
@@ -208,13 +202,14 @@ def verify_isomorphism(
             return False
         for a in elements:
             for b in elements:
-                if mu(G.mul(a, b)) != H.mul(images[a], images[b]):
+                if images[G.mul(a, b)] != H.mul(images[a], images[b]):
                     return False
         return True
     if mode == "sampled":
-        for a in G.generators:
-            for b in G.generators:
-                if mu(G.mul(a, b)) != H.mul(mu(a), mu(b)):
+        gen_images = [mu(a) for a in G.generators]
+        for a, mu_a in zip(G.generators, gen_images):
+            for b, mu_b in zip(G.generators, gen_images):
+                if mu(G.mul(a, b)) != H.mul(mu_a, mu_b):
                     return False
         rng = random.Random(seed)
         atoms = list(G.generators) + [G.inv(g) for g in G.generators]

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from grpext import autring, blackbox
+from grpext.abelian import DecompositionTable
 from grpext.arith import divisors
-from grpext.blackbox import GroupHandle, TableGroupSpec, closure
+from grpext.blackbox import GroupHandle, TableGroupSpec, closure, group_pow
+from grpext.errors import MembershipError
 
 
 def with_generators(G: GroupHandle, generators) -> GroupHandle:
@@ -56,6 +58,32 @@ def format_matrix(u: autring.AutMatrix) -> str:
     head = "ptype " + str(u.ptype.p) + " " + " ".join(str(e) for e in u.ptype.exps)
     body = "\n".join(" ".join(str(x) for x in row) for row in u.rows)
     return head + "\n" + body + "\n"
+
+
+def strip_mu(witness):
+    """Reference mu(x * y1^j) = psi(x) * y2^{k j}: j is found by stripping y1
+    from the right, up to gamma times, until the rest decomposes over A1's basis."""
+    G, H = witness.source_group, witness.target_group
+    sd1, sd2 = witness.source, witness.target
+    table = DecompositionTable(G, sd1.a_basis.elements, sd1.a_basis.orders)
+    y1_inv = G.inv(sd1.y)
+
+    def mu(g):
+        w = g
+        for j in range(sd1.gamma):
+            try:
+                vec = table.decompose(w)
+            except MembershipError:
+                w = G.mul(w, y1_inv)
+                continue
+            out = H.identity
+            mapped = autring.apply_blocks(witness.psi_blocks, vec)
+            for h, e in zip(sd2.a_basis.elements, mapped):
+                out = H.mul(out, group_pow(H, h, e))
+            return H.mul(out, group_pow(H, sd2.y, witness.k * j % sd1.gamma))
+        raise MembershipError("element does not factor over the decomposition")
+
+    return mu
 
 
 def mixed_generators(G: GroupHandle) -> GroupHandle:

@@ -3,16 +3,24 @@ import random
 
 import pytest
 
-from corpus import build, cyclic_table_spec, mixed_generators, naive_order, semidirect
+from corpus import (
+    build,
+    corpus_names,
+    cyclic_table_spec,
+    mixed_generators,
+    naive_order,
+    naive_power,
+    semidirect,
+)
 from grpext import blackbox
 from grpext.abelian import (
     AbelianBasis,
     DecompositionTable,
     abelian_basis,
-    decompose,
     element_order,
 )
 from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow
+from grpext.decomp import standard_decomposition
 from grpext.errors import MalformedInputError, MembershipError, NotAbelianError
 
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -102,15 +110,16 @@ def test_abelian_order_examples():
 def test_decompose_identity_and_single_axis():
     G = semidirect((2, 4, 3, 3), 1, [[int(i == j) for j in range(4)] for i in range(4)])
     basis = abelian_basis(G.generators, G)
-    assert decompose(basis, G.identity, G) == (0, 0, 0, 0)
+    table = DecompositionTable(G, basis.elements, basis.orders)
+    assert table.decompose(G.identity) == (0, 0, 0, 0)
     g2cubed = group_pow(G, basis.elements[1], 3)
-    assert decompose(basis, g2cubed, G) == (0, 3, 0, 0)
+    assert table.decompose(g2cubed) == (0, 3, 0, 0)
 
 
 def test_decompose_against_enumeration():
     G = semidirect((8, 9, 5), 1, IDENT3)
     basis = abelian_basis(G.generators, G)
-    table = DecompositionTable(G, basis)
+    table = DecompositionTable(G, basis.elements, basis.orders)
     by_code = {}
     for a in range(8):
         for b in range(9):
@@ -131,7 +140,7 @@ def test_decompose_recomposition_property():
     G = semidirect((3, 9), 2, [[2, 0], [0, 8]])
     x1, x2 = G.parse_element("1,0;0"), G.parse_element("0,1;0")
     basis = abelian_basis([x1, x2], G)
-    table = DecompositionTable(G, basis)
+    table = DecompositionTable(G, basis.elements, basis.orders)
     for _ in range(100):
         target = G.parse_element(f"{rng.randrange(3)},{rng.randrange(9)};0")
         vec = table.decompose(target)
@@ -145,7 +154,39 @@ def test_decompose_membership_error():
     G21 = build("G21a")
     basis = abelian_basis([G21.parse_element("1;0")], G21)
     with pytest.raises(MembershipError):
-        decompose(basis, G21.parse_element("0;1"), G21)
+        DecompositionTable(G21, basis.elements, basis.orders).decompose(G21.parse_element("0;1"))
+
+
+def test_y_first_table_factors_every_element():
+    # g = y^{v_0} * prod a_i^{v_i}, recomposed by naive powers
+    for name in corpus_names():
+        G = build(name)
+        sd = standard_decomposition(G)
+        gens, orders = (sd.y,) + sd.a_basis.elements, (sd.gamma,) + sd.a_basis.orders
+        table = DecompositionTable(G, gens, orders)
+        for g in closure(G, G.generators):
+            vec = table.decompose(g)
+            assert all(0 <= v < q for v, q in zip(vec, orders))
+            rebuilt = G.identity
+            for e, exp in zip(gens, vec):
+                rebuilt = G.mul(rebuilt, naive_power(G, e, exp))
+            assert rebuilt == g, (name, g)
+
+
+def test_y_only_table_rejects_the_abelian_part():
+    checked = 0
+    for name in corpus_names():
+        G = build(name)
+        sd = standard_decomposition(G)
+        if sd.gamma == 1:
+            continue
+        table = DecompositionTable(G, (sd.y,), (sd.gamma,))
+        for a in closure(G, sd.a_basis.elements):
+            if a != G.identity:
+                with pytest.raises(MembershipError):
+                    table.decompose(a)
+                checked += 1
+    assert checked > 0
 
 
 def test_basis_validation():
@@ -185,6 +226,5 @@ def test_memory_budget_rejects_oversized_tables(monkeypatch):
 
     monkeypatch.setenv("GRPEXT_MEM_MB", "1")
     G = cyclic_group(3**17)
-    basis = AbelianBasis((G.parse_element("1"),), (3**17,))
     with pytest.raises(MemoryBudgetError):  # table of ~11k codes over the cap
-        DecompositionTable(G, basis)
+        DecompositionTable(G, (G.parse_element("1"),), (3**17,))

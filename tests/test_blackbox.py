@@ -425,6 +425,27 @@ def test_parse_rejects_bad_files(text, hint):
         parse_group_file(text)
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("x", r"^row 137 entry 'x' is not an integer$"),
+        ("7" * 500 + "x", r"^row 137 entry '7{20}' is not an integer$"),
+        (None, r"^row 137 has 299 entries, expected 300$"),
+    ],
+)
+def test_bad_table_row_error_names_the_row(token, message):
+    n = 300
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    if token is None:
+        rows[137].pop(40)
+    else:
+        rows[137][40] = token
+    text = f"table {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
+    with pytest.raises(MalformedInputError, match=message) as info:
+        parse_group_file(text)
+    assert len(str(info.value)) < 120
+
+
 @pytest.mark.parametrize("entry", ["-1", "3", str(10**30), "2"])
 def test_table_entry_out_of_range_or_repeated_names_its_row(entry):
     # row 1 of Z_3 is "1 2 0"; its last entry becomes the given one ("2" repeats)

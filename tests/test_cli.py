@@ -43,6 +43,17 @@ def test_bad_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "error GRPEXT_MEM_MB must be a positive integer, not 'abc'\n"
 
 
+def test_mu_table_over_the_memory_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the decision fits in 1 MiB; mu's table over <y>A (123 x 123 codes) does not
+    path = tmp_path / "g.grp"
+    path.write_text("semidirect\nA 15013\nm 15012\n2\n")
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    code, out, err = run_cli(capsys, "isomorphic", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error decomposition table of 15129 exceeds \d+\n", err)
+
+
 def test_order_identity_is_one(tmp_path, capsys):
     path = tmp_path / "g.grp"
     path.write_text("table 6\n" + "\n".join(

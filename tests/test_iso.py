@@ -11,6 +11,7 @@ from corpus import (
     expected_isomorphic,
     naive_isomorphic,
     semidirect,
+    strip_mu,
     with_generators,
 )
 from grpext import autring, iso
@@ -411,3 +412,47 @@ def test_no_conjugating_k_never_calls_conjugacy(monkeypatch, make_pair):
     calls = _count_conjugacy_calls(monkeypatch)
     assert isomorphic(*make_pair()).failed_condition == NO_CONJUGATING_K
     assert calls == []
+
+
+def test_mu_equals_the_strip_reference_on_every_element():
+    pairs = [(name, name) for name in corpus_names()]
+    for pair in sorted(map(sorted, ISOMORPHIC_PAIRS)):
+        pairs += [tuple(pair), tuple(reversed(pair))]
+    for a, b in pairs:
+        G, H = build(a), build(b)
+        witness = isomorphic(G, H).witness
+        mu, reference = build_mu(witness), strip_mu(witness)
+        for g in closure(G, G.generators):
+            assert mu(g) == reference(g), (a, b, g)
+
+
+def test_a1009_mu_factors_each_element_in_one_table_lookup():
+    G, H = semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[367]])
+    witness = isomorphic(G, H).witness
+    mu, reference = build_mu(witness), strip_mu(witness)
+    bound = math.ceil(1008 / 32) * math.ceil(1009 / 32)  # 1 024 products of the lookup
+    rng = random.Random(1009)
+    for i in range(300):
+        g = G.parse_element(f"{rng.randrange(1009)};{rng.randrange(1008)}")
+        before = G.operation_count
+        image = mu(g)
+        assert G.operation_count - before <= bound
+        if i < 10:
+            assert image == reference(g)
+
+
+def test_exhaustive_verification_maps_each_element_once():
+    G, H = build("G21a"), build("G21b")
+    mu = build_mu(isomorphic(G, H).witness)
+    mapped = []
+    assert verify_isomorphism(G, H, lambda g: mapped.append(g) or mu(g), mode="exhaustive")
+    assert sorted(mapped) == sorted(closure(G, G.generators))
+
+
+def test_sampled_verification_maps_each_generator_once():
+    G, H = build("Z3^2xZ4_W"), build("Z3^2xZ4_W")
+    mu = build_mu(isomorphic(G, H).witness)
+    mapped = []
+    assert verify_isomorphism(G, H, lambda g: mapped.append(g) or mu(g), sample_pairs=0)
+    gens = list(G.generators)
+    assert mapped == gens + [G.mul(a, b) for a in gens for b in gens]
