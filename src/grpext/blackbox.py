@@ -97,22 +97,19 @@ def group_pow(G: GroupHandle, g: ElementCode, n: int) -> ElementCode:
 
 
 def commutator_generators(G: GroupHandle) -> list[ElementCode]:
-    """The conjugated commutators g_k [g_i, g_j] g_k^{-1} over all index triples.
+    """The commutators [g_i, g_j] = g_i g_j g_i^{-1} g_j^{-1} of the generators, i < j.
 
-    The returned set generates the derived subgroup. Duplicates are removed
-    and the list is sorted for determinism.
+    The derived subgroup G' is the normal closure of this set, which can be
+    larger than the subgroup the set generates; decomp.group_context builds
+    the closure. Duplicates are removed and the list is sorted for
+    determinism.
     """
     gens = G.generators
     invs = [G.inv(g) for g in gens]
-    comms = []
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            c = G.mul(G.mul(gi, gj), G.mul(invs[i], invs[j]))
-            comms.append(c)
     out = set()
-    for k, gk in enumerate(gens):
-        for c in comms:
-            out.add(G.mul(G.mul(gk, c), invs[k]))
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            out.add(G.mul(G.mul(gens[i], gens[j]), G.mul(invs[i], invs[j])))
     return sorted(out)
 
 

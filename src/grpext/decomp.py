@@ -11,6 +11,14 @@ is (g_j^{m/l})^l for the least prime l of m. Arithmetic replaces oracle calls
 where it decides: an element assembled from parts of one generator has order
 m with no order search, g_j^m has order n_j / gcd(n_j, m), and commutation is
 tested once, only for pairs not already known to commute.
+The derived subgroup G' is the normal closure of the commutators [g_i, g_j]
+of the generators, which can be larger than the subgroup they generate. Its
+basis starts from those commutators and takes in every conjugate by a
+generator that falls outside its span, round after round, until none does.
+Conjugates by generators suffice because G is finite, so each g^{-1} is a
+power of g. A round that takes in an element at least doubles the span, so at
+most log2|G'| rounds run. Every element taken in lies in G', so elements
+that do not commute show that G' is not abelian.
 Sweeping m over the divisors of the lcm of the generator orders and keeping
 the smallest m whose abelian part is maximal yields the standard
 decomposition; the full sweep is reported so callers can see which candidates
@@ -23,10 +31,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .abelian import AbelianBasis, abelian_basis, element_order
+from .abelian import AbelianBasis, DecompositionTable, abelian_basis, element_order
 from .arith import divisors, lcm_list, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
-from .errors import DecompositionFailed, NotAbelianError, NotInClassError
+from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotInClassError
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,8 @@ class GroupContext:
 
     The derived basis and the generator orders are computed by group_context;
     the prime-power parts and the generator powers on first use, then kept,
-    so a sweep computes each of them once.
+    so a sweep computes each of them once. The derived basis spans the normal
+    closure of the commutators of the generators, which is G'.
     """
 
     G: GroupHandle
@@ -71,10 +80,32 @@ class GroupContext:
         return self._powers[m]
 
 
+def _derived_basis(G: GroupHandle) -> AbelianBasis:
+    """Basis of G' by the closure rounds of the module docstring, each with one
+    table over the basis; raises NotAbelianError when G' is not abelian."""
+    basis = abelian_basis(commutator_generators(G), G)
+    if not basis.elements:
+        return basis
+    conjugators = [(g, G.inv(g)) for g in G.generators]
+    while True:
+        table = DecompositionTable(G, basis.elements, basis.orders)
+        escaped: list[ElementCode] = []
+        for x in basis.elements:
+            for g, g_inv in conjugators:
+                c = G.mul(G.mul(g, x), g_inv)
+                try:
+                    table.decompose(c)
+                except MembershipError:
+                    escaped.append(c)
+        if not escaped:
+            return basis
+        basis = abelian_basis(basis.elements + tuple(escaped), G)
+
+
 def group_context(G: GroupHandle) -> GroupContext:
     gen_orders = tuple(element_order(G, g) for g in G.generators)
     try:
-        derived = abelian_basis(commutator_generators(G), G)
+        derived = _derived_basis(G)
     except NotAbelianError:
         derived = None
     return GroupContext(G, derived, gen_orders)

@@ -97,6 +97,19 @@ def mixed_generators(G: GroupHandle) -> GroupHandle:
     return with_generators(G, folded)
 
 
+def relabel(G: GroupHandle, rng) -> GroupHandle:
+    """G as a Cayley table with the identity kept at 0 and the other labels
+    shuffled by rng; the table backend picks its greedy generators again."""
+    spec = materialize_table(G)
+    n = spec.n
+    label = [0] + rng.sample(range(1, n), n - 1)
+    table = [[0] * n for _ in range(n)]
+    for i, row in enumerate(spec.table):
+        for j, k in enumerate(row):
+            table[label[i]][label[j]] = label[k]
+    return blackbox.table_group(TableGroupSpec(n, tuple(map(tuple, table))), name=G.name + "~")
+
+
 def semidirect(qs, m, rows, gens=None, name="G"):
     action = autring.blocks_from_rows(qs, rows)
     spec = blackbox.SemidirectGroupSpec(tuple(qs), m, action,
@@ -172,6 +185,27 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 def build(name: str) -> GroupHandle:
     return _builders()[name][2]()
+
+
+F8_Z7_ROWS = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # companion matrix of x^3 + x + 1
+
+
+def second_presentations() -> dict[str, tuple[GroupHandle, GroupHandle]]:
+    """name -> (G on the generators a*y and y, the same group on its defaults).
+
+    On these generating sets the commutators of the generators, even
+    conjugated once by every generator, span a proper subgroup of G'.
+    """
+    return {
+        "F8xZ7": (
+            semidirect((2, 2, 2), 7, F8_Z7_ROWS, gens=[((0, 0, 0), 1), ((1, 0, 0), 1)], name="F8:Z7ay"),
+            semidirect((2, 2, 2), 7, F8_Z7_ROWS, name="F8:Z7"),
+        ),
+        "A4": (
+            semidirect((2, 2), 3, [[0, 1], [1, 1]], gens=[((1, 1), 1), ((0, 0), 1)], name="A4ay"),
+            build("A4"),
+        ),
+    }
 
 
 # pairs expected isomorphic (all other distinct pairs are not)

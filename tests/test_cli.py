@@ -10,6 +10,8 @@ from grpext.errors import InvariantBreachError
 
 G21A = "semidirect\nA 7\nm 3\n2\n"
 G21B = "semidirect\nA 7\nm 3\n4\n"
+F8Z7 = "semidirect\nA 2 2 2\nm 7\n0 0 1\n1 0 1\n0 1 0\n"
+A4 = "semidirect\nA 2 2\nm 3\n0 1\n1 1\n"
 
 
 def run_cli(capsys, *argv):
@@ -222,3 +224,20 @@ def test_invalid_solver_assignment_is_an_invariant_breach(tmp_path, capsys, monk
     assert code == 2
     assert out == ""
     assert err == "error conjugator failed final verification\n"
+
+
+@pytest.mark.parametrize("text, gens, order", [
+    pytest.param(F8Z7, "gens 0 0 0 1\ngens 1 0 0 1\n", 56, id="F8xZ7"),
+    pytest.param(A4, "gens 1 1 1\ngens 0 0 1\n", 12, id="A4"),
+])
+def test_generators_a_y_and_y_decide_yes(tmp_path, capsys, text, gens, order):
+    # G' is the normal closure of the commutator of the two generators
+    a, b = tmp_path / "a.grp", tmp_path / "b.grp"
+    a.write_text(text + gens)
+    b.write_text(text)
+    code, out, _ = run_cli(capsys, "standard-decomposition", str(a))
+    assert code == 0 and f"group-order {order}\n" in out
+    code, out, _ = run_cli(capsys, "isomorphic", str(a), str(b), "--verify", "exhaustive")
+    assert code == 0
+    assert "verdict yes\n" in out
+    assert "mu-check exhaustive pass\n" in out

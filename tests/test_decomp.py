@@ -7,9 +7,11 @@ from corpus import (
     corpus_entry,
     corpus_names,
     mixed_generators,
+    naive_derived_subgroup,
     naive_gamma,
     naive_order,
     naive_power,
+    second_presentations,
     semidirect,
 )
 from grpext import decomp
@@ -17,6 +19,7 @@ from grpext.arith import divisors, lcm_list
 from grpext.blackbox import closure, commutator_generators, table_group, TableGroupSpec
 from grpext.decomp import (
     find_decomposition,
+    group_context,
     standard_decomposition,
     standard_decomposition_with_attempts,
 )
@@ -226,4 +229,22 @@ def test_group_context_built_once_per_sweep(monkeypatch):
     before = G.operation_count
     standard_decomposition_with_attempts(G)
     assert calls == [G]
-    assert G.operation_count - before == 1807
+    assert G.operation_count - before == 1429
+
+
+@pytest.mark.parametrize("name", [n for n in corpus_names() if corpus_entry(n).order <= 1024])
+def test_derived_basis_spans_the_naive_derived_subgroup(name):
+    G = build(name)
+    naive = naive_derived_subgroup(G, closure(G, G.generators))
+    for H in (G, mixed_generators(G)):
+        assert closure(H, group_context(H).derived.elements) == naive
+
+
+@pytest.mark.parametrize("name", sorted(second_presentations()))
+def test_derived_basis_is_the_normal_closure_of_the_commutators(name):
+    G, _ = second_presentations()[name]
+    naive = naive_derived_subgroup(G, closure(G, G.generators))
+    assert len(closure(G, commutator_generators(G))) < len(naive)  # needs conjugates
+    assert closure(G, group_context(G).derived.elements) == naive
+    if name == "F8xZ7":
+        assert len(naive) == 8

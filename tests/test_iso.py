@@ -9,7 +9,10 @@ from corpus import (
     build,
     corpus_names,
     expected_isomorphic,
+    corpus_entry,
     naive_isomorphic,
+    relabel,
+    second_presentations,
     semidirect,
     strip_mu,
     with_generators,
@@ -456,3 +459,28 @@ def test_sampled_verification_maps_each_generator_once():
     assert verify_isomorphism(G, H, lambda g: mapped.append(g) or mu(g), sample_pairs=0)
     gens = list(G.generators)
     assert mapped == gens + [G.mul(a, b) for a in gens for b in gens]
+
+
+@pytest.mark.parametrize("name", sorted(second_presentations()))
+def test_second_presentation_is_isomorphic_to_the_first(name):
+    # one round of conjugated commutators spans a proper subgroup of G' here,
+    # and A_m came out too small for every m
+    G, H = second_presentations()[name]
+    n = len(closure(H, H.generators))
+    assert standard_decomposition(G).group_order == n
+    result = isomorphic(G, H)
+    assert result.is_isomorphic
+    assert verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive")
+
+
+def test_relabelled_tables_are_isomorphic_to_the_original():
+    rng = random.Random(1)
+    wrong = []
+    for name in corpus_names():
+        if corpus_entry(name).order > 64:
+            continue
+        G = build(name)
+        for i in range(15):
+            if not isomorphic(G, relabel(G, rng)).is_isomorphic:
+                wrong.append((name, i))
+    assert wrong == []
