@@ -81,13 +81,14 @@ class GroupHandle:
 def group_pow(G: GroupHandle, g: ElementCode, n: int) -> ElementCode:
     """g^n through the oracles; n may be negative (one inv more).
 
-    Left-to-right square-and-multiply from g itself: for n >= 1 it makes
-    exactly n.bit_length() + popcount(n) - 2 products, none for n in {0, 1}.
+    Left-to-right square-and-multiply from g itself: for n >= 1 and g not the
+    identity it makes exactly n.bit_length() + popcount(n) - 2 products, none
+    for n in {0, 1}. Every power of the identity costs no oracle call.
     """
+    if n == 0 or g == G.identity:
+        return G.identity
     if n < 0:
         return group_pow(G, G.inv(g), -n)
-    if n == 0:
-        return G.identity
     result = g
     for bit in bin(n)[3:]:
         result = G.mul(result, result)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .abelian import AbelianBasis, DecompositionTable, abelian_basis, element_order
+from .abelian import AbelianBasis, DecompositionTable, abelian_basis, check_commuting, element_order
 from .arith import divisors, lcm_list, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
 from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotInClassError
@@ -182,14 +182,10 @@ def find_decomposition(
     hs = list(context.gen_powers(m))
 
     combined = xs + hs
-    for i in range(len(combined)):
-        # pairs inside the basis of the abelian G' are known to commute
-        for j in range(max(i + 1, len(xs)), len(combined)):
-            a, b = combined[i], combined[j]
-            if a == b or G.identity in (a, b):
-                continue
-            if G.mul(a, b) != G.mul(b, a):
-                raise DecompositionFailed(m, "candidate abelian part does not commute")
+    try:
+        check_commuting(G, combined, known=len(xs))  # the basis of the abelian G' commutes
+    except NotAbelianError:
+        raise DecompositionFailed(m, "candidate abelian part does not commute") from None
     for order in x_orders:
         if math.gcd(order, m) != 1:
             raise DecompositionFailed(m, "derived subgroup order shares a factor with m")

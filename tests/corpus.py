@@ -7,8 +7,10 @@ independent of the code paths they are used to check.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +25,25 @@ def with_generators(G: GroupHandle, generators) -> GroupHandle:
     """A view of the same group with a different generator list (the caller's to get right)."""
     return GroupHandle(G.identity, generators, G._mul, G._inv, name=G.name,
                        parse_element=G.parse_element, format_element=G.format_element)
+
+
+def counting_identity_products(G: GroupHandle) -> tuple[GroupHandle, collections.Counter]:
+    """A view of the same group whose products count those with the identity
+    as an operand, under the qualified name of every grpext function on the
+    call stack (so a function's count includes its callees')."""
+    counts: collections.Counter = collections.Counter()
+
+    def mul(a, b):
+        if G.identity in (a, b):
+            frame = sys._getframe(2)  # the caller of GroupHandle.mul
+            while frame is not None and frame.f_globals["__name__"].startswith("grpext."):
+                counts[frame.f_code.co_qualname] += 1
+                frame = frame.f_back
+        return G._mul(a, b)
+
+    view = GroupHandle(G.identity, G.generators, mul, G._inv, name=G.name,
+                       parse_element=G.parse_element, format_element=G.format_element)
+    return view, counts
 
 
 def cyclic_table_spec(n: int) -> TableGroupSpec:

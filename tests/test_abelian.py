@@ -1,18 +1,20 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from corpus import (
     build,
     corpus_names,
+    counting_identity_products,
     cyclic_table_spec,
     mixed_generators,
     naive_order,
     naive_power,
     semidirect,
 )
-from grpext import blackbox
+from grpext import abelian, blackbox
 from grpext.abelian import (
     AbelianBasis,
     DecompositionTable,
@@ -21,7 +23,7 @@ from grpext.abelian import (
 )
 from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow
 from grpext.decomp import standard_decomposition
-from grpext.errors import MalformedInputError, MembershipError, NotAbelianError
+from grpext.errors import MalformedInputError, MembershipError, MemoryBudgetError, NotAbelianError
 
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -222,9 +224,91 @@ def test_memory_budget_env_must_be_positive_integer(monkeypatch, value):
 
 
 def test_memory_budget_rejects_oversized_tables(monkeypatch):
-    from grpext.errors import MemoryBudgetError
-
     monkeypatch.setenv("GRPEXT_MEM_MB", "1")
     G = cyclic_group(3**17)
     with pytest.raises(MemoryBudgetError):  # table of ~11k codes over the cap
         DecompositionTable(G, (G.parse_element("1"),), (3**17,))
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_largest_admitted_table_fits_the_budget(monkeypatch):
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    width = 8  # cap**2 has 8 digits for any entry size near the measured one
+    cap = abelian._max_table_entries(width + abelian.TABLE_ENTRY_BYTES + 8)
+    G = cyclic_group(cap * cap)
+    assert len(G.identity) == width
+    g = G.parse_element("1")
+    assert _peak_bytes(lambda: DecompositionTable(G, (g,), (cap * cap,))) <= 1 << 20
+    with pytest.raises(MemoryBudgetError):
+        DecompositionTable(G, (g,), (cap * cap + 1,))
+
+
+def test_largest_admitted_baby_steps_fit_the_budget(monkeypatch):
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    width = 8
+    cap = abelian._max_table_entries(width + abelian.BABY_ENTRY_BYTES)
+    radius = 1 << (cap.bit_length() - 1)  # the largest power of two within the cap
+    G = cyclic_group(radius * radius)  # the search stops at this radius
+    assert len(G.identity) == width
+    assert _peak_bytes(lambda: element_order(G, G.parse_element("1"))) <= 1 << 20
+    H = cyclic_group(radius * radius + 1)  # needs the next doubling
+    with pytest.raises(MemoryBudgetError):
+        element_order(H, H.parse_element("1"))
+
+
+@pytest.mark.parametrize("orders", [(9,), (2, 4, 9), (8, 9, 5), (4, 25, 49)])
+def test_table_build_product_count(orders):
+    G = semidirect(orders, 1, [[int(i == j) for j in orders] for i in orders])
+    elements = [
+        G.parse_element(",".join(str(int(i == j)) for j in range(len(orders))) + ";0")
+        for i in range(len(orders))
+    ]
+    radii = [math.isqrt(q - 1) + 1 for q in orders]
+    strides = sum(1 + r.bit_length() + bin(r).count("1") - 2 for r in radii)  # inv and powering
+    before = G.operation_count
+    DecompositionTable(G, elements, orders)
+    products = math.prod(radii) - 1 - sum(r >= 2 for r in radii)
+    assert G.operation_count - before == products + strides
+
+
+def test_dependent_elements_collide():
+    Z9 = cyclic_group(9)
+    with pytest.raises(MalformedInputError, match="collision"):
+        DecompositionTable(Z9, (Z9.parse_element("1"), Z9.parse_element("2")), (9, 9))
+
+
+def test_unchanged_basis_keeps_its_table(monkeypatch):
+    built = []
+
+    class Counted(DecompositionTable):
+        def __init__(self, G, elements, orders):
+            built.append(len(elements))
+            super().__init__(G, elements, orders)
+
+    monkeypatch.setattr(abelian, "DecompositionTable", Counted)
+    Z9 = cyclic_group(9)
+    basis = abelian_basis([Z9.parse_element(c) for c in ("1", "3", "6")], Z9)
+    assert basis.orders == (9,)
+    assert built == [0, 1]  # 3 and 6 lie in the span of 1 and share its table
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_tables_and_basis_rebuilds_take_no_identity_product(name):
+    for H in (build(name), mixed_generators(build(name))):
+        G, counts = counting_identity_products(H)
+        sd = standard_decomposition(G)
+        DecompositionTable(G, (sd.y,) + sd.a_basis.elements, (sd.gamma,) + sd.a_basis.orders)
+        assert counts["DecompositionTable.__init__"] == 0
+        assert counts["_insert_p_element"] == 0
+        assert counts["abelian_basis"] == 0
+        closure(G, G.generators)
+        assert counts["closure"] == len(G.generators)  # the counter sees identity products
