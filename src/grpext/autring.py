@@ -5,6 +5,9 @@ its endomorphisms represented by s x s integer matrices whose column j holds
 the exponents of the image of the j-th basis generator. Entry (i, j) lives in
 {0, ..., p^{e_i} - 1} and must be divisible by p^{e_i - e_min(i,j)}; the units
 (matrices invertible mod p) form a group isomorphic to Aut of the group.
+Each rule of this ring is written once: PType.entry_rule is the one entry-rule
+helper, giving each entry's (step, count), and is_in_R is the one
+invertibility test, by the constant term of charpoly (det B = (-1)^n chi_B(0)).
 
 The module also provides the block-reduction map psi onto block-diagonal
 invertible matrices over F_p, characteristic polynomials over F_p (Hessenberg
@@ -12,11 +15,8 @@ reduction), rational canonical forms with explicit transformation matrices
 (from arith.smith_normal_form of xI - B over F_p[x]), and a conjugacy solver
 for matrices whose order is coprime with p: it conjugates the psi blocks over
 F_p and lifts the answer to the whole ring by averaging over the cyclic group
-the matrices generate. A unit whose order is coprime with p has semisimple psi
-blocks (their minimal polynomials divide x^n - 1, which has no repeated roots
-over F_p), and a semisimple matrix is fixed up to conjugacy by its
-characteristic polynomial; so for such units psi_charpolys decides conjugacy,
-and rcf is needed only to build a conjugator.
+the matrices generate; rcf is needed only to build a conjugator (see
+BlockDiagGF.charpolys for why characteristic polynomials decide conjugacy).
 
 It owns the arithmetic of action matrices over per-row moduli (mat_mul,
 mat_vec, mat_pow): the action of a cyclic group on a general abelian group
@@ -48,6 +48,17 @@ def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(x) for x in r) for r in rows)
 
 
+def _runs(keys: Sequence) -> list[tuple]:
+    """Maximal runs of equal keys as (key, start, stop) index spans."""
+    spans = []
+    start = 0
+    for key, run in itertools.groupby(keys):
+        stop = start + len(list(run))
+        spans.append((key, start, stop))
+        start = stop
+    return spans
+
+
 @dataclass(frozen=True)
 class PType:
     """Isomorphism type of an abelian p-group: prime p and ascending exponents."""
@@ -77,13 +88,18 @@ class PType:
 
     def block_structure(self) -> list[tuple[int, int, int]]:
         """Runs of equal exponents as (exponent, start, stop) index spans."""
-        spans = []
-        start = 0
-        for i in range(1, self.s + 1):
-            if i == self.s or self.exps[i] != self.exps[start]:
-                spans.append((self.exps[start], start, i))
-                start = i
-        return spans
+        return _runs(self.exps)
+
+    @cached_property
+    def entry_rule(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(step, count) of entry (i, j): its values are step * t for t < count.
+
+        step = p^{e_i - e_min(i,j)} and step * count = p^{e_i}.
+        """
+        p, exps = self.p, self.exps
+        return tuple(
+            tuple((p ** (ei - min(ei, ej)), p ** min(ei, ej)) for ej in exps) for ei in exps
+        )
 
 
 @dataclass(frozen=True)
@@ -98,16 +114,6 @@ class AutMatrix:
         return self.ptype.moduli
 
 
-def _check_divisibility(ptype: PType, rows: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
-    p, exps = ptype.p, ptype.exps
-    for i in range(ptype.s):
-        for j in range(ptype.s):
-            need = exps[i] - exps[min(i, j)]
-            if need > 0 and rows[i][j] % p**need:
-                return (i, j)
-    return None
-
-
 def validate_M(ptype: PType, rows: Sequence[Sequence[int]]) -> AutMatrix:
     """Strict membership test: ranges and divisibility exactly as given."""
     if len(rows) != ptype.s or any(len(r) != ptype.s for r in rows):
@@ -119,25 +125,20 @@ def validate_M(ptype: PType, rows: Sequence[Sequence[int]]) -> AutMatrix:
                 raise MalformedInputError(
                     f"entry ({i + 1},{j + 1})={rows[i][j]} outside [0, {bound})"
                 )
-    bad = _check_divisibility(ptype, rows)
-    if bad is not None:
-        i, j = bad
-        need = ptype.p ** (ptype.exps[i] - ptype.exps[min(i, j)])
-        raise MalformedInputError(
-            f"entry ({i + 1},{j + 1})={rows[i][j]} must be divisible by {need}"
-        )
+    for i, rule in enumerate(ptype.entry_rule):
+        for j, (step, _) in enumerate(rule):
+            if rows[i][j] % step:
+                raise MalformedInputError(
+                    f"entry ({i + 1},{j + 1})={rows[i][j]} must be divisible by {step}"
+                )
     return AutMatrix(ptype, _freeze(rows))
 
 
 def make_matrix(ptype: PType, rows: Sequence[Sequence[int]]) -> AutMatrix:
-    """Reduce each row i mod p^{e_i}, then require divisibility membership."""
+    """Reduce each row i mod p^{e_i}, then validate_M."""
     if len(rows) != ptype.s or any(len(r) != ptype.s for r in rows):
         raise MalformedInputError(f"matrix must be {ptype.s}x{ptype.s}")
-    reduced = [[rows[i][j] % ptype.moduli[i] for j in range(ptype.s)] for i in range(ptype.s)]
-    bad = _check_divisibility(ptype, reduced)
-    if bad is not None:
-        raise MalformedInputError(f"entry {bad} violates the divisibility constraint")
-    return AutMatrix(ptype, _freeze(reduced))
+    return validate_M(ptype, [[x % q for x in row] for row, q in zip(rows, ptype.moduli)])
 
 
 def identity_matrix(ptype: PType) -> AutMatrix:
@@ -186,28 +187,9 @@ def star_pow(u: AutMatrix, n: int) -> AutMatrix:
     return AutMatrix(u.ptype, mat_pow(u.rows, n, u.ptype.moduli))
 
 
-def _det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    n = len(rows)
-    a = [[x % p for x in r] for r in rows]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det % p
-        det = det * a[col][col] % p
-        inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv % p
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return det % p
-
-
 def is_in_R(u: AutMatrix) -> bool:
-    return _det_mod(u.rows, u.ptype.p) != 0
+    """u is a unit: det(u) = (-1)^s chi_u(0) is nonzero mod p."""
+    return charpoly(u.rows, u.ptype.p)[0] != 0
 
 
 @dataclass(frozen=True)
@@ -218,7 +200,14 @@ class BlockDiagGF:
     blocks: tuple[IntMatrix, ...]
 
     def charpolys(self, k: int = 1) -> tuple[tuple[int, ...], ...]:
-        """Characteristic polynomial of each block of this matrix raised to the power k."""
+        """Characteristic polynomial of each block of this matrix raised to the power k.
+
+        For psi of units that pass require_coprime_order, conjugacy is None
+        exactly when these differ: a block whose order is coprime with p is
+        semisimple (its minimal polynomial divides x^n - 1, which has no
+        repeated roots over F_p), and semisimple matrices with equal
+        characteristic polynomials have equal RCF invariant factors.
+        """
         p = self.p
         return tuple(charpoly(mat_pow(b, k, (p,) * len(b)), p) for b in self.blocks)
 
@@ -512,16 +501,6 @@ def require_coprime_order(
     return order
 
 
-def psi_charpolys(u: AutMatrix) -> tuple[tuple[int, ...], ...]:
-    """Characteristic polynomial of each block of psi(u).
-
-    For inputs that pass require_coprime_order, conjugacy(u1, u2) is None
-    exactly when these differ: the blocks are semisimple, so equal
-    characteristic polynomials mean equal RCF invariant factors.
-    """
-    return psi(u).charpolys()
-
-
 def conjugacy(
     u1: AutMatrix, u2: AutMatrix, order_cap: Optional[int] = None, *, multiple: Optional[int] = None
 ) -> Optional[AutMatrix]:
@@ -578,38 +557,26 @@ def conjugacy(
 
 def random_unit(ptype: PType, rng) -> AutMatrix:
     """Uniformly sample matrix entries within their constraints until a unit."""
-    p = ptype.p
     while True:
-        rows = []
-        for i in range(ptype.s):
-            row = []
-            for j in range(ptype.s):
-                step = p ** (ptype.exps[i] - ptype.exps[min(i, j)])
-                count = p ** ptype.exps[min(i, j)]
-                row.append(step * rng.randrange(count))
-            rows.append(row)
-        if _det_mod(rows, p) != 0:
-            return AutMatrix(ptype, _freeze(rows))
+        rows = tuple(
+            tuple(step * rng.randrange(count) for step, count in rule) for rule in ptype.entry_rule
+        )
+        u = AutMatrix(ptype, rows)
+        if is_in_R(u):
+            return u
 
 
 def enumerate_R(ptype: PType) -> list[AutMatrix]:
     """All units, by direct enumeration. Guarded to small groups."""
     if ptype.order > 2**12:
         raise MalformedInputError("enumerate_R is restricted to |A| <= 4096")
-    p = ptype.p
-    choice_lists = []
-    for i in range(ptype.s):
-        for j in range(ptype.s):
-            step = p ** (ptype.exps[i] - ptype.exps[min(i, j)])
-            count = p ** ptype.exps[min(i, j)]
-            choice_lists.append([t * step for t in range(count)])
-    out = []
+    choices = [range(0, step * count, step) for rule in ptype.entry_rule for step, count in rule]
     s = ptype.s
-    for combo in itertools.product(*choice_lists):
-        rows = [combo[i * s : (i + 1) * s] for i in range(s)]
-        if _det_mod(rows, p) != 0:
-            out.append(AutMatrix(ptype, _freeze(rows)))
-    return out
+    units = (
+        AutMatrix(ptype, tuple(combo[i * s : (i + 1) * s] for i in range(s)))
+        for combo in itertools.product(*choices)
+    )
+    return [u for u in units if is_in_R(u)]
 
 
 # --- Automorphisms of a general abelian group: one block per prime ---------
@@ -663,12 +630,7 @@ def blocks_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> AutBlo
         parsed.append(pp)
     if parsed != sorted(parsed):
         raise MalformedInputError("prime powers must be ascending (prime, then exponent)")
-    spans = []  # (p, start, stop) of equal-prime runs
-    start = 0
-    for i in range(1, s + 1):
-        if i == s or parsed[i][0] != parsed[start][0]:
-            spans.append((parsed[start][0], start, i))
-            start = i
+    spans = _runs([p for p, _ in parsed])
     block_of = [b for b, (_, lo, hi) in enumerate(spans) for _ in range(lo, hi)]
     for i in range(s):
         for j in range(s):

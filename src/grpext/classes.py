@@ -4,8 +4,8 @@ Matrices of order dividing 4 in GL_r(3) are classified, up to conjugacy, by
 how many diagonal companion blocks of X+1, X-1 and X^2+1 they carry; the
 triples (k1, k2, k3) with k1 + k2 + 2*k3 = r enumerate the classes, and cubing
 a representative stays in its class, so the class count equals the number of
-isomorphism types of the corresponding group extensions. Representatives lift
-to exponent i > 1 with an order correction (see class_representatives).
+isomorphism types of the corresponding group extensions. Representatives are
+built over Z_{3^i} with order dividing 4 (see class_representatives).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import autring
 from .blackbox import SemidirectGroupSpec
-from .errors import InvariantBreachError, MalformedInputError
+from .errors import MalformedInputError
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,15 @@ def count_classes(r: int) -> int:
     return len(class_triples(r))
 
 
-# Companion blocks over F_3: roots of X+1, X-1, and the 2x2 block of X^2+1.
-_U_BLOCK = ((2,),)
-_V_BLOCK = ((1,),)
-_W_BLOCK = ((0, 2), (1, 0))
-
-
-def _block_diagonal(triple: ClassTriple, r: int) -> list[list[int]]:
+def _block_diagonal(triple: ClassTriple, r: int, q: int) -> list[list[int]]:
     rows = [[0] * r for _ in range(r)]
     pos = 0
-    for block, count in ((_U_BLOCK, triple.k1), (_V_BLOCK, triple.k2), (_W_BLOCK, triple.k3)):
+    # lifts to Z_q of the companion blocks of X+1, X-1 and X^2+1 over F_3
+    for block, count in (
+        (((q - 1,),), triple.k1),
+        (((1,),), triple.k2),
+        (((0, q - 1), (1, 0)), triple.k3),
+    ):
         size = len(block)
         for _ in range(count):
             for i in range(size):
@@ -60,53 +59,25 @@ def _block_diagonal(triple: ClassTriple, r: int) -> list[list[int]]:
     return rows
 
 
-def _correct_order(mat: autring.AutMatrix, m: int) -> autring.AutMatrix:
-    """Power correction for lifted representatives of order dividing m.
-
-    A lift from F_p keeps its reduction mod p but may gain p-part in its
-    order; raising to a power of p that is 1 mod m removes the p-part without
-    changing the image under the block reduction map.
-    """
-    p = mat.ptype.p
-    ident = autring.identity_matrix(mat.ptype)
-    if autring.star_pow(mat, m) == ident:
-        return mat
-    exponent = 1
-    bound = p ** (sum(mat.ptype.exps) * mat.ptype.s)
-    while p**exponent < bound or p**exponent % m != 1:
-        exponent += 1
-    fixed = autring.star_pow(mat, p**exponent)
-    if autring.psi(fixed) != autring.psi(mat):
-        raise InvariantBreachError("order correction changed the residue action")
-    if autring.star_pow(fixed, m) != ident:
-        raise InvariantBreachError(
-            f"order correction failed: lifted matrix has no power of order dividing {m}"
-        )
-    return fixed
-
-
 def class_representatives(r: int, i: int) -> list[autring.AutBlocks]:
-    """One action matrix per class, lifted to exponent i, each of order | 4."""
+    """One action matrix per class over Z_{3^i}, each of order dividing 4.
+
+    The blocks X+1, X-1 and X^2+1 lift as -1, 1 and [[0, -1], [1, 0]] mod
+    q = 3^i: the first squares to 1 and the last to -1, so each lift has order
+    dividing 4 and reduces mod 3 to its companion block.
+    """
     if i < 1:
         raise MalformedInputError("i must be >= 1")
     ptype = autring.PType(3, (i,) * r)
-    out = []
-    for triple in class_triples(r):
-        rows = _block_diagonal(triple, r)
-        mat = autring.validate_M(ptype, rows)
-        if not autring.is_in_R(mat):
-            raise InvariantBreachError("representative is singular")
-        mat = _correct_order(mat, 4)
-        out.append(autring.AutBlocks((mat,)))
-    return out
+    return [
+        autring.AutBlocks((autring.validate_M(ptype, _block_diagonal(triple, r, 3**i)),))
+        for triple in class_triples(r)
+    ]
 
 
-def representative_group_spec(r: int, i: int, index: int) -> SemidirectGroupSpec:
-    """Group description for the index-th class representative of Z_{3^i}^r x| Z_4."""
-    reps = class_representatives(r, i)
-    if not 0 <= index < len(reps):
-        raise MalformedInputError(f"index {index} out of range (have {len(reps)})")
-    return SemidirectGroupSpec((3**i,) * r, 4, reps[index])
+def representative_group_specs(r: int, i: int) -> list[SemidirectGroupSpec]:
+    """Group description of each class representative of Z_{3^i}^r x| Z_4."""
+    return [SemidirectGroupSpec((3**i,) * r, 4, rep) for rep in class_representatives(r, i)]
 
 
 def brute_force_class_count(ptype: autring.PType, m: int) -> int:

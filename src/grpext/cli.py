@@ -160,8 +160,8 @@ def cmd_count_classes(args) -> int:
     if args.emit_reps is not None:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for idx, triple in enumerate(triples):
-            spec = classes.representative_group_spec(args.r, args.emit_reps, idx)
+        specs = classes.representative_group_specs(args.r, args.emit_reps)
+        for idx, (triple, spec) in enumerate(zip(triples, specs)):
             name = f"rep_r{args.r}_i{args.emit_reps}_{idx:02d}.grp"
             text = blackbox.format_semidirect_file(
                 spec,

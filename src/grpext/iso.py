@@ -113,7 +113,7 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     m2 = conjugation_action(H, sd2).blocks
     for block in m1.blocks + m2.blocks:
         autring.require_coprime_order(block, multiple=gamma)
-    targets = [autring.psi_charpolys(b) for b in m1.blocks]
+    targets = [autring.psi(b).charpolys() for b in m1.blocks]
     psi2 = [autring.psi(b) for b in m2.blocks]
     for k in range(1, gamma + 1):
         if math.gcd(k, gamma) != 1:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from corpus import format_matrix, is_in_N
 from grpext.autring import (
     AutBlocks,
+    AutMatrix,
     BlockDiagGF,
     PType,
     _Fpx,
-    _det_mod,
     _gf_inv,
     _gf_mul,
     apply_blocks,
@@ -27,7 +27,6 @@ from grpext.autring import (
     matrix_order,
     parse_matrix_file,
     psi,
-    psi_charpolys,
     random_unit,
     rcf,
     star_mul,
@@ -51,6 +50,15 @@ def test_validate_divisibility_constraints():
         validate_M(MIXED_TYPE, rows)
     rows = [[1, 0, 0, 0], [3, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     assert validate_M(MIXED_TYPE, rows) is not None  # (2,1)=3 only needs 3
+
+
+def test_make_matrix_reduces_then_validates():
+    assert make_matrix(PType(3, (1, 2)), [[4, -3], [12, 10]]).rows == ((1, 0), (3, 1))
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [3 + 3**5, 0, 0, 1]]
+    with pytest.raises(MalformedInputError, match=r"entry \(4,1\)=3 must be divisible by 81"):
+        make_matrix(MIXED_TYPE, rows)
+    with pytest.raises(MalformedInputError, match="must be 4x4"):
+        make_matrix(MIXED_TYPE, rows[:3])
 
 
 def test_validate_range():
@@ -89,6 +97,22 @@ def test_is_in_R_examples():
     assert is_in_R(identity_matrix(ptype))
     assert not is_in_R(make_matrix(ptype, [[0, 0], [0, 0]]))
     assert not is_in_R(make_matrix(ptype, [[1, 0], [0, 3]]))  # reduces to singular
+
+
+def test_is_in_R_agrees_with_the_cofactor_determinant():
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 5)
+        ptype = PType(p, tuple(sorted(rng.randrange(1, 3) for _ in range(n))))
+        # entries left unreduced mod p^e, negative ones included
+        rows = tuple(tuple(rng.randrange(-60, 200) for _ in range(n)) for _ in range(n))
+        det = _cofactor_det([[[x % p] for x in row] for row in rows], p)
+        want = any(det)
+        assert is_in_R(AutMatrix(ptype, rows)) == want
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_psi_mixed_type_example():
@@ -168,7 +192,7 @@ def test_rcf_transform_and_invariance():
             assert not _Fpx(b, p) % _Fpx(a, p)  # each invariant factor divides the next
         while True:
             basis = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            if _det_mod(basis, p):
+            if _gf_inv(basis, p) is not None:
                 break
         conj = _gf_mul(
             _gf_mul(tuple(map(tuple, basis)), tuple(map(tuple, mat)), p),
@@ -187,22 +211,23 @@ def _poly_mul(a, b, p):
     return out
 
 
+def _cofactor_det(rows, p):
+    """Determinant over F_p[x] by cofactor expansion; entries are coefficient lists."""
+    if not rows:
+        return [1]
+    total = [0]
+    for j, entry in enumerate(rows[0]):
+        term = _poly_mul(entry, _cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]], p), p)
+        sign = -1 if j % 2 else 1
+        total = [(x + sign * y) % p for x, y in itertools.zip_longest(total, term, fillvalue=0)]
+    return total
+
+
 def _char_poly(mat, p):
     """det(xI - mat) over F_p by cofactor expansion."""
-
-    def det(rows):
-        if not rows:
-            return [1]
-        total = [0]
-        for j, entry in enumerate(rows[0]):
-            term = _poly_mul(entry, det([r[:j] + r[j + 1 :] for r in rows[1:]]), p)
-            sign = -1 if j % 2 else 1
-            total = [(x + sign * y) % p for x, y in itertools.zip_longest(total, term, fillvalue=0)]
-        return total
-
     n = len(mat)
     rows = [[[-mat[i][j] % p, 1] if i == j else [-mat[i][j] % p] for j in range(n)] for i in range(n)]
-    return det(rows)
+    return _cofactor_det(rows, p)
 
 
 def test_rcf_factors_multiply_to_the_characteristic_polynomial():
@@ -221,7 +246,7 @@ def test_rcf_factors_multiply_to_the_characteristic_polynomial():
 def _random_invertible(n, p, rng):
     while True:
         basis = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if _det_mod(basis, p):
+        if _gf_inv(basis, p) is not None:
             return tuple(map(tuple, basis))
 
 
@@ -273,7 +298,7 @@ def test_charpolys_and_rcf_agree_on_coprime_order_units(ptype):
     for u in units:
         if matrix_order(u, multiple=exponent) % ptype.p:
             factors = tuple(rcf(b, ptype.p).factors for b in psi(u).blocks)
-            classes.setdefault(psi_charpolys(u), set()).add(factors)
+            classes.setdefault(psi(u).charpolys(), set()).add(factors)
     assert all(len(f) == 1 for f in classes.values())
     assert len({f for fs in classes.values() for f in fs}) == len(classes)
 
@@ -287,7 +312,7 @@ def test_gl_conjugator():
         mat = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
         while True:
             basis = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            if _det_mod(basis, p):
+            if _gf_inv(basis, p) is not None:
                 break
         conj = _gf_mul(_gf_mul(tuple(map(tuple, basis)), mat, p), _gf_inv(basis, p), p)
         t = gl_conjugator(mat, conj, p)
@@ -373,7 +398,7 @@ def test_conjugacy_complete_small(ptype):
             got = conjugacy(u1, u2, order_cap=exponent)
             want = _exhaustive_conjugate(units, u1, u2)
             assert (got is not None) == want
-            assert (psi_charpolys(u1) == psi_charpolys(u2)) == want
+            assert (psi(u1).charpolys() == psi(u2).charpolys()) == want
             if got is not None:
                 assert star_mul(got, u1) == star_mul(u2, got)
                 assert psi(got).blocks == _block_conjugators(u1, u2)
@@ -392,7 +417,7 @@ def test_conjugacy_complete_gl2_3_all_eligible_pairs():
             got = conjugacy(u1, u2, order_cap=exponent)
             want = _exhaustive_conjugate(units, u1, u2)
             assert (got is not None) == want
-            assert (psi_charpolys(u1) == psi_charpolys(u2)) == want
+            assert (psi(u1).charpolys() == psi(u2).charpolys()) == want
             if got is not None:
                 assert psi(got).blocks == _block_conjugators(u1, u2)
 

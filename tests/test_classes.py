@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +12,7 @@ from grpext.classes import (
     class_representatives,
     class_triples,
     count_classes,
-    representative_group_spec,
+    representative_group_specs,
 )
 
 
@@ -61,8 +64,8 @@ def test_representatives_have_order_dividing_four(r, i):
 
 
 def test_lift_correction_keeps_residue_action():
-    # at i = 2 the naive lift of the X+1 root has order 6; the correction must
-    # restore order dividing 4 while fixing the action mod 3
+    # at i = 2 the X+1 root 2 has order 6 mod 9; its lift 8 has order 2 and
+    # keeps the action mod 3
     reps1 = class_representatives(1, 1)
     reps2 = class_representatives(1, 2)
     for a, b in zip(reps1, reps2):
@@ -98,26 +101,40 @@ def test_brute_force_z7_m3():
 
 
 def test_representative_group_specs_load():
-    spec = representative_group_spec(2, 2, 0)
+    spec = representative_group_specs(2, 2)[0]
     G = blackbox.semidirect_group(spec)
     assert len(blackbox.closure(G, G.generators)) == 324
 
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_distinct_representatives_give_nonisomorphic_groups(r):
-    groups = [
-        blackbox.semidirect_group(representative_group_spec(r, 1, idx))
-        for idx in range(count_classes(r))
-    ]
+    groups = [blackbox.semidirect_group(spec) for spec in representative_group_specs(r, 1)]
     for a, b in itertools.combinations(range(len(groups)), 2):
         assert not iso.isomorphic(groups[a], groups[b]).is_isomorphic
 
 
 @pytest.mark.slow
 def test_distinct_representatives_nonisomorphic_r3():
-    groups = [
-        blackbox.semidirect_group(representative_group_spec(3, 1, idx))
-        for idx in range(count_classes(3))
-    ]
+    groups = [blackbox.semidirect_group(spec) for spec in representative_group_specs(3, 1)]
     for a, b in itertools.combinations(range(len(groups)), 2):
         assert not iso.isomorphic(groups[a], groups[b]).is_isomorphic
+
+
+LADDER_PATH = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+
+
+def test_benchmark_ladder_lifts_the_same_representatives():
+    # bench/ladder.py builds its class representatives with its own arithmetic;
+    # it is loaded by path and read only
+    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER_PATH)
+    ladder = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = ladder  # its dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(ladder)
+        for r in range(1, 5):
+            for i in range(1, 4):
+                reps = class_representatives(r, i)
+                for idx, rep in enumerate(reps):
+                    assert ladder.class_rep(r, i, idx).rows == rep.rows, (r, i, idx)
+    finally:
+        del sys.modules[spec.name]

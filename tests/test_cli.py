@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import re
 import time
 
 import pytest
 
-from grpext import autring
+from grpext import autring, blackbox, classes, iso
 from grpext.cli import main
 from grpext.errors import InvariantBreachError
 
@@ -156,6 +157,57 @@ def test_count_classes_emit_and_reload(tmp_path, capsys):
     assert len(files) == 2
     code, out, _ = run_cli(capsys, "standard-decomposition", str(files[0]))
     assert code == 0 and "group-order 12" in out
+
+
+R4_I1_SHA256 = [  # the emitted files of count-classes --r 4 --emit-reps 1
+    "0e289ee9854a2a6ef903f49be13979467399ede92eb743bf1dc7af393d3e8a84",
+    "5c2f698089ea827e4f65ac4b36d4c2be0cc28d0d8cd1df018133fda9f6b73019",
+    "c74348737239a17310016599e598475f8089779d5791f61b6ccce6859f809e44",
+    "5cd5bd2d4186b897c1e78de12c4e03b261ee8e2e126494508e89a285e812e923",
+    "2b6c66862d0b43b009fc6c9d98fecc3f69adca1a66c17c2eb476743593011af7",
+    "6f25336cc66b180cbb9877ae6d29d4a76e5850e8a74807cd33e887011d532ad3",
+    "7a6aee00f1210640f1c11e65f8451edd175bee93466408572a9ee83271044928",
+    "21120bafdace418fefe49a31cddb206e612ce2cb4f6d38efeb9cf30ea35b0e6d",
+    "c0e527ed77afc32e84ad6ef109e8a26cd29dc7e396f6860d649176c262354e7b",
+]
+
+
+def test_count_classes_emitted_files_are_pinned_at_i1(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "count-classes", "--r", "4", "--emit-reps", "1", "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    files = sorted(tmp_path.glob("*.grp"))
+    assert [f.name for f in files] == [f"rep_r4_i1_{idx:02d}.grp" for idx in range(9)]
+    assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in files] == R4_I1_SHA256
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_count_classes_emitted_representatives_at_i2(tmp_path, capsys, r):
+    code, _, _ = run_cli(
+        capsys, "count-classes", "--r", str(r), "--emit-reps", "2", "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    texts = [f.read_text() for f in sorted(tmp_path.glob("*.grp"))]
+    assert len(texts) == classes.count_classes(r)
+    groups = [blackbox.load_group(text) for text in texts]
+    for text, rep1 in zip(texts, classes.class_representatives(r, 1)):
+        (block,) = blackbox.parse_group_file(text).action.blocks
+        assert autring.star_pow(block, 4) == autring.identity_matrix(block.ptype)
+        assert autring.psi(block) == autring.psi(rep1.blocks[0])
+    for a, b in itertools.combinations(groups, 2):
+        assert not iso.isomorphic(a, b).is_isomorphic
+
+
+def test_count_classes_emits_r8_i2_within_two_seconds(tmp_path, capsys):
+    # the representatives are built once, not once per emitted file
+    started = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "count-classes", "--r", "8", "--emit-reps", "2", "--out-dir", str(tmp_path)
+    )
+    elapsed = time.perf_counter() - started
+    assert code == 0 and out.count("wrote ") == classes.count_classes(8) == 25
+    assert elapsed < 2.0
 
 
 def test_malformed_input_exits_nonzero(tmp_path, capsys):
