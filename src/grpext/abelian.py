@@ -263,8 +263,7 @@ def abelian_basis(
             rebuilt = _insert_p_element(G, p, partial, table, x, x_order)
             if rebuilt is not None:
                 partial, table = rebuilt, None
-        basis_pairs.extend(partial)
-    basis_pairs.sort(key=lambda pair: trial_factor(pair[1])[0])
+        basis_pairs.extend(partial)  # ascending by order, so by (p, e)
     return AbelianBasis(
         tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs)
     )

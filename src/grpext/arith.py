@@ -1,4 +1,4 @@
-"""Exact integer utilities: factorization, divisors, lcm, and the Smith normal form.
+"""Exact integer utilities: factorization, divisors and the Smith normal form.
 
 Everything here works on plain Python integers, so intermediate values may grow
 arbitrarily large without overflow. smith_normal_form also runs over any other
@@ -8,7 +8,6 @@ over F_p[x]).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -134,15 +133,6 @@ def divisors(n: int) -> list[int]:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     divs.sort()
     return divs
-
-
-def lcm_list(xs: Sequence[int]) -> int:
-    if not xs:
-        raise MalformedInputError("lcm of an empty list")
-    out = 1
-    for x in xs:
-        out = math.lcm(out, x)
-    return out
 
 
 def _int_unit(a: int):

@@ -202,11 +202,12 @@ class BlockDiagGF:
     def charpolys(self, k: int = 1) -> tuple[tuple[int, ...], ...]:
         """Characteristic polynomial of each block of this matrix raised to the power k.
 
-        For psi of units that pass require_coprime_order, conjugacy is None
-        exactly when these differ: a block whose order is coprime with p is
-        semisimple (its minimal polynomial divides x^n - 1, which has no
-        repeated roots over F_p), and semisimple matrices with equal
-        characteristic polynomials have equal RCF invariant factors.
+        For psi of units whose orders are coprime with p (the precondition
+        that conjugacy checks), conjugacy is None exactly when these differ:
+        a block whose order is coprime with p is semisimple (its minimal
+        polynomial divides x^n - 1, which has no repeated roots over F_p),
+        and semisimple matrices with equal characteristic polynomials have
+        equal RCF invariant factors.
         """
         p = self.p
         return tuple(charpoly(mat_pow(b, k, (p,) * len(b)), p) for b in self.blocks)
@@ -481,33 +482,15 @@ def matrix_order(u, cap: Optional[int] = None, *, multiple: Optional[int] = None
     return None
 
 
-def require_coprime_order(
-    u: AutMatrix, order_cap: Optional[int] = None, *, multiple: Optional[int] = None
-) -> int:
-    """The precondition of conjugacy on one input; returns the order of u.
-
-    u must be a unit whose order is coprime with p and either divides the
-    known multiple or is at most order_cap (see matrix_order).
-    """
-    if not is_in_R(u):
-        raise MalformedInputError("conjugacy inputs must be units")
-    order = matrix_order(u, order_cap, multiple=multiple)
-    if order is None:
-        if multiple is not None:
-            raise Condition3Error(f"matrix order does not divide {multiple}")
-        raise Condition3Error(f"matrix order exceeds cap {order_cap}")
-    if order % u.ptype.p == 0:
-        raise Condition3Error(f"matrix order {order} is not coprime with p={u.ptype.p}")
-    return order
-
-
 def conjugacy(
     u1: AutMatrix, u2: AutMatrix, order_cap: Optional[int] = None, *, multiple: Optional[int] = None
 ) -> Optional[AutMatrix]:
     """Solve U * u1 = u2 * U for U in the unit group, or report None.
 
-    Requires both input orders to be coprime with p and to divide the known
-    multiple, or to be at most order_cap when no multiple is known. The psi
+    This is where its precondition is checked: both inputs must be units
+    (MalformedInputError otherwise) whose orders are coprime with p and divide
+    the known multiple, or are at most order_cap when no multiple is known
+    (Condition3Error otherwise; see matrix_order). The psi
     blocks are conjugated over F_p by gl_conjugator; their block lift X is
     then averaged over the cyclic group, Y = n^{-1} sum_{i<n} u2^{-i} X u1^i
     with n = lcm of the two orders (a unit mod p), which gives Y u1 = u2 Y and
@@ -518,7 +501,19 @@ def conjugacy(
         raise MalformedInputError("conjugacy requires matching types")
     ptype = u1.ptype
     p, s = ptype.p, ptype.s
-    n = math.lcm(*(require_coprime_order(u, order_cap, multiple=multiple) for u in (u1, u2)))
+    orders = []
+    for u in (u1, u2):
+        if not is_in_R(u):
+            raise MalformedInputError("conjugacy inputs must be units")
+        order = matrix_order(u, order_cap, multiple=multiple)
+        if order is None:
+            if multiple is not None:
+                raise Condition3Error(f"matrix order does not divide {multiple}")
+            raise Condition3Error(f"matrix order exceeds cap {order_cap}")
+        if order % p == 0:
+            raise Condition3Error(f"matrix order {order} is not coprime with p={p}")
+        orders.append(order)
+    n = math.lcm(*orders)
 
     conjugators = []
     for b1, b2 in zip(psi(u1).blocks, psi(u2).blocks):
@@ -650,10 +645,6 @@ def blocks_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> AutBlo
 
 def blocks_pow(a: AutBlocks, n: int) -> AutBlocks:
     return AutBlocks(tuple(star_pow(x, n) for x in a.blocks))
-
-
-def blocks_is_identity(a: AutBlocks) -> bool:
-    return all(b == identity_matrix(b.ptype) for b in a.blocks)
 
 
 def apply_blocks(a: AutBlocks, vec: Sequence[int]) -> tuple[int, ...]:

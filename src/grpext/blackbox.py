@@ -44,8 +44,8 @@ class GroupHandle:
         generators: Sequence[ElementCode],
         mul: Callable[[ElementCode, ElementCode], ElementCode],
         inv: Callable[[ElementCode], ElementCode],
+        parse_element: Callable[[str], ElementCode],
         name: str = "group",
-        parse_element: Optional[Callable[[str], ElementCode]] = None,
         format_element: Optional[Callable[[ElementCode], str]] = None,
     ):
         self.identity = identity
@@ -54,12 +54,8 @@ class GroupHandle:
         self._mul = mul
         self._inv = inv
         self._ticks = itertools.count()
-        self.parse_element = parse_element or self._parse_raw
+        self.parse_element = parse_element
         self.format_element = format_element or self._format_raw
-
-    @staticmethod
-    def _parse_raw(text: str) -> ElementCode:
-        return text.encode("ascii")
 
     @staticmethod
     def _format_raw(code: ElementCode) -> str:
@@ -588,9 +584,6 @@ def parse_group_file(text: str):
             if len(row) != s:
                 raise MalformedInputError(f"action rows must have {s} entries")
             rows.append(row)
-        for i in range(s):
-            if any(not 0 <= x < qs[i] for x in rows[i]):
-                raise MalformedInputError(f"action row {i + 1} has out-of-range entries")
         gens = []
         for ln in body[2 + s :]:
             parts = ln.split()

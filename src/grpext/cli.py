@@ -158,9 +158,9 @@ def cmd_count_classes(args) -> int:
     for t in triples:
         lines.append(f"triple {t.k1} {t.k2} {t.k3}")
     if args.emit_reps is not None:
+        specs = classes.representative_group_specs(args.r, args.emit_reps)  # validates i
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        specs = classes.representative_group_specs(args.r, args.emit_reps)
         for idx, (triple, spec) in enumerate(zip(triples, specs)):
             name = f"rep_r{args.r}_i{args.emit_reps}_{idx:02d}.grp"
             text = blackbox.format_semidirect_file(

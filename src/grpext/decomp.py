@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import AbelianBasis, DecompositionTable, abelian_basis, check_commuting, element_order
-from .arith import divisors, lcm_list, trial_factor
+from .arith import divisors, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
 from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotInClassError
 
@@ -113,12 +113,13 @@ def group_context(G: GroupHandle) -> GroupContext:
 
 @dataclass(frozen=True)
 class CandidateDecomposition:
-    """Output of one finder run: generators of the abelian part plus z."""
+    """Output of one finder run: z of order m and a basis of the abelian part A_m.
+
+    |A_m| is a_basis.group_order; every element order of A_m is coprime with m.
+    """
 
     m: int
-    gens: tuple[ElementCode, ...]
     z: ElementCode
-    a_order: int
     a_basis: AbelianBasis
 
 
@@ -194,14 +195,7 @@ def find_decomposition(
         if math.gcd(n, m) != 1:
             raise DecompositionFailed(m, "generator power order shares a factor with m")
 
-    basis = abelian_basis(combined, G, orders=x_orders + h_orders)
-    return CandidateDecomposition(
-        m=m,
-        gens=tuple(combined),
-        z=z,
-        a_order=basis.group_order,
-        a_basis=basis,
-    )
+    return CandidateDecomposition(m, z, abelian_basis(combined, G, orders=x_orders + h_orders))
 
 
 def standard_decomposition_with_attempts(
@@ -213,33 +207,24 @@ def standard_decomposition_with_attempts(
     is a coprime cyclic extension of an abelian group; the smallest m reaching
     it is the group invariant gamma.
     """
-    gens = G.generators
-    if not gens:
-        trivial = AbelianBasis((), ())
-        return (
-            StandardDecomposition(1, trivial, G.identity),
-            [DecompositionAttempt(1, None, 1)],
-        )
     context = group_context(G)
-    m_bar = lcm_list(context.gen_orders)
     attempts: list[DecompositionAttempt] = []
-    candidates: dict[int, CandidateDecomposition] = {}
-    for m in divisors(m_bar):
+    candidates: list[CandidateDecomposition] = []
+    for m in divisors(math.lcm(*context.gen_orders)):  # lcm() is 1: the trivial group
         try:
             cand = find_decomposition(G, m, context)
         except DecompositionFailed as exc:
             attempts.append(DecompositionAttempt(m, exc.reason, None))
             continue
-        candidates[m] = cand
-        attempts.append(DecompositionAttempt(m, None, m * cand.a_order))
+        candidates.append(cand)
+        attempts.append(DecompositionAttempt(m, None, m * cand.a_basis.group_order))
     if not candidates:
         raise NotInClassError(
             "no divisor admits a decomposition; the group is outside the scope class"
         )
-    n = max(m * c.a_order for m, c in candidates.items())
-    gamma = min(m for m, c in candidates.items() if m * c.a_order == n)
-    chosen = candidates[gamma]
-    return StandardDecomposition(gamma, chosen.a_basis, chosen.z), attempts
+    # max keeps the first maximum, so over ascending m the least m reaching it
+    chosen = max(candidates, key=lambda c: c.m * c.a_basis.group_order)
+    return StandardDecomposition(chosen.m, chosen.a_basis, chosen.z), attempts
 
 
 def standard_decomposition(G: GroupHandle) -> StandardDecomposition:

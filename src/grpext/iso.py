@@ -37,14 +37,6 @@ EXHAUSTIVE_LIMIT = 1024  # group elements, so at most ~10^6 pairs are checked
 
 
 @dataclass(frozen=True)
-class ConjugationAction:
-    """Blockwise matrix of conjugation by y on the abelian part's basis."""
-
-    blocks: autring.AutBlocks
-    decomposition: StandardDecomposition
-
-
-@dataclass(frozen=True)
 class IsomorphismWitness:
     k: int
     psi_blocks: autring.AutBlocks
@@ -61,8 +53,13 @@ class IsoResult:
     failed_condition: Optional[str]
 
 
-def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> ConjugationAction:
-    """Column i holds the decomposition of y g_i y^{-1} over the basis."""
+def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> autring.AutBlocks:
+    """Blockwise matrix of conjugation by y on the basis of A, proved a unit with M^gamma = 1.
+
+    Column i holds the decomposition of y g_i y^{-1} over the basis. This is
+    the one place the action facts are checked: blocks_from_rows proves each
+    block a unit, and M^gamma = 1 is checked here.
+    """
     basis = sd.a_basis
     s = len(basis.elements)
     y = sd.y
@@ -82,19 +79,20 @@ def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> Conjugation
         action = autring.blocks_from_rows(basis.orders, rows)
     except MalformedInputError as exc:
         raise InvariantBreachError(f"conjugation action is not an automorphism: {exc}") from None
-    if not autring.blocks_is_identity(autring.blocks_pow(action, sd.gamma)):
+    if autring.blocks_pow(action, sd.gamma) != autring.blocks_pow(action, 0):
         raise InvariantBreachError("conjugation action order does not divide gamma")
-    return ConjugationAction(action, sd)
+    return action
 
 
 def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     """Full pipeline: decompose both groups, compare, search the power k.
 
-    The action blocks are checked once against the conjugacy precondition:
-    M2^k has the order of M2 for every k coprime with gamma. conjugation_action
-    has proved M^gamma = 1, so each block's order is found from the divisors
-    of gamma (matrix_order with multiple gamma), not by walking its powers.
-    That order is coprime with p, so every psi-block of M1 and of M2^k is
+    The conjugacy precondition holds by construction, so it is not checked
+    again before the search: conjugation_action has proved each block a unit
+    with M^gamma = 1, and find_decomposition accepts only an A whose element
+    orders are coprime with gamma, so p does not divide gamma for any prime p
+    of |A|. Each block's order divides gamma and is coprime with its p, and so
+    is that of M2^k. Every psi-block of M1 and of M2^k is therefore
     semisimple and the characteristic polynomials decide its conjugacy class.
     psi is multiplicative on units, so psi(M2) is taken once and, for each k
     in ascending order, its F_p blocks are raised to the power k and their
@@ -109,10 +107,8 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     if sd1.a_basis.orders != sd2.a_basis.orders:
         return IsoResult(False, None, ABELIAN_MISMATCH)
     gamma = sd1.gamma
-    m1 = conjugation_action(G, sd1).blocks
-    m2 = conjugation_action(H, sd2).blocks
-    for block in m1.blocks + m2.blocks:
-        autring.require_coprime_order(block, multiple=gamma)
+    m1 = conjugation_action(G, sd1)
+    m2 = conjugation_action(H, sd2)
     targets = [autring.psi(b).charpolys() for b in m1.blocks]
     psi2 = [autring.psi(b) for b in m2.blocks]
     for k in range(1, gamma + 1):

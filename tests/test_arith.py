@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpext.arith import divisors, is_prime, lcm_list, smith_normal_form, trial_factor
+from grpext.arith import divisors, is_prime, smith_normal_form, trial_factor
 from grpext.errors import MalformedInputError
 
 
@@ -43,16 +43,6 @@ def test_factorization_exhaustive_small():
 )
 def test_divisors_examples(n, expected):
     assert divisors(n) == expected
-
-
-@pytest.mark.parametrize("xs,expected", [([2, 3], 6), ([4, 6], 12), ([7, 3, 21], 21)])
-def test_lcm_examples(xs, expected):
-    assert lcm_list(xs) == expected
-
-
-def test_lcm_rejects_empty():
-    with pytest.raises(MalformedInputError):
-        lcm_list([])
 
 
 def _det(rows):

@@ -410,7 +410,7 @@ def test_large_a_entry_parse_is_bounded(q, accepted):
         ("semidirect\nA 3\nm 3\n1\n", "gcd"),  # shared prime
         ("semidirect\nA 3\nm 2\n0\n", "invertible"),  # singular action
         ("semidirect\nA 7\nm 3\n3\n", "order"),  # 3 has order 6 mod 7, not | 3
-        ("semidirect\nA 3 3\nm 2\n0 3\n1 0\n", "out-of-range"),  # entry 3 >= 3
+        ("semidirect\nA 3 3\nm 2\n0 3\n1 0\n", "outside"),  # entry 3 >= 3
         ("semidirect\nA 9 3\nm 2\n8 0\n0 2\n", "ascending"),  # 9 before 3
         ("semidirect\nA 2 3\nm 5\n1 1\n0 1\n", "couples"),  # entry between primes 2 and 3
         ("table 2\n0 1\n1 2\n", "row"),  # entry out of range

@@ -57,6 +57,25 @@ def test_mu_table_over_the_memory_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert re.fullmatch(r"error decomposition table of 15129 exceeds \d+\n", err)
 
 
+def test_trivial_group_goes_through_the_sweep(tmp_path, capsys):
+    path = tmp_path / "g.grp"
+    path.write_text("table 1\n0\n")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    code, out, _ = run_cli(capsys, "standard-decomposition", str(path))
+    assert code == 0
+    assert strip_wall_time(out) == (
+        f"command standard-decomposition\ninput sha256:{digest}\ngamma 1\nabelian-order 1\n"
+        "abelian-type -\ngroup-order 1\ny 0\nattempt 1 ok 1\noracle-calls 0\nwall-time-ms X\n"
+    )
+    code, out, _ = run_cli(capsys, "isomorphic", str(path), str(path), "--verify", "exhaustive")
+    assert code == 0
+    assert strip_wall_time(out) == (
+        f"command isomorphic\ninput-g sha256:{digest}\ninput-h sha256:{digest}\nverdict yes\n"
+        "gamma 1\nk 1\npsi-block trivial\nmu-check exhaustive pass\noracle-calls-g 3\n"
+        "oracle-calls-h 2\nwall-time-ms X\n"
+    )
+
+
 def test_order_identity_is_one(tmp_path, capsys):
     path = tmp_path / "g.grp"
     path.write_text("table 6\n" + "\n".join(
@@ -157,6 +176,16 @@ def test_count_classes_emit_and_reload(tmp_path, capsys):
     assert len(files) == 2
     code, out, _ = run_cli(capsys, "standard-decomposition", str(files[0]))
     assert code == 0 and "group-order 12" in out
+
+
+def test_count_classes_bad_exponent_creates_no_directory(tmp_path, capsys):
+    out_dir = tmp_path / "D"
+    code, _, err = run_cli(
+        capsys, "count-classes", "--r", "2", "--emit-reps", "0", "--out-dir", str(out_dir)
+    )
+    assert code == 2
+    assert "error i must be >= 1" in err.splitlines()
+    assert not out_dir.exists()
 
 
 R4_I1_SHA256 = [  # the emitted files of count-classes --r 4 --emit-reps 1

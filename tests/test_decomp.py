@@ -15,7 +15,7 @@ from corpus import (
     semidirect,
 )
 from grpext import decomp
-from grpext.arith import divisors, lcm_list
+from grpext.arith import divisors
 from grpext.blackbox import closure, commutator_generators, table_group, TableGroupSpec
 from grpext.decomp import (
     find_decomposition,
@@ -37,23 +37,23 @@ def test_find_decomposition_abelian_m1():
     G = semidirect((8, 9), 1, IDENT2)
     cand = find_decomposition(G, 1)
     assert cand.z == G.identity
-    assert cand.a_order == 72
-    assert set(closure(G, cand.gens)) == set(closure(G, G.generators))
+    assert cand.a_basis.group_order == 72
+    assert set(closure(G, cand.a_basis.elements)) == set(closure(G, G.generators))
 
 
 def test_find_decomposition_order21_m3():
     G = build("G21a")
     cand = find_decomposition(G, 3)
     assert naive_order(G, cand.z) == 3
-    assert cand.a_order == 7
-    part = closure(G, cand.gens)
+    assert cand.a_basis.group_order == 7
+    part = closure(G, cand.a_basis.elements)
     assert len(part) == 7
     # conditions: abelian, coprime, and the parts together give the group
     for a in part:
         for b in part:
             assert G.mul(a, b) == G.mul(b, a)
     assert math.gcd(len(part), 3) == 1
-    assert len(closure(G, list(cand.gens) + [cand.z])) == 21
+    assert len(closure(G, list(cand.a_basis.elements) + [cand.z])) == 21
 
 
 def test_find_decomposition_order21_failures():
@@ -157,9 +157,9 @@ def test_success_on_proper_subgroup_is_filtered_by_the_sweep():
     # must discard it in favor of m = 1.
     G = semidirect((2, 2), 1, IDENT2)
     cand = find_decomposition(G, 2)
-    assert cand.a_order == 1
+    assert cand.a_basis.group_order == 1
     assert naive_order(G, cand.z) == 2
-    assert len(closure(G, list(cand.gens) + [cand.z])) == 2  # proper subgroup
+    assert len(closure(G, list(cand.a_basis.elements) + [cand.z])) == 2  # proper subgroup
     sd, attempts = standard_decomposition_with_attempts(G)
     assert sd.gamma == 1
     products = {a.m: a.product for a in attempts if a.error is None}
@@ -205,7 +205,7 @@ def _finder_alone(G, m):
         cand = find_decomposition(G, m)
     except DecompositionFailed as exc:
         return (m, exc.reason, None), None
-    return (m, None, m * cand.a_order), cand
+    return (m, None, m * cand.a_basis.group_order), cand
 
 
 @pytest.mark.parametrize("name", corpus_names() + ["A1009"])
@@ -214,7 +214,7 @@ def test_sweep_matches_finder_run_alone(name):
     # builds its own and must give the same outcome, reason and product
     G = a1009() if name == "A1009" else build(name)
     sd, attempts = standard_decomposition_with_attempts(G)
-    ms = divisors(lcm_list([naive_order(G, g) for g in G.generators]))
+    ms = divisors(math.lcm(*(naive_order(G, g) for g in G.generators)))
     alone = {m: _finder_alone(G, m) for m in ms}
     assert [(a.m, a.error, a.product) for a in attempts] == [alone[m][0] for m in ms]
     chosen = alone[sd.gamma][1]

@@ -37,17 +37,17 @@ def test_conjugation_action_abelian_is_identity():
     G = semidirect((8, 9), 1, IDENT2)
     sd = standard_decomposition(G)
     action = conjugation_action(G, sd)
-    for block in action.blocks.blocks:
+    for block in action.blocks:
         assert block == autring.identity_matrix(block.ptype)
 
 
 def test_conjugation_action_order21_groups():
     G = build("G21a")
     action = conjugation_action(G, standard_decomposition(G))
-    assert [b.rows for b in action.blocks.blocks] == [((2,),)]
+    assert [b.rows for b in action.blocks] == [((2,),)]
     H = build("G21b")
     action = conjugation_action(H, standard_decomposition(H))
-    assert [b.rows for b in action.blocks.blocks] == [((4,),)]  # x -> x^{-3} = x^4
+    assert [b.rows for b in action.blocks] == [((4,),)]  # x -> x^{-3} = x^4
 
 
 def test_isomorphic_to_itself():
@@ -96,8 +96,8 @@ def test_witness_satisfies_matrix_condition():
     G, H = build("Z7xZ6_a"), build("Z7xZ6_b")
     result = isomorphic(G, H)
     assert result.is_isomorphic
-    m1 = conjugation_action(G, result.witness.source).blocks
-    m2 = conjugation_action(H, result.witness.target).blocks
+    m1 = conjugation_action(G, result.witness.source)
+    m2 = conjugation_action(H, result.witness.target)
     m2k = autring.blocks_pow(m2, result.witness.k)
     for x, b1, b2 in zip(result.witness.psi_blocks.blocks, m1.blocks, m2k.blocks):
         assert autring.star_mul(x, b1) == autring.star_mul(b2, x)
@@ -234,8 +234,8 @@ def _per_k_conjugacy_search(G, H):
     """Reference k-search: conjugacy on every block for each k coprime with gamma."""
     sd1, sd2 = standard_decomposition(G), standard_decomposition(H)
     gamma = sd1.gamma
-    m1 = conjugation_action(G, sd1).blocks
-    m2 = conjugation_action(H, sd2).blocks
+    m1 = conjugation_action(G, sd1)
+    m2 = conjugation_action(H, sd2)
     for k in range(1, gamma + 1):
         if math.gcd(k, gamma) != 1:
             continue
@@ -303,7 +303,7 @@ KSCAN_PAIRS = [((211,), 210, 2, 106), ((1009,), 1008, 11, 367), ((1009,), 1008, 
 def test_action_block_orders_from_gamma_match_the_walk(qs, m, a, b):
     for G in (semidirect(qs, m, [[a]]), semidirect(qs, m, [[b]])):
         sd = standard_decomposition(G)
-        for block in conjugation_action(G, sd).blocks.blocks:
+        for block in conjugation_action(G, sd).blocks:
             walked = autring.matrix_order(block, sd.gamma)
             assert autring.matrix_order(block, multiple=sd.gamma) == walked
 
@@ -337,15 +337,15 @@ def test_a1009_decision_finds_orders_from_gamma(monkeypatch):
     assert counts["star_mul"] + counts["order_products"] <= 500
 
 
-def _count_rcf_calls(monkeypatch):
-    """rcf calls made inside conjugacy and elsewhere."""
+def _count_calls_by_conjugacy(monkeypatch, name):
+    """Calls of autring.<name> made inside conjugacy and elsewhere."""
     counts = {"in_conjugacy": 0, "elsewhere": 0}
     inside = []
-    real_rcf, real_conjugacy = autring.rcf, autring.conjugacy
+    real, real_conjugacy = getattr(autring, name), autring.conjugacy
 
-    def rcf(*args):
+    def counted(*args, **kwargs):
         counts["in_conjugacy" if inside else "elsewhere"] += 1
-        return real_rcf(*args)
+        return real(*args, **kwargs)
 
     def conjugacy(*args, **kwargs):
         inside.append(args)
@@ -354,24 +354,40 @@ def _count_rcf_calls(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(autring, "rcf", rcf)
+    monkeypatch.setattr(autring, name, counted)
     monkeypatch.setattr(autring, "conjugacy", conjugacy)
     return counts
 
 
 def test_a1009_k_search_runs_no_rcf(monkeypatch):
     # all 288 units mod 1008 are tried by characteristic polynomials alone
-    counts = _count_rcf_calls(monkeypatch)
+    counts = _count_calls_by_conjugacy(monkeypatch, "rcf")
     result = isomorphic(semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[121]]))
     assert result.failed_condition == NO_CONJUGATING_K
     assert counts == {"in_conjugacy": 0, "elsewhere": 0}
 
 
 def test_a1009_rcf_runs_only_to_build_the_conjugator(monkeypatch):
-    counts = _count_rcf_calls(monkeypatch)
+    counts = _count_calls_by_conjugacy(monkeypatch, "rcf")
     result = isomorphic(semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[367]]))
     assert result.witness.k == 1007
     assert counts == {"in_conjugacy": 2 * len(result.witness.psi_blocks.blocks), "elsewhere": 0}
+
+
+# (G, H, matrix_order calls): two per conjugacy call, one conjugacy call per block of the found k
+PROVED_ONCE_PAIRS = [
+    (semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[121]]), 0),  # no k
+    (semidirect((25, 31, 31), 3, [[1, 0, 0], [0, 5, 0], [0, 0, 25]]),
+     semidirect((25, 31, 31), 3, [[1, 0, 0], [0, 25, 0], [0, 0, 5]]), 4),  # k = 1, two blocks
+]
+
+
+@pytest.mark.parametrize("G,H,calls", PROVED_ONCE_PAIRS, ids=["a1009-no", "a25-31-31"])
+def test_decision_finds_block_orders_only_inside_conjugacy(monkeypatch, G, H, calls):
+    # conjugation_action proves the action facts once; conjugacy alone checks its precondition
+    counts = _count_calls_by_conjugacy(monkeypatch, "matrix_order")
+    isomorphic(G, H)
+    assert counts == {"in_conjugacy": calls, "elsewhere": 0}
 
 
 def _count_conjugacy_calls(monkeypatch):
