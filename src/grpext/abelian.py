@@ -50,10 +50,12 @@ class AbelianBasis:
         return math.prod(self.orders) if self.orders else 1
 
 
-# Peak bytes per entry beyond the code: the worst tracemalloc peak per entry of
-# builds of 32 to 131 072 entries on CPython 3.11 (a dict resize holds both tables).
-BABY_ENTRY_BYTES = 105
-TABLE_ENTRY_BYTES = 202  # plus 8 per digit
+# Peak bytes per entry, its int code included: the worst tracemalloc peak per
+# entry of builds of 32 to 131 072 entries on CPython 3.11 (a dict resize holds
+# both tables), with codes in [2^61, 2^90), which take 36 bytes; every 30 bits
+# more add 4 bytes per code.
+BABY_ENTRY_BYTES = 112
+TABLE_ENTRY_BYTES = 209  # plus 8 per digit
 
 
 def _max_table_entries(entry_bytes: int) -> int:
@@ -67,7 +69,7 @@ def element_order(G: GroupHandle, g: ElementCode) -> int:
     """Smallest n >= 1 with g^n = identity, in O(sqrt(n) log n) oracle calls."""
     if g == G.identity:
         return 1
-    cap = _max_table_entries(len(g) + BABY_ENTRY_BYTES)
+    cap = _max_table_entries(BABY_ENTRY_BYTES)
     baby: dict[ElementCode, int] = {G.identity: 0}
     cur = g  # g^j for j = len(baby)
     j = 1
@@ -120,7 +122,7 @@ class DecompositionTable:
         self.radii = [math.isqrt(q - 1) + 1 for q in self.orders]
         self.b_counts = [-(-q // r) for q, r in zip(self.orders, self.radii)]
         table_size = math.prod(self.radii)
-        cap = _max_table_entries(len(G.identity) + TABLE_ENTRY_BYTES + 8 * len(self.orders))
+        cap = _max_table_entries(TABLE_ENTRY_BYTES + 8 * len(self.orders))
         if table_size > cap:
             raise MemoryBudgetError(f"decomposition table of {table_size} exceeds {cap}")
         table: dict[ElementCode, tuple[int, ...]] = {G.identity: ()}

@@ -5,14 +5,14 @@ A group handle exposes a generator list, an identity code, and two oracles
 in the package only ever touch groups through this surface; the concrete
 backends (multiplication table, cyclic, semidirect product) live here.
 
-Element codes are `bytes` of one fixed width per group, so that sorting codes
-is deterministic. Table and cyclic codes are the zero-padded ASCII index.
-A semidirect code is the big-endian integer of (a_1, ..., a_s, j) in mixed
-radix (q_1, ..., q_s, m); its byte order is the order of the (a, j) tuples.
-The text form of an element exists only at the edges: `parse_element` reads
-it and `format_element` writes it. The semidirect backend's action matrix is
-an autring.AutBlocks; its arithmetic and its split into prime blocks live in
-autring.
+An element code is an int in [0, |G|) and the identity is 0. Table and cyclic
+codes are the element's index. A semidirect code is the integer of
+(a_1, ..., a_s, j) in mixed radix (q_1, ..., q_s, m), so codes sort like the
+(a, j) tuples. Every oracle rejects any other value, bools included, with
+MalformedInputError. The text form of an element exists only at the edges:
+`parse_element` reads it and `format_element` writes it. The semidirect
+backend's action matrix is an autring.AutBlocks; its arithmetic and its split
+into prime blocks live in autring.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from . import autring
 from .errors import MalformedInputError
 
-ElementCode = bytes
+ElementCode = int
 
 
 class GroupHandle:
@@ -45,8 +45,8 @@ class GroupHandle:
         mul: Callable[[ElementCode, ElementCode], ElementCode],
         inv: Callable[[ElementCode], ElementCode],
         parse_element: Callable[[str], ElementCode],
+        format_element: Callable[[ElementCode], str],
         name: str = "group",
-        format_element: Optional[Callable[[ElementCode], str]] = None,
     ):
         self.identity = identity
         self.generators = list(generators)
@@ -55,11 +55,7 @@ class GroupHandle:
         self._inv = inv
         self._ticks = itertools.count()
         self.parse_element = parse_element
-        self.format_element = format_element or self._format_raw
-
-    @staticmethod
-    def _format_raw(code: ElementCode) -> str:
-        return code.decode("ascii")
+        self.format_element = format_element
 
     def mul(self, a: ElementCode, b: ElementCode) -> ElementCode:
         next(self._ticks)
@@ -204,67 +200,14 @@ def validate_table_spec(spec: TableGroupSpec) -> None:
                 raise MalformedInputError(f"associativity fails at ({a},{g},{b})")
 
 
-def table_group(spec: TableGroupSpec, name: str = "table") -> GroupHandle:
-    n = spec.n
+def _index_codes(n: int):
+    """decode, parse_element and format_element of the codes 0..n-1 (table and cyclic)."""
     width = len(str(n - 1))
-    codes = [str(i).zfill(width).encode("ascii") for i in range(n)]
-    index = {c: i for i, c in enumerate(codes)}
-    table = spec.table
-    inverse = [row.index(0) for row in table]
 
     def decode(code: ElementCode) -> int:
-        i = index.get(code)
-        if i is None:
+        if type(code) is not int or not 0 <= code < n:
             raise MalformedInputError(f"unknown element code {code!r}")
-        return i
-
-    def mul(a: ElementCode, b: ElementCode) -> ElementCode:
-        return codes[table[decode(a)][decode(b)]]
-
-    def inv(a: ElementCode) -> ElementCode:
-        return codes[inverse[decode(a)]]
-
-    def parse_element(text: str) -> ElementCode:
-        try:
-            i = int(text)
-        except ValueError:
-            raise MalformedInputError(f"bad table element {text!r}") from None
-        if not 0 <= i < n:
-            raise MalformedInputError(f"element index {i} out of range")
-        return codes[i]
-
-    return GroupHandle(
-        codes[0],
-        [codes[g] for g in spec.generators],
-        mul,
-        inv,
-        name=name,
-        parse_element=parse_element,
-    )
-
-
-def cyclic_group(n: int, name: Optional[str] = None) -> GroupHandle:
-    """Z_n with table-style index codes but a computed law (usable at any n)."""
-    if n < 1:
-        raise MalformedInputError("cyclic group order must be >= 1")
-    width = len(str(n - 1)) if n > 1 else 1
-
-    def encode(i: int) -> ElementCode:
-        return str(i).zfill(width).encode("ascii")
-
-    def decode(code: ElementCode) -> int:
-        if len(code) != width or not code.isdigit():
-            raise MalformedInputError(f"unknown element code {code!r}")
-        i = int(code)
-        if i >= n:
-            raise MalformedInputError(f"unknown element code {code!r}")
-        return i
-
-    def mul(a: ElementCode, b: ElementCode) -> ElementCode:
-        return encode((decode(a) + decode(b)) % n)
-
-    def inv(a: ElementCode) -> ElementCode:
-        return encode(-decode(a) % n)
+        return code
 
     def parse_element(text: str) -> ElementCode:
         try:
@@ -273,10 +216,42 @@ def cyclic_group(n: int, name: Optional[str] = None) -> GroupHandle:
             raise MalformedInputError(f"bad element {text!r}") from None
         if not 0 <= i < n:
             raise MalformedInputError(f"element index {i} out of range")
-        return encode(i)
+        return i
 
-    gens = [] if n == 1 else [encode(1)]
-    return GroupHandle(encode(0), gens, mul, inv, name=name or f"Z{n}", parse_element=parse_element)
+    def format_element(code: ElementCode) -> str:
+        return str(decode(code)).zfill(width)
+
+    return decode, parse_element, format_element
+
+
+def table_group(spec: TableGroupSpec, name: str = "table") -> GroupHandle:
+    table = spec.table
+    inverse = [row.index(0) for row in table]
+    decode, parse_element, format_element = _index_codes(spec.n)
+
+    def mul(a: ElementCode, b: ElementCode) -> ElementCode:
+        return table[decode(a)][decode(b)]
+
+    def inv(a: ElementCode) -> ElementCode:
+        return inverse[decode(a)]
+
+    return GroupHandle(0, spec.generators, mul, inv, parse_element, format_element, name=name)
+
+
+def cyclic_group(n: int, name: Optional[str] = None) -> GroupHandle:
+    """Z_n with table-style index codes but a computed law (usable at any n)."""
+    if n < 1:
+        raise MalformedInputError("cyclic group order must be >= 1")
+    decode, parse_element, format_element = _index_codes(n)
+
+    def mul(a: ElementCode, b: ElementCode) -> ElementCode:
+        return (decode(a) + decode(b)) % n
+
+    def inv(a: ElementCode) -> ElementCode:
+        return -decode(a) % n
+
+    gens = [] if n == 1 else [1]
+    return GroupHandle(0, gens, mul, inv, parse_element, format_element, name=name or f"Z{n}")
 
 
 # --- Semidirect-product backend ----------------------------------------------
@@ -291,9 +266,9 @@ class SemidirectGroupSpec:
     Elements are pairs (a, j) with a an exponent tuple reduced per coordinate
     and j in {0, ..., m-1}; (a, j) * (b, j') = (a + M^j b, j + j' mod m).
     The group's element code of (a, j) is the integer
-    ((a_1 q_2 + a_2) q_3 + ... + a_s) m + j as fixed-width big-endian bytes,
-    so codes sort like the (a, j) tuples; its text form is `a_1,...,a_s;j`
-    with each field zero-padded to the width of its largest value.
+    ((a_1 q_2 + a_2) q_3 + ... + a_s) m + j, so codes sort like the (a, j)
+    tuples; its text form is `a_1,...,a_s;j` with each field zero-padded to
+    the width of its largest value.
     Construction checks m, gcd(|A|, m), that the action's moduli are qs, the
     action's order, the generator ranges and that the generators generate the
     group; autring.blocks_from_rows builds a valid action from a full matrix.
@@ -319,11 +294,14 @@ class SemidirectGroupSpec:
             raise MalformedInputError("action order does not divide m")
         if self.generators is None:
             return
-        s = len(qs)
         for a, j in self.generators:
-            if len(a) != s or any(not 0 <= a[i] < qs[i] for i in range(s)) or not 0 <= j < m:
+            if not self.in_range(a, j):
                 raise MalformedInputError(f"generator {(a, j)} out of range")
         _require_generation(self)
+
+    def in_range(self, a: Sequence[int], j: int) -> bool:
+        """Whether (a, j) is an element: s entries with 0 <= a_i < q_i, and 0 <= j < m."""
+        return len(a) == len(self.qs) and all(0 <= x < q for x, q in zip(a, self.qs)) and 0 <= j < self.m
 
     @cached_property
     def action_period(self) -> Optional[int]:
@@ -433,12 +411,11 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
 
 
 def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> GroupHandle:
-    """Oracles on the packed codes of SemidirectGroupSpec; M^j is computed lazily."""
+    """Oracles on the integer codes of SemidirectGroupSpec; M^j is computed lazily."""
     qs = spec.qs
     m = spec.m
     s = len(qs)
     order = math.prod(qs) * m
-    width = max(1, ((order - 1).bit_length() + 7) // 8)
     powers = _ActionPowers(spec)
     period = powers.period
     radices = tuple(reversed(qs))
@@ -449,15 +426,12 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         n = 0
         for q, x in zip(qs, a):
             n = n * q + x
-        return (n * m + j).to_bytes(width, "big")
+        return n * m + j
 
     def decode(code: ElementCode) -> tuple[list[int], int]:
-        if type(code) is not bytes or len(code) != width:
+        if type(code) is not int or not 0 <= code < order:
             raise MalformedInputError(f"unknown element code {code!r}")
-        n = int.from_bytes(code, "big")
-        if n >= order:
-            raise MalformedInputError(f"unknown element code {code!r}")
-        n, j = divmod(n, m)
+        n, j = divmod(code, m)
         a = []
         for q in radices:
             n, x = divmod(n, q)
@@ -471,15 +445,14 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         n = 0
         for q, row, u in zip(qs, powers[j % period], a):
             n = n * q + (u + sum(map(operator.mul, row, b))) % q
-        return (n * m + (j + k) % m).to_bytes(width, "big")
+        return n * m + (j + k) % m
 
     def inv(x: ElementCode) -> ElementCode:
         a, j = decode(x)
-        k = -j % m
         n = 0
         for q, row in zip(qs, powers[-j % period]):
             n = n * q + -sum(map(operator.mul, row, a)) % q
-        return (n * m + k).to_bytes(width, "big")
+        return n * m + -j % m
 
     if spec.generators is not None:
         gens = [encode(a, j) for a, j in spec.generators]
@@ -495,7 +468,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
             j = int(jpart)
         except ValueError:
             raise MalformedInputError(f"bad element {text!r}; want a1,...,as;j") from None
-        if len(a) != s or any(not 0 <= a[i] < qs[i] for i in range(s)) or not 0 <= j < m:
+        if not spec.in_range(a, j):
             raise MalformedInputError(f"element {text!r} out of range")
         return encode(a, j)
 
@@ -503,15 +476,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         a, j = decode(code)
         return ",".join(map(str.zfill, map(str, a), text_widths)) + ";" + str(j).zfill(jwidth)
 
-    return GroupHandle(
-        encode([0] * s, 0),
-        gens,
-        mul,
-        inv,
-        name=name,
-        parse_element=parse_element,
-        format_element=format_element,
-    )
+    return GroupHandle(0, gens, mul, inv, parse_element, format_element, name=name)
 
 
 # --- Group description files --------------------------------------------------

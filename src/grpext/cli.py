@@ -194,19 +194,7 @@ def _selftest_checks():
         return abelian.element_order(G, code) == 5040 // math.gcd(5040, 84)
 
     def decompose_table():
-        G = blackbox.semidirect_group(
-            blackbox.SemidirectGroupSpec(
-                (8, 9, 5),
-                1,
-                autring.AutBlocks(
-                    (
-                        autring.identity_matrix(autring.PType(2, (3,))),
-                        autring.identity_matrix(autring.PType(3, (2,))),
-                        autring.identity_matrix(autring.PType(5, (1,))),
-                    )
-                ),
-            )
-        )
+        G = blackbox.load_group("semidirect\nA 8 9 5\nm 1\n1 0 0\n0 1 0\n0 0 1\n")
         basis = abelian.abelian_basis(G.generators, G)
         table = abelian.DecompositionTable(G, basis.elements, basis.orders)
         for _ in range(40):

@@ -21,7 +21,7 @@ from grpext.abelian import (
     abelian_basis,
     element_order,
 )
-from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow
+from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow, load_group
 from grpext.decomp import standard_decomposition
 from grpext.errors import MalformedInputError, MembershipError, MemoryBudgetError, NotAbelianError
 
@@ -193,9 +193,9 @@ def test_y_only_table_rejects_the_abelian_part():
 
 def test_basis_validation():
     with pytest.raises(Exception):
-        AbelianBasis((b"a",), (6,))  # 6 is not a prime power
+        AbelianBasis((1,), (6,))  # 6 is not a prime power
     with pytest.raises(Exception):
-        AbelianBasis((b"a", b"b"), (3, 2))  # not ascending
+        AbelianBasis((1, 2), (3, 2))  # not ascending
 
 
 def test_order_count_within_sqrt_envelope_small():
@@ -242,10 +242,8 @@ def _peak_bytes(build):
 
 def test_largest_admitted_table_fits_the_budget(monkeypatch):
     monkeypatch.setenv("GRPEXT_MEM_MB", "1")
-    width = 8  # cap**2 has 8 digits for any entry size near the measured one
-    cap = abelian._max_table_entries(width + abelian.TABLE_ENTRY_BYTES + 8)
+    cap = abelian._max_table_entries(abelian.TABLE_ENTRY_BYTES + 8)
     G = cyclic_group(cap * cap)
-    assert len(G.identity) == width
     g = G.parse_element("1")
     assert _peak_bytes(lambda: DecompositionTable(G, (g,), (cap * cap,))) <= 1 << 20
     with pytest.raises(MemoryBudgetError):
@@ -254,15 +252,39 @@ def test_largest_admitted_table_fits_the_budget(monkeypatch):
 
 def test_largest_admitted_baby_steps_fit_the_budget(monkeypatch):
     monkeypatch.setenv("GRPEXT_MEM_MB", "1")
-    width = 8
-    cap = abelian._max_table_entries(width + abelian.BABY_ENTRY_BYTES)
+    cap = abelian._max_table_entries(abelian.BABY_ENTRY_BYTES)
     radius = 1 << (cap.bit_length() - 1)  # the largest power of two within the cap
     G = cyclic_group(radius * radius)  # the search stops at this radius
-    assert len(G.identity) == width
     assert _peak_bytes(lambda: element_order(G, G.parse_element("1"))) <= 1 << 20
     H = cyclic_group(radius * radius + 1)  # needs the next doubling
     with pytest.raises(MemoryBudgetError):
         element_order(H, H.parse_element("1"))
+
+
+def test_largest_admitted_dicts_of_wide_codes_fit_the_budget(monkeypatch):
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    cap = abelian._max_table_entries(abelian.TABLE_ENTRY_BYTES + 8)
+    r = abelian._max_table_entries(abelian.BABY_ENTRY_BYTES).bit_length() - 1
+    k = 2 * max(cap.bit_length(), r) + 1
+    # 3^39 > 2^61, and codes stay below 2^90. Not 2^61 - 1: CPython hashes an int
+    # modulo 2^61 - 1, so every code (a, 0) would hash alike and each lookup walk the dict.
+    G = load_group(f"semidirect\nA {2**k} {3**39}\nm 1\n1 0\n0 1\n")
+
+    # (2^e, 0) has order 2^(k - e); its powers other than the identity have codes above 2^61
+    def doubled(e: int):
+        return G.parse_element(f"{2**e},0;0")
+
+    g = doubled(1)  # order 2^(k-1) >= cap^2: a table over the exponents below cap^2
+    tables = []
+    assert _peak_bytes(lambda: tables.append(DecompositionTable(G, (g,), (cap * cap,)))) <= 1 << 20
+    assert len(tables[0]._table) == cap and min(c for c in tables[0]._table if c) > 2**61
+    with pytest.raises(MemoryBudgetError):
+        DecompositionTable(G, (g,), (cap * cap + 1,))
+    orders = []  # an order of 2^(2r) stops the search at radius 2^r, the largest within the cap
+    assert _peak_bytes(lambda: orders.append(element_order(G, doubled(k - 2 * r)))) <= 1 << 20
+    assert orders == [4**r]
+    with pytest.raises(MemoryBudgetError):
+        element_order(G, doubled(k - 2 * r - 1))
 
 
 @pytest.mark.parametrize("orders", [(9,), (2, 4, 9), (8, 9, 5), (4, 25, 49)])

@@ -2,10 +2,12 @@
 
 bench/spans.py is loaded by path, as a plain module, and left unchanged. A
 rename or a signature change in grpext that drops one of its targets would
-otherwise break only the traced benchmark run, at Tracer.install.
+otherwise break only the traced benchmark run, at Tracer.install. Its `mul`
+replay, the per-backend oracle metric, must time both backends.
 """
 
 import importlib.util
+import time
 from pathlib import Path
 
 import grpext
@@ -60,3 +62,16 @@ def test_tracer_installs_and_restores_every_target():
         tracer.uninstall()
     assert all(a is not b for a, b in zip(before, installed))
     assert all(a is b for a, b in zip(before, current()))
+
+
+def test_mul_replay_times_both_backends():
+    spans = _load_spans()
+    texts = {"table": "table 3\n0 1 2\n1 2 0\n2 0 1\n", "semidirect": "semidirect\nA 7\nm 3\n2\n"}
+    groups = []
+    for backend, text in texts.items():
+        G = grpext.blackbox.load_group(text)
+        grpext.decomp.standard_decomposition(G)
+        groups.append((backend, G, G.operation_count))
+    values = spans.mul_us(groups, 0, time.perf_counter, calls=2_000)
+    assert values["blackbox.mul_us.table"] > 0
+    assert values["blackbox.mul_us.semidirect"] > 0
