@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import smith_normal_form, trial_factor, valuation
+from .arith import read_ints, smith_normal_form, trial_factor, valuation
 from .blackbox import ElementCode, GroupHandle, group_pow
 from .errors import (
     InvariantBreachError,
@@ -60,9 +60,10 @@ TABLE_ENTRY_BYTES = 209  # plus 8 per digit
 
 def _max_table_entries(entry_bytes: int) -> int:
     text = os.environ.get("GRPEXT_MEM_MB", "1024")
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    mb = read_ints(text, "GRPEXT_MEM_MB")[0] if text.isascii() and text.isdigit() else 0
+    if mb < 1:
         raise MalformedInputError(f"GRPEXT_MEM_MB must be a positive integer, not {text!r}")
-    return max(1024, (int(text) << 20) // entry_bytes)
+    return max(1024, (mb << 20) // entry_bytes)
 
 
 def element_order(G: GroupHandle, g: ElementCode) -> int:

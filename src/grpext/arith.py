@@ -1,19 +1,57 @@
-"""Exact integer utilities: factorization, divisors and the Smith normal form.
+"""Exact integer utilities: reading, factorization, divisors and the Smith normal form.
 
 Everything here works on plain Python integers, so intermediate values may grow
 arbitrarily large without overflow. smith_normal_form also runs over any other
 Euclidean ring whose elements supply the integer operators (autring uses it
-over F_p[x]).
+over F_p[x]). Every integer the package reads from text goes through read_ints.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import MalformedInputError
 
 Factorization = list[tuple[int, int]]
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of text that are neither blank nor `#` comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def read_ints(text: str, what: str, count: Optional[int] = None) -> tuple[int, ...]:
+    """The integers of text, count of them if given; `what` names text in errors.
+
+    On ASCII text without "_", int() accepts exactly the tokens the grammar of
+    blackbox.parse_group_file allows, so a good line costs one map(int, ...).
+    """
+    tokens = text.split()
+    if count is not None and len(tokens) != count:
+        raise MalformedInputError(f"{what} has {len(tokens)} entries, expected {count}")
+    if (text.isascii() and "_" not in text) or all(map(_INT_TOKEN.fullmatch, tokens)):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    for tok in tokens:
+        if not _INT_TOKEN.fullmatch(tok):
+            raise MalformedInputError(f"{what} entry {tok[:20]!r} is not an integer")
+    digits = sys.get_int_max_str_digits()  # only a too-long token leaves int() failing here
+    raise MalformedInputError(f"{what} has an entry of more than {digits} digits")
+
+
+def keyword_ints(line: str, keyword: str, count: Optional[int] = None) -> tuple[int, ...]:
+    """read_ints of the rest of a content line whose first word is exactly keyword."""
+    word, *rest = line.split(None, 1)
+    if word != keyword:
+        raise MalformedInputError(f"expected `{keyword} ...`, got {line[:30]!r}")
+    return read_ints(rest[0] if rest else "", f"{keyword} line", count)
 
 
 def trial_factor(n: int) -> Factorization:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .arith import is_prime, prime_power, smith_normal_form, trial_factor
+from .arith import content_lines, is_prime, keyword_ints, prime_power, read_ints
+from .arith import smith_normal_form, trial_factor
 from .errors import (
     Condition3Error,
     InvariantBreachError,
@@ -658,30 +659,16 @@ def apply_blocks(a: AutBlocks, vec: Sequence[int]) -> tuple[int, ...]:
 
 
 def parse_matrix_file(text: str) -> AutMatrix:
-    """Parse `ptype <p> <e_1> ... <e_s>` followed by s rows of s integers."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("ptype"):
-        raise MalformedInputError("matrix file must start with a ptype header")
-    head = lines[0].split()
-    if len(head) < 3:
-        raise MalformedInputError("ptype header needs a prime and exponents")
-    try:
-        p = int(head[1])
-        exps = tuple(int(x) for x in head[2:])
-    except ValueError as exc:
-        raise MalformedInputError(f"bad ptype header: {exc}") from None
-    ptype = PType(p, exps)
+    """Parse `ptype p e_1 ... e_s` and s rows of s integers (see blackbox.parse_group_file)."""
+    lines = content_lines(text)
+    if not lines:
+        raise MalformedInputError("empty matrix file")
+    head = keyword_ints(lines[0], "ptype")
+    if len(head) < 2:
+        raise MalformedInputError("ptype line needs a prime and exponents")
+    ptype = PType(head[0], head[1:])
     if len(lines) != 1 + ptype.s:
         raise MalformedInputError(f"expected {ptype.s} matrix rows")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = [int(x) for x in ln.split()]
-        except ValueError as exc:
-            raise MalformedInputError(f"bad matrix row: {exc}") from None
-        if len(row) != ptype.s:
-            raise MalformedInputError(f"expected {ptype.s} entries per row")
-        rows.append(row)
+    rows = [read_ints(ln, f"matrix row {i}", ptype.s) for i, ln in enumerate(lines[1:], 1)]
     return validate_M(ptype, rows)
 

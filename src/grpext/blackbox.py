@@ -10,7 +10,8 @@ codes are the element's index. A semidirect code is the integer of
 (a_1, ..., a_s, j) in mixed radix (q_1, ..., q_s, m), so codes sort like the
 (a, j) tuples. Every oracle rejects any other value, bools included, with
 MalformedInputError. The text form of an element exists only at the edges:
-`parse_element` reads it and `format_element` writes it. The semidirect
+`parse_element` reads it and `format_element` writes it; parse_group_file
+states the grammar of both file formats and of element texts. The semidirect
 backend's action matrix is an autring.AutBlocks; its arithmetic and its split
 into prime blocks live in autring.
 """
@@ -25,6 +26,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import autring
+from .arith import content_lines, keyword_ints, read_ints
 from .errors import MalformedInputError
 
 ElementCode = int
@@ -210,10 +212,7 @@ def _index_codes(n: int):
         return code
 
     def parse_element(text: str) -> ElementCode:
-        try:
-            i = int(text)
-        except ValueError:
-            raise MalformedInputError(f"bad element {text!r}") from None
+        (i,) = read_ints(text, "element", 1)
         if not 0 <= i < n:
             raise MalformedInputError(f"element index {i} out of range")
         return i
@@ -261,7 +260,7 @@ _FACTOR_LIMIT = 2**32  # below it, trial division of m takes at most ~33 000 ste
 
 @dataclass(frozen=True)
 class SemidirectGroupSpec:
-    """A x| Z_m for abelian A given by prime powers qs, action of order | m.
+    """A x| Z_m for abelian A = Z_{q_1} x ... x Z_{q_s} (qs = action.moduli), action of order | m.
 
     Elements are pairs (a, j) with a an exponent tuple reduced per coordinate
     and j in {0, ..., m-1}; (a, j) * (b, j') = (a + M^j b, j + j' mod m).
@@ -269,27 +268,21 @@ class SemidirectGroupSpec:
     ((a_1 q_2 + a_2) q_3 + ... + a_s) m + j, so codes sort like the (a, j)
     tuples; its text form is `a_1,...,a_s;j` with each field zero-padded to
     the width of its largest value.
-    Construction checks m, gcd(|A|, m), that the action's moduli are qs, the
-    action's order, the generator ranges and that the generators generate the
-    group; autring.blocks_from_rows builds a valid action from a full matrix.
+    Construction checks m, gcd(|A|, m), the action's order, the generator
+    ranges and that the generators generate the group;
+    autring.blocks_from_rows builds a valid action from a full matrix.
     """
 
-    qs: tuple[int, ...]
     m: int
     action: autring.AutBlocks
     generators: Optional[tuple[tuple[tuple[int, ...], int], ...]] = None
 
     def __post_init__(self):
-        qs, m = self.qs, self.m
-        if m < 1:
+        if self.m < 1:
             raise MalformedInputError("m must be >= 1")
-        a_order = math.prod(qs)
-        if math.gcd(a_order, m) != 1:
-            raise MalformedInputError(f"gcd(|A|={a_order}, m={m}) must be 1")
-        if self.action.moduli != tuple(qs):
-            raise MalformedInputError(
-                f"action acts on {self.action.moduli}, not on A = {tuple(qs)}"
-            )
+        a_order = math.prod(self.qs)
+        if math.gcd(a_order, self.m) != 1:
+            raise MalformedInputError(f"gcd(|A|={a_order}, m={self.m}) must be 1")
         if self.action_period is None:
             raise MalformedInputError("action order does not divide m")
         if self.generators is None:
@@ -298,6 +291,10 @@ class SemidirectGroupSpec:
             if not self.in_range(a, j):
                 raise MalformedInputError(f"generator {(a, j)} out of range")
         _require_generation(self)
+
+    @property
+    def qs(self) -> tuple[int, ...]:
+        return self.action.moduli
 
     def in_range(self, a: Sequence[int], j: int) -> bool:
         """Whether (a, j) is an element: s entries with 0 <= a_i < q_i, and 0 <= j < m."""
@@ -462,14 +459,13 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
             gens.append(encode([0] * s, 1))
 
     def parse_element(text: str) -> ElementCode:
-        try:
-            apart, jpart = text.split(";")
-            a = [int(c) for c in apart.split(",")]
-            j = int(jpart)
-        except ValueError:
-            raise MalformedInputError(f"bad element {text!r}; want a1,...,as;j") from None
+        apart, semi, jpart = text.partition(";")
+        if not semi or len(text.split()) != 1:
+            raise MalformedInputError(f"bad element {text[:30]!r}; want a1,...,as;j")
+        what = f"field of element {text[:30]!r}"
+        *a, j = (read_ints(field, what, 1)[0] for field in apart.split(",") + [jpart])
         if not spec.in_range(a, j):
-            raise MalformedInputError(f"element {text!r} out of range")
+            raise MalformedInputError(f"element {text[:30]!r} out of range")
         return encode(a, j)
 
     def format_element(code: ElementCode) -> str:
@@ -483,85 +479,48 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
 
 
 def parse_group_file(text: str):
-    """Parse the line-oriented group description format.
+    """Parse a group file into a TableGroupSpec or SemidirectGroupSpec.
 
-    Returns a TableGroupSpec or SemidirectGroupSpec. Parsing is strict: any
-    out-of-range entry, ordering violation, or invalid action is rejected.
-    A table row is read as integers and checked for length only: the
-    permutation check of validate_table_spec is also its range check, and
-    columns need no scan, since an associative table with an identity and
-    permutation rows is a group (see validate_table_spec).
+    The text formats, stated once. Lines are stripped, blank lines and `#`
+    comments dropped; a keyword is the whole first word of its line; an
+    integer is ASCII [+-]?[0-9]+ of at most 4300 digits; each line holds
+    exactly the integers named, or MalformedInputError names the line.
+      group file    `table n` and n rows of n integers (row a lists a*b, 0 is
+                    the identity), or `semidirect`, `A q_1 ... q_s`, `m m`, s
+                    action rows of s integers and any `gens a_1 ... a_s j` lines
+      matrix file   `ptype p e_1 ... e_s` and s rows of s integers
+      element text  one token: `i` (table, cyclic) or `a_1,...,a_s;j` (semidirect)
+    A table row is checked for length only: validate_table_spec's permutation
+    check is also its range check, and columns need no scan.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise MalformedInputError("empty group file")
-    head = lines[0].split()
-    if head[0] == "table":
-        if len(head) != 2:
-            raise MalformedInputError("table header must be `table <n>`")
-        try:
-            n = int(head[1])
-        except ValueError:
-            raise MalformedInputError("bad table order") from None
+    kind = lines[0].split()[0]
+    if kind == "table":
+        (n,) = keyword_ints(lines[0], "table", 1)
         if n < 1:
             raise MalformedInputError("table order must be >= 1")
         if len(lines) != 1 + n:
             raise MalformedInputError(f"expected {n} table rows, got {len(lines) - 1}")
-        rows = []
-        for i, ln in enumerate(lines[1:]):
-            try:
-                row = tuple(map(int, ln.split()))
-            except ValueError:
-                for tok in ln.split():
-                    try:
-                        int(tok)
-                    except ValueError:
-                        raise MalformedInputError(
-                            f"row {i} entry {tok[:20]!r} is not an integer"
-                        ) from None
-            if len(row) != n:
-                raise MalformedInputError(f"row {i} has {len(row)} entries, expected {n}")
-            rows.append(row)
-        return TableGroupSpec(n, tuple(rows))
-    if head[0] == "semidirect":
-        if len(head) != 1:
-            raise MalformedInputError("semidirect header takes no arguments")
-        body = lines[1:]
-        if len(body) < 2 or not body[0].startswith("A ") or not body[1].startswith("m "):
+        rows = tuple(read_ints(ln, f"row {i}", n) for i, ln in enumerate(lines[1:]))
+        return TableGroupSpec(n, rows)
+    if kind == "semidirect":
+        keyword_ints(lines[0], "semidirect", 0)
+        if len(lines) < 3:
             raise MalformedInputError("semidirect body must start with `A ...` then `m ...`")
-        try:
-            qs = tuple(int(x) for x in body[0].split()[1:])
-            m = int(body[1].split()[1])
-        except (ValueError, IndexError):
-            raise MalformedInputError("bad A or m line") from None
+        qs = keyword_ints(lines[1], "A")
+        (m,) = keyword_ints(lines[2], "m", 1)
         if not qs:
             raise MalformedInputError("A line needs at least one prime power")
         s = len(qs)
-        if len(body) < 2 + s:
+        if len(lines) < 3 + s:
             raise MalformedInputError(f"expected {s} action rows")
-        rows = []
-        for ln in body[2 : 2 + s]:
-            try:
-                row = [int(x) for x in ln.split()]
-            except ValueError:
-                raise MalformedInputError(f"bad action row {ln!r}") from None
-            if len(row) != s:
-                raise MalformedInputError(f"action rows must have {s} entries")
-            rows.append(row)
-        gens = []
-        for ln in body[2 + s :]:
-            parts = ln.split()
-            if parts[0] != "gens" or len(parts) != s + 2:
-                raise MalformedInputError(f"bad gens line {ln!r}; want `gens a1 ... as j`")
-            try:
-                vals = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise MalformedInputError(f"bad gens line {ln!r}") from None
-            gens.append((tuple(vals[:s]), vals[s]))
+        rows = [read_ints(ln, f"action row {i}", s) for i, ln in enumerate(lines[3 : 3 + s], 1)]
+        gens = [keyword_ints(ln, "gens", s + 1) for ln in lines[3 + s :]]
         action = autring.blocks_from_rows(qs, rows)
-        return SemidirectGroupSpec(qs, m, action, tuple(gens) if gens else None)
-    raise MalformedInputError(f"unknown group kind {head[0]!r}")
+        return SemidirectGroupSpec(m, action, tuple((g[:s], g[s]) for g in gens) or None)
+    raise MalformedInputError(f"unknown group kind {kind[:30]!r}")
 
 
 def build_group(spec, name: str = "group") -> GroupHandle:
@@ -577,16 +536,9 @@ def load_group(text: str, name: str = "group") -> GroupHandle:
 
 
 def format_semidirect_file(spec: SemidirectGroupSpec, comment: str = "") -> str:
-    out = []
-    if comment:
-        out.append(f"# {comment}")
-    out.append("semidirect")
-    out.append("A " + " ".join(str(q) for q in spec.qs))
-    out.append(f"m {spec.m}")
-    for row in spec.action.rows:
-        out.append(" ".join(str(x) for x in row))
-    if spec.generators:
-        for a, j in spec.generators:
-            out.append("gens " + " ".join(str(x) for x in a) + f" {j}")
+    out = [f"# {comment}"] if comment else []
+    out += ["semidirect", "A " + " ".join(map(str, spec.qs)), f"m {spec.m}"]
+    out += [" ".join(map(str, row)) for row in spec.action.rows]
+    out += ["gens " + " ".join(map(str, (*a, j))) for a, j in spec.generators or ()]
     return "\n".join(out) + "\n"
 

@@ -11,6 +11,7 @@ built over Z_{3^i} with order dividing 4 (see class_representatives).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import autring
@@ -68,6 +69,9 @@ def class_representatives(r: int, i: int) -> list[autring.AutBlocks]:
     """
     if i < 1:
         raise MalformedInputError("i must be >= 1")
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if digits and (i > 3 * digits or 3**i >= 10**digits):
+        raise MalformedInputError(f"3^{i} has more than {digits} digits, more than a file can hold")
     ptype = autring.PType(3, (i,) * r)
     return [
         autring.AutBlocks((autring.validate_M(ptype, _block_diagonal(triple, r, 3**i)),))
@@ -77,7 +81,7 @@ def class_representatives(r: int, i: int) -> list[autring.AutBlocks]:
 
 def representative_group_specs(r: int, i: int) -> list[SemidirectGroupSpec]:
     """Group description of each class representative of Z_{3^i}^r x| Z_4."""
-    return [SemidirectGroupSpec((3**i,) * r, 4, rep) for rep in class_representatives(r, i)]
+    return [SemidirectGroupSpec(4, rep) for rep in class_representatives(r, i)]
 
 
 def brute_force_class_count(ptype: autring.PType, m: int) -> int:

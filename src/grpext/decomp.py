@@ -141,21 +141,15 @@ class DecompositionAttempt:
     product: Optional[int]  # m * |abelian part| on success
 
 
-def find_decomposition(
-    G: GroupHandle, m: int, context: Optional[GroupContext] = None
-) -> CandidateDecomposition:
-    """One sweep of the finder for a fixed m; raises DecompositionFailed.
+def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> CandidateDecomposition:
+    """One sweep of the finder for m, given context = group_context(G); raises DecompositionFailed.
 
-    context must be group_context(G); it is built here when not given, and
-    the same body runs either way.
     When the group really decomposes at this m, the result generates the whole
     group; a non-error result is in general only guaranteed to decompose the
     subgroup generated by the output.
     """
     if m < 1:
         raise DecompositionFailed(m, "m must be >= 1")
-    if context is None:
-        context = group_context(G)
     if context.derived is None:
         raise DecompositionFailed(m, "derived subgroup is not abelian")
     xs = list(context.derived.elements)

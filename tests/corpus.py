@@ -133,8 +133,7 @@ def relabel(G: GroupHandle, rng) -> GroupHandle:
 
 def semidirect(qs, m, rows, gens=None, name="G"):
     action = autring.blocks_from_rows(qs, rows)
-    spec = blackbox.SemidirectGroupSpec(tuple(qs), m, action,
-                                        tuple(gens) if gens else None)
+    spec = blackbox.SemidirectGroupSpec(m, action, tuple(gens) if gens else None)
     return blackbox.semidirect_group(spec, name=name)
 
 

@@ -215,7 +215,9 @@ def test_memory_budget_env(monkeypatch):
     assert element_order(G, G.parse_element("1")) == 5000
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "", " 8"])
+@pytest.mark.parametrize(
+    "value", ["abc", "0", "-1", "1.5", "", " 8", pytest.param("1" * 4301, id="4301-digits")]
+)
 def test_memory_budget_env_must_be_positive_integer(monkeypatch, value):
     monkeypatch.setenv("GRPEXT_MEM_MB", value)
     G = cyclic_group(50)

@@ -1,12 +1,65 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpext.arith import divisors, is_prime, smith_normal_form, trial_factor
+from grpext.arith import (
+    content_lines,
+    divisors,
+    is_prime,
+    keyword_ints,
+    read_ints,
+    smith_normal_form,
+    trial_factor,
+)
 from grpext.errors import MalformedInputError
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("1 -2 +3", (1, -2, 3)),
+        ("  007\t42  ", (7, 42)),
+        ("1\u30002", (1, 2)),  # non-ASCII whitespace still separates
+        ("", ()),
+        ("9" * 4300, (int("9" * 4300),)),
+        ("-" + "0" * 4299 + "1", (-1,)),
+    ],
+)
+def test_read_ints_accepts_ascii_integers(text, values):
+    assert read_ints(text, "x") == values
+
+
+@pytest.mark.parametrize(
+    "token", ["1_0", "\uff17", "1\uff17", "\u0663", "0x10", "1e3", "1.0", "--1", "+", "x"]
+)
+def test_read_ints_rejects_every_other_spelling(token):
+    # int() accepts the first four
+    message = f"^row 3 entry {re.escape(repr(token))} is not an integer$"
+    with pytest.raises(MalformedInputError, match=message):
+        read_ints(f"1 {token} 2", "row 3")
+
+
+def test_read_ints_names_the_line_on_a_wrong_count_or_a_long_token():
+    with pytest.raises(MalformedInputError, match=r"^m line has 3 entries, expected 1$"):
+        read_ints("3 99 junk", "m line", 1)
+    with pytest.raises(MalformedInputError, match=r"^row 0 has an entry of more than 4300 digits$"):
+        read_ints("1 " + "0" * 4301, "row 0")
+    with pytest.raises(MalformedInputError, match=r"^row 0 entry '7{20}' is not an integer$"):
+        read_ints("7" * 5000 + "x", "row 0")
+
+
+def test_content_lines_and_keywords():
+    assert content_lines("# c\n\n  A 3 9 \n\t#x\nm\t2\n") == ["A 3 9", "m\t2"]
+    assert keyword_ints("m\t2", "m", 1) == (2,)
+    assert keyword_ints("A", "A") == ()
+    with pytest.raises(MalformedInputError, match=r"^expected `ptype ...`, got 'ptypes 3 1'$"):
+        keyword_ints("ptypes 3 1", "ptype")
+    with pytest.raises(MalformedInputError, match=r"^expected `A ...`, got 'A3'$"):
+        keyword_ints("A3", "A")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import build, corpus_names, cyclic_table_spec, materialize_table, semidirect
-from grpext import autring, blackbox
+from grpext import autring, blackbox, cli
 from grpext.abelian import element_order
 from grpext.arith import prime_power
 from grpext.blackbox import (
@@ -356,15 +359,19 @@ def _gens_files(draw):
     return qs, m, rows, gens
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_gens_files())
-def test_gens_accepted_exactly_when_they_generate(case):
-    qs, m, rows, gens = case
-    text = "\n".join(
+def _gens_text(qs, m, rows, gens) -> str:
+    return "\n".join(
         ["semidirect", "A " + " ".join(map(str, qs)), f"m {m}"]
         + [" ".join(map(str, r)) for r in rows]
         + ["gens " + " ".join(map(str, a)) + f" {j}" for a, j in gens]
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_gens_files())
+def test_gens_accepted_exactly_when_they_generate(case):
+    qs, m, rows, gens = case
+    text = _gens_text(qs, m, rows, gens)
     generates = _closure_size(qs, m, rows, gens) == math.prod(qs) * m
     try:
         G = load_group(text)
@@ -450,18 +457,6 @@ def test_table_entry_out_of_range_or_repeated_names_its_row(entry):
     # row 1 of Z_3 is "1 2 0"; its last entry becomes the given one ("2" repeats)
     with pytest.raises(MalformedInputError, match=r"^row 1 is not a permutation$"):
         parse_group_file(f"table 3\n0 1 2\n1 2 {entry}\n2 0 1\n")
-
-
-@pytest.mark.parametrize(
-    "qs,m,block",
-    [
-        ((7,), 3, autring.validate_M(autring.PType(5, (1,)), [[2]])),  # wrong prime
-        ((9,), 2, autring.identity_matrix(autring.PType(3, (1, 1)))),  # Z_3 x Z_3, not Z_9
-    ],
-)
-def test_spec_rejects_action_on_other_group(qs, m, block):
-    with pytest.raises(MalformedInputError, match="action acts on"):
-        SemidirectGroupSpec(qs, m, autring.AutBlocks((block,)))
 
 
 def test_cyclic_group_matches_table_backend():
@@ -597,6 +592,114 @@ def test_permutation_rows_with_identity_accepted_exactly_when_a_group(n, groups)
             accepted += 1
     assert tables == math.factorial(n - 1) ** (n - 1)
     assert accepted == groups  # Z_4 labelled 3 ways and V_4 once at n = 4
+
+
+# a valid matrix file: a unit of the ring of Z_5 x Z_25
+_MATRIX_TEXT = "ptype 5 1 2\n2 1\n5 7\n"
+
+
+@st.composite
+def _accepted_files(draw):
+    """("group" or "matrix", text) of a file the parsers accept."""
+    source = draw(st.sampled_from(["gens", "table", "matrix"]))
+    if source == "gens":
+        qs, m, rows, gens = draw(_gens_files())
+        if _closure_size(qs, m, rows, gens) < math.prod(qs) * m:
+            gens = []  # the default generators
+        return "group", _gens_text(qs, m, rows, gens)
+    if source == "table":
+        text, rows = draw(_table_files())
+        return "group", text if _is_group_table(rows) else _table_text(cyclic_table_spec(len(rows)).table)
+    return "matrix", _MATRIX_TEXT
+
+
+@st.composite
+def _respelled_files(draw):
+    """(kind, text, pattern of the error): an accepted file with one integer respelled."""
+    kind, text = draw(_accepted_files())
+    lines = text.splitlines()
+    keyed = [i for i, ln in enumerate(lines) if ln.split()[0] in ("A", "m", "ptype", "gens")]
+    how = draw(
+        st.sampled_from(
+            ["underscore", "fullwidth", "long"]
+            + ["extra"] * bool(keyed)
+            + ["ptypes"] * (kind == "matrix")
+        )
+    )
+    if how == "ptypes":
+        lines[0] = "ptypes" + lines[0][len("ptype") :]
+        return kind, "\n".join(lines), r"^expected `ptype \.\.\.`, got 'ptypes "
+    if how == "extra":
+        i = draw(st.sampled_from(keyed))
+        lines[i] += " 0"
+        return kind, "\n".join(lines), None
+    spots = [(i, k) for i, ln in enumerate(lines) for k, tok in enumerate(ln.split()) if tok.isdigit()]
+    i, k = draw(st.sampled_from(spots))
+    tokens = lines[i].split()
+    tok = tokens[k]
+    if how == "long":
+        tokens[k] = tok.zfill(4301)
+    elif how == "underscore":
+        tok = tok.zfill(2)  # room for an inner "_"
+        at = draw(st.integers(1, len(tok) - 1))
+        tokens[k] = tok[:at] + "_" + tok[at:]  # int() reads it as tok
+    else:
+        at = draw(st.integers(0, len(tok) - 1))
+        tokens[k] = tok[:at] + chr(0xFF10 + int(tok[at])) + tok[at + 1 :]  # full-width digit
+    lines[i] = " ".join(tokens)
+    if how == "long":
+        return kind, "\n".join(lines), "has an entry of more than 4300 digits$"
+    return kind, "\n".join(lines), f"entry {re.escape(repr(tokens[k]))} is not an integer$"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_respelled_files())
+def test_every_respelled_integer_is_rejected(tmp_path_factory, case):
+    kind, text, expected = case
+    parse = parse_group_file if kind == "group" else autring.parse_matrix_file
+    with pytest.raises(MalformedInputError, match=expected):
+        parse(text)
+    path = tmp_path_factory.mktemp("respelled") / "input"
+    path.write_text(text, encoding="utf-8")
+    if kind == "group":
+        argv = ["standard-decomposition", str(path)]
+    else:
+        argv = ["conjugacy", str(path), str(path), "--order-cap", "10"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "kind, element, message",
+    [
+        ("table", "1_0", r"^element entry '1_0' is not an integer$"),
+        ("table", "\uff17", r"^element entry '\uff17' is not an integer$"),
+        ("table", "1 0", r"^element has 2 entries, expected 1$"),
+        ("semidirect", "1, 2;1", r"^bad element '1, 2;1'; want a1,\.\.\.,as;j$"),
+        ("semidirect", "1,2", r"^bad element '1,2'; want"),
+        ("semidirect", "1,2;\uff10", r"^field of element '1,2;\uff10' entry '\uff10' is not"),
+        ("semidirect", "1_0,2;1", r"^field of element '1_0,2;1' entry '1_0' is not"),
+        ("semidirect", "1,,2;1", r"^field of element '1,,2;1' has 0 entries, expected 1$"),
+        ("semidirect", "1,2;1;1", r"^field of element '1,2;1;1' entry '1;1' is not"),
+    ],
+)
+def test_element_texts_are_one_token_of_integer_fields(tmp_path, capsys, kind, element, message):
+    # Z_12 as a table, and Z_3^2 x| Z_2 swapping the coordinates
+    if kind == "table":
+        text = _table_text(cyclic_table_spec(12).table)
+    else:
+        text = "semidirect\nA 3 3\nm 2\n0 1\n1 0\n"
+    G = load_group(text)
+    with pytest.raises(MalformedInputError, match=message):
+        G.parse_element(element)
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    assert cli.main(["order", str(path), element]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error ") and err.count("\n") == 1
 
 
 # generators of table_group on the corpus tables, as before the greedy set was cached

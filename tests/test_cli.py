@@ -188,6 +188,39 @@ def test_count_classes_bad_exponent_creates_no_directory(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_count_classes_modulus_too_long_to_write_creates_no_directory(tmp_path, capsys):
+    # 3^10000 has 4772 digits, past the 4300 that str() writes and the reader reads
+    out_dir = tmp_path / "D"
+    code, out, err = run_cli(
+        capsys, "count-classes", "--r", "1", "--emit-reps", "10000", "--out-dir", str(out_dir)
+    )
+    assert code == 2 and out == ""
+    assert err == "error 3^10000 has more than 4300 digits, more than a file can hold\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("g.grp", "semidirect\nA 7\nm 3 99 junk\n2\n", "m line has 3 entries, expected 1"),
+        ("g.grp", "semidirect\nA 1_1\nm 5\n3\n", "A line entry '1_1' is not an integer"),
+        ("g.grp", "semidirect\nA \uff17\nm 3\n2\n", "A line entry '\uff17' is not an integer"),
+        ("g.grp", "table 2\n0 1\n1 0_0\n", "row 1 entry '0_0' is not an integer"),
+        ("u.mat", "ptypes 3 1\n2\n", "expected `ptype ...`, got 'ptypes 3 1'"),
+        ("u.mat", "ptype 3 1\n+\n", "matrix row 1 entry '+' is not an integer"),
+    ],
+)
+def test_lenient_spellings_exit_2_naming_the_line(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if name == "u.mat":
+        argv = ["conjugacy", str(path), str(path), "--order-cap", "10"]
+    else:
+        argv = ["standard-decomposition", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error {message}\n")
+
+
 R4_I1_SHA256 = [  # the emitted files of count-classes --r 4 --emit-reps 1
     "0e289ee9854a2a6ef903f49be13979467399ede92eb743bf1dc7af393d3e8a84",
     "5c2f698089ea827e4f65ac4b36d4c2be0cc28d0d8cd1df018133fda9f6b73019",

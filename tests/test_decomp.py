@@ -35,7 +35,7 @@ def a1009():
 
 def test_find_decomposition_abelian_m1():
     G = semidirect((8, 9), 1, IDENT2)
-    cand = find_decomposition(G, 1)
+    cand = find_decomposition(G, 1, group_context(G))
     assert cand.z == G.identity
     assert cand.a_basis.group_order == 72
     assert set(closure(G, cand.a_basis.elements)) == set(closure(G, G.generators))
@@ -43,7 +43,7 @@ def test_find_decomposition_abelian_m1():
 
 def test_find_decomposition_order21_m3():
     G = build("G21a")
-    cand = find_decomposition(G, 3)
+    cand = find_decomposition(G, 3, group_context(G))
     assert naive_order(G, cand.z) == 3
     assert cand.a_basis.group_order == 7
     part = closure(G, cand.a_basis.elements)
@@ -59,9 +59,9 @@ def test_find_decomposition_order21_m3():
 def test_find_decomposition_order21_failures():
     G = build("G21a")
     with pytest.raises(DecompositionFailed):
-        find_decomposition(G, 7)
+        find_decomposition(G, 7, group_context(G))
     with pytest.raises(DecompositionFailed):
-        find_decomposition(G, 1)
+        find_decomposition(G, 1, group_context(G))
 
 
 def test_standard_decomposition_abelian():
@@ -156,7 +156,7 @@ def test_success_on_proper_subgroup_is_filtered_by_the_sweep():
     # subgroup generated by its output (order 2, not 4); the divisor sweep
     # must discard it in favor of m = 1.
     G = semidirect((2, 2), 1, IDENT2)
-    cand = find_decomposition(G, 2)
+    cand = find_decomposition(G, 2, group_context(G))
     assert cand.a_basis.group_order == 1
     assert naive_order(G, cand.z) == 2
     assert len(closure(G, list(cand.a_basis.elements) + [cand.z])) == 2  # proper subgroup
@@ -202,7 +202,7 @@ def test_not_in_class_error():
 
 def _finder_alone(G, m):
     try:
-        cand = find_decomposition(G, m)
+        cand = find_decomposition(G, m, group_context(G))
     except DecompositionFailed as exc:
         return (m, exc.reason, None), None
     return (m, None, m * cand.a_basis.group_order), cand
