@@ -8,12 +8,12 @@ backends (multiplication table, cyclic, semidirect product) live here.
 An element code is an int in [0, |G|) and the identity is 0. Table and cyclic
 codes are the element's index. A semidirect code is the integer of
 (a_1, ..., a_s, j) in mixed radix (q_1, ..., q_s, m), so codes sort like the
-(a, j) tuples. Every oracle rejects any other value, bools included, with
-MalformedInputError. The text form of an element exists only at the edges:
-`parse_element` reads it and `format_element` writes it; parse_group_file
-states the grammar of both file formats and of element texts. The semidirect
-backend's action matrix is an autring.AutBlocks; its arithmetic and its split
-into prime blocks live in autring.
+(a, j) tuples; the product is (a, j)(b, k) = (a + M^j b, j + k mod m). Every
+oracle rejects any other value, bools included, with MalformedInputError. The
+text form of an element exists only at the edges: `parse_element` reads it and
+`format_element` writes it; parse_group_file states the grammar of both file
+formats and of element texts. The semidirect backend's action matrix is an
+autring.AutBlocks; its arithmetic and its split into prime blocks live in autring.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ class SemidirectGroupSpec:
     """A x| Z_m for abelian A = Z_{q_1} x ... x Z_{q_s} (qs = action.moduli), action of order | m.
 
     Elements are pairs (a, j) with a an exponent tuple reduced per coordinate
-    and j in {0, ..., m-1}; (a, j) * (b, j') = (a + M^j b, j + j' mod m).
+    and j in {0, ..., m-1}, multiplied by the law in the module docstring.
     The group's element code of (a, j) is the integer
     ((a_1 q_2 + a_2) q_3 + ... + a_s) m + j, so codes sort like the (a, j)
     tuples; its text form is `a_1,...,a_s;j` with each field zero-padded to
@@ -344,31 +344,20 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
     subgroup is A when, for every prime p, its image in A_p/pA_p spans the
     whole F_p-space.
     """
-    m, action, generators = spec.m, spec.action, spec.generators
-    qs = action.moduli
-    s = len(qs)
-    powers = _ActionPowers(spec)
-    period = powers.period
-    zero = (0,) * s
+    m, action = spec.m, spec.action
+    G = semidirect_group(spec)  # the group's own oracles: the product law is written once
+    radices = tuple(reversed(action.moduli))
 
-    def mul(x, y):
-        (a, j), (b, k) = x, y
-        moved = autring.mat_vec(powers[j % period], b, qs) if any(b) else b
-        return tuple((u + v) % q for u, v, q in zip(a, moved, qs)), (j + k) % m
+    def a_part(code: ElementCode) -> list[int]:
+        n, a = code // m, []
+        for q in radices:
+            n, x = divmod(n, q)
+            a.append(x)
+        return a[::-1]
 
-    def power(x, n):
-        out = (zero, 0)
-        while n:
-            if n & 1:
-                out = mul(out, x)
-            n >>= 1
-            if n:
-                x = mul(x, x)
-        return out
-
-    moving = [g for g in generators if g[1]]
+    moving = [g for g in G.generators if g % m]
     gcd, coeffs = m, []  # sum(coeffs[i] * j_i) = gcd modulo m
-    for _, j in moving:
+    for j in [g % m for g in moving]:
         x0, x1, y0, y1, a, b = 1, 0, 0, 1, gcd, j
         while b:
             t = a // b
@@ -376,12 +365,12 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
         gcd, coeffs = a, [c * x0 for c in coeffs] + [y0]
     if gcd != 1:
         raise MalformedInputError(f"the generators' j-parts do not generate Z_{m}")
-    h = (zero, 0)
+    h = G.identity
     for g, c in zip(moving, coeffs):
-        h = mul(h, power(g, c % m))
-    vectors = [a for a, j in generators if not j]
-    vectors += [tuple(u - v for u, v in zip(a, power(h, j)[0])) for a, j in moving]
-    vectors.append(power(h, m)[0])
+        h = G.mul(h, group_pow(G, g, c % m))
+    vectors = [g for g in G.generators if not g % m]
+    vectors += [G.mul(g, G.inv(group_pow(G, h, g % m))) for g in moving]
+    vectors = [a_part(v) for v in vectors + [group_pow(G, h, m)]]
     start = 0
     for block in action.blocks:
         p, stop = block.ptype.p, start + block.ptype.s
@@ -408,7 +397,11 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
 
 
 def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> GroupHandle:
-    """Oracles on the integer codes of SemidirectGroupSpec; M^j is computed lazily."""
+    """Oracles on the integer codes of SemidirectGroupSpec; M^j is computed lazily.
+
+    For s = 1 (cyclic A, as in Z_p x| Z_{p-1}) M^j is a scalar, so a product is
+    integer arithmetic on the two codes; for s >= 2 each code is decoded to a list.
+    """
     qs = spec.qs
     m = spec.m
     s = len(qs)
@@ -436,20 +429,37 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         a.reverse()
         return a, j
 
-    def mul(x: ElementCode, y: ElementCode) -> ElementCode:
-        a, j = decode(x)
-        b, k = decode(y)
-        n = 0
-        for q, row, u in zip(qs, powers[j % period], a):
-            n = n * q + (u + sum(map(operator.mul, row, b))) % q
-        return n * m + (j + k) % m
+    if s == 1:  # the code is a*m + j and M^r is the scalar c_r: no coordinate list
+        (q,) = qs
 
-    def inv(x: ElementCode) -> ElementCode:
-        a, j = decode(x)
-        n = 0
-        for q, row in zip(qs, powers[-j % period]):
-            n = n * q + -sum(map(operator.mul, row, a)) % q
-        return n * m + -j % m
+        def mul(x: ElementCode, y: ElementCode) -> ElementCode:
+            if type(x) is not int or type(y) is not int or not (0 <= x < order and 0 <= y < order):
+                decode(x), decode(y)  # raises for the unknown code
+            (a, j), (b, k) = divmod(x, m), divmod(y, m)
+            return ((a + powers[j % period][0][0] * b) % q if b else a) * m + (j + k) % m
+
+        def inv(x: ElementCode) -> ElementCode:
+            if type(x) is not int or not 0 <= x < order:
+                decode(x)
+            a, j = divmod(x, m)
+            return -powers[-j % period][0][0] * a % q * m + -j % m
+
+    else:
+
+        def mul(x: ElementCode, y: ElementCode) -> ElementCode:
+            a, j = decode(x)
+            b, k = decode(y)
+            n = 0
+            for q, row, u in zip(qs, powers[j % period], a):
+                n = n * q + (u + sum(map(operator.mul, row, b))) % q
+            return n * m + (j + k) % m
+
+        def inv(x: ElementCode) -> ElementCode:
+            a, j = decode(x)
+            n = 0
+            for q, row in zip(qs, powers[-j % period]):
+                n = n * q + -sum(map(operator.mul, row, a)) % q
+            return n * m + -j % m
 
     if spec.generators is not None:
         gens = [encode(a, j) for a, j in spec.generators]

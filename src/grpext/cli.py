@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import abelian, autring, blackbox, classes, decomp, iso
+from . import abelian, arith, autring, blackbox, classes, decomp, iso
 from .errors import GrpextError, MalformedInputError
 
 
@@ -273,6 +273,14 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _int_flag(text: str) -> int:
+    """A flag's integer, spelled as in files (arith.read_ints), else a usage error."""
+    try:
+        return arith.read_ints(text, "value", 1)[0]
+    except MalformedInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grpext",
@@ -293,18 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group_g")
     p.add_argument("group_h")
     p.add_argument("--verify", choices=["exhaustive", "sampled"], default="sampled")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.set_defaults(func=cmd_isomorphic)
 
     p = sub.add_parser("conjugacy", help="conjugate two matrices in the unit ring")
     p.add_argument("matrix1")
     p.add_argument("matrix2")
-    p.add_argument("--order-cap", type=int, required=True)
+    p.add_argument("--order-cap", type=_int_flag, required=True)
     p.set_defaults(func=cmd_conjugacy)
 
     p = sub.add_parser("count-classes", help="isomorphism classes of Z_{3^i}^r x| Z_4")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--emit-reps", type=int, default=None, metavar="I")
+    p.add_argument("--r", type=_int_flag, required=True)
+    p.add_argument("--emit-reps", type=_int_flag, default=None, metavar="I")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_count_classes)
 

@@ -8,13 +8,13 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import build, corpus_names, cyclic_table_spec, materialize_table, semidirect
 from grpext import autring, blackbox, cli
 from grpext.abelian import element_order
-from grpext.arith import prime_power
+from grpext.arith import prime_power, trial_factor
 from grpext.blackbox import (
     SemidirectGroupSpec,
     TableGroupSpec,
@@ -65,7 +65,8 @@ def test_unknown_codes_rejected():
     for H, order, last in (
         (table_group(cyclic_table_spec(6)), 6, "5"),
         (cyclic_group(6), 6, "5"),
-        (build("G21a"), 21, "6;2"),
+        (build("G21a"), 21, "6;2"),  # s = 1: the integer product
+        (build("Z3^2xZ4_W"), 36, "2,2;3"),  # s = 2: the decoded product
     ):
         for foreign in (
             True,  # isinstance(True, int) holds
@@ -122,6 +123,60 @@ def test_packed_codes_keep_tuple_order_and_text(case):
     )
     for t, c in zip(texts, codes):
         assert G.format_element(c) == t
+
+
+_ACTION_PTYPES = [
+    (2, (1, 1)), (2, (1, 2)), (3, (1,)), (3, (2,)), (3, (1, 1)),
+    (5, (1,)), (7, (1,)), (7, (1, 1)), (11, (1,)),
+]
+
+
+@st.composite
+def _unit_actions(draw):
+    """(qs, m, rows, pairs): a unit action of order prime to |A| and m a proper multiple of it."""
+    one_or_two = st.lists(st.sampled_from(_ACTION_PTYPES), min_size=1, max_size=2, unique_by=lambda t: t[0])
+    ptypes = sorted(draw(one_or_two))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    primes = [p for p, _ in ptypes]
+    blocks, period = [], 1
+    for p, exps in ptypes:
+        u = autring.random_unit(autring.PType(p, exps), rng)
+        n = autring.matrix_order(u, cap=10**5)
+        d = math.prod(r**e for r, e in trial_factor(n) if r in primes)
+        blocks.append(autring.star_pow(u, d))
+        period = math.lcm(period, n // d)
+    qs = tuple(q for b in blocks for q in b.moduli)
+    m = period * draw(st.integers(2, 30).filter(lambda t: math.gcd(t, math.prod(qs)) == 1))
+    rows, start = [], 0
+    for b in blocks:
+        for row in b.rows:
+            rows.append((0,) * start + row + (0,) * (len(qs) - start - len(row)))
+        start += len(b.rows)
+    element = st.tuples(st.tuples(*(st.integers(0, q - 1) for q in qs)), st.integers(0, m - 1))
+    pairs = draw(st.lists(st.tuples(element, element), min_size=1, max_size=8))
+    return qs, m, tuple(rows), pairs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_unit_actions())
+# s = 1 with m above blackbox._FACTOR_LIMIT, where the period is taken to be m itself
+@example(((7,), 6 * 10**9, ((3,),), [(((3,), 6 * 10**9 - 1), ((5,), 12345)), (((1,), 7), ((6,), 0))]))
+def test_both_product_paths_follow_the_definition(case):
+    qs, m, rows, pairs = case
+    G = semidirect(qs, m, rows)
+
+    def element(a, j):  # the code of (a, j), written out from the module docstring
+        n = 0
+        for q, x in zip(qs, a):
+            n = n * q + x
+        return n * m + j
+
+    for (a, j), (b, k) in pairs:
+        moved = autring.mat_vec(autring.mat_pow(rows, j, qs), b, qs)
+        product = element([(u + v) % q for u, v, q in zip(a, moved, qs)], (j + k) % m)
+        assert G.mul(element(a, j), element(b, k)) == product
+        back = autring.mat_vec(autring.mat_pow(rows, -j % m, qs), a, qs)
+        assert G.inv(element(a, j)) == element([-v % q for v, q in zip(back, qs)], -j % m)
 
 
 def test_semidirect_product_law_order21():
@@ -257,17 +312,19 @@ def test_group_pow_product_count():
 def test_action_powers_keyed_by_j_mod_action_order():
     from grpext.decomp import standard_decomposition
 
-    G = load_group("semidirect\nA 7\nm 1000000\n6\n")  # 6 = -1 has order 2
-    standard_decomposition(G)
-    (powers,) = [
-        c.cell_contents
-        for c in G._mul.__closure__
-        if isinstance(c.cell_contents, blackbox._ActionPowers)
-    ]
-    assert powers.period == 2
-    assert len(powers) <= 2
-    spec = parse_group_file("semidirect\nA 7\nm 1000000\n6\n")
-    assert spec.action_period == 2
+    for text, period in (
+        ("semidirect\nA 7\nm 1000000\n6\n", 2),  # 6 = -1 has order 2; s = 1
+        ("semidirect\nA 3 3\nm 1000000\n0 2\n1 0\n", 4),  # s = 2
+    ):
+        G = load_group(text)
+        standard_decomposition(G)
+        (powers,) = [
+            c.cell_contents
+            for c in G._mul.__closure__
+            if isinstance(c.cell_contents, blackbox._ActionPowers)
+        ]
+        assert powers.period == period == parse_group_file(text).action_period
+        assert len(powers) <= period
     big = parse_group_file(f"semidirect\nA 7\nm {2**33}\n1\n")
     assert big.action_period == 2**33  # above the factoring limit: m itself
 

@@ -221,6 +221,27 @@ def test_lenient_spellings_exit_2_naming_the_line(tmp_path, capsys, name, text, 
     assert (code, out, err) == (2, "", f"error {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["isomorphic", "g.grp", "g.grp", "--seed", "\uff14"], "--seed", "\uff14"),
+        (["conjugacy", "u.mat", "u.mat", "--order-cap", "0_5"], "--order-cap", "0_5"),
+        (["count-classes", "--r", "\uff14"], "--r", "\uff14"),
+        (["count-classes", "--r", "2", "--emit-reps", "1_0"], "--emit-reps", "1_0"),
+    ],
+)
+def test_integer_flags_refuse_what_files_refuse(tmp_path, capsys, monkeypatch, argv, flag, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.grp").write_text(G21A)
+    (tmp_path / "u.mat").write_text("ptype 7 1\n2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument {flag}: value entry {value!r} is not an integer" in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["g.grp", "u.mat"]  # nothing ran
+
+
 R4_I1_SHA256 = [  # the emitted files of count-classes --r 4 --emit-reps 1
     "0e289ee9854a2a6ef903f49be13979467399ede92eb743bf1dc7af393d3e8a84",
     "5c2f698089ea827e4f65ac4b36d4c2be0cc28d0d8cd1df018133fda9f6b73019",
