@@ -29,7 +29,6 @@ from .blackbox import (
 )
 from .classes import brute_force_class_count, class_representatives, count_classes
 from .decomp import (
-    CandidateDecomposition,
     StandardDecomposition,
     find_decomposition,
     standard_decomposition,

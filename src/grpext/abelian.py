@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import read_ints, smith_normal_form, trial_factor, valuation
+from .arith import read_ints, smith_normal_form, trial_factor
 from .blackbox import ElementCode, GroupHandle, group_pow
 from .errors import (
     InvariantBreachError,
@@ -187,9 +187,8 @@ def _insert_p_element(
     x: ElementCode,
     x_order: int,
 ) -> Optional[list[tuple[ElementCode, int]]]:
-    """Extend a p-group basis, given with its table, by one element of order p^K;
-    None when the element lies in the span."""
-    k_exp = valuation(p, x_order)
+    """Extend a p-group basis, given with its table, by x of order x_order = p^K;
+    None when x lies in the span."""
     w = x
     k = 0
     coeffs = None
@@ -199,7 +198,7 @@ def _insert_p_element(
         except MembershipError:
             w = group_pow(G, w, p)
             k += 1
-            if k > k_exp:
+            if p**k > x_order:
                 raise InvariantBreachError("p-power of element escaped the p-group")
     if k == 0:
         return None

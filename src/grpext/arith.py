@@ -151,17 +151,6 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def valuation(p: int, n: int) -> int:
-    """Largest v with p^v dividing n (n >= 1)."""
-    if n < 1:
-        raise MalformedInputError(f"valuation needs n >= 1, got {n}")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def divisors(n: int) -> list[int]:
     """All divisors of n in strictly ascending order."""
     if n < 1:

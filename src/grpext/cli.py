@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Reports are plain UTF-8 key-value lines and are byte-deterministic for fixed
-inputs and flags, except for the trailing wall-time field. Exit code 0 means a
-definite verdict was reached (either way); malformed input or precondition
-violations exit nonzero.
+Each command returns its report lines and exit code; main writes the lines
+and a trailing wall-time-ms line, timed from after argument parsing, or on an
+error only an `error` line on stderr, with stdout left empty. Reports are
+plain UTF-8 key-value lines and are byte-deterministic for fixed inputs and
+flags, except for the wall-time field. Exit code 0 means a definite verdict
+was reached (either way); malformed input or precondition violations exit
+nonzero.
 """
 
 from __future__ import annotations
@@ -35,32 +38,20 @@ def _load(path: str) -> tuple[blackbox.GroupHandle, str]:
     return blackbox.load_group(text, name=Path(path).name), digest
 
 
-def _emit(lines: list[str], started: float) -> None:
-    for line in lines:
-        print(line)
-    print(f"wall-time-ms {int((time.perf_counter() - started) * 1000)}")
-
-
-def cmd_order(args) -> int:
-    started = time.perf_counter()
+def cmd_order(args) -> tuple[list[str], int]:
     G, digest = _load(args.group)
     g = G.parse_element(args.element)
     order = abelian.element_order(G, g)
-    _emit(
-        [
-            "command order",
-            f"input {digest}",
-            f"element {args.element}",
-            f"order {order}",
-            f"oracle-calls {G.operation_count}",
-        ],
-        started,
-    )
-    return 0
+    return [
+        "command order",
+        f"input {digest}",
+        f"element {args.element}",
+        f"order {order}",
+        f"oracle-calls {G.operation_count}",
+    ], 0
 
 
-def cmd_standard_decomposition(args) -> int:
-    started = time.perf_counter()
+def cmd_standard_decomposition(args) -> tuple[list[str], int]:
     G, digest = _load(args.group)
     sd, attempts = decomp.standard_decomposition_with_attempts(G)
     lines = [
@@ -74,12 +65,11 @@ def cmd_standard_decomposition(args) -> int:
     ]
     for att in attempts:
         if att.error is None:
-            lines.append(f"attempt {att.m} ok {att.product}")
+            lines.append(f"attempt {att.m} ok {att.found.group_order}")
         else:
             lines.append(f"attempt {att.m} error {att.error}")
     lines.append(f"oracle-calls {G.operation_count}")
-    _emit(lines, started)
-    return 0
+    return lines, 0
 
 
 def _psi_block_lines(blocks: autring.AutBlocks) -> list[str]:
@@ -94,8 +84,7 @@ def _psi_block_lines(blocks: autring.AutBlocks) -> list[str]:
     return lines
 
 
-def cmd_isomorphic(args) -> int:
-    started = time.perf_counter()
+def cmd_isomorphic(args) -> tuple[list[str], int]:
     G, digest_g = _load(args.group_g)
     H, digest_h = _load(args.group_h)
     result = iso.isomorphic(G, H)
@@ -104,29 +93,25 @@ def cmd_isomorphic(args) -> int:
         f"input-g {digest_g}",
         f"input-h {digest_h}",
     ]
+    ok = True
     if not result.is_isomorphic:
         lines.append("verdict no")
         lines.append(f"reason {result.failed_condition}")
-        lines.append(f"oracle-calls-g {G.operation_count}")
-        lines.append(f"oracle-calls-h {H.operation_count}")
-        _emit(lines, started)
-        return 0
-    witness = result.witness
-    lines.append("verdict yes")
-    lines.append(f"gamma {witness.source.gamma}")
-    lines.append(f"k {witness.k}")
-    lines.extend(_psi_block_lines(witness.psi_blocks))
-    mu = iso.build_mu(witness)
-    ok = iso.verify_isomorphism(G, H, mu, mode=args.verify, seed=args.seed)
-    lines.append(f"mu-check {args.verify} {'pass' if ok else 'fail'}")
+    else:
+        witness = result.witness
+        lines.append("verdict yes")
+        lines.append(f"gamma {witness.source.gamma}")
+        lines.append(f"k {witness.k}")
+        lines.extend(_psi_block_lines(witness.psi_blocks))
+        mu = iso.build_mu(witness)
+        ok = iso.verify_isomorphism(G, H, mu, mode=args.verify, seed=args.seed)
+        lines.append(f"mu-check {args.verify} {'pass' if ok else 'fail'}")
     lines.append(f"oracle-calls-g {G.operation_count}")
     lines.append(f"oracle-calls-h {H.operation_count}")
-    _emit(lines, started)
-    return 0 if ok else 1
+    return lines, 0 if ok else 1
 
 
-def cmd_conjugacy(args) -> int:
-    started = time.perf_counter()
+def cmd_conjugacy(args) -> tuple[list[str], int]:
     text1, digest1 = _read(args.matrix1)
     u1 = autring.parse_matrix_file(text1)
     text2, digest2 = _read(args.matrix2)
@@ -143,12 +128,10 @@ def cmd_conjugacy(args) -> int:
         lines.append("conjugate yes")
         for row in witness.rows:
             lines.append(" ".join(str(x) for x in row))
-    _emit(lines, started)
-    return 0
+    return lines, 0
 
 
-def cmd_count_classes(args) -> int:
-    started = time.perf_counter()
+def cmd_count_classes(args) -> tuple[list[str], int]:
     triples = classes.class_triples(args.r)
     lines = [
         "command count-classes",
@@ -169,8 +152,7 @@ def cmd_count_classes(args) -> int:
             )
             (out_dir / name).write_text(text, encoding="utf-8")
             lines.append(f"wrote {name}")
-    _emit(lines, started)
-    return 0
+    return lines, 0
 
 
 def _selftest_checks():
@@ -257,8 +239,7 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(args) -> int:
-    started = time.perf_counter()
+def cmd_selftest(args) -> tuple[list[str], int]:
     lines = ["command selftest"]
     failures = 0
     for name, check in _selftest_checks():
@@ -269,8 +250,7 @@ def cmd_selftest(args) -> int:
         lines.append(f"selftest {name} {'pass' if ok else 'fail'}")
         failures += 0 if ok else 1
     lines.append(f"failures {failures}")
-    _emit(lines, started)
-    return 0 if failures == 0 else 1
+    return lines, 0 if failures == 0 else 1
 
 
 def _int_flag(text: str) -> int:
@@ -324,8 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        lines, code = args.func(args)
+        print(*lines, sep="\n")
+        print(f"wall-time-ms {int((time.perf_counter() - started) * 1000)}")
+        return code
     except (GrpextError, OSError) as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2

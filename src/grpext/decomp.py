@@ -19,10 +19,11 @@ Conjugates by generators suffice because G is finite, so each g^{-1} is a
 power of g. A round that takes in an element at least doubles the span, so at
 most log2|G'| rounds run. Every element taken in lies in G', so elements
 that do not commute show that G' is not abelian.
-Sweeping m over the divisors of the lcm of the generator orders and keeping
-the smallest m whose abelian part is maximal yields the standard
-decomposition; the full sweep is reported so callers can see which candidates
-only decomposed a proper subgroup.
+A finder run returns a StandardDecomposition with gamma = m. The sweep runs
+the finder for every divisor m of the lcm of the generator orders and keeps
+the decomposition with the largest m * |A_m|, the least m among equals: that
+is the standard decomposition. Every attempt is reported, so callers can see
+which m only decomposed a proper subgroup.
 """
 
 from __future__ import annotations
@@ -112,19 +113,14 @@ def group_context(G: GroupHandle) -> GroupContext:
 
 
 @dataclass(frozen=True)
-class CandidateDecomposition:
-    """Output of one finder run: z of order m and a basis of the abelian part A_m.
+class StandardDecomposition:
+    """Output of one finder run: y of order gamma and a basis of the abelian part A.
 
-    |A_m| is a_basis.group_order; every element order of A_m is coprime with m.
+    |A| is a_basis.group_order and every element order of A is coprime with
+    gamma. The sweep keeps the run with the largest group_order; only that
+    one is the standard decomposition of G, and its gamma the invariant.
     """
 
-    m: int
-    z: ElementCode
-    a_basis: AbelianBasis
-
-
-@dataclass(frozen=True)
-class StandardDecomposition:
     gamma: int
     a_basis: AbelianBasis
     y: ElementCode
@@ -136,12 +132,14 @@ class StandardDecomposition:
 
 @dataclass(frozen=True)
 class DecompositionAttempt:
+    """The finder run for one m: the decomposition it found, or why it failed."""
+
     m: int
+    found: Optional[StandardDecomposition]
     error: Optional[str]
-    product: Optional[int]  # m * |abelian part| on success
 
 
-def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> CandidateDecomposition:
+def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> StandardDecomposition:
     """One sweep of the finder for m, given context = group_context(G); raises DecompositionFailed.
 
     When the group really decomposes at this m, the result generates the whole
@@ -189,7 +187,7 @@ def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> Candida
         if math.gcd(n, m) != 1:
             raise DecompositionFailed(m, "generator power order shares a factor with m")
 
-    return CandidateDecomposition(m, z, abelian_basis(combined, G, orders=x_orders + h_orders))
+    return StandardDecomposition(m, abelian_basis(combined, G, orders=x_orders + h_orders), z)
 
 
 def standard_decomposition_with_attempts(
@@ -203,22 +201,18 @@ def standard_decomposition_with_attempts(
     """
     context = group_context(G)
     attempts: list[DecompositionAttempt] = []
-    candidates: list[CandidateDecomposition] = []
     for m in divisors(math.lcm(*context.gen_orders)):  # lcm() is 1: the trivial group
         try:
-            cand = find_decomposition(G, m, context)
+            attempts.append(DecompositionAttempt(m, find_decomposition(G, m, context), None))
         except DecompositionFailed as exc:
-            attempts.append(DecompositionAttempt(m, exc.reason, None))
-            continue
-        candidates.append(cand)
-        attempts.append(DecompositionAttempt(m, None, m * cand.a_basis.group_order))
-    if not candidates:
+            attempts.append(DecompositionAttempt(m, None, exc.reason))
+    found = [a.found for a in attempts if a.found is not None]
+    if not found:
         raise NotInClassError(
             "no divisor admits a decomposition; the group is outside the scope class"
         )
     # max keeps the first maximum, so over ascending m the least m reaching it
-    chosen = max(candidates, key=lambda c: c.m * c.a_basis.group_order)
-    return StandardDecomposition(chosen.m, chosen.a_basis, chosen.z), attempts
+    return max(found, key=lambda d: d.group_order), attempts
 
 
 def standard_decomposition(G: GroupHandle) -> StandardDecomposition:

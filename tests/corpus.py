@@ -18,7 +18,7 @@ from grpext import autring, blackbox
 from grpext.abelian import DecompositionTable
 from grpext.arith import divisors
 from grpext.blackbox import GroupHandle, TableGroupSpec, closure, group_pow
-from grpext.errors import MembershipError
+from grpext.errors import MalformedInputError, MembershipError
 
 
 def with_generators(G: GroupHandle, generators) -> GroupHandle:
@@ -142,10 +142,25 @@ def table_from(handle: GroupHandle, name: str) -> GroupHandle:
 
 
 @dataclass(frozen=True)
+class Semidirect:
+    """A corpus group A x| Z_m, A = prod Z_q over qs, acting by the full matrix rows;
+    called with gens, the same group on those generators."""
+
+    qs: tuple
+    m: int
+    rows: list
+    name: str
+
+    def __call__(self, gens=None) -> GroupHandle:
+        return semidirect(self.qs, self.m, self.rows, gens=gens, name=self.name)
+
+
+@dataclass(frozen=True)
 class CorpusEntry:
     name: str
     gamma: int
     order: int
+    semidirect: Optional[Semidirect]  # None for a Cayley table
 
 
 def _builders():
@@ -153,44 +168,44 @@ def _builders():
     return {
         # abelian, gamma = 1
         "Z12_table": (1, 12, lambda: blackbox.table_group(cyclic_table_spec(12), name="Z12")),
-        "Z72": (1, 72, lambda: semidirect((8, 9), 1, ident(2), name="Z72")),
-        "Z2xZ4xZ9": (1, 72, lambda: semidirect((2, 4, 9), 1, ident(3), name="Z2xZ4xZ9")),
-        "Z100": (1, 100, lambda: semidirect((4, 25), 1, ident(2), name="Z100")),
+        "Z72": (1, 72, Semidirect((8, 9), 1, ident(2), "Z72")),
+        "Z2xZ4xZ9": (1, 72, Semidirect((2, 4, 9), 1, ident(3), "Z2xZ4xZ9")),
+        "Z100": (1, 100, Semidirect((4, 25), 1, ident(2), "Z100")),
         "Z2^3_table": (1, 8, lambda: table_from(semidirect((2, 2, 2), 1, ident(3)), "Z2^3")),
-        "Z49": (1, 49, lambda: semidirect((49,), 1, ident(1), name="Z49")),
-        "Z75": (1, 75, lambda: semidirect((3, 25), 1, ident(2), name="Z75")),
+        "Z49": (1, 49, Semidirect((49,), 1, ident(1), "Z49")),
+        "Z75": (1, 75, Semidirect((3, 25), 1, ident(2), "Z75")),
         # gamma = 2
         "S3_table": (2, 6, lambda: table_from(semidirect((3,), 2, [[2]]), "S3")),
-        "D7": (2, 14, lambda: semidirect((7,), 2, [[6]], name="D7")),
+        "D7": (2, 14, Semidirect((7,), 2, [[6]], "D7")),
         "D7_table": (2, 14, lambda: table_from(semidirect((7,), 2, [[6]]), "D7t")),
-        "Z9xZ2_inv": (2, 18, lambda: semidirect((9,), 2, [[8]], name="Z9:Z2")),
-        "Z3Z9xZ2_inv": (2, 54, lambda: semidirect((3, 9), 2, [[2, 0], [0, 8]], name="Z3Z9:Z2")),
-        "Z15xZ2_inv": (2, 30, lambda: semidirect((3, 5), 2, [[2, 0], [0, 4]], name="Z15:Z2")),
-        "Z5xZ2_inv": (2, 10, lambda: semidirect((5,), 2, [[4]], name="Z5:Z2")),
-        "Z21xZ2_inv": (2, 42, lambda: semidirect((3, 7), 2, [[2, 0], [0, 6]], name="Z21:Z2")),
-        "Z5^2xZ2_inv": (2, 50, lambda: semidirect((5, 5), 2, [[4, 0], [0, 4]], name="Z5^2:Z2")),
-        "swap18": (2, 18, lambda: semidirect((3, 3), 2, [[0, 1], [1, 0]], name="swap18")),
+        "Z9xZ2_inv": (2, 18, Semidirect((9,), 2, [[8]], "Z9:Z2")),
+        "Z3Z9xZ2_inv": (2, 54, Semidirect((3, 9), 2, [[2, 0], [0, 8]], "Z3Z9:Z2")),
+        "Z15xZ2_inv": (2, 30, Semidirect((3, 5), 2, [[2, 0], [0, 4]], "Z15:Z2")),
+        "Z5xZ2_inv": (2, 10, Semidirect((5,), 2, [[4]], "Z5:Z2")),
+        "Z21xZ2_inv": (2, 42, Semidirect((3, 7), 2, [[2, 0], [0, 6]], "Z21:Z2")),
+        "Z5^2xZ2_inv": (2, 50, Semidirect((5, 5), 2, [[4, 0], [0, 4]], "Z5^2:Z2")),
+        "swap18": (2, 18, Semidirect((3, 3), 2, [[0, 1], [1, 0]], "swap18")),
         # gamma = 3
-        "G21a": (3, 21, lambda: semidirect((7,), 3, [[2]], name="G21a")),
-        "G21b": (3, 21, lambda: semidirect((7,), 3, [[4]], name="G21b")),
-        "A4": (3, 12, lambda: semidirect((2, 2), 3, [[0, 1], [1, 1]], name="A4")),
+        "G21a": (3, 21, Semidirect((7,), 3, [[2]], "G21a")),
+        "G21b": (3, 21, Semidirect((7,), 3, [[4]], "G21b")),
+        "A4": (3, 12, Semidirect((2, 2), 3, [[0, 1], [1, 1]], "A4")),
         "A4_table": (3, 12, lambda: table_from(semidirect((2, 2), 3, [[0, 1], [1, 1]]), "A4t")),
-        "Z20xZ3": (3, 60, lambda: semidirect((2, 2, 5), 3, [[0, 1, 0], [1, 1, 0], [0, 0, 1]], name="Z20:Z3")),
-        "Z13xZ3_a": (3, 39, lambda: semidirect((13,), 3, [[3]], name="Z13:Z3a")),
-        "Z13xZ3_b": (3, 39, lambda: semidirect((13,), 3, [[9]], name="Z13:Z3b")),
+        "Z20xZ3": (3, 60, Semidirect((2, 2, 5), 3, [[0, 1, 0], [1, 1, 0], [0, 0, 1]], "Z20:Z3")),
+        "Z13xZ3_a": (3, 39, Semidirect((13,), 3, [[3]], "Z13:Z3a")),
+        "Z13xZ3_b": (3, 39, Semidirect((13,), 3, [[9]], "Z13:Z3b")),
         # gamma = 4
-        "Z3xZ4": (4, 12, lambda: semidirect((3,), 4, [[2]], name="Z3:Z4")),
-        "Z9xZ4": (4, 36, lambda: semidirect((9,), 4, [[8]], name="Z9:Z4")),
-        "Z3^2xZ4_diag": (4, 36, lambda: semidirect((3, 3), 4, [[2, 0], [0, 1]], name="Z3^2:Z4d")),
-        "Z3^2xZ4_W": (4, 36, lambda: semidirect((3, 3), 4, [[0, 2], [1, 0]], name="Z3^2:Z4w")),
-        "Z3^2xZ4_negI": (4, 36, lambda: semidirect((3, 3), 4, [[2, 0], [0, 2]], name="Z3^2:Z4n")),
-        "Z5xZ4_a": (4, 20, lambda: semidirect((5,), 4, [[2]], name="Z5:Z4a")),
-        "Z5xZ4_b": (4, 20, lambda: semidirect((5,), 4, [[3]], name="Z5:Z4b")),
-        "Z13xZ4": (4, 52, lambda: semidirect((13,), 4, [[5]], name="Z13:Z4")),
+        "Z3xZ4": (4, 12, Semidirect((3,), 4, [[2]], "Z3:Z4")),
+        "Z9xZ4": (4, 36, Semidirect((9,), 4, [[8]], "Z9:Z4")),
+        "Z3^2xZ4_diag": (4, 36, Semidirect((3, 3), 4, [[2, 0], [0, 1]], "Z3^2:Z4d")),
+        "Z3^2xZ4_W": (4, 36, Semidirect((3, 3), 4, [[0, 2], [1, 0]], "Z3^2:Z4w")),
+        "Z3^2xZ4_negI": (4, 36, Semidirect((3, 3), 4, [[2, 0], [0, 2]], "Z3^2:Z4n")),
+        "Z5xZ4_a": (4, 20, Semidirect((5,), 4, [[2]], "Z5:Z4a")),
+        "Z5xZ4_b": (4, 20, Semidirect((5,), 4, [[3]], "Z5:Z4b")),
+        "Z13xZ4": (4, 52, Semidirect((13,), 4, [[5]], "Z13:Z4")),
         # gamma = 6
-        "Z7xZ6_a": (6, 42, lambda: semidirect((7,), 6, [[3]], name="Z7:Z6a")),
-        "Z7xZ6_b": (6, 42, lambda: semidirect((7,), 6, [[5]], name="Z7:Z6b")),
-        "Z13xZ6": (6, 78, lambda: semidirect((13,), 6, [[4]], name="Z13:Z6")),
+        "Z7xZ6_a": (6, 42, Semidirect((7,), 6, [[3]], "Z7:Z6a")),
+        "Z7xZ6_b": (6, 42, Semidirect((7,), 6, [[5]], "Z7:Z6b")),
+        "Z13xZ6": (6, 78, Semidirect((13,), 6, [[4]], "Z13:Z6")),
     }
 
 
@@ -199,8 +214,8 @@ def corpus_names() -> list[str]:
 
 
 def corpus_entry(name: str) -> CorpusEntry:
-    gamma, order, _ = _builders()[name]
-    return CorpusEntry(name, gamma, order)
+    gamma, order, make = _builders()[name]
+    return CorpusEntry(name, gamma, order, make if isinstance(make, Semidirect) else None)
 
 
 def build(name: str) -> GroupHandle:
@@ -226,6 +241,47 @@ def second_presentations() -> dict[str, tuple[GroupHandle, GroupHandle]]:
             build("A4"),
         ),
     }
+
+
+def random_generators(name: str, rng) -> GroupHandle:
+    """The corpus group on random elements, drawn one at a time until they
+    generate it: as `gens` that SemidirectGroupSpec accepts, or for a Cayley
+    table, until their closure is the whole group."""
+    spec, G = corpus_entry(name).semidirect, build(name)
+    gens: list = []
+    if spec is None:
+        elements = closure(G, G.generators)
+        while len(closure(G, gens)) < len(elements):
+            gens.append(rng.choice(elements))
+        return with_generators(G, gens)
+    while True:
+        gens.append((tuple(rng.randrange(q) for q in spec.qs), rng.randrange(spec.m)))
+        try:
+            return spec(gens)
+        except MalformedInputError:
+            continue
+
+
+def represent(name: str, rng) -> GroupHandle:
+    """A semidirect corpus group re-presented by (a, j) -> (U a, j / r) for a
+    random unit U and r prime to m: the action becomes U M^r U^-1 and the
+    generators (U e_i, 0) and (0, r^-1 mod m)."""
+    spec = corpus_entry(name).semidirect
+    action = autring.blocks_from_rows(spec.qs, spec.rows)
+    r = rng.choice([x for x in range(1, spec.m + 1) if math.gcd(x, spec.m) == 1])
+    units, blocks = [], []
+    for block in action.blocks:
+        u = autring.random_unit(block.ptype, rng)
+        one = u_inv = autring.identity_matrix(block.ptype)
+        while autring.star_mul(u_inv, u) != one:
+            u_inv = autring.star_mul(u_inv, u)
+        units.append(u)
+        blocks.append(autring.star_mul(autring.star_mul(u, autring.star_pow(block, r)), u_inv))
+    u_rows, s = autring.AutBlocks(tuple(units)).rows, len(spec.qs)
+    gens = [(tuple(row[i] for row in u_rows), 0) for i in range(s)]
+    gens.append(((0,) * s, pow(r, -1, spec.m)))
+    rows = autring.AutBlocks(tuple(blocks)).rows
+    return semidirect(spec.qs, spec.m, rows, gens=gens, name=spec.name + "'")
 
 
 # pairs expected isomorphic (all other distinct pairs are not)

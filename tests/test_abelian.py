@@ -23,7 +23,13 @@ from grpext.abelian import (
 )
 from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow, load_group
 from grpext.decomp import standard_decomposition
-from grpext.errors import MalformedInputError, MembershipError, MemoryBudgetError, NotAbelianError
+from grpext.errors import (
+    InvariantBreachError,
+    MalformedInputError,
+    MembershipError,
+    MemoryBudgetError,
+    NotAbelianError,
+)
 
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -336,3 +342,18 @@ def test_tables_and_basis_rebuilds_take_no_identity_product(name):
         assert counts["abelian_basis"] == 0
         closure(G, G.generators)
         assert counts["closure"] == len(G.generators)  # the counter sees identity products
+
+
+def test_p_power_outside_every_span_is_an_invariant_breach():
+    # a table that contains nothing: x, x^3 and x^9 = 1 are tried, then p^3 > ord(x)
+    class Empty:
+        tried = 0
+
+        def decompose(self, code):
+            self.tried += 1
+            raise MembershipError("not in the span")
+
+    Z9, table = cyclic_group(9), Empty()
+    with pytest.raises(InvariantBreachError, match="escaped the p-group"):
+        abelian._insert_p_element(Z9, 3, [], table, Z9.parse_element("1"), 9)
+    assert table.tried == 3

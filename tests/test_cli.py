@@ -142,6 +142,89 @@ def test_verdict_independent_of_flag_order(tmp_path, capsys):
     assert strip_wall_time(out1) == strip_wall_time(out2)
 
 
+def mask_counts(text: str) -> str:
+    """The report with the numbers of its oracle-call and wall-time lines replaced by N."""
+    return re.sub(r"^(oracle-calls(?:-[gh])?|wall-time-ms) \d+$", r"\1 N", text, flags=re.M)
+
+
+def _digest(path) -> str:
+    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_standard_decomposition_report_lists_every_attempt(tmp_path, capsys):
+    path = tmp_path / "g.grp"
+    path.write_text(G21A)
+    code, out, _ = run_cli(capsys, "standard-decomposition", str(path))
+    assert code == 0
+    assert mask_counts(out).splitlines() == [
+        "command standard-decomposition",
+        f"input {_digest(path)}",
+        "gamma 3",
+        "abelian-order 7",
+        "abelian-type 7",
+        "group-order 21",
+        "y 0;1",
+        "attempt 1 error candidate abelian part does not commute",
+        "attempt 3 ok 21",
+        "attempt 7 error candidate abelian part does not commute",
+        "attempt 21 error assembled element order 3 not divisible by m",
+        "oracle-calls N",
+        "wall-time-ms N",
+    ]
+
+
+def test_isomorphic_reports_yes_and_no(tmp_path, capsys):
+    a, b, c = tmp_path / "a.grp", tmp_path / "b.grp", tmp_path / "c.grp"
+    a.write_text(G21A)
+    b.write_text(G21B)
+    c.write_text("semidirect\nA 3\nm 4\n2\n")
+    code, out, _ = run_cli(capsys, "isomorphic", str(a), str(b), "--verify", "exhaustive")
+    assert code == 0
+    assert mask_counts(out).splitlines() == [
+        "command isomorphic",
+        f"input-g {_digest(a)}",
+        f"input-h {_digest(b)}",
+        "verdict yes",
+        "gamma 3",
+        "k 2",
+        "psi-block 7 1",
+        "1",
+        "mu-check exhaustive pass",
+        "oracle-calls-g N",
+        "oracle-calls-h N",
+        "wall-time-ms N",
+    ]
+    code, out, _ = run_cli(capsys, "isomorphic", str(a), str(c))
+    assert code == 0
+    assert mask_counts(out).splitlines() == [
+        "command isomorphic",
+        f"input-g {_digest(a)}",
+        f"input-h {_digest(c)}",
+        "verdict no",
+        "reason gamma-mismatch",
+        "oracle-calls-g N",
+        "oracle-calls-h N",
+        "wall-time-ms N",
+    ]
+
+
+def test_failed_mu_check_exits_1_after_the_full_report(tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "a.grp", tmp_path / "b.grp"
+    a.write_text(G21A)
+    b.write_text(G21B)
+    monkeypatch.setattr(iso, "verify_isomorphism", lambda *args, **kwargs: False)
+    code, out, err = run_cli(capsys, "isomorphic", str(a), str(b))
+    assert code == 1
+    assert err == ""
+    assert mask_counts(out).splitlines()[-5:] == [
+        "1",
+        "mu-check sampled fail",
+        "oracle-calls-g N",
+        "oracle-calls-h N",
+        "wall-time-ms N",
+    ]
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = tmp_path / "g.grp"
     path.write_text(G21A)

@@ -36,7 +36,7 @@ def a1009():
 def test_find_decomposition_abelian_m1():
     G = semidirect((8, 9), 1, IDENT2)
     cand = find_decomposition(G, 1, group_context(G))
-    assert cand.z == G.identity
+    assert cand.y == G.identity
     assert cand.a_basis.group_order == 72
     assert set(closure(G, cand.a_basis.elements)) == set(closure(G, G.generators))
 
@@ -44,7 +44,7 @@ def test_find_decomposition_abelian_m1():
 def test_find_decomposition_order21_m3():
     G = build("G21a")
     cand = find_decomposition(G, 3, group_context(G))
-    assert naive_order(G, cand.z) == 3
+    assert naive_order(G, cand.y) == 3
     assert cand.a_basis.group_order == 7
     part = closure(G, cand.a_basis.elements)
     assert len(part) == 7
@@ -53,7 +53,7 @@ def test_find_decomposition_order21_m3():
         for b in part:
             assert G.mul(a, b) == G.mul(b, a)
     assert math.gcd(len(part), 3) == 1
-    assert len(closure(G, list(cand.a_basis.elements) + [cand.z])) == 21
+    assert len(closure(G, list(cand.a_basis.elements) + [cand.y])) == 21
 
 
 def test_find_decomposition_order21_failures():
@@ -93,7 +93,7 @@ def test_attempts_surface_proper_subgroup_products():
     G = build("Z20xZ3")
     sd, attempts = standard_decomposition_with_attempts(G)
     assert sd.gamma == 3
-    products = {a.m: a.product for a in attempts if a.error is None}
+    products = {a.m: a.found.group_order for a in attempts if a.error is None}
     assert products[3] == 60 and products[15] == 60
 
 
@@ -158,11 +158,11 @@ def test_success_on_proper_subgroup_is_filtered_by_the_sweep():
     G = semidirect((2, 2), 1, IDENT2)
     cand = find_decomposition(G, 2, group_context(G))
     assert cand.a_basis.group_order == 1
-    assert naive_order(G, cand.z) == 2
-    assert len(closure(G, list(cand.a_basis.elements) + [cand.z])) == 2  # proper subgroup
+    assert naive_order(G, cand.y) == 2
+    assert len(closure(G, list(cand.a_basis.elements) + [cand.y])) == 2  # proper subgroup
     sd, attempts = standard_decomposition_with_attempts(G)
     assert sd.gamma == 1
-    products = {a.m: a.product for a in attempts if a.error is None}
+    products = {a.m: a.found.group_order for a in attempts if a.error is None}
     assert products == {1: 4, 2: 2}
 
 
@@ -216,9 +216,9 @@ def test_sweep_matches_finder_run_alone(name):
     sd, attempts = standard_decomposition_with_attempts(G)
     ms = divisors(math.lcm(*(naive_order(G, g) for g in G.generators)))
     alone = {m: _finder_alone(G, m) for m in ms}
-    assert [(a.m, a.error, a.product) for a in attempts] == [alone[m][0] for m in ms]
+    assert [(a.m, a.error, a.found and a.found.group_order) for a in attempts] == [alone[m][0] for m in ms]
     chosen = alone[sd.gamma][1]
-    assert (chosen.a_basis, chosen.z) == (sd.a_basis, sd.y)
+    assert (chosen.a_basis, chosen.y) == (sd.a_basis, sd.y)
 
 
 def test_group_context_built_once_per_sweep(monkeypatch):

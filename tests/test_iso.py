@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     ISOMORPHIC_PAIRS,
@@ -10,8 +12,11 @@ from corpus import (
     corpus_names,
     expected_isomorphic,
     corpus_entry,
+    naive_gamma,
     naive_isomorphic,
+    random_generators,
     relabel,
+    represent,
     second_presentations,
     semidirect,
     strip_mu,
@@ -500,3 +505,35 @@ def test_relabelled_tables_are_isomorphic_to_the_original():
             if not isomorphic(G, relabel(G, rng)).is_isomorphic:
                 wrong.append((name, i))
     assert wrong == []
+
+
+_AT_MOST_64 = [name for name in corpus_names() if corpus_entry(name).order <= 64]
+
+
+def _decides_yes_at_the_naive_gamma(G, H):
+    # and H's decomposition meets the definition: A abelian and normal, |A| * gamma = |H|
+    result = isomorphic(G, H)
+    assert result.is_isomorphic
+    assert verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive")
+    sd = result.witness.target
+    assert result.witness.source.gamma == sd.gamma == naive_gamma(H)
+    part = set(closure(H, list(sd.a_basis.elements)))
+    assert len(part) * sd.gamma == len(closure(H, H.generators))
+    basis = sd.a_basis.elements
+    assert all(H.mul(a, b) == H.mul(b, a) for a in basis for b in basis)
+    assert all(H.mul(H.mul(g, a), H.inv(g)) in part for g in H.generators for a in basis)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(_AT_MOST_64), st.integers(0, 2**32))
+def test_random_generating_sets_decide_yes(name, seed):
+    _decides_yes_at_the_naive_gamma(build(name), random_generators(name, random.Random(seed)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([name for name in _AT_MOST_64 if corpus_entry(name).semidirect]),
+    st.integers(0, 2**32),
+)
+def test_ladder_representations_decide_yes(name, seed):
+    _decides_yes_at_the_naive_gamma(build(name), represent(name, random.Random(seed)))
