@@ -228,7 +228,8 @@ def _insert_p_element(
 
 
 def abelian_basis(
-    gens: Sequence[ElementCode], G: GroupHandle, orders: Optional[Sequence[int]] = None
+    gens: Sequence[ElementCode], G: GroupHandle, orders: Optional[Sequence[int]] = None,
+    start: Optional[dict] = None,
 ) -> AbelianBasis:
     """Basis of the abelian subgroup generated by gens.
 
@@ -238,12 +239,15 @@ def abelian_basis(
     Without orders, every pair of gens is checked to commute (NotAbelianError
     otherwise) and each order is found by element_order. A caller that has
     already checked that gens commute and knows their orders passes the
-    orders, in the order of gens, and neither is done again.
+    orders, in the order of gens, and neither is done again. With start, a
+    dict mapping p to [pairs, table]: a p-basis as (element, order) pairs,
+    ascending by order, and its table or None. Prime p then starts from
+    start[p] in place of the empty basis, gens equal to a start element are
+    dropped, and a table built over start[p] is stored there for later calls.
     """
-    unique: list[ElementCode] = []
-    for g in gens:
-        if g != G.identity and g not in unique:
-            unique.append(g)
+    start = start or {}
+    started = {x for pairs, _ in start.values() for x, _ in pairs}
+    unique = list(dict.fromkeys(g for g in gens if g != G.identity and g not in started))
     if orders is None:
         check_commuting(G, unique)
         orders = {g: element_order(G, g) for g in unique}
@@ -256,10 +260,11 @@ def abelian_basis(
             part = group_pow(G, g, n // p**e)
             per_prime.setdefault(p, []).append((part, p**e))
     basis_pairs: list[tuple[ElementCode, int]] = []
-    for p in sorted(per_prime):
-        partial: list[tuple[ElementCode, int]] = []
-        table = None  # over partial; built again only after an insert changed it
-        for x, x_order in per_prime[p]:
+    for p in sorted(per_prime.keys() | start.keys()):
+        partial, table = start.get(p, ([], None))  # table over partial, or None
+        if table is None and p in start and p in per_prime:
+            table = start[p][1] = DecompositionTable(G, *zip(*partial))
+        for x, x_order in per_prime.get(p, ()):
             if table is None:
                 table = DecompositionTable(G, [e for e, _ in partial], [o for _, o in partial])
             rebuilt = _insert_p_element(G, p, partial, table, x, x_order)
@@ -269,4 +274,3 @@ def abelian_basis(
     return AbelianBasis(
         tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs)
     )
-

@@ -54,8 +54,9 @@ def keyword_ints(line: str, keyword: str, count: Optional[int] = None) -> tuple[
     return read_ints(rest[0] if rest else "", f"{keyword} line", count)
 
 
-def trial_factor(n: int) -> Factorization:
-    """Factor n by trial division up to sqrt(n).
+def trial_factor(n: int, primes: Sequence[int] = ()) -> Factorization:
+    """Factor n by the given primes, then by trial division of what is left up
+    to its square root.
 
     Returns (prime, exponent) pairs with primes strictly increasing; the empty
     list for n = 1.
@@ -64,18 +65,23 @@ def trial_factor(n: int) -> Factorization:
         raise MalformedInputError(f"cannot factor {n}: need n >= 1")
     factors: Factorization = []
     rest = n
+    for d in primes:
+        e = 0
+        while rest % d == 0:
+            rest, e = rest // d, e + 1
+        if e:
+            factors.append((d, e))
     d = 2
     while d * d <= rest:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
-                rest //= d
-                e += 1
+                rest, e = rest // d, e + 1
             factors.append((d, e))
         d += 1 if d == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return factors
+    return sorted(factors)
 
 
 _TRIAL_BOUND = 1000
@@ -151,12 +157,12 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def divisors(n: int) -> list[int]:
-    """All divisors of n in strictly ascending order."""
+def divisors(n: int, primes: Sequence[int] = ()) -> list[int]:
+    """All divisors of n in strictly ascending order; primes as for trial_factor."""
     if n < 1:
         raise MalformedInputError(f"divisors needs n >= 1, got {n}")
     divs = [1]
-    for p, e in trial_factor(n):
+    for p, e in trial_factor(n, primes):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     divs.sort()
     return divs

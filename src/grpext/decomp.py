@@ -5,12 +5,14 @@ of the derived subgroup, factor m, assemble an element z of order m from
 suitable generator powers, collect the m-th powers of the generators, and
 accept only if the resulting set is abelian with all orders coprime with m.
 What does not depend on m is kept in a GroupContext, built once per group and
-shared by every m: the derived-subgroup basis, the generator orders, the part
-g_k^{n_k/q} picked for each prime power q, and the powers g_j^m, where g_j^m
-is (g_j^{m/l})^l for the least prime l of m. Arithmetic replaces oracle calls
-where it decides: an element assembled from parts of one generator has order
-m with no order search, g_j^m has order n_j / gcd(n_j, m), and commutation is
-tested once, only for pairs not already known to commute.
+shared by every m: the derived-subgroup basis split into p-bases with their
+tables, where the basis of each A_m starts, so that a run inserts only the
+g_j^m; the generator orders and their primes, over which m is factored; the
+part g_k^{n_k/q} picked for each prime power q; and the powers g_j^m, where
+g_j^m is (g_j^{m/l})^l for the least prime l of m. Arithmetic replaces oracle
+calls where it decides: an element assembled from parts of one generator has
+order m with no order search, g_j^m has order n_j / gcd(n_j, m), and
+commutation is tested once, only for pairs not already known to commute.
 The derived subgroup G' is the normal closure of the commutators [g_i, g_j]
 of the generators, which can be larger than the subgroup they generate. Its
 basis starts from those commutators and takes in every conjugate by a
@@ -42,15 +44,18 @@ from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotIn
 class GroupContext:
     """The finder's data about G that is the same for every m.
 
-    The derived basis and the generator orders are computed by group_context;
-    the prime-power parts and the generator powers on first use, then kept,
-    so a sweep computes each of them once. The derived basis spans the normal
-    closure of the commutators of the generators, which is G'.
+    The derived basis, its p-bases and the generator orders are computed by
+    group_context; the p-bases' tables, the prime-power parts and the
+    generator powers on first use, then kept, so a sweep computes each of
+    them once. The derived basis spans the normal closure of the commutators
+    of the generators, which is G'.
     """
 
     G: GroupHandle
     derived: Optional[AbelianBasis]  # basis of G'; None when G' is not abelian
     gen_orders: tuple[int, ...]  # orders of G.generators, in order
+    primes: tuple[int, ...]  # the primes of the generator orders, so of m-bar
+    start: dict = field(repr=False, compare=False)  # {p: [pairs, table]}: the p-bases of G'
     _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -76,17 +81,17 @@ class GroupContext:
         kept, so each m costs the powering by one prime.
         """
         if m not in self._powers:
-            ell = trial_factor(m)[0][0]
+            ell = trial_factor(m, self.primes)[0][0]
             self._powers[m] = tuple(group_pow(self.G, h, ell) for h in self.gen_powers(m // ell))
         return self._powers[m]
 
 
-def _derived_basis(G: GroupHandle) -> AbelianBasis:
-    """Basis of G' by the closure rounds of the module docstring, each with one
-    table over the basis; raises NotAbelianError when G' is not abelian."""
+def _derived_basis(G: GroupHandle) -> tuple[AbelianBasis, Optional[DecompositionTable]]:
+    """Basis of G' by the closure rounds of the module docstring, and the table
+    over it of the last round; raises NotAbelianError when G' is not abelian."""
     basis = abelian_basis(commutator_generators(G), G)
     if not basis.elements:
-        return basis
+        return basis, None
     conjugators = [(g, G.inv(g)) for g in G.generators]
     while True:
         table = DecompositionTable(G, basis.elements, basis.orders)
@@ -99,17 +104,23 @@ def _derived_basis(G: GroupHandle) -> AbelianBasis:
                 except MembershipError:
                     escaped.append(c)
         if not escaped:
-            return basis
+            return basis, table
         basis = abelian_basis(basis.elements + tuple(escaped), G)
 
 
 def group_context(G: GroupHandle) -> GroupContext:
     gen_orders = tuple(element_order(G, g) for g in G.generators)
+    primes = tuple(sorted({p for n in gen_orders for p, _ in trial_factor(n)}))
     try:
-        derived = _derived_basis(G)
+        derived, table = _derived_basis(G)
     except NotAbelianError:
-        derived = None
-    return GroupContext(G, derived, gen_orders)
+        return GroupContext(G, None, gen_orders, primes, {})
+    start: dict = {}
+    for x, q in zip(derived.elements, derived.orders):  # ascending by (p, e)
+        start.setdefault(trial_factor(q)[0][0], [[], None])[0].append((x, q))
+    if len(start) == 1:  # G' is a p-group: the last closure table is over its p-basis
+        next(iter(start.values()))[1] = table
+    return GroupContext(G, derived, gen_orders, primes, start)
 
 
 @dataclass(frozen=True)
@@ -151,9 +162,8 @@ def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> Standar
     if context.derived is None:
         raise DecompositionFailed(m, "derived subgroup is not abelian")
     xs = list(context.derived.elements)
-    x_orders = list(context.derived.orders)
 
-    factors = trial_factor(m)
+    factors = trial_factor(m, context.primes)
     picks = []
     for p, e in factors:
         q = p**e
@@ -174,12 +184,11 @@ def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> Standar
         z = group_pow(G, g, g_order // m)
     hs = list(context.gen_powers(m))
 
-    combined = xs + hs
     try:
-        check_commuting(G, combined, known=len(xs))  # the basis of the abelian G' commutes
+        check_commuting(G, xs + hs, known=len(xs))  # the basis of the abelian G' commutes
     except NotAbelianError:
         raise DecompositionFailed(m, "candidate abelian part does not commute") from None
-    for order in x_orders:
+    for order in context.derived.orders:
         if math.gcd(order, m) != 1:
             raise DecompositionFailed(m, "derived subgroup order shares a factor with m")
     h_orders = [n // math.gcd(n, m) for n in context.gen_orders]  # ord(g_j^m)
@@ -187,7 +196,7 @@ def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> Standar
         if math.gcd(n, m) != 1:
             raise DecompositionFailed(m, "generator power order shares a factor with m")
 
-    return StandardDecomposition(m, abelian_basis(combined, G, orders=x_orders + h_orders), z)
+    return StandardDecomposition(m, abelian_basis(hs, G, orders=h_orders, start=context.start), z)
 
 
 def standard_decomposition_with_attempts(
@@ -201,7 +210,7 @@ def standard_decomposition_with_attempts(
     """
     context = group_context(G)
     attempts: list[DecompositionAttempt] = []
-    for m in divisors(math.lcm(*context.gen_orders)):  # lcm() is 1: the trivial group
+    for m in divisors(math.lcm(*context.gen_orders), context.primes):  # lcm() is 1: the trivial group
         try:
             attempts.append(DecompositionAttempt(m, find_decomposition(G, m, context), None))
         except DecompositionFailed as exc:

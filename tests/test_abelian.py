@@ -21,6 +21,7 @@ from grpext.abelian import (
     abelian_basis,
     element_order,
 )
+from grpext.arith import trial_factor
 from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow, load_group
 from grpext.decomp import standard_decomposition
 from grpext.errors import (
@@ -329,6 +330,47 @@ def test_unchanged_basis_keeps_its_table(monkeypatch):
     basis = abelian_basis([Z9.parse_element(c) for c in ("1", "3", "6")], Z9)
     assert basis.orders == (9,)
     assert built == [0, 1]  # 3 and 6 lie in the span of 1 and share its table
+
+
+def _start(basis):
+    start = {}
+    for x, q in zip(basis.elements, basis.orders):
+        start.setdefault(trial_factor(q)[0][0], [[], None])[0].append((x, q))
+    return start
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_basis_from_start_equals_basis_from_scratch(name):
+    # on the abelian part A of each corpus group: a start built from a basis B
+    # of a subgroup gives the basis of B.elements + gens built from nothing
+    for G in (build(name), mixed_generators(build(name))):
+        a = standard_decomposition(G).a_basis.elements
+        for k in range(len(a) + 1):
+            B = abelian_basis(a[:k], G)
+            gens = list(a[k:]) + [G.mul(x, y) for x, y in zip(a, a[1:])] + [group_pow(G, x, 2) for x in a]
+            start = _start(B)
+            first = abelian_basis(gens, G, start=start)
+            assert first == abelian_basis(B.elements + tuple(gens), G)
+            assert abelian_basis(gens, G, start=start) == first  # with the tables kept in start
+
+
+def test_kept_start_builds_its_table_once(monkeypatch):
+    built = []
+
+    class Counted(DecompositionTable):
+        def __init__(self, G, elements, orders):
+            built.append(tuple(elements))
+            super().__init__(G, elements, orders)
+
+    monkeypatch.setattr(abelian, "DecompositionTable", Counted)
+    G = semidirect((9, 25), 1, [[1, 0], [0, 1]])
+    x, y = G.parse_element("1,0;0"), G.parse_element("0,1;0")
+    start = _start(abelian_basis([x], G))
+    assert start == {3: [[(x, 9)], None]}
+    for _ in range(2):
+        basis = abelian_basis([group_pow(G, x, 3), y], G, start=start)
+        assert (basis.elements, basis.orders) == ((x, y), (9, 25))
+    assert start[3][1] is not None and built.count((x,)) == 1
 
 
 @pytest.mark.parametrize("name", corpus_names())

@@ -14,7 +14,8 @@ from corpus import (
     second_presentations,
     semidirect,
 )
-from grpext import decomp
+from grpext import abelian, decomp
+from grpext.abelian import abelian_basis
 from grpext.arith import divisors
 from grpext.blackbox import closure, commutator_generators, table_group, TableGroupSpec
 from grpext.decomp import (
@@ -221,6 +222,55 @@ def test_sweep_matches_finder_run_alone(name):
     assert (chosen.a_basis, chosen.y) == (sd.a_basis, sd.y)
 
 
+@pytest.mark.parametrize("name", corpus_names())
+def test_finder_basis_equals_the_basis_from_scratch(name):
+    # every A_m starts from the kept p-bases of G' and inserts only the g_j^m;
+    # inserting the derived basis into an empty basis gives that basis back,
+    # so the result is the basis built from nothing over G' and the g_j^m
+    for G in (build(name), mixed_generators(build(name))):
+        context = group_context(G)
+        succeeded = 0
+        for m in divisors(math.lcm(*context.gen_orders)):
+            try:
+                found = find_decomposition(G, m, context)
+            except DecompositionFailed:
+                continue
+            succeeded += 1
+            derived = context.derived
+            h_orders = [n // math.gcd(n, m) for n in context.gen_orders]
+            scratch = abelian_basis(
+                derived.elements + context.gen_powers(m), G, orders=derived.orders + tuple(h_orders)
+            )
+            assert found.a_basis.elements == scratch.elements
+            assert found.a_basis.orders == scratch.orders
+        assert succeeded
+
+
+def z1155xz2():
+    # G' = Z_15 with two p-bases; m = 14 and m = 154 both insert g^4, of order 5, into the 5-basis
+    return semidirect((3, 5, 7, 11), 2, [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], name="Z1155xZ2")
+
+
+@pytest.mark.parametrize("make", [a1009, lambda: build("Z15xZ2_inv"), z1155xz2], ids=["A1009", "Z15xZ2_inv", "Z1155xZ2"])
+def test_sweep_builds_no_table_twice(monkeypatch, make):
+    # a table over no elements holds the identity alone and makes no oracle
+    # call; abelian_basis builds one for each prime it starts from nothing
+    G = make()
+    built = []
+    real = abelian.DecompositionTable.__init__
+
+    def counted(self, H, elements, orders):
+        if elements:
+            built.append((id(H), tuple(elements), tuple(orders)))
+        real(self, H, elements, orders)
+
+    monkeypatch.setattr(abelian.DecompositionTable, "__init__", counted)
+    _, attempts = standard_decomposition_with_attempts(G)
+    assert built and len(set(built)) == len(built)
+    if G.name == "Z1155xZ2":
+        assert [a.m for a in attempts if a.found] == [2, 14, 22, 154]
+
+
 def test_group_context_built_once_per_sweep(monkeypatch):
     calls = []
     real = decomp.commutator_generators
@@ -229,7 +279,7 @@ def test_group_context_built_once_per_sweep(monkeypatch):
     before = G.operation_count
     standard_decomposition_with_attempts(G)
     assert calls == [G]
-    assert G.operation_count - before == 1425
+    assert G.operation_count - before == 1359
 
 
 @pytest.mark.parametrize("name", [n for n in corpus_names() if corpus_entry(n).order <= 1024])
