@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import read_ints, smith_normal_form, trial_factor
-from .blackbox import ElementCode, GroupHandle, group_pow
+from .arith import smith_normal_form, trial_factor
+from .blackbox import ElementCode, GroupHandle, _max_table_entries, group_pow
 from .errors import (
     InvariantBreachError,
     MalformedInputError,
@@ -56,14 +55,6 @@ class AbelianBasis:
 # more add 4 bytes per code.
 BABY_ENTRY_BYTES = 112
 TABLE_ENTRY_BYTES = 209  # plus 8 per digit
-
-
-def _max_table_entries(entry_bytes: int) -> int:
-    text = os.environ.get("GRPEXT_MEM_MB", "1024")
-    mb = read_ints(text, "GRPEXT_MEM_MB")[0] if text.isascii() and text.isdigit() else 0
-    if mb < 1:
-        raise MalformedInputError(f"GRPEXT_MEM_MB must be a positive integer, not {text!r}")
-    return max(1024, (mb << 20) // entry_bytes)
 
 
 def element_order(G: GroupHandle, g: ElementCode) -> int:
@@ -234,8 +225,8 @@ def abelian_basis(
     """Basis of the abelian subgroup generated by gens.
 
     The generators are first split into their prime-power parts; within each
-    prime the basis is built incrementally, decomposing each new element over
-    the partial basis and repairing via an integer normal form when needed.
+    prime the first part, of exact order, is the basis as it stands, and each
+    later one is decomposed over the partial basis, repaired by a normal form.
     Without orders, every pair of gens is checked to commute (NotAbelianError
     otherwise) and each order is found by element_order. A caller that has
     already checked that gens commute and knows their orders passes the
@@ -265,9 +256,9 @@ def abelian_basis(
         if table is None and p in start and p in per_prime:
             table = start[p][1] = DecompositionTable(G, *zip(*partial))
         for x, x_order in per_prime.get(p, ()):
-            if table is None:
+            if table is None and partial:
                 table = DecompositionTable(G, [e for e, _ in partial], [o for _, o in partial])
-            rebuilt = _insert_p_element(G, p, partial, table, x, x_order)
+            rebuilt = _insert_p_element(G, p, partial, table, x, x_order) if partial else [(x, x_order)]
             if rebuilt is not None:
                 partial, table = rebuilt, None
         basis_pairs.extend(partial)  # ascending by order, so by (p, e)

@@ -5,12 +5,13 @@ A group handle exposes a generator list, an identity code, and two oracles
 in the package only ever touch groups through this surface; the concrete
 backends (multiplication table, cyclic, semidirect product) live here.
 
-An element code is an int in [0, |G|) and the identity is 0. Table and cyclic
-codes are the element's index. A semidirect code is the integer of
-(a_1, ..., a_s, j) in mixed radix (q_1, ..., q_s, m), so codes sort like the
-(a, j) tuples; the product is (a, j)(b, k) = (a + M^j b, j + k mod m). Every
-oracle rejects any other value, bools included, with MalformedInputError. The
-text form of an element exists only at the edges: `parse_element` reads it and
+An element code is an int and the identity is 0. Table and cyclic codes are
+the element's index in [0, |G|). A semidirect code is word(a)*m + j with
+word(a) = sum a_i 2^off_i, a_i in a big-endian bit field of width bits(2 q_i)
+(off_s = 0; for s = 1, word(a) = a), so codes sort like the (a, j) tuples; the
+product is (a, j)(b, k) = (a + M^j b, j + k mod m). Every oracle rejects any
+other value, bools included, with MalformedInputError. The text form of an
+element exists only at the edges: `parse_element` reads it and
 `format_element` writes it; parse_group_file states the grammar of both file
 formats and of element texts. The semidirect backend's action matrix is an
 autring.AutBlocks; its arithmetic and its split into prime blocks live in autring.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -49,6 +51,7 @@ class GroupHandle:
         parse_element: Callable[[str], ElementCode],
         format_element: Callable[[ElementCode], str],
         name: str = "group",
+        decode: Optional[Callable] = None,
     ):
         self.identity = identity
         self.generators = list(generators)
@@ -58,6 +61,7 @@ class GroupHandle:
         self._ticks = itertools.count()
         self.parse_element = parse_element
         self.format_element = format_element
+        self._decode = decode  # the backend's own form of a code, for checks in this module
 
     def mul(self, a: ElementCode, b: ElementCode) -> ElementCode:
         next(self._ticks)
@@ -264,10 +268,10 @@ class SemidirectGroupSpec:
 
     Elements are pairs (a, j) with a an exponent tuple reduced per coordinate
     and j in {0, ..., m-1}, multiplied by the law in the module docstring.
-    The group's element code of (a, j) is the integer
-    ((a_1 q_2 + a_2) q_3 + ... + a_s) m + j, so codes sort like the (a, j)
-    tuples; its text form is `a_1,...,a_s;j` with each field zero-padded to
-    the width of its largest value.
+    The group's element code of (a, j) is word(a)*m + j, with
+    word(a) = sum a_i 2^off_i over big-endian bit fields of width bits(2 q_i)
+    (module docstring), so codes sort like the (a, j) tuples; its text form is
+    `a_1,...,a_s;j` with each field zero-padded to the width of its largest value.
     Construction checks m, gcd(|A|, m), the action's order, the generator
     ranges and that the generators generate the group;
     autring.blocks_from_rows builds a valid action from a full matrix.
@@ -314,6 +318,34 @@ class SemidirectGroupSpec:
         return m if autring.mat_pow(rows, m, qs) == autring.mat_pow(rows, 0, qs) else None
 
 
+# Worst tracemalloc peak per entry of _Memo fills of 32 to 131 072 int pairs in [2^61, 2^90), CPython 3.11
+IMAGE_ENTRY_BYTES = 188
+
+
+def _max_table_entries(entry_bytes: int) -> int:
+    text = os.environ.get("GRPEXT_MEM_MB", "1024")
+    mb = read_ints(text, "GRPEXT_MEM_MB")[0] if text.isascii() and text.isdigit() else 0
+    if mb < 1:
+        raise MalformedInputError(f"GRPEXT_MEM_MB must be a positive integer, not {text!r}")
+    return max(1024, (mb << 20) // entry_bytes)
+
+
+class _Memo(dict):
+    """key -> fn(key), computed on first use and kept while the GRPEXT_MEM_MB cap has room."""
+
+    cap = 1024  # no cap is below it, so a memo reads GRPEXT_MEM_MB only once it holds this many
+
+    def __init__(self, fn: Callable[[int], int]):
+        self.fn = fn
+
+    def __missing__(self, key: int) -> int:
+        value = self.fn(key)
+        if len(self) == self.cap == _Memo.cap:
+            self.cap = _max_table_entries(IMAGE_ENTRY_BYTES)
+        if len(self) < self.cap:
+            self[key] = value
+        return value
+
 
 class _ActionPowers(dict):
     """r -> M^r for 0 <= r < period, by square-and-multiply on first use, then kept.
@@ -345,15 +377,7 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
     whole F_p-space.
     """
     m, action = spec.m, spec.action
-    G = semidirect_group(spec)  # the group's own oracles: the product law is written once
-    radices = tuple(reversed(action.moduli))
-
-    def a_part(code: ElementCode) -> list[int]:
-        n, a = code // m, []
-        for q in radices:
-            n, x = divmod(n, q)
-            a.append(x)
-        return a[::-1]
+    G = semidirect_group(spec)  # its oracles and decoder: the code layout is written once
 
     moving = [g for g in G.generators if g % m]
     gcd, coeffs = m, []  # sum(coeffs[i] * j_i) = gcd modulo m
@@ -370,7 +394,7 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
         h = G.mul(h, group_pow(G, g, c % m))
     vectors = [g for g in G.generators if not g % m]
     vectors += [G.mul(g, G.inv(group_pow(G, h, g % m))) for g in moving]
-    vectors = [a_part(v) for v in vectors + [group_pow(G, h, m)]]
+    vectors = [G._decode(v)[0] for v in vectors + [group_pow(G, h, m)]]
     start = 0
     for block in action.blocks:
         p, stop = block.ptype.p, start + block.ptype.s
@@ -400,37 +424,21 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
     """Oracles on the integer codes of SemidirectGroupSpec; M^j is computed lazily.
 
     For s = 1 (cyclic A, as in Z_p x| Z_{p-1}) M^j is a scalar, so a product is
-    integer arithmetic on the two codes; for s >= 2 each code is decoded to a list.
+    integer arithmetic on the two codes. For s >= 2 it adds word(a), word(M^j b) (a _Memo
+    by j mod period and word(b)) and K = sum (2^(w_i - 1) - q_i) 2^off_i: field i then has
+    its top bit set iff it is >= q_i, and a _Memo by those bits gives what to take off.
     """
     qs = spec.qs
     m = spec.m
     s = len(qs)
-    order = math.prod(qs) * m
     powers = _ActionPowers(spec)
     period = powers.period
-    radices = tuple(reversed(qs))
     text_widths = [len(str(q - 1)) for q in qs]
     jwidth = len(str(m - 1))
 
-    def encode(a: Sequence[int], j: int) -> ElementCode:
-        n = 0
-        for q, x in zip(qs, a):
-            n = n * q + x
-        return n * m + j
-
-    def decode(code: ElementCode) -> tuple[list[int], int]:
-        if type(code) is not int or not 0 <= code < order:
-            raise MalformedInputError(f"unknown element code {code!r}")
-        n, j = divmod(code, m)
-        a = []
-        for q in radices:
-            n, x = divmod(n, q)
-            a.append(x)
-        a.reverse()
-        return a, j
-
     if s == 1:  # the code is a*m + j and M^r is the scalar c_r: no coordinate list
         (q,) = qs
+        order, K, TOP, offs, masks = q * m, 0, 0, (0,), (-1,)  # word(a) = a: one field, unmasked
 
         def mul(x: ElementCode, y: ElementCode) -> ElementCode:
             if type(x) is not int or type(y) is not int or not (0 <= x < order and 0 <= y < order):
@@ -445,21 +453,41 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
             return -powers[-j % period][0][0] * a % q * m + -j % m
 
     else:
+        offs, masks, K, TOP, W = [], [], 0, 0, 0  # per field, built from the low field up
+        for q in reversed(qs):
+            w = (2 * q).bit_length()
+            offs[:0], masks[:0] = [W], [(1 << w) - 1]
+            K, TOP, W = K + ((1 << w - 1) - q << W), TOP | 1 << W + w - 1, W + w
+        order = m << W  # every code is below it
+        images = _Memo(lambda key: word(autring.mat_vec(powers[key >> W], fields(key), qs)))  # fields drop r
+        reduce = _Memo(lambda top: K + sum(q << off for q, off, f in zip(qs, offs, masks) if top >> off & f))
 
         def mul(x: ElementCode, y: ElementCode) -> ElementCode:
-            a, j = decode(x)
-            b, k = decode(y)
-            n = 0
-            for q, row, u in zip(qs, powers[j % period], a):
-                n = n * q + (u + sum(map(operator.mul, row, b))) % q
-            return n * m + (j + k) % m
+            if type(x) is int and type(y) is int and 0 <= x < order and 0 <= y < order:
+                aw, j = divmod(x, m)
+                bw, k = divmod(y, m)
+                if not (aw | aw + K | bw | bw + K) & TOP:  # no field >= q_i, none that would carry
+                    d = aw + images[j % period << W | bw] + K  # key: r = j mod period, then word(b)
+                    return (d - reduce[d & TOP]) * m + (j + k) % m
+            decode(x), decode(y)  # raises for the unknown code
 
         def inv(x: ElementCode) -> ElementCode:
             a, j = decode(x)
-            n = 0
-            for q, row in zip(qs, powers[-j % period]):
-                n = n * q + -sum(map(operator.mul, row, a)) % q
-            return n * m + -j % m
+            return encode([-v % q for v, q in zip(autring.mat_vec(powers[-j % period], a, qs), qs)], -j % m)
+
+    def word(a: Sequence[int]) -> int:
+        return sum(map(operator.lshift, a, offs))
+
+    def fields(w: int) -> list[int]:
+        return [w >> off & f for off, f in zip(offs, masks)]
+
+    def encode(a: Sequence[int], j: int) -> ElementCode:
+        return word(a) * m + j
+
+    def decode(code: ElementCode) -> tuple[list[int], int]:
+        if type(code) is int and 0 <= code < order and not (code // m | code // m + K) & TOP:
+            return fields(code // m), code % m
+        raise MalformedInputError(f"unknown element code {code!r}")
 
     if spec.generators is not None:
         gens = [encode(a, j) for a, j in spec.generators]
@@ -482,7 +510,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         a, j = decode(code)
         return ",".join(map(str.zfill, map(str, a), text_widths)) + ";" + str(j).zfill(jwidth)
 
-    return GroupHandle(0, gens, mul, inv, parse_element, format_element, name=name)
+    return GroupHandle(0, gens, mul, inv, parse_element, format_element, name=name, decode=decode)
 
 
 # --- Group description files --------------------------------------------------

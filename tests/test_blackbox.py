@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import build, corpus_names, cyclic_table_spec, materialize_table, semidirect
+from corpus import build, corpus_entry, corpus_names, cyclic_table_spec, materialize_table, semidirect
 from grpext import autring, blackbox, cli
 from grpext.abelian import element_order
 from grpext.arith import prime_power, trial_factor
@@ -62,20 +62,30 @@ def test_table_rejects_bad_input():
 
 
 def test_unknown_codes_rejected():
-    for H, order, last in (
-        (table_group(cyclic_table_spec(6)), 6, "5"),
-        (cyclic_group(6), 6, "5"),
-        (build("G21a"), 21, "6;2"),  # s = 1: the integer product
-        (build("Z3^2xZ4_W"), 36, "2,2;3"),  # s = 2: the decoded product
+    # Z3^2xZ4_W: A = Z3^2 in two 3-bit fields (K = 0b001001, TOP = 0b100100), m = 4;
+    # its largest code is (2 << 3 | 2) * 4 + 3 = 75 and every code lies below 2^6 * 4
+    wide = (
+        3 * 4,  # low field = q_2
+        (3 << 3) * 4 + 1,  # high field = q_1
+        7 * 4,  # low field with its top bit set: 7 + K = 0b010000 carries into the high field
+        (5 << 3) * 4,  # high field with its top bit set
+        2**6 * 4,  # the least code >= 2^W * m
+    )
+    for H, order, last, fields in (
+        (table_group(cyclic_table_spec(6)), 6, "5", ()),
+        (cyclic_group(6), 6, "5", ()),
+        (build("G21a"), 21, "6;2", ()),  # s = 1: the code is a * m + j
+        (build("Z3^2xZ4_W"), 76, "2,2;3", wide),  # s = 2: the A-part in bit fields
     ):
         for foreign in (
             True,  # isinstance(True, int) holds
             -1,
-            order,  # N = |G|
+            order,  # one above the largest code (|G| for the index codes)
             1.0,
             b"\x01",  # a bytes code
             H.format_element(1),  # the text form of a valid code
             bytearray(b"\x00"),
+            *fields,
         ):
             with pytest.raises(MalformedInputError):
                 H.mul(H.identity, foreign)
@@ -166,10 +176,11 @@ def test_both_product_paths_follow_the_definition(case):
     G = semidirect(qs, m, rows)
 
     def element(a, j):  # the code of (a, j), written out from the module docstring
-        n = 0
-        for q, x in zip(qs, a):
-            n = n * q + x
-        return n * m + j
+        word, off = 0, 0
+        for q, x in reversed(list(zip(qs, a))):
+            word += x << off
+            off += (2 * q).bit_length()
+        return word * m + j
 
     for (a, j), (b, k) in pairs:
         moved = autring.mat_vec(autring.mat_pow(rows, j, qs), b, qs)
@@ -320,7 +331,7 @@ def test_action_powers_keyed_by_j_mod_action_order():
         standard_decomposition(G)
         (powers,) = [
             c.cell_contents
-            for c in G._mul.__closure__
+            for c in G._inv.__closure__
             if isinstance(c.cell_contents, blackbox._ActionPowers)
         ]
         assert powers.period == period == parse_group_file(text).action_period
@@ -448,6 +459,56 @@ def test_action_powers_are_lazy():
         tracemalloc.stop()
     assert peak < 5 << 20
     assert element_order(G, G.parse_element("0;1")) == 1_000_000
+
+
+def _memos(G):
+    return [c.cell_contents for c in G._mul.__closure__ if isinstance(c.cell_contents, blackbox._Memo)]
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in corpus_names() if corpus_entry(n).semidirect and len(corpus_entry(n).semidirect.qs) >= 2]
+)
+def test_products_past_the_image_cap_follow_the_definition(monkeypatch, name):
+    monkeypatch.setattr(blackbox._Memo, "cap", 5)  # where a memo first reads the budget
+    monkeypatch.setattr(blackbox, "_max_table_entries", lambda entry_bytes: 5)
+    G, group = build(name), corpus_entry(name).semidirect
+    qs, m = group.qs, group.m
+    moves = [autring.mat_pow(group.rows, j, qs) for j in range(m)]
+
+    def pair(code):  # (a, j) read back from the text form
+        *a, j = map(int, re.split("[,;]", G.format_element(code)))
+        return a, j
+
+    elements = closure(G, G.generators)
+    for x, y in itertools.product(elements, repeat=2):
+        (a, j), (b, k) = pair(x), pair(y)
+        moved = autring.mat_vec(moves[j], b, qs)
+        assert pair(G.mul(x, y)) == ([(u + v) % q for u, v, q in zip(a, moved, qs)], (j + k) % m)
+    memos = _memos(G)
+    assert len(memos) == 2 and max(map(len, memos)) == 5  # the image memo is full, and held there
+
+
+def test_largest_admitted_image_memo_fits_the_budget(monkeypatch):
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    cap = blackbox._max_table_entries(blackbox.IMAGE_ENTRY_BYTES)
+    # word(a) = a_1 << 63 | a_2, so every (i, 0) with 0 < i < 2^14 has a 36-byte code,
+    # and each product identity * (i, 0) keeps one image (key and value) of that size
+    G = load_group(f"semidirect\nA {2**14} {3**39}\nm 1\n1 0\n0 1\n")
+    assert cap < 2**14 - 1 and G.parse_element("1,0;0") == 1 << 63
+
+    def fill():
+        for i in range(1, cap + 2):
+            G.mul(G.identity, i << 63)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fill()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    assert max(map(len, _memos(G))) == cap
 
 
 @pytest.mark.parametrize(
