@@ -4,8 +4,8 @@ Element order uses baby-step/giant-step with a doubling radius, so no a-priori
 bound on the group order is needed. Factoring an element over fixed
 generators (an abelian basis, or y followed by a basis of the abelian part A)
 uses the meet-in-the-middle table over the low digits of each exponent, one
-dict from code to digits; a basis built one element at a time has one table
-per state. The tables are capped by the GRPEXT_MEM_MB environment variable
+dict from code to digits; an abelian basis keeps one table per prime, over
+its p-part. The tables are capped by the GRPEXT_MEM_MB environment variable
 (default 1024), at the bytes per entry that a build measurably holds.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .arith import smith_normal_form, trial_factor
@@ -33,16 +33,26 @@ class AbelianBasis:
 
     elements: tuple[ElementCode, ...]
     orders: tuple[int, ...]
+    tables: dict = field(default_factory=dict, repr=False, compare=False)  # p -> table over parts[p]
+    parts: dict = field(init=False, repr=False, compare=False)  # p -> its (element, order) pairs
 
     def __post_init__(self):
         keys = []
-        for q in self.orders:
+        object.__setattr__(self, "parts", {})
+        for x, q in zip(self.elements, self.orders):
             f = trial_factor(q)
             if len(f) != 1:
                 raise MalformedInputError(f"basis order {q} is not a prime power")
             keys.append(f[0])
+            self.parts.setdefault(f[0][0], []).append((x, q))
         if keys != sorted(keys):
             raise MalformedInputError("basis orders are not ascending")
+
+    def table(self, G: GroupHandle, p: int) -> DecompositionTable:
+        """The table over parts[p], built on first use and kept in tables."""
+        if p not in self.tables:
+            self.tables[p] = DecompositionTable(G, *zip(*self.parts[p]))
+        return self.tables[p]
 
     @property
     def group_order(self) -> int:
@@ -220,27 +230,23 @@ def _insert_p_element(
 
 def abelian_basis(
     gens: Sequence[ElementCode], G: GroupHandle, orders: Optional[Sequence[int]] = None,
-    start: Optional[dict] = None,
+    start: Optional[AbelianBasis] = None,
 ) -> AbelianBasis:
-    """Basis of the abelian subgroup generated by gens.
+    """Basis of the abelian subgroup generated by gens and start.
 
     The generators are first split into their prime-power parts; within each
     prime the first part, of exact order, is the basis as it stands, and each
     later one is decomposed over the partial basis, repaired by a normal form.
-    Without orders, every pair of gens is checked to commute (NotAbelianError
-    otherwise) and each order is found by element_order. A caller that has
-    already checked that gens commute and knows their orders passes the
-    orders, in the order of gens, and neither is done again. With start, a
-    dict mapping p to [pairs, table]: a p-basis as (element, order) pairs,
-    ascending by order, and its table or None. Prime p then starts from
-    start[p] in place of the empty basis, gens equal to a start element are
-    dropped, and a table built over start[p] is stored there for later calls.
+    Without orders, gens are checked to commute with each other and with start
+    (NotAbelianError otherwise) and their orders are found by element_order; a
+    caller that has checked both passes the orders, in the order of gens. Each
+    prime starts from its part of start and that part's table, gens in start
+    are dropped, and the result keeps every table still over its part.
     """
-    start = start or {}
-    started = {x for pairs, _ in start.values() for x, _ in pairs}
-    unique = list(dict.fromkeys(g for g in gens if g != G.identity and g not in started))
+    start = start or AbelianBasis((), ())
+    unique = list(dict.fromkeys(g for g in gens if g != G.identity and g not in start.elements))
     if orders is None:
-        check_commuting(G, unique)
+        check_commuting(G, start.elements + tuple(unique), known=len(start.elements))
         orders = {g: element_order(G, g) for g in unique}
     else:
         orders = dict(zip(gens, orders))
@@ -251,17 +257,19 @@ def abelian_basis(
             part = group_pow(G, g, n // p**e)
             per_prime.setdefault(p, []).append((part, p**e))
     basis_pairs: list[tuple[ElementCode, int]] = []
-    for p in sorted(per_prime.keys() | start.keys()):
-        partial, table = start.get(p, ([], None))  # table over partial, or None
-        if table is None and p in start and p in per_prime:
-            table = start[p][1] = DecompositionTable(G, *zip(*partial))
+    tables = {}
+    for p in sorted(per_prime.keys() | start.parts.keys()):
+        partial = start.parts.get(p, [])
+        table = start.table(G, p) if partial and p in per_prime else start.tables.get(p)
         for x, x_order in per_prime.get(p, ()):
-            if table is None and partial:
-                table = DecompositionTable(G, [e for e, _ in partial], [o for _, o in partial])
+            if table is None and partial:  # table over partial, or None
+                table = DecompositionTable(G, *zip(*partial))
             rebuilt = _insert_p_element(G, p, partial, table, x, x_order) if partial else [(x, x_order)]
             if rebuilt is not None:
                 partial, table = rebuilt, None
+        if table is not None:
+            tables[p] = table
         basis_pairs.extend(partial)  # ascending by order, so by (p, e)
     return AbelianBasis(
-        tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs)
+        tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs), tables
     )

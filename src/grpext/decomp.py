@@ -5,8 +5,8 @@ of the derived subgroup, factor m, assemble an element z of order m from
 suitable generator powers, collect the m-th powers of the generators, and
 accept only if the resulting set is abelian with all orders coprime with m.
 What does not depend on m is kept in a GroupContext, built once per group and
-shared by every m: the derived-subgroup basis split into p-bases with their
-tables, where the basis of each A_m starts, so that a run inserts only the
+shared by every m: the derived-subgroup basis with its tables per prime,
+where the basis of each A_m starts, so that a run inserts only the
 g_j^m; the generator orders and their primes, over which m is factored; the
 part g_k^{n_k/q} picked for each prime power q; and the powers g_j^m, where
 g_j^m is (g_j^{m/l})^l for the least prime l of m. Arithmetic replaces oracle
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .abelian import AbelianBasis, DecompositionTable, abelian_basis, check_commuting, element_order
+from .abelian import AbelianBasis, abelian_basis, check_commuting, element_order
 from .arith import divisors, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
 from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotInClassError
@@ -44,18 +44,15 @@ from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotIn
 class GroupContext:
     """The finder's data about G that is the same for every m.
 
-    The derived basis, its p-bases and the generator orders are computed by
-    group_context; the p-bases' tables, the prime-power parts and the
-    generator powers on first use, then kept, so a sweep computes each of
-    them once. The derived basis spans the normal closure of the commutators
-    of the generators, which is G'.
+    The basis of G' and the generator orders are computed by group_context;
+    that basis's p-tables, the prime-power parts and the generator powers on
+    first use, then kept, so a sweep computes each of them once.
     """
 
     G: GroupHandle
     derived: Optional[AbelianBasis]  # basis of G'; None when G' is not abelian
     gen_orders: tuple[int, ...]  # orders of G.generators, in order
     primes: tuple[int, ...]  # the primes of the generator orders, so of m-bar
-    start: dict = field(repr=False, compare=False)  # {p: [pairs, table]}: the p-bases of G'
     _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -86,41 +83,36 @@ class GroupContext:
         return self._powers[m]
 
 
-def _derived_basis(G: GroupHandle) -> tuple[AbelianBasis, Optional[DecompositionTable]]:
-    """Basis of G' by the closure rounds of the module docstring, and the table
-    over it of the last round; raises NotAbelianError when G' is not abelian."""
+def _derived_basis(G: GroupHandle) -> AbelianBasis:
+    """Basis of G' by the closure rounds of the module docstring, each conjugate of a
+    p-element looked up in the p-table; raises NotAbelianError when G' is not abelian."""
     basis = abelian_basis(commutator_generators(G), G)
-    if not basis.elements:
-        return basis, None
-    conjugators = [(g, G.inv(g)) for g in G.generators]
+    conjugators = [(g, G.inv(g)) for g in G.generators] if basis.elements else []
     while True:
-        table = DecompositionTable(G, basis.elements, basis.orders)
         escaped: list[ElementCode] = []
-        for x in basis.elements:
-            for g, g_inv in conjugators:
-                c = G.mul(G.mul(g, x), g_inv)
-                try:
-                    table.decompose(c)
-                except MembershipError:
-                    escaped.append(c)
+        for p, pairs in basis.parts.items():
+            for x, _ in pairs:
+                for g, g_inv in conjugators:
+                    if g_inv == x:  # g = x^{-1}, so g x g^{-1} = x
+                        continue
+                    c = G.mul(G.mul(g, x), g_inv)
+                    try:
+                        basis.table(G, p).decompose(c)
+                    except MembershipError:
+                        escaped.append(c)
         if not escaped:
-            return basis, table
-        basis = abelian_basis(basis.elements + tuple(escaped), G)
+            return basis
+        basis = abelian_basis(escaped, G, start=basis)
 
 
 def group_context(G: GroupHandle) -> GroupContext:
     gen_orders = tuple(element_order(G, g) for g in G.generators)
     primes = tuple(sorted({p for n in gen_orders for p, _ in trial_factor(n)}))
     try:
-        derived, table = _derived_basis(G)
+        derived = _derived_basis(G)
     except NotAbelianError:
-        return GroupContext(G, None, gen_orders, primes, {})
-    start: dict = {}
-    for x, q in zip(derived.elements, derived.orders):  # ascending by (p, e)
-        start.setdefault(trial_factor(q)[0][0], [[], None])[0].append((x, q))
-    if len(start) == 1:  # G' is a p-group: the last closure table is over its p-basis
-        next(iter(start.values()))[1] = table
-    return GroupContext(G, derived, gen_orders, primes, start)
+        derived = None
+    return GroupContext(G, derived, gen_orders, primes)
 
 
 @dataclass(frozen=True)
@@ -188,15 +180,14 @@ def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> Standar
         check_commuting(G, xs + hs, known=len(xs))  # the basis of the abelian G' commutes
     except NotAbelianError:
         raise DecompositionFailed(m, "candidate abelian part does not commute") from None
-    for order in context.derived.orders:
-        if math.gcd(order, m) != 1:
-            raise DecompositionFailed(m, "derived subgroup order shares a factor with m")
+    if any(m % p == 0 for p in context.derived.parts):
+        raise DecompositionFailed(m, "derived subgroup order shares a factor with m")
     h_orders = [n // math.gcd(n, m) for n in context.gen_orders]  # ord(g_j^m)
     for n in h_orders:
         if math.gcd(n, m) != 1:
             raise DecompositionFailed(m, "generator power order shares a factor with m")
 
-    return StandardDecomposition(m, abelian_basis(hs, G, orders=h_orders, start=context.start), z)
+    return StandardDecomposition(m, abelian_basis(hs, G, orders=h_orders, start=context.derived), z)
 
 
 def standard_decomposition_with_attempts(

@@ -56,24 +56,25 @@ class IsoResult:
 def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> autring.AutBlocks:
     """Blockwise matrix of conjugation by y on the basis of A, proved a unit with M^gamma = 1.
 
-    Column i holds the decomposition of y g_i y^{-1} over the basis. This is
-    the one place the action facts are checked: blocks_from_rows proves each
-    block a unit, and M^gamma = 1 is checked here.
+    y maps each A_p to itself, so column i is y g_i y^{-1} decomposed over the
+    p-table of g_i, zero outside it. This is the one place the action facts are
+    checked: blocks_from_rows proves each block a unit, and M^gamma = 1 is checked here.
     """
     basis = sd.a_basis
     s = len(basis.elements)
     y = sd.y
     y_inv = G.inv(y)
-    table = DecompositionTable(G, basis.elements, basis.orders)
     columns = []
-    for g in basis.elements:
-        moved = G.mul(G.mul(y, g), y_inv)
-        try:
-            columns.append(table.decompose(moved))
-        except MembershipError:
-            raise InvariantBreachError(
-                "conjugate of a basis element left the abelian part"
-            ) from None
+    for p, pairs in basis.parts.items():
+        before, after = (0,) * len(columns), (0,) * (s - len(columns) - len(pairs))
+        for g, _ in pairs:
+            moved = G.mul(G.mul(y, g), y_inv)
+            try:
+                columns.append(before + basis.table(G, p).decompose(moved) + after)
+            except MembershipError:
+                raise InvariantBreachError(
+                    "conjugate of a basis element left the abelian part"
+                ) from None
     rows = [[columns[j][i] for j in range(s)] for i in range(s)]
     try:
         action = autring.blocks_from_rows(basis.orders, rows)

@@ -21,7 +21,6 @@ from grpext.abelian import (
     abelian_basis,
     element_order,
 )
-from grpext.arith import trial_factor
 from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow, load_group
 from grpext.decomp import standard_decomposition
 from grpext.errors import (
@@ -332,26 +331,18 @@ def test_unchanged_basis_keeps_its_table(monkeypatch):
     assert built == [1]  # 1 is the basis as it stands; 3 and 6 lie in its span and share its table
 
 
-def _start(basis):
-    start = {}
-    for x, q in zip(basis.elements, basis.orders):
-        start.setdefault(trial_factor(q)[0][0], [[], None])[0].append((x, q))
-    return start
-
-
 @pytest.mark.parametrize("name", corpus_names())
 def test_basis_from_start_equals_basis_from_scratch(name):
-    # on the abelian part A of each corpus group: a start built from a basis B
-    # of a subgroup gives the basis of B.elements + gens built from nothing
+    # on the abelian part A of each corpus group: starting from a basis B of a
+    # subgroup gives the basis of B.elements + gens built from nothing
     for G in (build(name), mixed_generators(build(name))):
         a = standard_decomposition(G).a_basis.elements
         for k in range(len(a) + 1):
             B = abelian_basis(a[:k], G)
             gens = list(a[k:]) + [G.mul(x, y) for x, y in zip(a, a[1:])] + [group_pow(G, x, 2) for x in a]
-            start = _start(B)
-            first = abelian_basis(gens, G, start=start)
+            first = abelian_basis(gens, G, start=B)
             assert first == abelian_basis(B.elements + tuple(gens), G)
-            assert abelian_basis(gens, G, start=start) == first  # with the tables kept in start
+            assert abelian_basis(gens, G, start=B) == first  # with the tables kept in B
 
 
 def test_kept_start_builds_its_table_once(monkeypatch):
@@ -365,12 +356,21 @@ def test_kept_start_builds_its_table_once(monkeypatch):
     monkeypatch.setattr(abelian, "DecompositionTable", Counted)
     G = semidirect((9, 25), 1, [[1, 0], [0, 1]])
     x, y = G.parse_element("1,0;0"), G.parse_element("0,1;0")
-    start = _start(abelian_basis([x], G))
-    assert start == {3: [[(x, 9)], None]}
+    start = abelian_basis([x], G)
+    assert start.parts == {3: [(x, 9)]} and start.tables == {}
     for _ in range(2):
         basis = abelian_basis([group_pow(G, x, 3), y], G, start=start)
         assert (basis.elements, basis.orders) == ((x, y), (9, 25))
-    assert start[3][1] is not None and built.count((x,)) == 1
+        assert basis.tables[3] is start.tables[3]  # x^3 left the 3-part as it was
+    assert built.count((x,)) == 1
+
+
+def test_gens_must_commute_with_the_start():
+    G = build("G21a")
+    x, y = G.parse_element("1;0"), G.parse_element("0;1")
+    start = abelian_basis([x], G)
+    with pytest.raises(NotAbelianError):
+        abelian_basis([y], G, start=start)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -382,6 +382,7 @@ def test_tables_and_basis_rebuilds_take_no_identity_product(name):
         assert counts["DecompositionTable.__init__"] == 0
         assert counts["_insert_p_element"] == 0
         assert counts["abelian_basis"] == 0
+        assert counts["_derived_basis"] == 0  # the closure rounds of the sweep's group_context
         closure(G, G.generators)
         assert counts["closure"] == len(G.generators)  # the counter sees identity products
 

@@ -251,17 +251,21 @@ def z1155xz2():
     return semidirect((3, 5, 7, 11), 2, [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], name="Z1155xZ2")
 
 
-@pytest.mark.parametrize("make", [a1009, lambda: build("Z15xZ2_inv"), z1155xz2], ids=["A1009", "Z15xZ2_inv", "Z1155xZ2"])
-def test_sweep_builds_no_table_twice(monkeypatch, make):
-    # a table over no elements holds the identity alone and makes no oracle
-    # call; abelian_basis builds one for each prime it starts from nothing
-    G = make()
+@pytest.mark.parametrize(
+    "name",
+    ["A1009", "Z15xZ2_inv", "Z1155xZ2", "swap18", "A4_table"]
+    + [n + "/mixed" for n in ("Z15xZ2_inv", "Z21xZ2_inv", "swap18", "A4_table")],
+)
+def test_sweep_builds_no_table_twice(monkeypatch, name):
+    base, _, mixed = name.partition("/")
+    G = {"A1009": a1009, "Z1155xZ2": z1155xz2}.get(base, lambda: build(base))()
+    if mixed:
+        G = mixed_generators(G)
     built = []
     real = abelian.DecompositionTable.__init__
 
     def counted(self, H, elements, orders):
-        if elements:
-            built.append((id(H), tuple(elements), tuple(orders)))
+        built.append((id(H), tuple(elements), tuple(orders)))
         real(self, H, elements, orders)
 
     monkeypatch.setattr(abelian.DecompositionTable, "__init__", counted)

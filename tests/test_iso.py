@@ -12,6 +12,7 @@ from corpus import (
     corpus_names,
     expected_isomorphic,
     corpus_entry,
+    mixed_generators,
     naive_gamma,
     naive_isomorphic,
     random_generators,
@@ -22,7 +23,7 @@ from corpus import (
     strip_mu,
     with_generators,
 )
-from grpext import autring, iso
+from grpext import abelian, autring, iso
 from grpext.blackbox import closure
 from grpext.decomp import standard_decomposition
 from grpext.iso import (
@@ -53,6 +54,33 @@ def test_conjugation_action_order21_groups():
     H = build("G21b")
     action = conjugation_action(H, standard_decomposition(H))
     assert [b.rows for b in action.blocks] == [((4,),)]  # x -> x^{-3} = x^4
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_conjugation_action_equals_the_joint_table_reference(name):
+    # column i is y g_i y^{-1} decomposed over the whole basis of A in one table
+    for G in (build(name), mixed_generators(build(name))):
+        sd = standard_decomposition(G)
+        basis, y = sd.a_basis, sd.y
+        joint = abelian.DecompositionTable(G, basis.elements, basis.orders)
+        columns = [joint.decompose(G.mul(G.mul(y, g), G.inv(y))) for g in basis.elements]
+        rows = [[column[i] for column in columns] for i in range(len(columns))]
+        assert conjugation_action(G, sd) == autring.blocks_from_rows(basis.orders, rows)
+
+
+def test_a1009_action_builds_no_table(monkeypatch):
+    # the sweep leaves the table over the 1009-part of A on the basis it returns
+    G = semidirect((1009,), 1008, [[11]])
+    sd = standard_decomposition(G)
+    built, real = [], abelian.DecompositionTable.__init__
+
+    def counted(self, H, elements, orders):
+        built.append(tuple(elements))
+        real(self, H, elements, orders)
+
+    monkeypatch.setattr(abelian.DecompositionTable, "__init__", counted)
+    conjugation_action(G, sd)
+    assert built == []
 
 
 def test_isomorphic_to_itself():
