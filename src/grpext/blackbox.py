@@ -1,11 +1,12 @@
 """Black-box finite groups: opaque element codes plus product/inverse oracles.
 
-A group handle exposes a generator list, an identity code, and two oracles
-(product and inverse) that each count as one operation. Algorithms elsewhere
+A group handle exposes a generator list and two oracles (product and
+inverse) that each count as one operation. Algorithms elsewhere
 in the package only ever touch groups through this surface; the concrete
 backends (multiplication table, cyclic, semidirect product) live here.
 
-An element code is an int and the identity is 0. Table and cyclic codes are
+An element code is an int and the identity is 0 (GroupHandle.identity, a
+class constant, for every backend). Table and cyclic codes are
 the element's index in [0, |G|). A semidirect code is word(a)*m + j with
 word(a) = sum a_i 2^off_i, a_i in a big-endian bit field of width bits(2 q_i)
 (off_s = 0; for s = 1, word(a) = a), so codes sort like the (a, j) tuples; the
@@ -35,25 +36,24 @@ ElementCode = int
 
 
 class GroupHandle:
-    """Oracle view of a finite group.
+    """Oracle view of a finite group: its generators, product and inverse.
 
     mul and inv each increment the operation counter by exactly one. The
     counter is an itertools.count, whose next() is atomic under the GIL, so
     concurrent callers need no lock.
     """
 
+    identity: ElementCode = 0  # the code format fixes it
+
     def __init__(
         self,
-        identity: ElementCode,
         generators: Sequence[ElementCode],
         mul: Callable[[ElementCode, ElementCode], ElementCode],
         inv: Callable[[ElementCode], ElementCode],
         parse_element: Callable[[str], ElementCode],
         format_element: Callable[[ElementCode], str],
         name: str = "group",
-        decode: Optional[Callable] = None,
     ):
-        self.identity = identity
         self.generators = list(generators)
         self.name = name
         self._mul = mul
@@ -61,7 +61,6 @@ class GroupHandle:
         self._ticks = itertools.count()
         self.parse_element = parse_element
         self.format_element = format_element
-        self._decode = decode  # the backend's own form of a code, for checks in this module
 
     def mul(self, a: ElementCode, b: ElementCode) -> ElementCode:
         next(self._ticks)
@@ -79,9 +78,10 @@ class GroupHandle:
 def group_pow(G: GroupHandle, g: ElementCode, n: int) -> ElementCode:
     """g^n through the oracles; n may be negative (one inv more).
 
-    Left-to-right square-and-multiply from g itself: for n >= 1 and g not the
-    identity it makes exactly n.bit_length() + popcount(n) - 2 products, none
-    for n in {0, 1}. Every power of the identity costs no oracle call.
+    Left-to-right square-and-multiply from g itself, with no identity operand:
+    for n >= 1 and g not the identity it makes n.bit_length() + popcount(n) - 2
+    products when ord(g) > n, at most that many otherwise, and none for n in
+    {0, 1}. Every power of the identity costs no oracle call.
     """
     if n == 0 or g == G.identity:
         return G.identity
@@ -89,9 +89,10 @@ def group_pow(G: GroupHandle, g: ElementCode, n: int) -> ElementCode:
         return group_pow(G, G.inv(g), -n)
     result = g
     for bit in bin(n)[3:]:
-        result = G.mul(result, result)
+        if result != G.identity:
+            result = G.mul(result, result)
         if bit == "1":
-            result = G.mul(result, g)
+            result = g if result == G.identity else G.mul(result, g)
     return result
 
 
@@ -238,7 +239,7 @@ def table_group(spec: TableGroupSpec, name: str = "table") -> GroupHandle:
     def inv(a: ElementCode) -> ElementCode:
         return inverse[decode(a)]
 
-    return GroupHandle(0, spec.generators, mul, inv, parse_element, format_element, name=name)
+    return GroupHandle(spec.generators, mul, inv, parse_element, format_element, name=name)
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> GroupHandle:
@@ -254,7 +255,7 @@ def cyclic_group(n: int, name: Optional[str] = None) -> GroupHandle:
         return -decode(a) % n
 
     gens = [] if n == 1 else [1]
-    return GroupHandle(0, gens, mul, inv, parse_element, format_element, name=name or f"Z{n}")
+    return GroupHandle(gens, mul, inv, parse_element, format_element, name=name or f"Z{n}")
 
 
 # --- Semidirect-product backend ----------------------------------------------
@@ -347,25 +348,6 @@ class _Memo(dict):
         return value
 
 
-class _ActionPowers(dict):
-    """r -> M^r for 0 <= r < period, by square-and-multiply on first use, then kept.
-
-    Callers index by j mod self.period (SemidirectGroupSpec.action_period), so
-    one handle keeps at most ord(M) matrices (m when m > _FACTOR_LIMIT),
-    however many j it multiplies by.
-    """
-
-    def __init__(self, spec: SemidirectGroupSpec):
-        super().__init__()
-        self.qs = spec.qs
-        self.rows = spec.action.rows
-        self.period = spec.action_period
-
-    def __missing__(self, r: int):
-        power = self[r] = autring.mat_pow(self.rows, r, self.qs)
-        return power
-
-
 def _require_generation(spec: SemidirectGroupSpec) -> None:
     """Raise MalformedInputError unless the generators generate A x| Z_m.
 
@@ -377,7 +359,8 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
     whole F_p-space.
     """
     m, action = spec.m, spec.action
-    G = semidirect_group(spec)  # its oracles and decoder: the code layout is written once
+    *oracles, decode = _semidirect_oracles(spec)  # the code layout is written once
+    G = GroupHandle(*oracles)
 
     moving = [g for g in G.generators if g % m]
     gcd, coeffs = m, []  # sum(coeffs[i] * j_i) = gcd modulo m
@@ -394,7 +377,7 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
         h = G.mul(h, group_pow(G, g, c % m))
     vectors = [g for g in G.generators if not g % m]
     vectors += [G.mul(g, G.inv(group_pow(G, h, g % m))) for g in moving]
-    vectors = [G._decode(v)[0] for v in vectors + [group_pow(G, h, m)]]
+    vectors = [decode(v)[0] for v in vectors + [group_pow(G, h, m)]]
     start = 0
     for block in action.blocks:
         p, stop = block.ptype.p, start + block.ptype.s
@@ -421,36 +404,43 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
 
 
 def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> GroupHandle:
-    """Oracles on the integer codes of SemidirectGroupSpec; M^j is computed lazily.
+    """Oracles on the integer codes of SemidirectGroupSpec, built by _semidirect_oracles.
 
-    For s = 1 (cyclic A, as in Z_p x| Z_{p-1}) M^j is a scalar, so a product is
-    integer arithmetic on the two codes. For s >= 2 it adds word(a), word(M^j b) (a _Memo
-    by j mod period and word(b)) and K = sum (2^(w_i - 1) - q_i) 2^off_i: field i then has
-    its top bit set iff it is >= q_i, and a _Memo by those bits gives what to take off.
+    M^r is a _Memo by r = j mod period (its GRPEXT_MEM_MB cap counts IMAGE_ENTRY_BYTES per
+    entry; an s x s matrix takes more). For s = 1 (cyclic A, as in Z_p x| Z_{p-1}) M^r is the
+    scalar c_r, so a product is integer arithmetic on the two codes. For s >= 2 it adds word(a),
+    word(M^j b) (a _Memo by r and word(b)) and K = sum (2^(w_i - 1) - q_i) 2^off_i: field i then
+    has its top bit set iff it is >= q_i, and a _Memo by those bits gives what to take off.
     """
+    *oracles, _ = _semidirect_oracles(spec)
+    return GroupHandle(*oracles, name=name)
+
+
+def _semidirect_oracles(spec: SemidirectGroupSpec):
+    """generators, mul, inv, parse_element, format_element, and decode: code -> (a, j)."""
     qs = spec.qs
     m = spec.m
     s = len(qs)
-    powers = _ActionPowers(spec)
-    period = powers.period
+    period = spec.action_period
     text_widths = [len(str(q - 1)) for q in qs]
     jwidth = len(str(m - 1))
 
     if s == 1:  # the code is a*m + j and M^r is the scalar c_r: no coordinate list
         (q,) = qs
         order, K, TOP, offs, masks = q * m, 0, 0, (0,), (-1,)  # word(a) = a: one field, unmasked
+        c = _Memo(lambda r: pow(spec.action.rows[0][0], r, q))
 
         def mul(x: ElementCode, y: ElementCode) -> ElementCode:
             if type(x) is not int or type(y) is not int or not (0 <= x < order and 0 <= y < order):
                 decode(x), decode(y)  # raises for the unknown code
             (a, j), (b, k) = divmod(x, m), divmod(y, m)
-            return ((a + powers[j % period][0][0] * b) % q if b else a) * m + (j + k) % m
+            return ((a + c[j % period] * b) % q if b else a) * m + (j + k) % m
 
         def inv(x: ElementCode) -> ElementCode:
             if type(x) is not int or not 0 <= x < order:
                 decode(x)
             a, j = divmod(x, m)
-            return -powers[-j % period][0][0] * a % q * m + -j % m
+            return -c[-j % period] * a % q * m + -j % m
 
     else:
         offs, masks, K, TOP, W = [], [], 0, 0, 0  # per field, built from the low field up
@@ -459,6 +449,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
             offs[:0], masks[:0] = [W], [(1 << w) - 1]
             K, TOP, W = K + ((1 << w - 1) - q << W), TOP | 1 << W + w - 1, W + w
         order = m << W  # every code is below it
+        powers = _Memo(lambda r: autring.mat_pow(spec.action.rows, r, qs))
         images = _Memo(lambda key: word(autring.mat_vec(powers[key >> W], fields(key), qs)))  # fields drop r
         reduce = _Memo(lambda top: K + sum(q << off for q, off, f in zip(qs, offs, masks) if top >> off & f))
 
@@ -510,7 +501,7 @@ def semidirect_group(spec: SemidirectGroupSpec, name: str = "semidirect") -> Gro
         a, j = decode(code)
         return ",".join(map(str.zfill, map(str, a), text_widths)) + ";" + str(j).zfill(jwidth)
 
-    return GroupHandle(0, gens, mul, inv, parse_element, format_element, name=name, decode=decode)
+    return gens, mul, inv, parse_element, format_element, decode
 
 
 # --- Group description files --------------------------------------------------

@@ -198,7 +198,7 @@ def _selftest_checks():
             if autring.psi(autring.star_mul(a, b)) != autring.BlockDiagGF(
                 3,
                 tuple(
-                    autring._gf_mul(x, y, 3)
+                    autring.mat_mul(x, y, (3,) * len(x))
                     for x, y in zip(autring.psi(a).blocks, autring.psi(b).blocks)
                 ),
             ):

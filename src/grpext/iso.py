@@ -184,10 +184,10 @@ def verify_isomorphism(
     seed: int = 0,
     sample_pairs: int = 10_000,
 ) -> bool:
-    """Check that mu preserves products (and is injective, in exhaustive mode).
+    """Check that mu preserves products (and is a bijection onto H, in exhaustive mode).
 
-    Exhaustive mode checks all |G|^2 pairs, so it is refused with
-    MalformedInputError for a G of more than EXHAUSTIVE_LIMIT elements.
+    Exhaustive mode checks |H| <= |G| and all |G|^2 pairs, so it is refused
+    with MalformedInputError for a G of more than EXHAUSTIVE_LIMIT elements.
     """
     if mode == "exhaustive":
         try:
@@ -197,6 +197,10 @@ def verify_isomorphism(
         images = {a: mu(a) for a in elements}
         if len(set(images.values())) != len(elements):
             return False
+        try:
+            closure(H, H.generators, limit=len(elements))
+        except MalformedInputError:
+            return False  # |H| > |G|, so mu is not onto
         for a in elements:
             for b in elements:
                 if images[G.mul(a, b)] != H.mul(images[a], images[b]):

@@ -23,7 +23,7 @@ from grpext.errors import MalformedInputError, MembershipError
 
 def with_generators(G: GroupHandle, generators) -> GroupHandle:
     """A view of the same group with a different generator list (the caller's to get right)."""
-    return GroupHandle(G.identity, generators, G._mul, G._inv, name=G.name,
+    return GroupHandle(generators, G._mul, G._inv, name=G.name,
                        parse_element=G.parse_element, format_element=G.format_element)
 
 
@@ -41,13 +41,21 @@ def counting_identity_products(G: GroupHandle) -> tuple[GroupHandle, collections
                 frame = frame.f_back
         return G._mul(a, b)
 
-    view = GroupHandle(G.identity, G.generators, mul, G._inv, name=G.name,
+    view = GroupHandle(G.generators, mul, G._inv, name=G.name,
                        parse_element=G.parse_element, format_element=G.format_element)
     return view, counts
 
 
 def cyclic_table_spec(n: int) -> TableGroupSpec:
     return TableGroupSpec(n, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+
+
+def dihedral_table(n: int) -> GroupHandle:
+    """The dihedral group of order 2n as the Cayley table of x -> +-x + r on Z_n (n >= 3)."""
+    perms = [tuple((s * x + r) % n for x in range(n)) for s in (1, -1) for r in range(n)]  # identity first
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(a[x] for x in b)] for b in perms) for a in perms)
+    return blackbox.table_group(TableGroupSpec(2 * n, table), name=f"D{n}")
 
 
 def materialize_table(G: GroupHandle, limit: int = 4096) -> TableGroupSpec:

@@ -383,6 +383,7 @@ def test_tables_and_basis_rebuilds_take_no_identity_product(name):
         assert counts["_insert_p_element"] == 0
         assert counts["abelian_basis"] == 0
         assert counts["_derived_basis"] == 0  # the closure rounds of the sweep's group_context
+        assert counts["group_pow"] == 0
         closure(G, G.generators)
         assert counts["closure"] == len(G.generators)  # the counter sees identity products
 

@@ -329,15 +329,24 @@ def test_action_powers_keyed_by_j_mod_action_order():
     ):
         G = load_group(text)
         standard_decomposition(G)
-        (powers,) = [
-            c.cell_contents
-            for c in G._inv.__closure__
-            if isinstance(c.cell_contents, blackbox._ActionPowers)
-        ]
-        assert powers.period == period == parse_group_file(text).action_period
+        cells = dict(zip(G._inv.__code__.co_freevars, (c.cell_contents for c in G._inv.__closure__)))
+        (powers,) = [v for v in cells.values() if isinstance(v, blackbox._Memo)]
+        assert cells["period"] == period == parse_group_file(text).action_period
         assert len(powers) <= period
     big = parse_group_file(f"semidirect\nA 7\nm {2**33}\n1\n")
     assert big.action_period == 2**33  # above the factoring limit: m itself
+
+
+def test_handles_are_bare_oracles():
+    # the identity is the code format's 0, no handle carries a decoder, and the
+    # generation check of `gens` lines makes its products on a handle of its own
+    f8z7 = "semidirect\nA 2 2 2\nm 7\n0 0 1\n1 0 1\n0 1 0\ngens 0 0 0 1\ngens 1 0 0 1\n"
+    handles = [table_group(cyclic_table_spec(6)), cyclic_group(6), load_group(f8z7)]
+    for G in handles:
+        assert G.identity == 0
+        assert not hasattr(G, "_decode")
+    assert len(handles[2].generators) == 2
+    assert handles[2].operation_count == 0
 
 
 def test_parse_semidirect_file_round_trip():

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import random
 import re
 import time
 
 import pytest
 
+from corpus import build, dihedral_table, materialize_table, relabel
 from grpext import autring, blackbox, classes, iso
 from grpext.cli import main
 from grpext.errors import InvariantBreachError
@@ -108,6 +110,18 @@ def test_isomorphic_command_yes(tmp_path, capsys):
     assert "k 2" in out
     assert "psi-block 7 1" in out
     assert "mu-check exhaustive pass" in out
+
+
+def test_exhaustive_verification_fails_a_yes_onto_a_larger_group(tmp_path, capsys):
+    # S3 against D6 relabelled at seed 3 answers yes; H has 12 elements, not 6
+    a, b = tmp_path / "s3.grp", tmp_path / "d6.grp"
+    for path, G in ((a, build("S3_table")), (b, relabel(dihedral_table(6), random.Random(3)))):
+        spec = materialize_table(G)
+        path.write_text(f"table {spec.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in spec.table))
+    code, out, _ = run_cli(capsys, "isomorphic", str(a), str(b), "--verify", "exhaustive")
+    assert code == 1
+    assert "verdict yes\n" in out
+    assert "mu-check exhaustive fail\n" in out
 
 
 def test_exhaustive_verification_refuses_a_large_group(tmp_path, capsys):

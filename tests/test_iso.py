@@ -10,6 +10,7 @@ from corpus import (
     ISOMORPHIC_PAIRS,
     build,
     corpus_names,
+    dihedral_table,
     expected_isomorphic,
     corpus_entry,
     mixed_generators,
@@ -180,6 +181,20 @@ def test_verify_isomorphism_detects_bad_maps():
     swapped = {a: a for a in elements}
     swapped[elements[1]], swapped[elements[2]] = elements[2], elements[1]
     assert not verify_isomorphism(G, H, lambda code: swapped[code], mode="exhaustive")
+
+
+def test_exhaustive_check_fails_every_yes_of_s3_against_relabelled_d6():
+    # S3 is not isomorphic to D6 (order 12), but the sweep can take D6 for a group of
+    # order 6 and answer yes; mu is then an injective homomorphism that misses half of H
+    G, D6 = build("S3_table"), dihedral_table(6)
+    yes = 0
+    for seed in range(200):
+        H = relabel(D6, random.Random(seed))
+        result = isomorphic(G, H)
+        if result.is_isomorphic:
+            yes += 1
+            assert not verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive"), seed
+    assert yes > 0
 
 
 def test_verify_isomorphism_sampled_mode():
