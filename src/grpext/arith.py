@@ -1,4 +1,4 @@
-"""Exact integer utilities: reading, factorization, divisors and the Smith normal form.
+"""Exact integer utilities: reading, factorization, divisors, crt, discrete_log and the Smith normal form.
 
 Everything here works on plain Python integers, so intermediate values may grow
 arbitrarily large without overflow. smith_normal_form also runs over any other
@@ -8,10 +8,11 @@ over F_p[x]). Every integer the package reads from text goes through read_ints.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import MalformedInputError
 
@@ -82,6 +83,40 @@ def trial_factor(n: int, primes: Sequence[int] = ()) -> Factorization:
     if rest > 1:
         factors.append((rest, 1))
     return sorted(factors)
+
+
+def crt(congruences: Iterable[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """(r, m) with x = r mod m exactly when x = e mod o for each (e, o); None if no x exists."""
+    r, m = 0, 1
+    for e, o in congruences:
+        d = math.gcd(m, o)
+        if (e - r) % d:
+            return None
+        r, m = r + m * ((e - r) // d * pow(m // d, -1, o // d) % (o // d)), m * o // d
+    return r, m
+
+
+def discrete_log(g: int, h: int, p: int, n: int, primes: Sequence[int] = ()) -> Optional[tuple[int, int]]:
+    """(e, o), o the order of g mod the prime p, with g^x = h exactly when x = e mod o; None
+    when h is not a power of g. o must divide n (MalformedInputError otherwise), factored by
+    trial_factor(n, primes). Pohlig-Hellman: baby-step giant-step (Shanks) in each part of
+    <g> of prime-power order q^f, with about sqrt(q^f) dict entries; crt joins the parts."""
+    if pow(g, n, p) != 1:
+        raise MalformedInputError(f"{g} has no order dividing {n} mod {p}")
+    factors, o = trial_factor(n, primes), n
+    for q, _ in factors:
+        while o % q == 0 and pow(g, o // q, p) == 1:
+            o //= q
+    if pow(h, o, p) != 1:  # F_p* is cyclic, so <g> is every x with x^o = 1
+        return None
+    parts = []
+    for qf in (math.gcd(o, q**e) for q, e in factors):
+        gq, hq, r = pow(g, o // qf, p), pow(h, o // qf, p), math.isqrt(qf - 1) + 1
+        baby, stride, i = {pow(gq, j, p): j for j in range(r)}, pow(gq, -r, p), 0
+        while hq not in baby:  # hq is in <gq>, of order qf <= r^2
+            hq, i = hq * stride % p, i + 1
+        parts.append((i * r + baby[hq], qf))
+    return crt(parts)
 
 
 _TRIAL_BOUND = 1000

@@ -502,10 +502,12 @@ def conjugacy(
         raise MalformedInputError("conjugacy requires matching types")
     ptype = u1.ptype
     p, s = ptype.p, ptype.s
-    orders = []
+    orders, reduced = [], []
     for u in (u1, u2):
-        if not is_in_R(u):
-            raise MalformedInputError("conjugacy inputs must be units")
+        try:
+            reduced.append(psi(u).blocks)  # psi is the unit test
+        except MalformedInputError:
+            raise MalformedInputError("conjugacy inputs must be units") from None
         order = matrix_order(u, order_cap, multiple=multiple)
         if order is None:
             if multiple is not None:
@@ -516,12 +518,9 @@ def conjugacy(
         orders.append(order)
     n = math.lcm(*orders)
 
-    conjugators = []
-    for b1, b2 in zip(psi(u1).blocks, psi(u2).blocks):
-        t = gl_conjugator(b1, b2, p)
-        if t is None:
-            return None
-        conjugators.append(t)
+    conjugators = [gl_conjugator(b1, b2, p) for b1, b2 in zip(*reduced)]
+    if None in conjugators:
+        return None
 
     moduli = ptype.moduli
     n_inv = pow(n, -1, moduli[-1])

@@ -5,10 +5,10 @@ cyclic order gamma and the abelian type, and the two conjugation actions M1,
 M2 are conjugate up to raising M2 to a power k coprime with gamma. Each group
 is decomposed once. Both actions have order coprime with p, so their psi-blocks
 over F_p are semisimple, and a semisimple matrix is fixed up to conjugacy by
-its characteristic polynomial. The search for k therefore compares the
-characteristic polynomials of the psi-blocks of M1 with those of psi(M2)^k;
-only the smallest matching k reaches the conjugacy solver, which proves the
-match with an explicit conjugator. A positive verdict always carries a witness
+its characteristic polynomial. The search for k compares those of psi(M1) with
+those of psi(M2)^k for the k of one class, which block determinants fix; only
+the smallest matching k reaches the conjugacy solver, which proves the match
+with an explicit conjugator. A positive verdict always carries a witness
 (k plus a basis-to-basis matrix psi). build_mu turns it into the explicit
 isomorphism mu(y1^j x) = y2^{k j} psi(x), which factors each element of G as
 y1^j x with one decomposition-table lookup over <y1>A1, and
@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from . import autring
 from .abelian import DecompositionTable, group_pow
+from .arith import crt, discrete_log, trial_factor
 from .blackbox import ElementCode, GroupHandle, closure
 from .decomp import StandardDecomposition, standard_decomposition
 from .errors import InvariantBreachError, MalformedInputError, MembershipError
@@ -89,17 +90,16 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     """Full pipeline: decompose both groups, compare, search the power k.
 
     The conjugacy precondition holds by construction, so it is not checked
-    again before the search: conjugation_action has proved each block a unit
-    with M^gamma = 1, and find_decomposition accepts only an A whose element
-    orders are coprime with gamma, so p does not divide gamma for any prime p
-    of |A|. Each block's order divides gamma and is coprime with its p, and so
-    is that of M2^k. Every psi-block of M1 and of M2^k is therefore
-    semisimple and the characteristic polynomials decide its conjugacy class.
-    psi is multiplicative on units, so psi(M2) is taken once and, for each k
-    in ascending order, its F_p blocks are raised to the power k and their
-    characteristic polynomials compared with those of M1's blocks, computed
-    once. The conjugacy solver runs only for the first k that matches, so the
-    reported k is the smallest one.
+    again: conjugation_action has proved each block a unit with M^gamma = 1,
+    and find_decomposition accepts only an A whose element orders are coprime
+    with gamma. So every psi-block of M1 and of M2^k has order coprime with its
+    p and is semisimple: its characteristic polynomial chi decides its class.
+    As det B = (-1)^n chi_B(0), a k that matches has det(B2)^k = det(B1) in
+    F_p* for each block pair: k in one class modulo the order of det(B2), a
+    divisor of gamma (arith.discrete_log). crt joins these into one class mod
+    L; none means no k. The scan of that class keeps the ascending order and
+    the test, so the first k that matches, the one k that reaches the
+    conjugacy solver, is still the smallest.
     """
     sd1 = standard_decomposition(G)
     sd2 = standard_decomposition(H)
@@ -112,10 +112,16 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     m2 = conjugation_action(H, sd2)
     targets = [autring.psi(b).charpolys() for b in m1.blocks]
     psi2 = [autring.psi(b) for b in m2.blocks]
-    for k in range(1, gamma + 1):
-        if math.gcd(k, gamma) != 1:
-            continue
-        if any(v.charpolys(k) != t for v, t in zip(psi2, targets)):
+    primes = [q for q, _ in trial_factor(gamma)]
+    logs = [
+        discrete_log((-1) ** (len(c2) - 1) * c2[0], (-1) ** (len(c1) - 1) * c1[0], v.p, gamma, primes)
+        for v, t in zip(psi2, targets) for c1, c2 in zip(t, v.charpolys())
+    ]
+    if None in logs or (narrowed := crt(logs)) is None:
+        return IsoResult(False, None, NO_CONJUGATING_K)
+    start, step = narrowed
+    for k in range(start or step, gamma + 1, step):
+        if math.gcd(k, gamma) != 1 or any(v.charpolys(k) != t for v, t in zip(psi2, targets)):
             continue
         m2k = autring.blocks_pow(m2, k)
         found = [autring.conjugacy(b1, b2, multiple=gamma) for b1, b2 in zip(m1.blocks, m2k.blocks)]

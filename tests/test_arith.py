@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from grpext.arith import (
     content_lines,
+    crt,
+    discrete_log,
     divisors,
     is_prime,
     keyword_ints,
@@ -97,6 +99,49 @@ def test_factorization_exhaustive_small():
 )
 def test_divisors_examples(n, expected):
     assert divisors(n) == expected
+
+
+def test_crt_against_enumeration():
+    moduli = range(1, 13)
+    for o1, o2 in itertools.product(moduli, moduli):
+        for e1, e2 in itertools.product(range(o1), range(o2)):
+            want = [x for x in range(math.lcm(o1, o2)) if x % o1 == e1 and x % o2 == e2]
+            got = crt([(e1, o1), (e2, o2)])
+            assert (got is None) == (not want)
+            if want:
+                assert got == (want[0], math.lcm(o1, o2)) and len(want) == 1
+    assert crt([]) == (0, 1)
+    assert crt([(5, 6), (1, 12)]) is None  # k = 5 mod 6 and k = 1 mod 12 conflict
+
+
+def test_discrete_log_against_enumeration():
+    for p in filter(is_prime, range(100)):
+        for g in range(1, p):
+            order = next(d for d in range(1, p) if pow(g, d, p) == 1)
+            for n in (p - 1, 2 * (p - 1)):
+                logs = {}  # h -> every x in [0, n) with g^x = h
+                for x in range(n):
+                    logs.setdefault(pow(g, x, p), []).append(x)
+                for h in range(1, p):
+                    got = discrete_log(g, h, p, n)
+                    if h not in logs:
+                        assert got is None
+                        continue
+                    e, o = got
+                    assert o == order and 0 <= e < o
+                    assert logs[h] == list(range(e, n, o))
+            for n in range(1, p):
+                if n % order:
+                    with pytest.raises(MalformedInputError):
+                        discrete_log(g, 1, p, n)
+
+
+def test_discrete_log_uses_given_primes_and_large_orders():
+    p = 1_000_000_007  # p - 1 = 2 * 500000003
+    assert discrete_log(5, pow(5, 123_456_789, p), p, p - 1, primes=(2, 500_000_003)) == (
+        123_456_789,
+        p - 1,
+    )
 
 
 def _det(rows):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
@@ -343,6 +343,105 @@ def test_k_search_matches_per_k_conjugacy_loop_at_the_last_unit():
     assert (result.witness.k, result.witness.psi_blocks) == want
 
 
+def _count_charpolys(monkeypatch):
+    """The power k of every BlockDiagGF.charpolys call."""
+    powers = []
+    real = autring.BlockDiagGF.charpolys
+
+    def charpolys(self, k=1):
+        powers.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(autring.BlockDiagGF, "charpolys", charpolys)
+    return powers
+
+
+def test_conflicting_determinant_congruences_answer_no_before_any_power(monkeypatch):
+    # 5^k = 3 in F_7* gives k = 5 mod 6, and 2^k = 2 in F_13* gives k = 1 mod 12
+    G = semidirect((7, 13), 12, [[3, 0], [0, 2]])
+    H = semidirect((7, 13), 12, [[5, 0], [0, 2]])
+    assert _per_k_conjugacy_search(G, H) is None
+    powers = _count_charpolys(monkeypatch)
+    assert isomorphic(G, H).failed_condition == NO_CONJUGATING_K
+    assert powers == [1] * 4  # the targets of M1 and the determinants of M2, two blocks each
+
+
+def test_large_gamma_k_search_evaluates_one_power(monkeypatch):
+    # A_p x| Z_{p-1} at p = 1 000 003: 2 is a primitive root, H acts by its 5th power,
+    # so k = 5^{-1} mod p - 1; the linear scan made 133 334 charpolys calls here
+    p = 1_000_003
+    G, H = semidirect((p,), p - 1, [[2]]), semidirect((p,), p - 1, [[32]])
+    powers = _count_charpolys(monkeypatch)
+    result = isomorphic(G, H)
+    assert result.witness.k == 400_001
+    assert len(powers) <= 1 + 2  # the target, then at most two more
+
+
+def _linear_charpoly_scan(G, H):
+    """Reference: the least unit k <= gamma, tried one by one, for which psi(M2)^k has
+    the block characteristic polynomials of psi(M1); None when there is none."""
+    sd1, sd2 = standard_decomposition(G), standard_decomposition(H)
+    gamma = sd1.gamma
+    targets = [autring.psi(b).charpolys() for b in conjugation_action(G, sd1).blocks]
+    psi2 = [autring.psi(b) for b in conjugation_action(H, sd2).blocks]
+    for k in range(1, gamma + 1):
+        if math.gcd(k, gamma) == 1 and all(v.charpolys(k) == t for v, t in zip(psi2, targets)):
+            return k
+    return None
+
+
+@st.composite
+def _action_pairs(draw):
+    """(qs, m, action of G, action of H), both of order dividing m: diagonal on Z_p x Z_r or
+    on Z_p^2, with m odd in some cases so that k may be even, or any 2 x 2 on Z_p^2. H acts
+    by a conjugate of a power of G's action, or by one drawn like G's."""
+    if draw(st.booleans()):
+        p, r, m = draw(st.sampled_from([(5, 7, 12), (7, 11, 30), (11, 13, 60), (7, 13, 3), (7, 19, 9)]))
+        r = p if draw(st.booleans()) else r
+        qs = (p, r)
+        roots = [[v for v in range(1, q) if pow(v, m, q) == 1] for q in qs]
+
+        def action():
+            return ((draw(st.sampled_from(roots[0])), 0), (0, draw(st.sampled_from(roots[1]))))
+
+        t = t_inv = ((1, 0), (0, 1))  # conjugation leaves a diagonal action as it is
+    else:
+        p = draw(st.sampled_from([3, 5, 7]))
+        qs, m = (p, p), p * p - 1
+
+        def unit():
+            (w, x), (y, z) = rows = [[draw(st.integers(0, p - 1)) for _ in "ab"] for _ in "ab"]
+            assume((w * z - x * y) % p)
+            return rows
+
+        def action():
+            rows = unit()
+            assume(autring.mat_pow(rows, m, qs) == autring.mat_pow(rows, 0, qs))
+            return rows
+
+        (w, x), (y, z) = t = unit()
+        d = pow(w * z - x * y, -1, p)
+        t_inv = ((z * d, -x * d), (-y * d, w * d))
+    a = action()
+    if draw(st.booleans()):
+        power = autring.mat_pow(a, draw(st.integers(1, m)), qs)
+        b = autring.mat_mul(autring.mat_mul(t, power, qs), t_inv, qs)
+    else:
+        b = action()
+    return qs, m, [list(row) for row in a], [list(row) for row in b]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_action_pairs())
+def test_narrowed_k_search_equals_the_linear_charpoly_scan(pair):
+    qs, m, a, b = pair
+    G, H = semidirect(qs, m, a), semidirect(qs, m, b)
+    result = isomorphic(G, H)
+    if result.failed_condition in (GAMMA_MISMATCH, ABELIAN_MISMATCH):
+        return
+    assert (result.witness.k if result.is_isomorphic else None) == _linear_charpoly_scan(G, H)
+
+
 # the k-search pairs of the kscan-large-gamma benchmark workload: (A, m, action of G, of H)
 KSCAN_PAIRS = [((211,), 210, 2, 106), ((1009,), 1008, 11, 367), ((1009,), 1008, 11, 121), ((1019,), 1018, 2, 510)]
 
@@ -408,7 +507,7 @@ def _count_calls_by_conjugacy(monkeypatch, name):
 
 
 def test_a1009_k_search_runs_no_rcf(monkeypatch):
-    # all 288 units mod 1008 are tried by characteristic polynomials alone
+    # 121^k = 11 has no solution in F_1009*, as 11 has even order: no k is tried at all
     counts = _count_calls_by_conjugacy(monkeypatch, "rcf")
     result = isomorphic(semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[121]]))
     assert result.failed_condition == NO_CONJUGATING_K
@@ -436,6 +535,19 @@ def test_decision_finds_block_orders_only_inside_conjugacy(monkeypatch, G, H, ca
     counts = _count_calls_by_conjugacy(monkeypatch, "matrix_order")
     isomorphic(G, H)
     assert counts == {"in_conjugacy": calls, "elsewhere": 0}
+
+
+def test_conjugacy_takes_psi_once_per_input(monkeypatch):
+    # A 25 31 31, two blocks per side: blocks_from_rows in each load and in each
+    # conjugation_action, psi in isomorphic, and per conjugacy call psi of each input
+    # and the final check (22 at the parent, whose conjugacy also called is_in_R itself)
+    calls = []
+    real = autring.is_in_R
+    monkeypatch.setattr(autring, "is_in_R", lambda u: calls.append(u) or real(u))
+    G = semidirect((25, 31, 31), 3, [[1, 0, 0], [0, 5, 0], [0, 0, 25]])
+    H = semidirect((25, 31, 31), 3, [[1, 0, 0], [0, 25, 0], [0, 0, 5]])
+    assert isomorphic(G, H).witness.k == 1
+    assert len(calls) == (2 + 2) + (2 + 2) + (2 + 2) + 2 * 3
 
 
 def _count_conjugacy_calls(monkeypatch):
