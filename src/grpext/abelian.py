@@ -29,8 +29,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class AbelianBasis:
-    """Independent generators of prime-power order, ascending by (prime, exp)."""
+    """Independent generators of prime-power order in G, ascending by (prime, exp)."""
 
+    G: GroupHandle = field(repr=False, compare=False)
     elements: tuple[ElementCode, ...]
     orders: tuple[int, ...]
     tables: dict = field(default_factory=dict, repr=False, compare=False)  # p -> table over parts[p]
@@ -48,10 +49,10 @@ class AbelianBasis:
         if keys != sorted(keys):
             raise MalformedInputError("basis orders are not ascending")
 
-    def table(self, G: GroupHandle, p: int) -> DecompositionTable:
+    def table(self, p: int) -> DecompositionTable:
         """The table over parts[p], built on first use and kept in tables."""
         if p not in self.tables:
-            self.tables[p] = DecompositionTable(G, *zip(*self.parts[p]))
+            self.tables[p] = DecompositionTable(self.G, *zip(*self.parts[p]))
         return self.tables[p]
 
     @property
@@ -243,7 +244,7 @@ def abelian_basis(
     prime starts from its part of start and that part's table, gens in start
     are dropped, and the result keeps every table still over its part.
     """
-    start = start or AbelianBasis((), ())
+    start = start or AbelianBasis(G, (), ())
     unique = list(dict.fromkeys(g for g in gens if g != G.identity and g not in start.elements))
     if orders is None:
         check_commuting(G, start.elements + tuple(unique), known=len(start.elements))
@@ -260,7 +261,7 @@ def abelian_basis(
     tables = {}
     for p in sorted(per_prime.keys() | start.parts.keys()):
         partial = start.parts.get(p, [])
-        table = start.table(G, p) if partial and p in per_prime else start.tables.get(p)
+        table = start.table(p) if partial and p in per_prime else start.tables.get(p)
         for x, x_order in per_prime.get(p, ()):
             if table is None and partial:  # table over partial, or None
                 table = DecompositionTable(G, *zip(*partial))
@@ -271,5 +272,5 @@ def abelian_basis(
             tables[p] = table
         basis_pairs.extend(partial)  # ascending by order, so by (p, e)
     return AbelianBasis(
-        tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs), tables
+        G, tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs), tables
     )

@@ -100,7 +100,7 @@ def commutator_generators(G: GroupHandle) -> list[ElementCode]:
     """The commutators [g_i, g_j] = g_i g_j g_i^{-1} g_j^{-1} of the generators, i < j.
 
     The derived subgroup G' is the normal closure of this set, which can be
-    larger than the subgroup the set generates; decomp.group_context builds
+    larger than the subgroup the set generates; decomp.GroupContext builds
     the closure. Duplicates are removed and the list is sorted for
     determinism.
     """

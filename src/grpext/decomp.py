@@ -31,7 +31,7 @@ which m only decomposed a proper subgroup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import AbelianBasis, abelian_basis, check_commuting, element_order
@@ -40,24 +40,25 @@ from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
 from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotInClassError
 
 
-@dataclass(frozen=True)
 class GroupContext:
     """The finder's data about G that is the same for every m.
 
-    The basis of G' and the generator orders are computed by group_context;
-    that basis's p-tables, the prime-power parts and the generator powers on
-    first use, then kept, so a sweep computes each of them once.
+    GroupContext(G) computes the generator orders, their primes and the basis
+    of G' (None when G' is not abelian); that basis's p-tables, the
+    prime-power parts and the generator powers are computed on first use,
+    then kept, so a sweep computes each of them once.
     """
 
-    G: GroupHandle
-    derived: Optional[AbelianBasis]  # basis of G'; None when G' is not abelian
-    gen_orders: tuple[int, ...]  # orders of G.generators, in order
-    primes: tuple[int, ...]  # the primes of the generator orders, so of m-bar
-    _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._powers[1] = tuple(self.G.generators)
+    def __init__(self, G: GroupHandle):
+        self.G = G
+        self.gen_orders = tuple(element_order(G, g) for g in G.generators)  # in generator order
+        self.primes = tuple(sorted({p for n in self.gen_orders for p, _ in trial_factor(n)}))  # of m-bar
+        try:
+            self.derived: Optional[AbelianBasis] = _derived_basis(G)
+        except NotAbelianError:
+            self.derived = None
+        self._parts: dict = {}
+        self._powers: dict = {1: tuple(G.generators)}
 
     def part(self, q: int) -> Optional[tuple[int, ElementCode]]:
         """(k, g_k^{n_k/q}), an element of order q, for the first k with q | n_k.
@@ -97,22 +98,12 @@ def _derived_basis(G: GroupHandle) -> AbelianBasis:
                         continue
                     c = G.mul(G.mul(g, x), g_inv)
                     try:
-                        basis.table(G, p).decompose(c)
+                        basis.table(p).decompose(c)
                     except MembershipError:
                         escaped.append(c)
         if not escaped:
             return basis
         basis = abelian_basis(escaped, G, start=basis)
-
-
-def group_context(G: GroupHandle) -> GroupContext:
-    gen_orders = tuple(element_order(G, g) for g in G.generators)
-    primes = tuple(sorted({p for n in gen_orders for p, _ in trial_factor(n)}))
-    try:
-        derived = _derived_basis(G)
-    except NotAbelianError:
-        derived = None
-    return GroupContext(G, derived, gen_orders, primes)
 
 
 @dataclass(frozen=True)
@@ -129,6 +120,10 @@ class StandardDecomposition:
     y: ElementCode
 
     @property
+    def G(self) -> GroupHandle:
+        return self.a_basis.G
+
+    @property
     def group_order(self) -> int:
         return self.gamma * self.a_basis.group_order
 
@@ -142,13 +137,14 @@ class DecompositionAttempt:
     error: Optional[str]
 
 
-def find_decomposition(G: GroupHandle, m: int, context: GroupContext) -> StandardDecomposition:
-    """One sweep of the finder for m, given context = group_context(G); raises DecompositionFailed.
+def find_decomposition(m: int, context: GroupContext) -> StandardDecomposition:
+    """One sweep of the finder for m over context.G; raises DecompositionFailed.
 
     When the group really decomposes at this m, the result generates the whole
     group; a non-error result is in general only guaranteed to decompose the
     subgroup generated by the output.
     """
+    G = context.G
     if m < 1:
         raise DecompositionFailed(m, "m must be >= 1")
     if context.derived is None:
@@ -199,11 +195,11 @@ def standard_decomposition_with_attempts(
     is a coprime cyclic extension of an abelian group; the smallest m reaching
     it is the group invariant gamma.
     """
-    context = group_context(G)
+    context = GroupContext(G)
     attempts: list[DecompositionAttempt] = []
     for m in divisors(math.lcm(*context.gen_orders), context.primes):  # lcm() is 1: the trivial group
         try:
-            attempts.append(DecompositionAttempt(m, find_decomposition(G, m, context), None))
+            attempts.append(DecompositionAttempt(m, find_decomposition(m, context), None))
         except DecompositionFailed as exc:
             attempts.append(DecompositionAttempt(m, None, exc.reason))
     found = [a.found for a in attempts if a.found is not None]

@@ -41,27 +41,30 @@ EXHAUSTIVE_LIMIT = 1024  # group elements, so at most ~10^6 pairs are checked
 class IsomorphismWitness:
     k: int
     psi_blocks: autring.AutBlocks
-    source_group: GroupHandle
-    target_group: GroupHandle
     source: StandardDecomposition
     target: StandardDecomposition
 
 
 @dataclass(frozen=True)
 class IsoResult:
-    is_isomorphic: bool
+    """A witness for "yes", the failed paper condition for "no"."""
+
     witness: Optional[IsomorphismWitness]
     failed_condition: Optional[str]
 
+    @property
+    def is_isomorphic(self) -> bool:
+        return self.witness is not None
 
-def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> autring.AutBlocks:
+
+def conjugation_action(sd: StandardDecomposition) -> autring.AutBlocks:
     """Blockwise matrix of conjugation by y on the basis of A, proved a unit with M^gamma = 1.
 
     y maps each A_p to itself, so column i is y g_i y^{-1} decomposed over the
     p-table of g_i, zero outside it. This is the one place the action facts are
     checked: blocks_from_rows proves each block a unit, and M^gamma = 1 is checked here.
     """
-    basis = sd.a_basis
+    G, basis = sd.G, sd.a_basis
     s = len(basis.elements)
     y = sd.y
     y_inv = G.inv(y)
@@ -71,7 +74,7 @@ def conjugation_action(G: GroupHandle, sd: StandardDecomposition) -> autring.Aut
         for g, _ in pairs:
             moved = G.mul(G.mul(y, g), y_inv)
             try:
-                columns.append(before + basis.table(G, p).decompose(moved) + after)
+                columns.append(before + basis.table(p).decompose(moved) + after)
             except MembershipError:
                 raise InvariantBreachError(
                     "conjugate of a basis element left the abelian part"
@@ -104,12 +107,12 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     sd1 = standard_decomposition(G)
     sd2 = standard_decomposition(H)
     if sd1.gamma != sd2.gamma:
-        return IsoResult(False, None, GAMMA_MISMATCH)
+        return IsoResult(None, GAMMA_MISMATCH)
     if sd1.a_basis.orders != sd2.a_basis.orders:
-        return IsoResult(False, None, ABELIAN_MISMATCH)
+        return IsoResult(None, ABELIAN_MISMATCH)
     gamma = sd1.gamma
-    m1 = conjugation_action(G, sd1)
-    m2 = conjugation_action(H, sd2)
+    m1 = conjugation_action(sd1)
+    m2 = conjugation_action(sd2)
     targets = [autring.psi(b).charpolys() for b in m1.blocks]
     psi2 = [autring.psi(b) for b in m2.blocks]
     primes = [q for q, _ in trial_factor(gamma)]
@@ -118,7 +121,7 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
         for v, t in zip(psi2, targets) for c1, c2 in zip(t, v.charpolys())
     ]
     if None in logs or (narrowed := crt(logs)) is None:
-        return IsoResult(False, None, NO_CONJUGATING_K)
+        return IsoResult(None, NO_CONJUGATING_K)
     start, step = narrowed
     for k in range(start or step, gamma + 1, step):
         if math.gcd(k, gamma) != 1 or any(v.charpolys(k) != t for v, t in zip(psi2, targets)):
@@ -132,13 +135,11 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
         witness = IsomorphismWitness(
             k=k,
             psi_blocks=autring.AutBlocks(tuple(found)),
-            source_group=G,
-            target_group=H,
             source=sd1,
             target=sd2,
         )
-        return IsoResult(True, witness, None)
-    return IsoResult(False, None, NO_CONJUGATING_K)
+        return IsoResult(witness, None)
+    return IsoResult(None, NO_CONJUGATING_K)
 
 
 def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode]:
@@ -149,12 +150,9 @@ def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode
     MembershipError. A table of more codes than the GRPEXT_MEM_MB cap allows
     raises MemoryBudgetError (exit code 2 in the CLI).
     """
-    H = witness.target_group
     sd1, sd2 = witness.source, witness.target
-    gamma = sd1.gamma
-    table = DecompositionTable(
-        witness.source_group, (sd1.y,) + sd1.a_basis.elements, (gamma,) + sd1.a_basis.orders
-    )
+    H, gamma = sd2.G, sd1.gamma
+    table = DecompositionTable(sd1.G, (sd1.y,) + sd1.a_basis.elements, (gamma,) + sd1.a_basis.orders)
     factors = (sd2.y,) + sd2.a_basis.elements
 
     def mu(g: ElementCode) -> ElementCode:

@@ -58,6 +58,20 @@ def dihedral_table(n: int) -> GroupHandle:
     return blackbox.table_group(TableGroupSpec(2 * n, table), name=f"D{n}")
 
 
+def symmetric_table(n: int) -> GroupHandle:
+    """The symmetric group on n points as the Cayley table of its permutations."""
+    perms = list(itertools.permutations(range(n)))  # identity first
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(a[x] for x in b)] for b in perms) for a in perms)
+    return blackbox.table_group(TableGroupSpec(len(perms), table), name=f"S{n}")
+
+
+def write_table(path, G: GroupHandle) -> None:
+    """Write a small black-box group as a `table` group file."""
+    spec = materialize_table(G)
+    path.write_text(f"table {spec.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in spec.table))
+
+
 def materialize_table(G: GroupHandle, limit: int = 4096) -> TableGroupSpec:
     """Cayley table of a small black-box group, identity mapped to index 0."""
     elements = closure(G, G.generators, limit=limit)
@@ -92,7 +106,7 @@ def format_matrix(u: autring.AutMatrix) -> str:
 def strip_mu(witness):
     """Reference mu(x * y1^j) = psi(x) * y2^{k j}: j is found by stripping y1
     from the right, up to gamma times, until the rest decomposes over A1's basis."""
-    G, H = witness.source_group, witness.target_group
+    G, H = witness.source.G, witness.target.G
     sd1, sd2 = witness.source, witness.target
     table = DecompositionTable(G, sd1.a_basis.elements, sd1.a_basis.orders)
     y1_inv = G.inv(sd1.y)

@@ -198,10 +198,11 @@ def test_y_only_table_rejects_the_abelian_part():
 
 
 def test_basis_validation():
-    with pytest.raises(Exception):
-        AbelianBasis((1,), (6,))  # 6 is not a prime power
-    with pytest.raises(Exception):
-        AbelianBasis((1, 2), (3, 2))  # not ascending
+    G = cyclic_group(12)
+    with pytest.raises(MalformedInputError, match="not a prime power"):
+        AbelianBasis(G, (1,), (6,))
+    with pytest.raises(MalformedInputError, match="not ascending"):
+        AbelianBasis(G, (1, 2), (3, 2))
 
 
 def test_order_count_within_sqrt_envelope_small():
@@ -382,7 +383,7 @@ def test_tables_and_basis_rebuilds_take_no_identity_product(name):
         assert counts["DecompositionTable.__init__"] == 0
         assert counts["_insert_p_element"] == 0
         assert counts["abelian_basis"] == 0
-        assert counts["_derived_basis"] == 0  # the closure rounds of the sweep's group_context
+        assert counts["_derived_basis"] == 0  # the closure rounds of the sweep's GroupContext
         assert counts["group_pow"] == 0
         closure(G, G.generators)
         assert counts["closure"] == len(G.generators)  # the counter sees identity products

@@ -126,6 +126,11 @@ def test_psi_identity():
     assert image.blocks == (((1,),), ((1, 0), (0, 1)), ((1,),))
 
 
+def test_psi_refuses_a_non_unit():
+    with pytest.raises(MalformedInputError, match="psi is defined on units only"):
+        psi(make_matrix(PType(3, (1, 1)), [[1, 1], [1, 1]]))
+
+
 @pytest.mark.parametrize(
     "ptype",
     [PType(3, (1, 2)), PType(2, (1, 1, 1)), PType(5, (1, 1)), PType(2, (1, 2, 3)), MIXED_TYPE],

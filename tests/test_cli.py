@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from corpus import build, dihedral_table, materialize_table, relabel
+from corpus import build, dihedral_table, relabel, symmetric_table, write_table
 from grpext import autring, blackbox, classes, iso
 from grpext.cli import main
 from grpext.errors import InvariantBreachError
@@ -115,13 +115,30 @@ def test_isomorphic_command_yes(tmp_path, capsys):
 def test_exhaustive_verification_fails_a_yes_onto_a_larger_group(tmp_path, capsys):
     # S3 against D6 relabelled at seed 3 answers yes; H has 12 elements, not 6
     a, b = tmp_path / "s3.grp", tmp_path / "d6.grp"
-    for path, G in ((a, build("S3_table")), (b, relabel(dihedral_table(6), random.Random(3)))):
-        spec = materialize_table(G)
-        path.write_text(f"table {spec.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in spec.table))
+    write_table(a, build("S3_table"))
+    write_table(b, relabel(dihedral_table(6), random.Random(3)))
     code, out, _ = run_cli(capsys, "isomorphic", str(a), str(b), "--verify", "exhaustive")
     assert code == 1
     assert "verdict yes\n" in out
     assert "mu-check exhaustive fail\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["standard-decomposition", "s4.grp"],  # S4' = A4 is not abelian
+        ["isomorphic", "s4.grp", "s4.grp"],
+        ["isomorphic", "d6.grp", "s3.grp"],  # D6 first: mu cannot factor all of D6 over <y>A
+    ],
+)
+def test_out_of_class_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    write_table(tmp_path / "s4.grp", symmetric_table(4))
+    write_table(tmp_path / "s3.grp", build("S3_table"))
+    write_table(tmp_path / "d6.grp", relabel(dihedral_table(6), random.Random(3)))
+    code, out, err = run_cli(capsys, argv[0], *(str(tmp_path / name) for name in argv[1:]))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error ") and err.count("\n") == 1
 
 
 def test_exhaustive_verification_refuses_a_large_group(tmp_path, capsys):
@@ -430,6 +447,10 @@ def test_precondition_violation_exits_nonzero(tmp_path, capsys):
     m1.write_text("ptype 3 1 1\n1 1\n0 1\n")  # order 3 = p: condition fails
     code, _, err = run_cli(capsys, "conjugacy", str(m1), str(m1), "--order-cap", "9")
     assert code == 2 and "error" in err
+    singular = tmp_path / "singular.mat"
+    singular.write_text("ptype 3 1 1\n1 1\n1 1\n")  # determinant 0 mod 3: not a unit
+    code, out, err = run_cli(capsys, "conjugacy", str(singular), str(singular), "--order-cap", "9")
+    assert (code, out, err) == (2, "", "error conjugacy inputs must be units\n")
 
 
 def test_selftest(capsys):

@@ -13,14 +13,15 @@ from corpus import (
     naive_power,
     second_presentations,
     semidirect,
+    symmetric_table,
 )
 from grpext import abelian, decomp
 from grpext.abelian import abelian_basis
 from grpext.arith import divisors
 from grpext.blackbox import closure, commutator_generators, table_group, TableGroupSpec
 from grpext.decomp import (
+    GroupContext,
     find_decomposition,
-    group_context,
     standard_decomposition,
     standard_decomposition_with_attempts,
 )
@@ -36,7 +37,7 @@ def a1009():
 
 def test_find_decomposition_abelian_m1():
     G = semidirect((8, 9), 1, IDENT2)
-    cand = find_decomposition(G, 1, group_context(G))
+    cand = find_decomposition(1, GroupContext(G))
     assert cand.y == G.identity
     assert cand.a_basis.group_order == 72
     assert set(closure(G, cand.a_basis.elements)) == set(closure(G, G.generators))
@@ -44,7 +45,7 @@ def test_find_decomposition_abelian_m1():
 
 def test_find_decomposition_order21_m3():
     G = build("G21a")
-    cand = find_decomposition(G, 3, group_context(G))
+    cand = find_decomposition(3, GroupContext(G))
     assert naive_order(G, cand.y) == 3
     assert cand.a_basis.group_order == 7
     part = closure(G, cand.a_basis.elements)
@@ -60,9 +61,12 @@ def test_find_decomposition_order21_m3():
 def test_find_decomposition_order21_failures():
     G = build("G21a")
     with pytest.raises(DecompositionFailed):
-        find_decomposition(G, 7, group_context(G))
+        find_decomposition(7, GroupContext(G))
     with pytest.raises(DecompositionFailed):
-        find_decomposition(G, 1, group_context(G))
+        find_decomposition(1, GroupContext(G))
+    with pytest.raises(DecompositionFailed) as failed:  # S3's generators have orders 2 and 3
+        find_decomposition(4, GroupContext(build("S3_table")))
+    assert failed.value.reason == "no generator order divisible by 4"
 
 
 def test_standard_decomposition_abelian():
@@ -157,7 +161,7 @@ def test_success_on_proper_subgroup_is_filtered_by_the_sweep():
     # subgroup generated by its output (order 2, not 4); the divisor sweep
     # must discard it in favor of m = 1.
     G = semidirect((2, 2), 1, IDENT2)
-    cand = find_decomposition(G, 2, group_context(G))
+    cand = find_decomposition(2, GroupContext(G))
     assert cand.a_basis.group_order == 1
     assert naive_order(G, cand.y) == 2
     assert len(closure(G, list(cand.a_basis.elements) + [cand.y])) == 2  # proper subgroup
@@ -199,11 +203,21 @@ def test_not_in_class_error():
     Q8 = table_group(_quaternion_table(), name="Q8")
     with pytest.raises(NotInClassError):
         standard_decomposition(Q8)
+    # S4' = A4 is not abelian, so the finder refuses every m before it picks an element
+    S4 = symmetric_table(4)
+    context = GroupContext(S4)
+    assert context.derived is None
+    for m in divisors(math.lcm(*context.gen_orders)):
+        with pytest.raises(DecompositionFailed) as failed:
+            find_decomposition(m, context)
+        assert failed.value.reason == "derived subgroup is not abelian"
+    with pytest.raises(NotInClassError):
+        standard_decomposition(S4)
 
 
 def _finder_alone(G, m):
     try:
-        cand = find_decomposition(G, m, group_context(G))
+        cand = find_decomposition(m, GroupContext(G))
     except DecompositionFailed as exc:
         return (m, exc.reason, None), None
     return (m, None, m * cand.a_basis.group_order), cand
@@ -228,11 +242,11 @@ def test_finder_basis_equals_the_basis_from_scratch(name):
     # inserting the derived basis into an empty basis gives that basis back,
     # so the result is the basis built from nothing over G' and the g_j^m
     for G in (build(name), mixed_generators(build(name))):
-        context = group_context(G)
+        context = GroupContext(G)
         succeeded = 0
         for m in divisors(math.lcm(*context.gen_orders)):
             try:
-                found = find_decomposition(G, m, context)
+                found = find_decomposition(m, context)
             except DecompositionFailed:
                 continue
             succeeded += 1
@@ -291,7 +305,7 @@ def test_derived_basis_spans_the_naive_derived_subgroup(name):
     G = build(name)
     naive = naive_derived_subgroup(G, closure(G, G.generators))
     for H in (G, mixed_generators(G)):
-        assert closure(H, group_context(H).derived.elements) == naive
+        assert closure(H, GroupContext(H).derived.elements) == naive
 
 
 @pytest.mark.parametrize("name", sorted(second_presentations()))
@@ -299,6 +313,6 @@ def test_derived_basis_is_the_normal_closure_of_the_commutators(name):
     G, _ = second_presentations()[name]
     naive = naive_derived_subgroup(G, closure(G, G.generators))
     assert len(closure(G, commutator_generators(G))) < len(naive)  # needs conjugates
-    assert closure(G, group_context(G).derived.elements) == naive
+    assert closure(G, GroupContext(G).derived.elements) == naive
     if name == "F8xZ7":
         assert len(naive) == 8

@@ -27,6 +27,7 @@ from corpus import (
 from grpext import abelian, autring, iso
 from grpext.blackbox import closure
 from grpext.decomp import standard_decomposition
+from grpext.errors import MalformedInputError
 from grpext.iso import (
     ABELIAN_MISMATCH,
     GAMMA_MISMATCH,
@@ -43,17 +44,17 @@ IDENT2 = [[1, 0], [0, 1]]
 def test_conjugation_action_abelian_is_identity():
     G = semidirect((8, 9), 1, IDENT2)
     sd = standard_decomposition(G)
-    action = conjugation_action(G, sd)
+    action = conjugation_action(sd)
     for block in action.blocks:
         assert block == autring.identity_matrix(block.ptype)
 
 
 def test_conjugation_action_order21_groups():
     G = build("G21a")
-    action = conjugation_action(G, standard_decomposition(G))
+    action = conjugation_action(standard_decomposition(G))
     assert [b.rows for b in action.blocks] == [((2,),)]
     H = build("G21b")
-    action = conjugation_action(H, standard_decomposition(H))
+    action = conjugation_action(standard_decomposition(H))
     assert [b.rows for b in action.blocks] == [((4,),)]  # x -> x^{-3} = x^4
 
 
@@ -66,7 +67,7 @@ def test_conjugation_action_equals_the_joint_table_reference(name):
         joint = abelian.DecompositionTable(G, basis.elements, basis.orders)
         columns = [joint.decompose(G.mul(G.mul(y, g), G.inv(y))) for g in basis.elements]
         rows = [[column[i] for column in columns] for i in range(len(columns))]
-        assert conjugation_action(G, sd) == autring.blocks_from_rows(basis.orders, rows)
+        assert conjugation_action(sd) == autring.blocks_from_rows(basis.orders, rows)
 
 
 def test_a1009_action_builds_no_table(monkeypatch):
@@ -80,7 +81,7 @@ def test_a1009_action_builds_no_table(monkeypatch):
         real(self, H, elements, orders)
 
     monkeypatch.setattr(abelian.DecompositionTable, "__init__", counted)
-    conjugation_action(G, sd)
+    conjugation_action(sd)
     assert built == []
 
 
@@ -130,8 +131,8 @@ def test_witness_satisfies_matrix_condition():
     G, H = build("Z7xZ6_a"), build("Z7xZ6_b")
     result = isomorphic(G, H)
     assert result.is_isomorphic
-    m1 = conjugation_action(G, result.witness.source)
-    m2 = conjugation_action(H, result.witness.target)
+    m1 = conjugation_action(result.witness.source)
+    m2 = conjugation_action(result.witness.target)
     m2k = autring.blocks_pow(m2, result.witness.k)
     for x, b1, b2 in zip(result.witness.psi_blocks.blocks, m1.blocks, m2k.blocks):
         assert autring.star_mul(x, b1) == autring.star_mul(b2, x)
@@ -181,6 +182,8 @@ def test_verify_isomorphism_detects_bad_maps():
     swapped = {a: a for a in elements}
     swapped[elements[1]], swapped[elements[2]] = elements[2], elements[1]
     assert not verify_isomorphism(G, H, lambda code: swapped[code], mode="exhaustive")
+    with pytest.raises(MalformedInputError, match="unknown verification mode 'bogus'"):
+        verify_isomorphism(G, H, identity_map, mode="bogus")
 
 
 def test_exhaustive_check_fails_every_yes_of_s3_against_relabelled_d6():
@@ -267,7 +270,7 @@ def test_each_side_decomposed_once():
     # one standard decomposition and one conjugation action per side, nothing more
     for used in (G, H):
         fresh = build("Z3^2xZ4_W")
-        conjugation_action(fresh, standard_decomposition(fresh))
+        conjugation_action(standard_decomposition(fresh))
         assert used.operation_count == fresh.operation_count
 
 
@@ -282,8 +285,8 @@ def _per_k_conjugacy_search(G, H):
     """Reference k-search: conjugacy on every block for each k coprime with gamma."""
     sd1, sd2 = standard_decomposition(G), standard_decomposition(H)
     gamma = sd1.gamma
-    m1 = conjugation_action(G, sd1)
-    m2 = conjugation_action(H, sd2)
+    m1 = conjugation_action(sd1)
+    m2 = conjugation_action(sd2)
     for k in range(1, gamma + 1):
         if math.gcd(k, gamma) != 1:
             continue
@@ -382,8 +385,8 @@ def _linear_charpoly_scan(G, H):
     the block characteristic polynomials of psi(M1); None when there is none."""
     sd1, sd2 = standard_decomposition(G), standard_decomposition(H)
     gamma = sd1.gamma
-    targets = [autring.psi(b).charpolys() for b in conjugation_action(G, sd1).blocks]
-    psi2 = [autring.psi(b) for b in conjugation_action(H, sd2).blocks]
+    targets = [autring.psi(b).charpolys() for b in conjugation_action(sd1).blocks]
+    psi2 = [autring.psi(b) for b in conjugation_action(sd2).blocks]
     for k in range(1, gamma + 1):
         if math.gcd(k, gamma) == 1 and all(v.charpolys(k) == t for v, t in zip(psi2, targets)):
             return k
@@ -450,7 +453,7 @@ KSCAN_PAIRS = [((211,), 210, 2, 106), ((1009,), 1008, 11, 367), ((1009,), 1008, 
 def test_action_block_orders_from_gamma_match_the_walk(qs, m, a, b):
     for G in (semidirect(qs, m, [[a]]), semidirect(qs, m, [[b]])):
         sd = standard_decomposition(G)
-        for block in conjugation_action(G, sd).blocks:
+        for block in conjugation_action(sd).blocks:
             walked = autring.matrix_order(block, sd.gamma)
             assert autring.matrix_order(block, multiple=sd.gamma) == walked
 
