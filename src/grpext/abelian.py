@@ -29,12 +29,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class AbelianBasis:
-    """Independent generators of prime-power order in G, ascending by (prime, exp)."""
+    """Independent generators of prime-power order in G, ascending by (prime, exp);
+    AbelianBasis(G) is the trivial basis. Tables come from table(p) and abelian_basis."""
 
     G: GroupHandle = field(repr=False, compare=False)
-    elements: tuple[ElementCode, ...]
-    orders: tuple[int, ...]
-    tables: dict = field(default_factory=dict, repr=False, compare=False)  # p -> table over parts[p]
+    elements: tuple[ElementCode, ...] = ()
+    orders: tuple[int, ...] = ()
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # p -> its table
     parts: dict = field(init=False, repr=False, compare=False)  # p -> its (element, order) pairs
 
     def __post_init__(self):
@@ -121,6 +122,7 @@ class DecompositionTable:
 
     def __init__(self, G: GroupHandle, elements: Sequence[ElementCode], orders: Sequence[int]):
         self.G = G
+        self.elements = tuple(elements)
         self.orders = tuple(orders)
         self.radii = [math.isqrt(q - 1) + 1 for q in self.orders]
         self.b_counts = [-(-q // r) for q, r in zip(self.orders, self.radii)]
@@ -182,15 +184,11 @@ def check_commuting(G: GroupHandle, elements: Sequence[ElementCode], known: int 
 
 
 def _insert_p_element(
-    G: GroupHandle,
-    p: int,
-    basis: list[tuple[ElementCode, int]],
-    table: DecompositionTable,
-    x: ElementCode,
-    x_order: int,
+    table: DecompositionTable, p: int, x: ElementCode, x_order: int
 ) -> Optional[list[tuple[ElementCode, int]]]:
-    """Extend a p-group basis, given with its table, by x of order x_order = p^K;
-    None when x lies in the span."""
+    """Extend the p-group basis that table is over by x of order x_order = p^K,
+    as (element, order) pairs; None when x lies in the span."""
+    G = table.G
     w = x
     k = 0
     coeffs = None
@@ -204,16 +202,16 @@ def _insert_p_element(
                 raise InvariantBreachError("p-power of element escaped the p-group")
     if k == 0:
         return None
-    t = len(basis)
+    t = len(table.orders)
     size = t + 1
     rel = [[0] * size for _ in range(size)]
     for i in range(t):
-        rel[i][i] = basis[i][1]
+        rel[i][i] = table.orders[i]
         rel[i][t] = -coeffs[i]
     rel[t][t] = p**k
     form = smith_normal_form(rel)
-    members = [e for e, _ in basis] + [x]
-    member_orders = [o for _, o in basis] + [x_order]
+    members = table.elements + (x,)
+    member_orders = table.orders + (x_order,)
     new_basis: list[tuple[ElementCode, int]] = []
     for j in range(size):
         order = form.diagonal[j]
@@ -230,10 +228,9 @@ def _insert_p_element(
 
 
 def abelian_basis(
-    gens: Sequence[ElementCode], G: GroupHandle, orders: Optional[Sequence[int]] = None,
-    start: Optional[AbelianBasis] = None,
+    gens: Sequence[ElementCode], start: AbelianBasis, orders: Optional[Sequence[int]] = None
 ) -> AbelianBasis:
-    """Basis of the abelian subgroup generated by gens and start.
+    """Basis of <gens, start> in start.G; start = AbelianBasis(G) gives that of <gens>.
 
     The generators are first split into their prime-power parts; within each
     prime the first part, of exact order, is the basis as it stands, and each
@@ -244,7 +241,7 @@ def abelian_basis(
     prime starts from its part of start and that part's table, gens in start
     are dropped, and the result keeps every table still over its part.
     """
-    start = start or AbelianBasis(G, (), ())
+    G = start.G
     unique = list(dict.fromkeys(g for g in gens if g != G.identity and g not in start.elements))
     if orders is None:
         check_commuting(G, start.elements + tuple(unique), known=len(start.elements))
@@ -265,12 +262,12 @@ def abelian_basis(
         for x, x_order in per_prime.get(p, ()):
             if table is None and partial:  # table over partial, or None
                 table = DecompositionTable(G, *zip(*partial))
-            rebuilt = _insert_p_element(G, p, partial, table, x, x_order) if partial else [(x, x_order)]
+            rebuilt = _insert_p_element(table, p, x, x_order) if partial else [(x, x_order)]
             if rebuilt is not None:
                 partial, table = rebuilt, None
         if table is not None:
             tables[p] = table
         basis_pairs.extend(partial)  # ascending by order, so by (p, e)
-    return AbelianBasis(
-        G, tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs), tables
-    )
+    basis = AbelianBasis(G, tuple(e for e, _ in basis_pairs), tuple(o for _, o in basis_pairs))
+    basis.tables.update(tables)
+    return basis

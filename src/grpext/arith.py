@@ -154,11 +154,11 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
         d += 1 if d == 2 else 2
     else:
         return (q, 1)
-    for e in range(q.bit_length() // (_TRIAL_BOUND.bit_length() - 1), 0, -1):
+    for e in range(q.bit_length() // (_TRIAL_BOUND.bit_length() - 1), 1, -1):
         root = _integer_root(q, e)
         if root**e == q:
             return (root, e) if _miller_rabin(root) else None
-    return None
+    return (q, 1) if _miller_rabin(q) else None
 
 
 def _integer_root(n: int, k: int) -> int:

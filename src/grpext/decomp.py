@@ -87,7 +87,7 @@ class GroupContext:
 def _derived_basis(G: GroupHandle) -> AbelianBasis:
     """Basis of G' by the closure rounds of the module docstring, each conjugate of a
     p-element looked up in the p-table; raises NotAbelianError when G' is not abelian."""
-    basis = abelian_basis(commutator_generators(G), G)
+    basis = abelian_basis(commutator_generators(G), AbelianBasis(G))
     conjugators = [(g, G.inv(g)) for g in G.generators] if basis.elements else []
     while True:
         escaped: list[ElementCode] = []
@@ -103,7 +103,7 @@ def _derived_basis(G: GroupHandle) -> AbelianBasis:
                         escaped.append(c)
         if not escaped:
             return basis
-        basis = abelian_basis(escaped, G, start=basis)
+        basis = abelian_basis(escaped, basis)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def find_decomposition(m: int, context: GroupContext) -> StandardDecomposition:
         if math.gcd(n, m) != 1:
             raise DecompositionFailed(m, "generator power order shares a factor with m")
 
-    return StandardDecomposition(m, abelian_basis(hs, G, orders=h_orders, start=context.derived), z)
+    return StandardDecomposition(m, abelian_basis(hs, context.derived, h_orders), z)
 
 
 def standard_decomposition_with_attempts(

@@ -92,11 +92,12 @@ def conjugation_action(sd: StandardDecomposition) -> autring.AutBlocks:
 def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     """Full pipeline: decompose both groups, compare, search the power k.
 
-    The conjugacy precondition holds by construction, so it is not checked
-    again: conjugation_action has proved each block a unit with M^gamma = 1,
-    and find_decomposition accepts only an A whose element orders are coprime
-    with gamma. So every psi-block of M1 and of M2^k has order coprime with its
-    p and is semisimple: its characteristic polynomial chi decides its class.
+    The conjugacy precondition holds by construction, so isomorphic does not
+    check it itself (autring.conjugacy proves it again on each call):
+    conjugation_action has proved each block a unit with M^gamma = 1, and
+    find_decomposition accepts only an A whose element orders are coprime with
+    gamma. So every psi-block of M1 and of M2^k has order coprime with its p and
+    is semisimple: its characteristic polynomial chi decides its class.
     As det B = (-1)^n chi_B(0), a k that matches has det(B2)^k = det(B1) in
     F_p* for each block pair: k in one class modulo the order of det(B2), a
     divisor of gamma (arith.discrete_log). crt joins these into one class mod

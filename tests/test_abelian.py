@@ -63,61 +63,62 @@ def test_element_order_lagrange():
 
 def test_basis_example_z2_z4_z9():
     G = semidirect((2, 4, 9), 1, IDENT3)
-    basis = abelian_basis(G.generators, G)
+    basis = abelian_basis(G.generators, AbelianBasis(G))
     assert basis.orders == (2, 4, 9)
     assert basis.group_order == 72
 
 
 def test_basis_example_mixed_threes():
     G = semidirect((2, 4, 3, 3), 1, [[int(i == j) for j in range(4)] for i in range(4)])
-    basis = abelian_basis(G.generators, G)
+    basis = abelian_basis(G.generators, AbelianBasis(G))
     assert basis.orders == (2, 4, 3, 3)
 
 
 def test_basis_single_prime_order_generator():
     G = build("D7")
     x = G.parse_element("1;0")
-    basis = abelian_basis([x], G)
+    basis = abelian_basis([x], AbelianBasis(G))
     assert basis.orders == (7,)
     assert basis.elements == (x,)
 
 
 def test_basis_dependent_generators():
     Z9 = cyclic_group(9)
-    basis = abelian_basis([Z9.parse_element("1"), Z9.parse_element("2")], Z9)
+    basis = abelian_basis([Z9.parse_element("1"), Z9.parse_element("2")], AbelianBasis(Z9))
     assert basis.orders == (9,)
 
 
 def test_basis_needs_rebuild():
     Z8 = cyclic_group(8)
-    basis = abelian_basis([Z8.parse_element("4"), Z8.parse_element("2"), Z8.parse_element("1")], Z8)
+    gens = [Z8.parse_element("4"), Z8.parse_element("2"), Z8.parse_element("1")]
+    basis = abelian_basis(gens, AbelianBasis(Z8))
     assert basis.orders == (8,)
 
 
 def test_basis_order_multiset_invariant():
     G = semidirect((2, 4, 9), 1, IDENT3)
-    first = abelian_basis(G.generators, G)
-    second = abelian_basis(mixed_generators(G).generators, G)
+    first = abelian_basis(G.generators, AbelianBasis(G))
+    second = abelian_basis(mixed_generators(G).generators, AbelianBasis(G))
     assert first.orders == second.orders
 
 
 def test_basis_rejects_non_commuting():
     G = build("G21a")
     with pytest.raises(NotAbelianError):
-        abelian_basis(G.generators, G)
+        abelian_basis(G.generators, AbelianBasis(G))
 
 
 def test_abelian_order_examples():
     G = semidirect((2, 4, 9), 1, IDENT3)
-    assert abelian_basis([G.identity], G).group_order == 1
-    assert abelian_basis(G.generators, G).group_order == 72
+    assert abelian_basis([G.identity], AbelianBasis(G)).group_order == 1
+    assert abelian_basis(G.generators, AbelianBasis(G)).group_order == 72
     G21 = build("G21a")
-    assert abelian_basis(commutator_generators(G21), G21).group_order == 7
+    assert abelian_basis(commutator_generators(G21), AbelianBasis(G21)).group_order == 7
 
 
 def test_decompose_identity_and_single_axis():
     G = semidirect((2, 4, 3, 3), 1, [[int(i == j) for j in range(4)] for i in range(4)])
-    basis = abelian_basis(G.generators, G)
+    basis = abelian_basis(G.generators, AbelianBasis(G))
     table = DecompositionTable(G, basis.elements, basis.orders)
     assert table.decompose(G.identity) == (0, 0, 0, 0)
     g2cubed = group_pow(G, basis.elements[1], 3)
@@ -126,7 +127,7 @@ def test_decompose_identity_and_single_axis():
 
 def test_decompose_against_enumeration():
     G = semidirect((8, 9, 5), 1, IDENT3)
-    basis = abelian_basis(G.generators, G)
+    basis = abelian_basis(G.generators, AbelianBasis(G))
     table = DecompositionTable(G, basis.elements, basis.orders)
     by_code = {}
     for a in range(8):
@@ -147,7 +148,7 @@ def test_decompose_recomposition_property():
     rng = random.Random(11)
     G = semidirect((3, 9), 2, [[2, 0], [0, 8]])
     x1, x2 = G.parse_element("1,0;0"), G.parse_element("0,1;0")
-    basis = abelian_basis([x1, x2], G)
+    basis = abelian_basis([x1, x2], AbelianBasis(G))
     table = DecompositionTable(G, basis.elements, basis.orders)
     for _ in range(100):
         target = G.parse_element(f"{rng.randrange(3)},{rng.randrange(9)};0")
@@ -160,7 +161,7 @@ def test_decompose_recomposition_property():
 
 def test_decompose_membership_error():
     G21 = build("G21a")
-    basis = abelian_basis([G21.parse_element("1;0")], G21)
+    basis = abelian_basis([G21.parse_element("1;0")], AbelianBasis(G21))
     with pytest.raises(MembershipError):
         DecompositionTable(G21, basis.elements, basis.orders).decompose(G21.parse_element("0;1"))
 
@@ -327,7 +328,7 @@ def test_unchanged_basis_keeps_its_table(monkeypatch):
 
     monkeypatch.setattr(abelian, "DecompositionTable", Counted)
     Z9 = cyclic_group(9)
-    basis = abelian_basis([Z9.parse_element(c) for c in ("1", "3", "6")], Z9)
+    basis = abelian_basis([Z9.parse_element(c) for c in ("1", "3", "6")], AbelianBasis(Z9))
     assert basis.orders == (9,)
     assert built == [1]  # 1 is the basis as it stands; 3 and 6 lie in its span and share its table
 
@@ -339,11 +340,13 @@ def test_basis_from_start_equals_basis_from_scratch(name):
     for G in (build(name), mixed_generators(build(name))):
         a = standard_decomposition(G).a_basis.elements
         for k in range(len(a) + 1):
-            B = abelian_basis(a[:k], G)
+            B = abelian_basis(a[:k], AbelianBasis(G))
             gens = list(a[k:]) + [G.mul(x, y) for x, y in zip(a, a[1:])] + [group_pow(G, x, 2) for x in a]
-            first = abelian_basis(gens, G, start=B)
-            assert first == abelian_basis(B.elements + tuple(gens), G)
-            assert abelian_basis(gens, G, start=B) == first  # with the tables kept in B
+            first = abelian_basis(gens, B)
+            assert first == abelian_basis(B.elements + tuple(gens), AbelianBasis(G))
+            for p, table in first.tables.items():  # each kept table is over its part, in G
+                assert table.G is G and list(zip(table.elements, table.orders)) == first.parts[p]
+            assert abelian_basis(gens, B) == first  # with the tables kept in B
 
 
 def test_kept_start_builds_its_table_once(monkeypatch):
@@ -357,10 +360,10 @@ def test_kept_start_builds_its_table_once(monkeypatch):
     monkeypatch.setattr(abelian, "DecompositionTable", Counted)
     G = semidirect((9, 25), 1, [[1, 0], [0, 1]])
     x, y = G.parse_element("1,0;0"), G.parse_element("0,1;0")
-    start = abelian_basis([x], G)
+    start = abelian_basis([x], AbelianBasis(G))
     assert start.parts == {3: [(x, 9)]} and start.tables == {}
     for _ in range(2):
-        basis = abelian_basis([group_pow(G, x, 3), y], G, start=start)
+        basis = abelian_basis([group_pow(G, x, 3), y], start)
         assert (basis.elements, basis.orders) == ((x, y), (9, 25))
         assert basis.tables[3] is start.tables[3]  # x^3 left the 3-part as it was
     assert built.count((x,)) == 1
@@ -369,9 +372,9 @@ def test_kept_start_builds_its_table_once(monkeypatch):
 def test_gens_must_commute_with_the_start():
     G = build("G21a")
     x, y = G.parse_element("1;0"), G.parse_element("0;1")
-    start = abelian_basis([x], G)
+    start = abelian_basis([x], AbelianBasis(G))
     with pytest.raises(NotAbelianError):
-        abelian_basis([y], G, start=start)
+        abelian_basis([y], start)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -391,14 +394,17 @@ def test_tables_and_basis_rebuilds_take_no_identity_product(name):
 
 def test_p_power_outside_every_span_is_an_invariant_breach():
     # a table that contains nothing: x, x^3 and x^9 = 1 are tried, then p^3 > ord(x)
+    Z9 = cyclic_group(9)
+
     class Empty:
+        G, elements, orders = Z9, (), ()
         tried = 0
 
         def decompose(self, code):
             self.tried += 1
             raise MembershipError("not in the span")
 
-    Z9, table = cyclic_group(9), Empty()
+    table = Empty()
     with pytest.raises(InvariantBreachError, match="escaped the p-group"):
-        abelian._insert_p_element(Z9, 3, [], table, Z9.parse_element("1"), 9)
+        abelian._insert_p_element(table, 3, Z9.parse_element("1"), 9)
     assert table.tried == 3

@@ -521,10 +521,12 @@ def test_largest_admitted_image_memo_fits_the_budget(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "q,accepted", [(1000000000000000003, True), (1000000007 * 1000000009, False)]
+    "q,accepted",
+    [(1000000000000000003, True), (1000000000000000177, True), (1000000007 * 1000000009, False)],
 )
 def test_large_a_entry_parse_is_bounded(q, accepted):
-    # a 19-digit prime, and a 19-digit product of two 10-digit primes
+    # two 19-digit primes, the second with q - 1 = 2^4 d, so Miller-Rabin squares;
+    # and a 19-digit product of two 10-digit primes
     began = time.perf_counter()
     try:
         parse_group_file(f"semidirect\nA {q}\nm 1\n1\n")
@@ -539,6 +541,7 @@ def test_large_a_entry_parse_is_bounded(q, accepted):
     "text,hint",
     [
         ("semidirect\nA 6\nm 5\n1\n", "prime power"),  # 6 is composite
+        ("semidirect\nA 1022117\nm 1\n1\n", "prime power"),  # 1009 * 1013, no factor below the trial bound
         ("semidirect\nA 4 2\nm 3\n1 0\n0 1\n", "ascending"),  # violates the order
         ("semidirect\nA 3\nm 3\n1\n", "gcd"),  # shared prime
         ("semidirect\nA 3\nm 2\n0\n", "invertible"),  # singular action
@@ -805,12 +808,14 @@ def test_every_respelled_integer_is_rejected(tmp_path_factory, case):
         ("table", "1_0", r"^element entry '1_0' is not an integer$"),
         ("table", "\uff17", r"^element entry '\uff17' is not an integer$"),
         ("table", "1 0", r"^element has 2 entries, expected 1$"),
+        ("table", "12", r"^element index 12 out of range$"),
         ("semidirect", "1, 2;1", r"^bad element '1, 2;1'; want a1,\.\.\.,as;j$"),
         ("semidirect", "1,2", r"^bad element '1,2'; want"),
         ("semidirect", "1,2;\uff10", r"^field of element '1,2;\uff10' entry '\uff10' is not"),
         ("semidirect", "1_0,2;1", r"^field of element '1_0,2;1' entry '1_0' is not"),
         ("semidirect", "1,,2;1", r"^field of element '1,,2;1' has 0 entries, expected 1$"),
         ("semidirect", "1,2;1;1", r"^field of element '1,2;1;1' entry '1;1' is not"),
+        ("semidirect", "3,0;0", r"^element '3,0;0' out of range$"),
     ],
 )
 def test_element_texts_are_one_token_of_integer_fields(tmp_path, capsys, kind, element, message):

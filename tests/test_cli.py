@@ -319,6 +319,7 @@ def test_count_classes_modulus_too_long_to_write_creates_no_directory(tmp_path, 
         ("g.grp", "semidirect\nA 7\nm 3 99 junk\n2\n", "m line has 3 entries, expected 1"),
         ("g.grp", "semidirect\nA 1_1\nm 5\n3\n", "A line entry '1_1' is not an integer"),
         ("g.grp", "semidirect\nA \uff17\nm 3\n2\n", "A line entry '\uff17' is not an integer"),
+        ("g.grp", "semidirect\nA\nm 3\n", "A line needs at least one prime power"),
         ("g.grp", "table 2\n0 1\n1 0_0\n", "row 1 entry '0_0' is not an integer"),
         ("u.mat", "ptypes 3 1\n2\n", "expected `ptype ...`, got 'ptypes 3 1'"),
         ("u.mat", "ptype 3 1\n+\n", "matrix row 1 entry '+' is not an integer"),

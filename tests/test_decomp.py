@@ -16,7 +16,7 @@ from corpus import (
     symmetric_table,
 )
 from grpext import abelian, decomp
-from grpext.abelian import abelian_basis
+from grpext.abelian import AbelianBasis, abelian_basis
 from grpext.arith import divisors
 from grpext.blackbox import closure, commutator_generators, table_group, TableGroupSpec
 from grpext.decomp import (
@@ -253,7 +253,9 @@ def test_finder_basis_equals_the_basis_from_scratch(name):
             derived = context.derived
             h_orders = [n // math.gcd(n, m) for n in context.gen_orders]
             scratch = abelian_basis(
-                derived.elements + context.gen_powers(m), G, orders=derived.orders + tuple(h_orders)
+                derived.elements + context.gen_powers(m),
+                AbelianBasis(G),
+                derived.orders + tuple(h_orders),
             )
             assert found.a_basis.elements == scratch.elements
             assert found.a_basis.orders == scratch.orders

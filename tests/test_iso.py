@@ -182,6 +182,8 @@ def test_verify_isomorphism_detects_bad_maps():
     swapped = {a: a for a in elements}
     swapped[elements[1]], swapped[elements[2]] = elements[2], elements[1]
     assert not verify_isomorphism(G, H, lambda code: swapped[code], mode="exhaustive")
+    # a homomorphism that is not injective
+    assert not verify_isomorphism(G, H, lambda code: H.identity, mode="exhaustive")
     with pytest.raises(MalformedInputError, match="unknown verification mode 'bogus'"):
         verify_isomorphism(G, H, identity_map, mode="bogus")
 
@@ -210,6 +212,13 @@ def test_verify_isomorphism_sampled_mode():
     assert not verify_isomorphism(
         G, H, lambda code: wrong, mode="sampled", seed=0, sample_pairs=50
     )
+    # the identity map of G changed only at 3;0, which is neither a generator nor a
+    # product of two generators: the generator pairs pass and the random pairs fail
+    moved = G.parse_element("3;0")
+    assert moved not in {G.mul(a, b) for a in G.generators for b in G.generators} | set(G.generators)
+    changed = lambda code: G.identity if code == moved else code
+    assert verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=0)
+    assert not verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=500)
 
 
 def _random_element_rebuilding_atoms(G, rng, word_length=24):
