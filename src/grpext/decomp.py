@@ -1,18 +1,21 @@
 """Standard decompositions: split a group into an abelian part and a cyclic part.
 
-For a candidate cyclic order m the finder follows a fixed recipe: take a basis
-of the derived subgroup, factor m, assemble an element z of order m from
-suitable generator powers, collect the m-th powers of the generators, and
-accept only if the resulting set is abelian with all orders coprime with m.
+For a candidate cyclic order m the finder first decides by arithmetic, with
+no oracle call: m must divide m-bar, the lcm of the generator orders; G' must
+be abelian of order prime to m; and gcd(m, m-bar / m) = 1, which makes each
+g_j^m, of order n_j / gcd(n_j, m), prime to m. Then the g_j^m must commute
+with each other and with G'. After these checks A_m = <G', g_j^m> is abelian,
+normal (it contains G') and of order prime to m, so the part picked for each
+prime power q of m has image of order q in G/A_m, and m divides the order of
+their product g: z = g^{ord(g)/m} has order m. A_m's basis comes last.
 What does not depend on m is kept in a GroupContext, built once per group and
 shared by every m: the derived-subgroup basis with its tables per prime,
-where the basis of each A_m starts, so that a run inserts only the
-g_j^m; the generator orders and their primes, over which m is factored; the
-part g_k^{n_k/q} picked for each prime power q; and the powers g_j^m, where
-g_j^m is (g_j^{m/l})^l for the least prime l of m. Arithmetic replaces oracle
-calls where it decides: an element assembled from parts of one generator has
-order m with no order search, g_j^m has order n_j / gcd(n_j, m), and
-commutation is tested once, only for pairs not already known to commute.
+where the basis of each A_m starts, so that a run inserts only the g_j^m; the
+generator orders, m-bar and its primes, over which m is factored; the part
+g_k^{n_k/q} picked for each prime power q; and the powers g_j^m, where g_j^m
+is (g_j^{m/l})^l for the least prime l of m. Parts of one generator give z
+with no order search, and commutation is tested only for pairs not already
+known to commute.
 The derived subgroup G' is the normal closure of the commutators [g_i, g_j]
 of the generators, which can be larger than the subgroup they generate. Its
 basis starts from those commutators and takes in every conjugate by a
@@ -22,19 +25,20 @@ power of g. A round that takes in an element at least doubles the span, so at
 most log2|G'| rounds run. Every element taken in lies in G', so elements
 that do not commute show that G' is not abelian.
 A finder run returns a StandardDecomposition with gamma = m. The sweep runs
-the finder for every divisor m of the lcm of the generator orders and keeps
-the decomposition with the largest m * |A_m|, the least m among equals: that
-is the standard decomposition. Every attempt is reported, so callers can see
-which m only decomposed a proper subgroup.
+the finder for every divisor m of m-bar and keeps the decomposition with the
+largest m * |A_m|, the least m among equals: that is the standard
+decomposition. Every attempt is reported, so callers can see which m only
+decomposed a proper subgroup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import AbelianBasis, abelian_basis, check_commuting, element_order
+from .abelian import AbelianBasis, DecompositionTable, abelian_basis, check_commuting, element_order
 from .arith import divisors, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
 from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotInClassError
@@ -43,8 +47,8 @@ from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotIn
 class GroupContext:
     """The finder's data about G that is the same for every m.
 
-    GroupContext(G) computes the generator orders, their primes and the basis
-    of G' (None when G' is not abelian); that basis's p-tables, the
+    GroupContext(G) computes the generator orders, their lcm m_bar and its
+    primes, and the basis of G' (None when G' is not abelian); its p-tables, the
     prime-power parts and the generator powers are computed on first use,
     then kept, so a sweep computes each of them once.
     """
@@ -52,7 +56,8 @@ class GroupContext:
     def __init__(self, G: GroupHandle):
         self.G = G
         self.gen_orders = tuple(element_order(G, g) for g in G.generators)  # in generator order
-        self.primes = tuple(sorted({p for n in self.gen_orders for p, _ in trial_factor(n)}))  # of m-bar
+        self.m_bar = math.lcm(*self.gen_orders)  # lcm() is 1: the trivial group
+        self.primes = tuple(sorted({p for n in self.gen_orders for p, _ in trial_factor(n)}))  # of m_bar
         try:
             self.derived: Optional[AbelianBasis] = _derived_basis(G)
         except NotAbelianError:
@@ -60,16 +65,15 @@ class GroupContext:
         self._parts: dict = {}
         self._powers: dict = {1: tuple(G.generators)}
 
-    def part(self, q: int) -> Optional[tuple[int, ElementCode]]:
+    def part(self, q: int) -> tuple[int, ElementCode]:
         """(k, g_k^{n_k/q}), an element of order q, for the first k with q | n_k.
 
-        None when no generator order is divisible by q.
+        The finder asks only for q = p^e exactly dividing an m | m_bar, so such
+        a k exists, and the part meets A_m, of order prime to m, trivially.
         """
         if q not in self._parts:
-            k = next((i for i, n in enumerate(self.gen_orders) if n % q == 0), None)
-            self._parts[q] = None if k is None else (
-                k, group_pow(self.G, self.G.generators[k], self.gen_orders[k] // q)
-            )
+            k = next(i for i, n in enumerate(self.gen_orders) if n % q == 0)
+            self._parts[q] = (k, group_pow(self.G, self.G.generators[k], self.gen_orders[k] // q))
         return self._parts[q]
 
     def gen_powers(self, m: int) -> tuple[ElementCode, ...]:
@@ -138,66 +142,53 @@ class DecompositionAttempt:
 
 
 def find_decomposition(m: int, context: GroupContext) -> StandardDecomposition:
-    """One sweep of the finder for m over context.G; raises DecompositionFailed.
+    """One run of the finder for m over context.G; raises DecompositionFailed.
 
-    When the group really decomposes at this m, the result generates the whole
-    group; a non-error result is in general only guaranteed to decompose the
-    subgroup generated by the output.
+    The arithmetic checks (m | m_bar, G' abelian of order prime to m,
+    gcd(m, m_bar / m) = 1) come before any oracle call, then the commutation
+    of the g_j^m; after them m divides the order of the assembled element (see
+    the module docstring). The result decomposes the subgroup its output
+    generates, which is G when G decomposes at m.
     """
     G = context.G
-    if m < 1:
-        raise DecompositionFailed(m, "m must be >= 1")
+    if m < 1 or context.m_bar % m:
+        raise DecompositionFailed(m, "m does not divide the lcm of the generator orders")
     if context.derived is None:
         raise DecompositionFailed(m, "derived subgroup is not abelian")
-    xs = list(context.derived.elements)
+    if any(m % p == 0 for p in context.derived.parts):
+        raise DecompositionFailed(m, "derived subgroup order shares a factor with m")
+    if math.gcd(m, context.m_bar // m) != 1:  # some ord(g_j^m) = n_j / gcd(n_j, m) shares it
+        raise DecompositionFailed(m, "generator power order shares a factor with m")
 
-    factors = trial_factor(m, context.primes)
-    picks = []
-    for p, e in factors:
-        q = p**e
-        pick = context.part(q)
-        if pick is None:
-            raise DecompositionFailed(m, f"no generator order divisible by {q}")
-        picks.append(pick)
-    g = picks[0][1] if picks else G.identity
-    for _, part in picks[1:]:
-        g = G.mul(g, part)
-    if len({k for k, _ in picks}) <= 1:
-        # commuting powers of one generator with coprime orders q: order m
-        z = g
-    else:
-        g_order = element_order(G, g)
-        if g_order % m:
-            raise DecompositionFailed(m, f"assembled element order {g_order} not divisible by m")
-        z = group_pow(G, g, g_order // m)
-    hs = list(context.gen_powers(m))
-
+    xs, hs = context.derived.elements, context.gen_powers(m)
     try:
         check_commuting(G, xs + hs, known=len(xs))  # the basis of the abelian G' commutes
     except NotAbelianError:
         raise DecompositionFailed(m, "candidate abelian part does not commute") from None
-    if any(m % p == 0 for p in context.derived.parts):
-        raise DecompositionFailed(m, "derived subgroup order shares a factor with m")
-    h_orders = [n // math.gcd(n, m) for n in context.gen_orders]  # ord(g_j^m)
-    for n in h_orders:
-        if math.gcd(n, m) != 1:
-            raise DecompositionFailed(m, "generator power order shares a factor with m")
 
+    picks = [context.part(p**e) for p, e in trial_factor(m, context.primes)]
+    g = picks[0][1] if picks else G.identity
+    for _, part in picks[1:]:
+        g = G.mul(g, part)
+    # parts of one generator are commuting powers of coprime orders q, so g has order m
+    z = g if len({k for k, _ in picks}) <= 1 else group_pow(G, g, element_order(G, g) // m)
+    h_orders = [n // math.gcd(n, m) for n in context.gen_orders]  # ord(g_j^m)
     return StandardDecomposition(m, abelian_basis(hs, context.derived, h_orders), z)
 
 
 def standard_decomposition_with_attempts(
     G: GroupHandle,
 ) -> tuple[StandardDecomposition, list[DecompositionAttempt]]:
-    """Sweep all divisors of lcm of the generator orders; keep the best.
+    """Sweep all divisors of m_bar; keep the best, proved to cover G.
 
     The byproduct max(m_i * |A_i|) equals the group order whenever the group
     is a coprime cyclic extension of an abelian group; the smallest m reaching
-    it is the group invariant gamma.
+    it is the group invariant gamma. NotInClassError when no m decomposes or
+    the best decomposition does not cover G.
     """
     context = GroupContext(G)
     attempts: list[DecompositionAttempt] = []
-    for m in divisors(math.lcm(*context.gen_orders), context.primes):  # lcm() is 1: the trivial group
+    for m in divisors(context.m_bar, context.primes):
         try:
             attempts.append(DecompositionAttempt(m, find_decomposition(m, context), None))
         except DecompositionFailed as exc:
@@ -208,7 +199,46 @@ def standard_decomposition_with_attempts(
             "no divisor admits a decomposition; the group is outside the scope class"
         )
     # max keeps the first maximum, so over ascending m the least m reaching it
-    return max(found, key=lambda d: d.group_order), attempts
+    best = max(found, key=lambda d: d.group_order)
+    _prove_cover(best, context)
+    return best, attempts
+
+
+def _prove_cover(sd: StandardDecomposition, context: GroupContext) -> None:
+    """Raise NotInClassError unless <y>A is all of G.
+
+    A contains G' and each generator's gamma-th power, so <y>A is a subgroup,
+    and it is G when it holds every generator. Take a generator g of order
+    n = s * r, s made of the primes of gamma. If g lies in <y>A, g^gamma lies
+    in A, of order prime to gamma, so s divides gamma. Then g^gamma, of order r,
+    generates the part of <g> of order r, and g lies in <y>A exactly when
+    w = g^r does. When every part of y is a power of g, y generates the
+    subgroup of <g> of order gamma, which holds w. Otherwise w is looked up in
+    a table over (y,), and only on a miss in one over (y,) + the basis of A.
+    In the class the best decomposition has order |G|, so it passes.
+    """
+    G, gamma = sd.G, sd.gamma
+    elements, orders = (sd.y,) + sd.a_basis.elements, (gamma,) + sd.a_basis.orders
+    table = functools.cache(lambda t: DecompositionTable(G, elements[:t], orders[:t]))
+    uncovered = NotInClassError(
+        "no decomposition covers the group; the group is outside the scope class"
+    )
+    y_from = {context.part(p**e)[0] for p, e in trial_factor(gamma, context.primes)}
+    for k, (g, n) in enumerate(zip(G.generators, context.gen_orders)):
+        r = n
+        while (d := math.gcd(r, gamma)) > 1:
+            r //= d
+        if gamma % (n // r):
+            raise uncovered
+        if r == n or y_from == {k} or (w := group_pow(G, g, r)) == sd.y:
+            continue
+        try:
+            table(1).decompose(w)
+        except MembershipError:
+            try:
+                table(len(elements)).decompose(w)
+            except MembershipError:
+                raise uncovered from None
 
 
 def standard_decomposition(G: GroupHandle) -> StandardDecomposition:

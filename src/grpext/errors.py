@@ -18,7 +18,7 @@ class MembershipError(GrpextError):
 
 
 class NotInClassError(GrpextError):
-    """The input group admits no decomposition for any candidate cyclic order."""
+    """No candidate cyclic order admits a decomposition, or no decomposition covers the group."""
 
 
 class DecompositionFailed(GrpextError):

@@ -66,7 +66,7 @@ def test_find_decomposition_order21_failures():
         find_decomposition(1, GroupContext(G))
     with pytest.raises(DecompositionFailed) as failed:  # S3's generators have orders 2 and 3
         find_decomposition(4, GroupContext(build("S3_table")))
-    assert failed.value.reason == "no generator order divisible by 4"
+    assert failed.value.reason == "m does not divide the lcm of the generator orders"
 
 
 def test_standard_decomposition_abelian():
@@ -262,6 +262,51 @@ def test_finder_basis_equals_the_basis_from_scratch(name):
         assert succeeded
 
 
+ARITHMETIC_REASONS = {
+    "m does not divide the lcm of the generator orders",
+    "derived subgroup order shares a factor with m",
+    "generator power order shares a factor with m",
+}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_attempts_decided_by_arithmetic_make_no_oracle_call(name):
+    seen = set()
+    for G in (build(name), mixed_generators(build(name))):
+        context = GroupContext(G)
+        for m in range(-1, 2 * context.m_bar + 2):
+            before = G.operation_count
+            try:
+                find_decomposition(m, context)
+            except DecompositionFailed as exc:
+                if exc.reason in ARITHMETIC_REASONS:
+                    assert G.operation_count == before, (m, exc.reason)
+                    seen.add(exc.reason)
+    assert "m does not divide the lcm of the generator orders" in seen
+    if corpus_entry(name).gamma > 1:
+        assert "derived subgroup order shares a factor with m" in seen
+
+
+@pytest.mark.parametrize("name", [n for n in corpus_names() if corpus_entry(n).order <= 64])
+def test_finder_succeeds_exactly_on_the_naive_conditions(name):
+    # ok at m exactly when m is a unitary divisor of m-bar prime to |G'| and
+    # <G', g_j^m> is abelian; then ord(y) = m
+    for G in (build(name), mixed_generators(build(name))):
+        elements = closure(G, G.generators)
+        derived = naive_derived_subgroup(G, elements)
+        m_bar = math.lcm(*(naive_order(G, g) for g in G.generators))
+        _, attempts = standard_decomposition_with_attempts(G)
+        assert [a.m for a in attempts] == divisors(m_bar)
+        for a in attempts:
+            m = a.m
+            part = closure(G, sorted(set(derived) | {naive_power(G, g, m) for g in G.generators}))
+            abelian_part = all(G.mul(x, y) == G.mul(y, x) for x in part for y in part)
+            expected = math.gcd(m, m_bar // m) == 1 and math.gcd(m, len(derived)) == 1 and abelian_part
+            assert (a.found is not None) == expected, (G.name, m, a.error)
+            if a.found is not None:
+                assert naive_order(G, a.found.y) == m
+
+
 def z1155xz2():
     # G' = Z_15 with two p-bases; m = 14 and m = 154 both insert g^4, of order 5, into the 5-basis
     return semidirect((3, 5, 7, 11), 2, [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], name="Z1155xZ2")
@@ -299,7 +344,7 @@ def test_group_context_built_once_per_sweep(monkeypatch):
     before = G.operation_count
     standard_decomposition_with_attempts(G)
     assert calls == [G]
-    assert G.operation_count - before == 1328  # group_pow makes no product with the identity
+    assert G.operation_count - before == 350  # group_pow makes no product with the identity
 
 
 @pytest.mark.parametrize("name", [n for n in corpus_names() if corpus_entry(n).order <= 1024])
