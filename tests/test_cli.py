@@ -112,6 +112,20 @@ def test_isomorphic_command_yes(tmp_path, capsys):
     assert "mu-check exhaustive pass" in out
 
 
+def test_exhaustive_verification_fails_a_yes_onto_a_larger_group(tmp_path, capsys, monkeypatch):
+    # a wrong yes: the test answers for G against itself, so mu is a bijection of G,
+    # while H = F8 x| Z7 has 56 elements, not 21; the exhaustive check must catch it
+    a, b = tmp_path / "a.grp", tmp_path / "b.grp"
+    a.write_text(G21A)
+    b.write_text(F8Z7)
+    real_isomorphic = iso.isomorphic
+    monkeypatch.setattr(iso, "isomorphic", lambda G, H: real_isomorphic(G, G))
+    code, out, _ = run_cli(capsys, "isomorphic", str(a), str(b), "--verify", "exhaustive")
+    assert code == 1
+    assert "verdict yes\n" in out
+    assert "mu-check exhaustive fail\n" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
