@@ -6,14 +6,11 @@ from .autring import (
     AutMatrix,
     BlockDiagGF,
     PType,
-    RCFResult,
     conjugacy,
     enumerate_R,
-    gl_conjugator,
     is_in_R,
     matrix_order,
     psi,
-    rcf,
     star_mul,
     validate_M,
 )

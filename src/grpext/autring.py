@@ -11,12 +11,12 @@ invertibility test, by the constant term of charpoly (det B = (-1)^n chi_B(0)).
 
 The module also provides the block-reduction map psi onto block-diagonal
 invertible matrices over F_p, characteristic polynomials over F_p (Hessenberg
-reduction), rational canonical forms with explicit transformation matrices
-(from arith.smith_normal_form of xI - B over F_p[x]), and a conjugacy solver
-for matrices whose order is coprime with p: it conjugates the psi blocks over
-F_p and lifts the answer to the whole ring by averaging over the cyclic group
-the matrices generate; rcf is needed only to build a conjugator (see
-BlockDiagGF.charpolys for why characteristic polynomials decide conjugacy).
+reduction), and a conjugacy solver for matrices whose order is coprime with
+p: the characteristic polynomials of the psi blocks decide it (see
+BlockDiagGF.charpolys), and a conjugator is a random endomorphism averaged
+over the cyclic group the matrices generate. rcf, the rational canonical form
+with its transformation (from arith.smith_normal_form of xI - B over F_p[x]),
+is on no decision path; it stays only while the benchmark spans it.
 
 It owns the arithmetic of action matrices over per-row moduli (mat_mul,
 mat_vec, mat_pow): the action of a cyclic group on a general abelian group
@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -43,6 +44,8 @@ from .errors import (
 )
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+CONJUGACY_TRIES = 200  # averaged random endomorphisms that conjugacy tries before it gives up
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -204,11 +207,11 @@ class BlockDiagGF:
         """Characteristic polynomial of each block of this matrix raised to the power k.
 
         For psi of units whose orders are coprime with p (the precondition
-        that conjugacy checks), conjugacy is None exactly when these differ:
-        a block whose order is coprime with p is semisimple (its minimal
-        polynomial divides x^n - 1, which has no repeated roots over F_p),
-        and semisimple matrices with equal characteristic polynomials have
-        equal RCF invariant factors.
+        that conjugacy checks), conjugacy returns None exactly when these
+        differ, and it compares nothing else: a block whose order is coprime
+        with p is semisimple (its minimal polynomial divides x^n - 1, which
+        has no repeated roots over F_p), and semisimple matrices with equal
+        characteristic polynomials are conjugate.
         """
         p = self.p
         return tuple(charpoly(mat_pow(b, k, (p,) * len(b)), p) for b in self.blocks)
@@ -432,19 +435,6 @@ def rcf(mat: Sequence[Sequence[int]], p: int) -> RCFResult:
     return RCFResult(p, form_f, t_mat, tuple(factors))
 
 
-def gl_conjugator(v1, v2, p: int) -> Optional[IntMatrix]:
-    """T with T*v1 = v2*T over F_p, or None when canonical forms differ."""
-    r1 = rcf(v1, p)
-    r2 = rcf(v2, p)
-    if r1.factors != r2.factors:
-        return None
-    t2_inv = _gf_inv(r2.transform, p)
-    t = _gf_mul(t2_inv, r1.transform, p)
-    if _gf_mul(t, v1, p) != _gf_mul(v2, t, p):
-        raise InvariantBreachError("conjugator failed verification")
-    return t
-
-
 def matrix_order(u, cap: Optional[int] = None, *, multiple: Optional[int] = None) -> Optional[int]:
     """Order of u; give exactly one of cap and multiple.
 
@@ -491,21 +481,28 @@ def conjugacy(
     This is where its precondition is checked: both inputs must be units
     (MalformedInputError otherwise) whose orders are coprime with p and divide
     the known multiple, or are at most order_cap when no multiple is known
-    (Condition3Error otherwise; see matrix_order). The psi
-    blocks are conjugated over F_p by gl_conjugator; their block lift X is
-    then averaged over the cyclic group, Y = n^{-1} sum_{i<n} u2^{-i} X u1^i
-    with n = lcm of the two orders (a unit mod p), which gives Y u1 = u2 Y and
-    psi(Y) = psi(X) (Maschke's argument). The sum is built by doubling in
-    O(log n) products, and Y is verified by substitution before returning.
+    (Condition3Error otherwise; see matrix_order). Then every psi block is
+    semisimple, so the inputs are conjugate exactly when the characteristic
+    polynomials of their psi blocks agree (BlockDiagGF.charpolys); None when
+    they differ. Otherwise an endomorphism R is drawn by PType.entry_rule and
+    averaged over the cyclic group, Y = sum_{i<n} u2^{-i} R u1^i with n = lcm
+    of the two orders, a unit mod p, so Y u1 = u2 Y (Maschke's argument). The
+    sum is built by doubling in O(log n) products. For a uniform R, Y is a
+    uniform intertwiner, and a unit with probability at least 0.288 for each
+    isotypic component (prod_i (1 - q^{-i}) over a residue field F_q; Holt,
+    Eick & O'Brien 2005, section 7.5). The first Y that is_in_R accepts is
+    kept; R comes from a random.Random(0) made on each call, so the answer
+    repeats, and past CONJUGACY_TRIES draws InvariantBreachError is raised. Y
+    is verified by substitution before returning.
     """
     if u1.ptype != u2.ptype:
         raise MalformedInputError("conjugacy requires matching types")
     ptype = u1.ptype
-    p, s = ptype.p, ptype.s
+    p = ptype.p
     orders, reduced = [], []
     for u in (u1, u2):
         try:
-            reduced.append(psi(u).blocks)  # psi is the unit test
+            reduced.append(psi(u))  # psi is the unit test
         except MalformedInputError:
             raise MalformedInputError("conjugacy inputs must be units") from None
         order = matrix_order(u, order_cap, multiple=multiple)
@@ -516,19 +513,10 @@ def conjugacy(
         if order % p == 0:
             raise Condition3Error(f"matrix order {order} is not coprime with p={p}")
         orders.append(order)
-    n = math.lcm(*orders)
-
-    conjugators = [gl_conjugator(b1, b2, p) for b1, b2 in zip(*reduced)]
-    if None in conjugators:
+    if reduced[0].charpolys() != reduced[1].charpolys():
         return None
-
+    n = math.lcm(*orders)
     moduli = ptype.moduli
-    n_inv = pow(n, -1, moduli[-1])
-    x_rows = [[0] * s for _ in range(s)]
-    for t, (_, start, stop) in zip(conjugators, ptype.block_structure()):
-        for i in range(start, stop):
-            x_rows[i][start:stop] = [n_inv * v for v in t[i - start]]
-    x = make_matrix(ptype, x_rows).rows
 
     def mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         return mat_mul(a, b, moduli)
@@ -537,26 +525,38 @@ def conjugacy(
         return tuple(tuple((v + w) % q for v, w in zip(r1, r2)) for r1, r2, q in zip(a, b, moduli))
 
     u2_inv = mat_pow(u2.rows, n - 1, moduli)
-    total, left, right = x, u2_inv, u1.rows  # sum_{i<k} u2^{-i} X u1^i, u2^{-k}, u1^k for k = 1
-    for bit in bin(n)[3:]:
-        total = add(total, mul(mul(left, total), right))
-        left, right = mul(left, left), mul(right, right)
-        if bit == "1":
-            total = add(total, mul(mul(left, x), right))
-            left, right = mul(left, u2_inv), mul(right, u1.rows)
-    total = AutMatrix(ptype, total)
-    if star_mul(total, u1) != star_mul(u2, total) or not is_in_R(total):
+    rng = random.Random(0)
+    for _ in range(CONJUGACY_TRIES):
+        r = random_endomorphism(ptype, rng).rows
+        total, left, right = r, u2_inv, u1.rows  # sum_{i<k} u2^{-i} R u1^i, u2^{-k}, u1^k for k = 1
+        for bit in bin(n)[3:]:
+            total = add(total, mul(mul(left, total), right))
+            left, right = mul(left, left), mul(right, right)
+            if bit == "1":
+                total = add(total, mul(mul(left, r), right))
+                left, right = mul(left, u2_inv), mul(right, u1.rows)
+        total = AutMatrix(ptype, total)
+        if is_in_R(total):
+            break
+    else:
+        raise InvariantBreachError(f"no averaged endomorphism was a unit in {CONJUGACY_TRIES} draws")
+    if star_mul(total, u1) != star_mul(u2, total):
         raise InvariantBreachError("conjugator failed final verification")
     return total
 
 
+def random_endomorphism(ptype: PType, rng) -> AutMatrix:
+    """Uniformly sample each matrix entry within its constraint (PType.entry_rule)."""
+    return AutMatrix(
+        ptype,
+        tuple(tuple(step * rng.randrange(count) for step, count in rule) for rule in ptype.entry_rule),
+    )
+
+
 def random_unit(ptype: PType, rng) -> AutMatrix:
-    """Uniformly sample matrix entries within their constraints until a unit."""
+    """random_endomorphism until a unit."""
     while True:
-        rows = tuple(
-            tuple(step * rng.randrange(count) for step, count in rule) for rule in ptype.entry_rule
-        )
-        u = AutMatrix(ptype, rows)
+        u = random_endomorphism(ptype, rng)
         if is_in_R(u):
             return u
 

@@ -7,8 +7,9 @@ is decomposed once. Both actions have order coprime with p, so their psi-blocks
 over F_p are semisimple, and a semisimple matrix is fixed up to conjugacy by
 its characteristic polynomial. The search for k compares those of psi(M1) with
 those of psi(M2)^k for the k of one class, which block determinants fix; only
-the smallest matching k reaches the conjugacy solver, which proves the match
-with an explicit conjugator. A positive verdict always carries a witness
+the smallest matching k reaches the conjugacy solver, which decides by the
+same rule and proves the match with an explicit conjugator, a random
+endomorphism averaged over <M1>. A positive verdict always carries a witness
 (k plus a basis-to-basis matrix psi). build_mu turns it into the explicit
 isomorphism mu(y1^j x) = y2^{k j} psi(x), which factors each element of G as
 y1^j x with one decomposition-table lookup over <y1>A1, and
@@ -103,7 +104,8 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     divisor of gamma (arith.discrete_log). crt joins these into one class mod
     L; none means no k. The scan of that class keeps the ascending order and
     the test, so the first k that matches, the one k that reaches the
-    conjugacy solver, is still the smallest.
+    conjugacy solver, is still the smallest. The solver compares the same
+    characteristic polynomials, so it returns a conjugator for each block.
     """
     sd1 = standard_decomposition(G)
     sd2 = standard_decomposition(H)

@@ -20,7 +20,6 @@ from grpext.autring import (
     blocks_pow,
     conjugacy,
     enumerate_R,
-    gl_conjugator,
     identity_matrix,
     is_in_R,
     make_matrix,
@@ -33,7 +32,8 @@ from grpext.autring import (
     star_pow,
     validate_M,
 )
-from grpext.errors import Condition3Error, MalformedInputError
+from grpext import autring
+from grpext.errors import Condition3Error, InvariantBreachError, MalformedInputError
 
 MIXED_TYPE = PType(3, (1, 2, 2, 5))
 
@@ -308,25 +308,6 @@ def test_charpolys_and_rcf_agree_on_coprime_order_units(ptype):
     assert len({f for fs in classes.values() for f in fs}) == len(classes)
 
 
-def test_gl_conjugator():
-    v = ((0, 2), (1, 0))
-    assert gl_conjugator(v, v, 3) is not None
-    rng = random.Random(6)
-    for _ in range(20):
-        n, p = 3, 3
-        mat = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        while True:
-            basis = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            if _gf_inv(basis, p) is not None:
-                break
-        conj = _gf_mul(_gf_mul(tuple(map(tuple, basis)), mat, p), _gf_inv(basis, p), p)
-        t = gl_conjugator(mat, conj, p)
-        assert t is not None
-        assert _gf_mul(t, mat, p) == _gf_mul(conj, t, p)
-    # determinant is a conjugation invariant
-    assert gl_conjugator(((1,),), ((2,),), 3) is None
-
-
 def test_matrix_order():
     assert matrix_order(identity_matrix(PType(7, (1,))), 10) == 1
     two = make_matrix(PType(7, (1,)), [[2]])
@@ -386,11 +367,6 @@ def _exhaustive_conjugate(units, u1, u2):
     return any(star_mul(x, u1) == star_mul(u2, x) for x in units)
 
 
-def _block_conjugators(u1, u2):
-    p = u1.ptype.p
-    return tuple(gl_conjugator(b1, b2, p) for b1, b2 in zip(psi(u1).blocks, psi(u2).blocks))
-
-
 @pytest.mark.parametrize("ptype", [PType(3, (2,)), PType(2, (1, 1)), PType(2, (1, 2))])
 def test_conjugacy_complete_small(ptype):
     units = enumerate_R(ptype)
@@ -406,7 +382,7 @@ def test_conjugacy_complete_small(ptype):
             assert (psi(u1).charpolys() == psi(u2).charpolys()) == want
             if got is not None:
                 assert star_mul(got, u1) == star_mul(u2, got)
-                assert psi(got).blocks == _block_conjugators(u1, u2)
+                assert is_in_R(got)
 
 
 def test_conjugacy_complete_gl2_3_all_eligible_pairs():
@@ -424,26 +400,73 @@ def test_conjugacy_complete_gl2_3_all_eligible_pairs():
             assert (got is not None) == want
             assert (psi(u1).charpolys() == psi(u2).charpolys()) == want
             if got is not None:
-                assert psi(got).blocks == _block_conjugators(u1, u2)
+                assert star_mul(got, u1) == star_mul(u2, got)
+                assert is_in_R(got)
+
+
+def _conjugate_pair(ptype, rng):
+    """(u1, u2, n): u1 of order n prime to p and u2 = x u1 x^{-1} for a random unit x."""
+    seed = random_unit(ptype, rng)
+    order = matrix_order(seed, 10**6)
+    p_part = 1
+    while order % ptype.p == 0:
+        order //= ptype.p
+        p_part *= ptype.p
+    u1 = star_pow(seed, p_part)
+    x = random_unit(ptype, rng)
+    x_inv = star_pow(x, matrix_order(x, 10**6) - 1)
+    return u1, star_mul(star_mul(x, u1), x_inv), order
 
 
 def test_conjugacy_round_trip_mixed_type():
     rng = random.Random(9)
     ptype = PType(2, (1, 2, 3))
     for _ in range(30):
-        seed = random_unit(ptype, rng)
-        order = matrix_order(seed, 10**6)
-        p_part = 1
-        while order % ptype.p == 0:
-            order //= ptype.p
-            p_part *= ptype.p
-        u1 = star_pow(seed, p_part)
-        x = random_unit(ptype, rng)
-        x_inv = star_pow(x, matrix_order(x, 10**6) - 1)
-        u2 = star_mul(star_mul(x, u1), x_inv)
+        u1, u2, _ = _conjugate_pair(ptype, rng)
         found = conjugacy(u1, u2, order_cap=10**6)
         assert found is not None
         assert star_mul(found, u1) == star_mul(u2, found)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(
+        [PType(2, (1, 1, 1, 1)), PType(3, (1, 2)), PType(5, (1, 1)), PType(7, (1, 1, 1)), PType(2, (1, 2, 3))]
+    ),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_conjugacy_finds_a_unit_conjugator_of_random_conjugate_pairs(ptype, seed):
+    u1, u2, order = _conjugate_pair(ptype, random.Random(seed))
+    found = conjugacy(u1, u2, multiple=order)
+    assert found is not None and is_in_R(found)
+    assert star_mul(found, u1) == star_mul(u2, found)
+
+
+def test_conjugacy_repeats_its_answer_in_both_modes():
+    # the draws come from a generator seeded inside conjugacy, and n is the lcm of the exact orders
+    rng = random.Random(12)
+    for ptype in (PType(2, (1, 2, 3)), PType(3, (1, 1)), PType(5, (1, 1)), PType(2, (1, 1, 1, 1))):
+        for _ in range(10):
+            u1, u2, order = _conjugate_pair(ptype, rng)
+            found = conjugacy(u1, u2, multiple=order)
+            for mode in ({"multiple": order}, {"multiple": 12 * order}, {"order_cap": order}, {"order_cap": 10**6}):
+                assert conjugacy(u1, u2, **mode) == found
+
+
+def test_conjugacy_raises_past_its_cap_of_draws(monkeypatch):
+    u = make_matrix(PType(3, (1, 1)), [[0, 2], [1, 0]])
+    real, averages = autring.is_in_R, []
+
+    def rejects_every_average(x):  # the inputs still pass the precondition
+        if x is u:
+            return real(x)
+        averages.append(x)
+        return False
+
+    monkeypatch.setattr(autring, "is_in_R", rejects_every_average)
+    with pytest.raises(InvariantBreachError, match="no averaged endomorphism was a unit in 200 draws"):
+        conjugacy(u, u, order_cap=4)
+    assert len(averages) == autring.CONJUGACY_TRIES == 200
 
 
 @pytest.mark.parametrize(

@@ -76,14 +76,14 @@ def test_lift_correction_keeps_residue_action():
 
 def test_companion_powers_stay_in_class():
     # cubes of the three companion blocks are conjugate to themselves
-    u = ((2,),)
-    v = ((1,),)
-    w = ((0, 2), (1, 0))
-    for mat in (u, v):
-        cube = tuple(tuple(pow(x, 3, 3) for x in row) for row in mat)
-        assert autring.gl_conjugator(mat, cube, 3) is not None
-    w_cube = autring._gf_mul(autring._gf_mul(w, w, 3), w, 3)
-    assert autring.gl_conjugator(w, w_cube, 3) is not None
+    u = autring.make_matrix(autring.PType(3, (1,)), [[2]])
+    v = autring.make_matrix(autring.PType(3, (1,)), [[1]])
+    w = autring.make_matrix(autring.PType(3, (1, 1)), [[0, 2], [1, 0]])
+    for mat in (u, v, w):
+        cube = autring.star_pow(mat, 3)
+        found = autring.conjugacy(mat, cube, multiple=4)
+        assert found is not None and autring.is_in_R(found)
+        assert autring.star_mul(found, mat) == autring.star_mul(cube, found)
 
 
 def test_brute_force_matches_formula():

@@ -76,6 +76,14 @@ def test_trivial_group_goes_through_the_sweep(tmp_path, capsys):
         "gamma 1\nk 1\npsi-block trivial\nmu-check exhaustive pass\noracle-calls-g 3\n"
         "oracle-calls-h 2\nwall-time-ms X\n"
     )
+    # with no generator, every sampled element is the identity: 10 000 pairs (1, 1)
+    code, out, _ = run_cli(capsys, "isomorphic", str(path), str(path))
+    assert code == 0
+    assert strip_wall_time(out) == (
+        f"command isomorphic\ninput-g sha256:{digest}\ninput-h sha256:{digest}\nverdict yes\n"
+        "gamma 1\nk 1\npsi-block trivial\nmu-check sampled pass\noracle-calls-g 10002\n"
+        "oracle-calls-h 10001\nwall-time-ms X\n"
+    )
 
 
 def test_order_identity_is_one(tmp_path, capsys):
@@ -229,7 +237,7 @@ def test_isomorphic_reports_yes_and_no(tmp_path, capsys):
         "gamma 3",
         "k 2",
         "psi-block 7 1",
-        "1",
+        "4",
         "mu-check exhaustive pass",
         "oracle-calls-g N",
         "oracle-calls-h N",
@@ -258,7 +266,7 @@ def test_failed_mu_check_exits_1_after_the_full_report(tmp_path, capsys, monkeyp
     assert code == 1
     assert err == ""
     assert mask_counts(out).splitlines()[-5:] == [
-        "1",
+        "4",
         "mu-check sampled fail",
         "oracle-calls-g N",
         "oracle-calls-h N",
@@ -474,11 +482,12 @@ def test_selftest(capsys):
 def test_invalid_solver_assignment_is_an_invariant_breach(tmp_path, capsys, monkeypatch):
     real = autring.mat_pow
 
-    def one_power_too_many(rows, n, moduli):
-        # conjugacy takes u2^{-1} as u2^{n-1}; this spoils the averaged conjugator
-        return real(rows, n + 1, moduli)
+    def two_powers_too_many(rows, n, moduli):
+        # conjugacy takes u2^{-1} as u2^{n-1}; this makes it u2^{n+1} = u2, and u2^2 = -I, so
+        # every average is Y = 2(R + u2 R u2), which anticommutes with u2 and is often a unit
+        return real(rows, n + 2, moduli)
 
-    monkeypatch.setattr(autring, "mat_pow", one_power_too_many)
+    monkeypatch.setattr(autring, "mat_pow", two_powers_too_many)
     u = autring.parse_matrix_file("ptype 3 2 2\n0 8\n1 0\n")
     with pytest.raises(InvariantBreachError, match="final verification"):
         autring.conjugacy(u, u, order_cap=4)
