@@ -45,7 +45,7 @@ from .errors import (
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-CONJUGACY_TRIES = 200  # averaged random endomorphisms that conjugacy tries before it gives up
+CONJUGACY_TRIES = 200  # averages of random endomorphisms that conjugacy makes before it gives up
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -484,16 +484,17 @@ def conjugacy(
     (Condition3Error otherwise; see matrix_order). Then every psi block is
     semisimple, so the inputs are conjugate exactly when the characteristic
     polynomials of their psi blocks agree (BlockDiagGF.charpolys); None when
-    they differ. Otherwise an endomorphism R is drawn by PType.entry_rule and
-    averaged over the cyclic group, Y = sum_{i<n} u2^{-i} R u1^i with n = lcm
-    of the two orders, a unit mod p, so Y u1 = u2 Y (Maschke's argument). The
-    sum is built by doubling in O(log n) products. For a uniform R, Y is a
-    uniform intertwiner, and a unit with probability at least 0.288 for each
-    isotypic component (prod_i (1 - q^{-i}) over a residue field F_q; Holt,
-    Eick & O'Brien 2005, section 7.5). The first Y that is_in_R accepts is
-    kept; R comes from a random.Random(0) made on each call, so the answer
-    repeats, and past CONJUGACY_TRIES draws InvariantBreachError is raised. Y
-    is verified by substitution before returning.
+    they differ. Otherwise Y = sum_{i<n} u2^{-i} R u1^i, with n the lcm of the
+    two orders, gives Y u1 = u2 Y for any R (Maschke's argument); the sum is
+    built by doubling in O(log n) products. R is block diagonal, drawn by
+    PType.entry_rule from a random.Random(0) made on each call, so the answer
+    repeats. As psi is a ring homomorphism, each psi block of Y is the average
+    of that block of R: a uniform intertwiner, invertible with probability at
+    least 0.288 per isotypic component (prod_i (1 - q^{-i}) over F_q; Holt,
+    Eick & O'Brien 2005, section 7.5). So a draw replaces only the blocks of R
+    whose average is singular, and the draws needed follow the worst block.
+    Past CONJUGACY_TRIES draws InvariantBreachError is raised. Y is verified
+    by substitution and is_in_R before returning.
     """
     if u1.ptype != u2.ptype:
         raise MalformedInputError("conjugacy requires matching types")
@@ -526,8 +527,13 @@ def conjugacy(
 
     u2_inv = mat_pow(u2.rows, n - 1, moduli)
     rng = random.Random(0)
+    r = [[0] * ptype.s for _ in range(ptype.s)]
+    singular = [(a, b) for _, a, b in ptype.block_structure()]
     for _ in range(CONJUGACY_TRIES):
-        r = random_endomorphism(ptype, rng).rows
+        fresh = random_endomorphism(ptype, rng).rows
+        for a, b in singular:  # the average of a kept block stays invertible
+            for i in range(a, b):
+                r[i][a:b] = fresh[i][a:b]
         total, left, right = r, u2_inv, u1.rows  # sum_{i<k} u2^{-i} R u1^i, u2^{-k}, u1^k for k = 1
         for bit in bin(n)[3:]:
             total = add(total, mul(mul(left, total), right))
@@ -535,12 +541,15 @@ def conjugacy(
             if bit == "1":
                 total = add(total, mul(mul(left, r), right))
                 left, right = mul(left, u2_inv), mul(right, u1.rows)
-        total = AutMatrix(ptype, total)
-        if is_in_R(total):
+        singular = [
+            (a, b) for a, b in singular if charpoly([row[a:b] for row in total[a:b]], p)[0] == 0
+        ]
+        if not singular:
             break
     else:
         raise InvariantBreachError(f"no averaged endomorphism was a unit in {CONJUGACY_TRIES} draws")
-    if star_mul(total, u1) != star_mul(u2, total):
+    total = AutMatrix(ptype, _freeze(total))
+    if star_mul(total, u1) != star_mul(u2, total) or not is_in_R(total):
         raise InvariantBreachError("conjugator failed final verification")
     return total
 

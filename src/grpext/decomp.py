@@ -33,6 +33,7 @@ decomposed a proper subgroup.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -213,11 +214,12 @@ def _prove_cover(sd: StandardDecomposition, context: GroupContext) -> None:
     generates the part of <g> of order r, and g lies in <y>A exactly when
     w = g^r does. When every part of y is a power of g, y generates the
     subgroup of <g> of order gamma, which holds w. Otherwise w is looked up in
-    a table over (y,) + the basis of A, built on the first such lookup.
+    a table over (y,), and only on a miss in one over (y,) + the basis of A.
     In the class the best decomposition has order |G|, so it passes.
     """
     G, gamma = sd.G, sd.gamma
-    table = None
+    elements, orders = (sd.y,) + sd.a_basis.elements, (gamma,) + sd.a_basis.orders
+    table = functools.cache(lambda t: DecompositionTable(G, elements[:t], orders[:t]))
     uncovered = NotInClassError(
         "no decomposition covers the group; the group is outside the scope class"
     )
@@ -230,12 +232,13 @@ def _prove_cover(sd: StandardDecomposition, context: GroupContext) -> None:
             raise uncovered
         if r == n or y_from == {k} or (w := group_pow(G, g, r)) == sd.y:
             continue
-        if table is None:
-            table = DecompositionTable(G, (sd.y,) + sd.a_basis.elements, (gamma,) + sd.a_basis.orders)
         try:
-            table.decompose(w)
+            table(1).decompose(w)
         except MembershipError:
-            raise uncovered from None
+            try:
+                table(len(elements)).decompose(w)
+            except MembershipError:
+                raise uncovered from None
 
 
 def standard_decomposition(G: GroupHandle) -> StandardDecomposition:

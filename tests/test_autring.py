@@ -455,18 +455,35 @@ def test_conjugacy_repeats_its_answer_in_both_modes():
 
 def test_conjugacy_raises_past_its_cap_of_draws(monkeypatch):
     u = make_matrix(PType(3, (1, 1)), [[0, 2], [1, 0]])
-    real, averages = autring.is_in_R, []
+    draws = []
 
-    def rejects_every_average(x):  # the inputs still pass the precondition
-        if x is u:
-            return real(x)
-        averages.append(x)
-        return False
+    def zero(ptype, rng):  # every average is 0; the inputs still pass the precondition
+        draws.append(rng)
+        return AutMatrix(ptype, ((0, 0), (0, 0)))
 
-    monkeypatch.setattr(autring, "is_in_R", rejects_every_average)
+    monkeypatch.setattr(autring, "random_endomorphism", zero)
     with pytest.raises(InvariantBreachError, match="no averaged endomorphism was a unit in 200 draws"):
         conjugacy(u, u, order_cap=4)
-    assert len(averages) == autring.CONJUGACY_TRIES == 200
+    assert len(draws) == autring.CONJUGACY_TRIES == 200
+
+
+@pytest.mark.parametrize(
+    "ptype,diagonal",
+    [(PType(2, tuple(range(1, 13))), 1), (PType(3, tuple(range(1, 21))), -1)],
+    ids=["identity-2", "minus-identity-3"],
+)
+def test_conjugacy_keeps_invertible_blocks_between_draws(monkeypatch, ptype, diagonal):
+    # 12 or 20 psi blocks of size 1: a whole draw is a unit with chance 2^-12 or (2/3)^20,
+    # and each block with chance 1/2 or 2/3
+    s = ptype.s
+    u = make_matrix(ptype, [[diagonal * (i == j) for j in range(s)] for i in range(s)])
+    draws = []
+    real = autring.random_endomorphism
+    monkeypatch.setattr(autring, "random_endomorphism", lambda *a: draws.append(a) or real(*a))
+    found = conjugacy(u, u, order_cap=2)
+    assert found is not None and is_in_R(found)
+    assert star_mul(found, u) == star_mul(u, found)
+    assert len(draws) <= 20
 
 
 @pytest.mark.parametrize(

@@ -292,6 +292,20 @@ def test_conjugacy_command(tmp_path, capsys):
     assert code == 0 and "conjugate yes" in out
 
 
+def test_conjugacy_command_on_twelve_psi_blocks(tmp_path, capsys):
+    # the identity of (2; 1, ..., 12): a whole random draw is a unit with chance 2^-12
+    s = 12
+    m = tmp_path / "identity.mat"
+    rows = [" ".join(str(int(i == j)) for j in range(s)) for i in range(s)]
+    m.write_text(f"ptype 2 {' '.join(str(e) for e in range(1, s + 1))}\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "conjugacy", str(m), str(m), "--order-cap", "1")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[3] == "conjugate yes"
+    witness = [[int(x) for x in row.split()] for row in lines[4:4 + s]]
+    assert all(witness[i][i] % 2 for i in range(s))
+
+
 def test_count_classes_headline(capsys):
     code, out, _ = run_cli(capsys, "count-classes", "--r", "4")
     assert code == 0

@@ -363,3 +363,22 @@ def test_derived_basis_is_the_normal_closure_of_the_commutators(name):
     assert closure(G, GroupContext(G).derived.elements) == naive
     if name == "F8xZ7":
         assert len(naive) == 8
+
+
+def test_cover_proof_finds_a_power_of_y_in_a_table_over_y_alone(monkeypatch):
+    # t^5 is a redundant generator with w = t^5 in <y>: a table over (y,) has about
+    # sqrt(15012) entries, one over (y,) + the basis of A about sqrt(15012 * 15013),
+    # more than one megabyte holds
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    G = semidirect((15013,), 15012, [[2]], gens=[((1,), 0), ((0,), 1), ((0,), 5)])
+    built = []
+    real = abelian.DecompositionTable.__init__
+
+    def counted(self, H, elements, orders):
+        built.append(tuple(orders))
+        real(self, H, elements, orders)
+
+    monkeypatch.setattr(abelian.DecompositionTable, "__init__", counted)
+    sd = standard_decomposition(G)
+    assert (sd.gamma, sd.a_basis.orders) == (15012, (15013,))
+    assert built[-1] == (15012,)
