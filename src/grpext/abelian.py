@@ -4,9 +4,10 @@ Element order uses baby-step/giant-step with a doubling radius, so no a-priori
 bound on the group order is needed. Factoring an element over fixed
 generators (an abelian basis, or y followed by a basis of the abelian part A)
 uses the meet-in-the-middle table over the low digits of each exponent, one
-dict from code to digits; an abelian basis keeps one table per prime, over
-its p-part. The tables are capped by the GRPEXT_MEM_MB environment variable
-(default 1024), at the bytes per entry that a build measurably holds.
+dict from code to digits; it returns None for an element outside their span.
+An abelian basis keeps one table per prime, over its p-part. The tables are
+capped by the GRPEXT_MEM_MB environment variable (default 1024), at the bytes
+per entry that a build measurably holds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .blackbox import ElementCode, GroupHandle, _max_table_entries, group_pow
 from .errors import (
     InvariantBreachError,
     MalformedInputError,
-    MembershipError,
     MemoryBudgetError,
     NotAbelianError,
 )
@@ -113,11 +113,12 @@ class DecompositionTable:
     products, none by the identity, plus the strides. Dependent elements
     leave fewer than prod r_i entries. A lookup walks the high digits with the
     strides g_i^{-r_i} until it lands in the dict: at most prod ceil(n_i / r_i)
-    products. Coordinate 0 is walked from the left and the others from the
-    right, so a hit proves g = g_0^{v_0} prod g_i^{v_i} whenever g_1, ..., g_t
-    commute, whether or not g_0 commutes with them: over (y,) + a basis of A
-    the table factors all of <y>A. Over an abelian basis both walks give the
-    same element for the same product.
+    products, and None for an element outside the span. Coordinate 0 is walked
+    from the left and the others from the right, so a hit proves
+    g = g_0^{v_0} prod g_i^{v_i} whenever g_1, ..., g_t commute, whether or not
+    g_0 commutes with them: over (y,) + a basis of A the table factors all of
+    <y>A. Over an abelian basis both walks give the same element for the same
+    product.
     """
 
     def __init__(self, G: GroupHandle, elements: Sequence[ElementCode], orders: Sequence[int]):
@@ -145,8 +146,8 @@ class DecompositionTable:
         # strides g_i^{-r_i} for walking the high digits
         self._down = [group_pow(G, G.inv(e), r) for e, r in zip(elements, self.radii)]
 
-    def decompose(self, g: ElementCode) -> tuple[int, ...]:
-        """Exponent vector v with g = prod g_i^{v_i}, components reduced."""
+    def decompose(self, g: ElementCode) -> Optional[tuple[int, ...]]:
+        """Exponent vector v with g = prod g_i^{v_i}, components reduced; None if there is none."""
         G = self.G
         t = len(self.orders)
 
@@ -167,20 +168,20 @@ class DecompositionTable:
                     return vec
             return None
 
-        vec = search(0, g, ())
-        if vec is None:
-            raise MembershipError("element is not in the span of the basis")
-        return vec
+        return search(0, g, ())
 
 
-def check_commuting(G: GroupHandle, elements: Sequence[ElementCode], known: int = 0):
-    """Raise NotAbelianError at the first pair i < j that does not commute; pairs
-    within the first `known` elements, equal pairs and pairs with the identity are not tested."""
+def check_commuting(
+    G: GroupHandle, elements: Sequence[ElementCode], known: int = 0
+) -> Optional[tuple[int, int]]:
+    """The first pair i < j that does not commute, or None; pairs within the first
+    `known` elements, equal pairs and pairs with the identity are not tested."""
     for i in range(len(elements)):
         for j in range(max(i + 1, known), len(elements)):
             a, b = elements[i], elements[j]
             if a != b and G.identity not in (a, b) and G.mul(a, b) != G.mul(b, a):
-                raise NotAbelianError(f"generators {i} and {j} do not commute")
+                return i, j
+    return None
 
 
 def _insert_p_element(
@@ -191,15 +192,11 @@ def _insert_p_element(
     G = table.G
     w = x
     k = 0
-    coeffs = None
-    while coeffs is None:
-        try:
-            coeffs = table.decompose(w)
-        except MembershipError:
-            w = group_pow(G, w, p)
-            k += 1
-            if p**k > x_order:
-                raise InvariantBreachError("p-power of element escaped the p-group")
+    while (coeffs := table.decompose(w)) is None:
+        w = group_pow(G, w, p)
+        k += 1
+        if p**k > x_order:
+            raise InvariantBreachError("p-power of element escaped the p-group")
     if k == 0:
         return None
     t = len(table.orders)
@@ -244,7 +241,8 @@ def abelian_basis(
     G = start.G
     unique = list(dict.fromkeys(g for g in gens if g != G.identity and g not in start.elements))
     if orders is None:
-        check_commuting(G, start.elements + tuple(unique), known=len(start.elements))
+        if pair := check_commuting(G, start.elements + tuple(unique), known=len(start.elements)):
+            raise NotAbelianError("generators %d and %d do not commute" % pair)
         orders = {g: element_order(G, g) for g in unique}
     else:
         orders = dict(zip(gens, orders))

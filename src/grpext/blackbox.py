@@ -113,8 +113,11 @@ def commutator_generators(G: GroupHandle) -> list[ElementCode]:
     return sorted(out)
 
 
-def closure(G: GroupHandle, seeds: Sequence[ElementCode], limit: Optional[int] = None) -> list[ElementCode]:
-    """Subgroup generated by seeds, as a sorted code list (breadth-first)."""
+def closure(
+    G: GroupHandle, seeds: Sequence[ElementCode], limit: Optional[int] = None
+) -> Optional[list[ElementCode]]:
+    """Subgroup generated by seeds, as a sorted code list (breadth-first); None once
+    it has more than limit elements."""
     seen = {G.identity}
     frontier = [G.identity]
     gens = [g for g in seeds]
@@ -127,7 +130,7 @@ def closure(G: GroupHandle, seeds: Sequence[ElementCode], limit: Optional[int] =
                     seen.add(b)
                     nxt.append(b)
                     if limit is not None and len(seen) > limit:
-                        raise MalformedInputError(f"subgroup has more than {limit} elements")
+                        return None
         frontier = nxt
     return sorted(seen)
 

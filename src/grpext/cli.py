@@ -183,6 +183,8 @@ def _selftest_checks():
             target = [rng.randrange(q) for q in (8, 9, 5)]
             code = G.parse_element(",".join(map(str, target)) + ";0")
             vec = table.decompose(code)
+            if vec is None:
+                return False
             rebuilt = G.identity
             for e, exp in zip(basis.elements, vec):
                 rebuilt = G.mul(rebuilt, blackbox.group_pow(G, e, exp))

@@ -24,8 +24,9 @@ Conjugates by generators suffice because G is finite, so each g^{-1} is a
 power of g. A round that takes in an element at least doubles the span, so at
 most log2|G'| rounds run. Every element taken in lies in G', so elements
 that do not commute show that G' is not abelian.
-A finder run returns a StandardDecomposition with gamma = m. The sweep runs
-the finder for every divisor m of m-bar and keeps the decomposition with the
+A finder run returns a DecompositionAttempt: a StandardDecomposition with
+gamma = m, or the reason the first failed check gives. The sweep runs the
+finder for every divisor m of m-bar and keeps the decomposition with the
 largest m * |A_m|, the least m among equals: that is the standard
 decomposition. Every attempt is reported, so callers can see which m only
 decomposed a proper subgroup.
@@ -41,7 +42,7 @@ from typing import Optional
 from .abelian import AbelianBasis, DecompositionTable, abelian_basis, check_commuting, element_order
 from .arith import divisors, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
-from .errors import DecompositionFailed, MembershipError, NotAbelianError, NotInClassError
+from .errors import NotAbelianError, NotInClassError
 
 
 class GroupContext:
@@ -101,9 +102,7 @@ def _derived_basis(G: GroupHandle) -> AbelianBasis:
                     if g_inv == x:  # g = x^{-1}, so g x g^{-1} = x
                         continue
                     c = G.mul(G.mul(g, x), g_inv)
-                    try:
-                        basis.table(p).decompose(c)
-                    except MembershipError:
+                    if basis.table(p).decompose(c) is None:
                         escaped.append(c)
         if not escaped:
             return basis
@@ -141,30 +140,29 @@ class DecompositionAttempt:
     error: Optional[str]
 
 
-def find_decomposition(m: int, context: GroupContext) -> StandardDecomposition:
-    """One run of the finder for m over context.G; raises DecompositionFailed.
+def find_decomposition(m: int, context: GroupContext) -> DecompositionAttempt:
+    """One run of the finder for m over context.G: the decomposition, or the
+    reason of the first check that fails.
 
     The arithmetic checks (m | m_bar, G' abelian of order prime to m,
     gcd(m, m_bar / m) = 1) come before any oracle call, then the commutation
     of the g_j^m; after them m divides the order of the assembled element (see
-    the module docstring). The result decomposes the subgroup its output
+    the module docstring). The decomposition is of the subgroup its output
     generates, which is G when G decomposes at m.
     """
     G = context.G
     if m < 1 or context.m_bar % m:
-        raise DecompositionFailed(m, "m does not divide the lcm of the generator orders")
+        return DecompositionAttempt(m, None, "m does not divide the lcm of the generator orders")
     if context.derived is None:
-        raise DecompositionFailed(m, "derived subgroup is not abelian")
+        return DecompositionAttempt(m, None, "derived subgroup is not abelian")
     if any(m % p == 0 for p in context.derived.parts):
-        raise DecompositionFailed(m, "derived subgroup order shares a factor with m")
+        return DecompositionAttempt(m, None, "derived subgroup order shares a factor with m")
     if math.gcd(m, context.m_bar // m) != 1:  # some ord(g_j^m) = n_j / gcd(n_j, m) shares it
-        raise DecompositionFailed(m, "generator power order shares a factor with m")
+        return DecompositionAttempt(m, None, "generator power order shares a factor with m")
 
     xs, hs = context.derived.elements, context.gen_powers(m)
-    try:
-        check_commuting(G, xs + hs, known=len(xs))  # the basis of the abelian G' commutes
-    except NotAbelianError:
-        raise DecompositionFailed(m, "candidate abelian part does not commute") from None
+    if check_commuting(G, xs + hs, known=len(xs)):  # the basis of the abelian G' commutes
+        return DecompositionAttempt(m, None, "candidate abelian part does not commute")
 
     picks = [context.part(p**e) for p, e in trial_factor(m, context.primes)]
     g = picks[0][1] if picks else G.identity
@@ -173,13 +171,14 @@ def find_decomposition(m: int, context: GroupContext) -> StandardDecomposition:
     # parts of one generator are commuting powers of coprime orders q, so g has order m
     z = g if len({k for k, _ in picks}) <= 1 else group_pow(G, g, element_order(G, g) // m)
     h_orders = [n // math.gcd(n, m) for n in context.gen_orders]  # ord(g_j^m)
-    return StandardDecomposition(m, abelian_basis(hs, context.derived, h_orders), z)
+    sd = StandardDecomposition(m, abelian_basis(hs, context.derived, h_orders), z)
+    return DecompositionAttempt(m, sd, None)
 
 
 def standard_decomposition_with_attempts(
     G: GroupHandle,
 ) -> tuple[StandardDecomposition, list[DecompositionAttempt]]:
-    """Sweep all divisors of m_bar; keep the best, proved to cover G.
+    """Sweep all divisors of m_bar: the best decomposition, proved to cover G, and every attempt.
 
     The byproduct max(m_i * |A_i|) equals the group order whenever the group
     is a coprime cyclic extension of an abelian group; the smallest m reaching
@@ -187,12 +186,7 @@ def standard_decomposition_with_attempts(
     the best decomposition does not cover G.
     """
     context = GroupContext(G)
-    attempts: list[DecompositionAttempt] = []
-    for m in divisors(context.m_bar, context.primes):
-        try:
-            attempts.append(DecompositionAttempt(m, find_decomposition(m, context), None))
-        except DecompositionFailed as exc:
-            attempts.append(DecompositionAttempt(m, None, exc.reason))
+    attempts = [find_decomposition(m, context) for m in divisors(context.m_bar, context.primes)]
     found = [a.found for a in attempts if a.found is not None]
     if not found:
         raise NotInClassError(
@@ -200,12 +194,15 @@ def standard_decomposition_with_attempts(
         )
     # max keeps the first maximum, so over ascending m the least m reaching it
     best = max(found, key=lambda d: d.group_order)
-    _prove_cover(best, context)
+    if not _covers(best, context):
+        raise NotInClassError(
+            "no decomposition covers the group; the group is outside the scope class"
+        )
     return best, attempts
 
 
-def _prove_cover(sd: StandardDecomposition, context: GroupContext) -> None:
-    """Raise NotInClassError unless <y>A is all of G.
+def _covers(sd: StandardDecomposition, context: GroupContext) -> bool:
+    """Whether <y>A is all of G.
 
     A contains G' and each generator's gamma-th power, so <y>A is a subgroup,
     and it is G when it holds every generator. Take a generator g of order
@@ -220,25 +217,18 @@ def _prove_cover(sd: StandardDecomposition, context: GroupContext) -> None:
     G, gamma = sd.G, sd.gamma
     elements, orders = (sd.y,) + sd.a_basis.elements, (gamma,) + sd.a_basis.orders
     table = functools.cache(lambda t: DecompositionTable(G, elements[:t], orders[:t]))
-    uncovered = NotInClassError(
-        "no decomposition covers the group; the group is outside the scope class"
-    )
     y_from = {context.part(p**e)[0] for p, e in trial_factor(gamma, context.primes)}
     for k, (g, n) in enumerate(zip(G.generators, context.gen_orders)):
         r = n
         while (d := math.gcd(r, gamma)) > 1:
             r //= d
         if gamma % (n // r):
-            raise uncovered
+            return False
         if r == n or y_from == {k} or (w := group_pow(G, g, r)) == sd.y:
             continue
-        try:
-            table(1).decompose(w)
-        except MembershipError:
-            try:
-                table(len(elements)).decompose(w)
-            except MembershipError:
-                raise uncovered from None
+        if table(1).decompose(w) is None and table(len(elements)).decompose(w) is None:
+            return False
+    return True
 
 
 def standard_decomposition(G: GroupHandle) -> StandardDecomposition:

@@ -10,24 +10,15 @@ class MalformedInputError(GrpextError):
 
 
 class NotAbelianError(GrpextError):
-    """A generating set expected to be abelian contains non-commuting elements."""
+    """abelian_basis was given generators that do not commute."""
 
 
 class MembershipError(GrpextError):
-    """An element is not in the span of the given basis."""
+    """mu was given an element outside <y>A of its decomposition."""
 
 
 class NotInClassError(GrpextError):
     """No candidate cyclic order admits a decomposition, or no decomposition covers the group."""
-
-
-class DecompositionFailed(GrpextError):
-    """FIND-style decomposition returned its error result for this m."""
-
-    def __init__(self, m: int, reason: str):
-        super().__init__(f"no decomposition found for m={m}: {reason}")
-        self.m = m
-        self.reason = reason
 
 
 class Condition3Error(GrpextError):

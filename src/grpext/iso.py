@@ -73,13 +73,10 @@ def conjugation_action(sd: StandardDecomposition) -> autring.AutBlocks:
     for p, pairs in basis.parts.items():
         before, after = (0,) * len(columns), (0,) * (s - len(columns) - len(pairs))
         for g, _ in pairs:
-            moved = G.mul(G.mul(y, g), y_inv)
-            try:
-                columns.append(before + basis.table(p).decompose(moved) + after)
-            except MembershipError:
-                raise InvariantBreachError(
-                    "conjugate of a basis element left the abelian part"
-                ) from None
+            column = basis.table(p).decompose(G.mul(G.mul(y, g), y_inv))
+            if column is None:
+                raise InvariantBreachError("conjugate of a basis element left the abelian part")
+            columns.append(before + column + after)
     rows = [[columns[j][i] for j in range(s)] for i in range(s)]
     try:
         action = autring.blocks_from_rows(basis.orders, rows)
@@ -159,10 +156,9 @@ def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode
     factors = (sd2.y,) + sd2.a_basis.elements
 
     def mu(g: ElementCode) -> ElementCode:
-        try:
-            j, *x = table.decompose(g)
-        except MembershipError:
-            raise MembershipError("element does not factor over the decomposition") from None
+        if (vec := table.decompose(g)) is None:
+            raise MembershipError("element does not factor over the decomposition")
+        j, *x = vec
         exps = (witness.k * j % gamma,) + autring.apply_blocks(witness.psi_blocks, x)
         parts = [group_pow(H, h, e) for h, e in zip(factors, exps) if e]
         return functools.reduce(H.mul, parts) if parts else H.identity
@@ -197,17 +193,15 @@ def verify_isomorphism(
     with MalformedInputError for a G of more than EXHAUSTIVE_LIMIT elements.
     """
     if mode == "exhaustive":
-        try:
-            elements = closure(G, G.generators, limit=EXHAUSTIVE_LIMIT)
-        except MalformedInputError as exc:
-            raise MalformedInputError(f"exhaustive verification refused: {exc}") from None
+        elements = closure(G, G.generators, limit=EXHAUSTIVE_LIMIT)
+        if elements is None:
+            raise MalformedInputError(
+                f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
+            )
         images = {a: mu(a) for a in elements}
-        if len(set(images.values())) != len(elements):
+        # not one-to-one, or |H| > |G| so mu is not onto
+        if len(set(images.values())) != len(elements) or closure(H, H.generators, len(elements)) is None:
             return False
-        try:
-            closure(H, H.generators, limit=len(elements))
-        except MalformedInputError:
-            return False  # |H| > |G|, so mu is not onto
         for a in elements:
             for b in elements:
                 if images[G.mul(a, b)] != H.mul(images[a], images[b]):

@@ -8,17 +8,37 @@ independent of the code paths they are used to check.
 from __future__ import annotations
 
 import collections
+import contextlib
+import importlib.util
 import itertools
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from grpext import autring, blackbox
 from grpext.abelian import DecompositionTable
-from grpext.arith import divisors
+from grpext.arith import divisors, trial_factor
 from grpext.blackbox import GroupHandle, TableGroupSpec, closure, group_pow
 from grpext.errors import MalformedInputError, MembershipError
+
+
+LADDER_PATH = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+
+
+@contextlib.contextmanager
+def bench_ladder():
+    """bench/ladder.py, loaded by path and only read. It writes the benchmark's
+    group files with its own arithmetic, never through grpext."""
+    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER_PATH)
+    ladder = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = ladder  # its dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(ladder)
+        yield ladder
+    finally:
+        del sys.modules[spec.name]
 
 
 def with_generators(G: GroupHandle, generators) -> GroupHandle:
@@ -75,6 +95,8 @@ def write_table(path, G: GroupHandle) -> None:
 def materialize_table(G: GroupHandle, limit: int = 4096) -> TableGroupSpec:
     """Cayley table of a small black-box group, identity mapped to index 0."""
     elements = closure(G, G.generators, limit=limit)
+    if elements is None:
+        raise MalformedInputError(f"subgroup has more than {limit} elements")
     elements.remove(G.identity)
     elements.insert(0, G.identity)
     index = {c: i for i, c in enumerate(elements)}
@@ -114,9 +136,8 @@ def strip_mu(witness):
     def mu(g):
         w = g
         for j in range(sd1.gamma):
-            try:
-                vec = table.decompose(w)
-            except MembershipError:
+            vec = table.decompose(w)
+            if vec is None:
                 w = G.mul(w, y1_inv)
                 continue
             out = H.identity
@@ -341,11 +362,11 @@ def naive_power(G: GroupHandle, g, n: int):
 
 
 def naive_derived_subgroup(G: GroupHandle, elements) -> list:
+    invs = [G.inv(b) for b in elements]
     comms = set()
-    for a in elements:
-        ia = G.inv(a)
-        for b in elements:
-            comms.add(G.mul(G.mul(a, b), G.mul(ia, G.inv(b))))
+    for a, ia in zip(elements, invs):
+        for b, ib in zip(elements, invs):
+            comms.add(G.mul(G.mul(a, b), G.mul(ia, ib)))
     return closure(G, sorted(comms))
 
 
@@ -447,3 +468,38 @@ def naive_isomorphic(G: GroupHandle, H: GroupHandle, max_candidates: int = 500_0
         if good:
             return True
     return False
+
+
+# --- census -----------------------------------------------------------------
+
+
+def _partitions(e: int, least: int = 1) -> list[tuple[int, ...]]:
+    """The partitions of e into parts >= least, each ascending."""
+    if e == 0:
+        return [()]
+    return [(k,) + rest for k in range(least, e + 1) for rest in _partitions(e - k, k)]
+
+
+def census(n_max: int) -> list[tuple[int, GroupHandle]]:
+    """(order, group) for every A x|_M Z_m with |A| * m <= n_max and
+    gcd(|A|, m) = 1, on its default generators: A of each abelian type and M
+    every block-diagonal unit (enumerate_R per prime) with M^m = 1, ascending
+    by order."""
+    groups = []
+    for a_order in range(1, n_max + 1):
+        for ptypes in itertools.product(*(
+            [autring.PType(p, exps) for exps in _partitions(e)] for p, e in trial_factor(a_order)
+        )):
+            for m in range(1, n_max // a_order + 1):
+                if math.gcd(a_order, m) != 1:
+                    continue
+                one = [autring.identity_matrix(t) for t in ptypes]
+                choices = [  # M = I at m = 1, where A may be Z_2^5 with 2^25 matrices to walk
+                    [u for u in autring.enumerate_R(t) if autring.star_pow(u, m) == e] if m > 1 else [e]
+                    for t, e in zip(ptypes, one)
+                ]
+                for blocks in itertools.product(*choices):
+                    spec = blackbox.SemidirectGroupSpec(m, autring.AutBlocks(blocks))
+                    name = f"{'x'.join(map(str, spec.action.moduli))}:{m}:{spec.action.rows}"
+                    groups.append((a_order * m, blackbox.semidirect_group(spec, name=name)))
+    return sorted(groups, key=lambda pair: pair[0])

@@ -210,6 +210,13 @@ def test_semidirect_closure_sizes():
         assert len(closure(G, G.generators)) == math.prod(qs) * m
 
 
+def test_closure_returns_none_past_its_limit():
+    G = semidirect((7,), 3, [[2]])
+    assert closure(G, G.generators, limit=21) == closure(G, G.generators)
+    assert closure(G, G.generators, limit=20) is None
+    assert closure(G, [G.parse_element("1;0")], limit=7) == closure(G, [G.parse_element("1;0")])
+
+
 def test_oracle_laws_random_sample():
     rng = random.Random(5)
     for name in ["G21a", "Z3^2xZ4_W", "Z12_table", "swap18"]:

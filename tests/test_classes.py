@@ -1,10 +1,8 @@
-import importlib.util
 import itertools
-import sys
-from pathlib import Path
 
 import pytest
 
+from corpus import bench_ladder
 from grpext import autring, blackbox, iso
 from grpext.classes import (
     ClassTriple,
@@ -120,21 +118,11 @@ def test_distinct_representatives_nonisomorphic_r3():
         assert not iso.isomorphic(groups[a], groups[b]).is_isomorphic
 
 
-LADDER_PATH = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
-
-
 def test_benchmark_ladder_lifts_the_same_representatives():
-    # bench/ladder.py builds its class representatives with its own arithmetic;
-    # it is loaded by path and read only
-    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER_PATH)
-    ladder = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = ladder  # its dataclasses resolve their module by name
-    try:
-        spec.loader.exec_module(ladder)
+    # bench/ladder.py builds its class representatives with its own arithmetic
+    with bench_ladder() as ladder:
         for r in range(1, 5):
             for i in range(1, 4):
                 reps = class_representatives(r, i)
                 for idx, rep in enumerate(reps):
                     assert ladder.class_rep(r, i, idx).rows == rep.rows, (r, i, idx)
-    finally:
-        del sys.modules[spec.name]

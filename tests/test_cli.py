@@ -7,7 +7,7 @@ import time
 import pytest
 
 from corpus import build, dihedral_table, relabel, symmetric_table, write_table
-from grpext import autring, blackbox, classes, iso
+from grpext import abelian, autring, blackbox, classes, iso
 from grpext.cli import main
 from grpext.errors import InvariantBreachError
 
@@ -491,6 +491,13 @@ def test_selftest(capsys):
     assert code == 0
     assert "failures 0" in out
     assert out.count(" pass") >= 7
+
+
+def test_selftest_reports_a_table_miss_as_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(abelian.DecompositionTable, "decompose", lambda self, g: None)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "selftest decompose fail\n" in out  # a miss is a failed check, not a crash
 
 
 def test_invalid_solver_assignment_is_an_invariant_breach(tmp_path, capsys, monkeypatch):

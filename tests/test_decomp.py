@@ -25,7 +25,7 @@ from grpext.decomp import (
     standard_decomposition,
     standard_decomposition_with_attempts,
 )
-from grpext.errors import DecompositionFailed, NotInClassError
+from grpext.errors import NotInClassError
 
 IDENT2 = [[1, 0], [0, 1]]
 
@@ -37,7 +37,7 @@ def a1009():
 
 def test_find_decomposition_abelian_m1():
     G = semidirect((8, 9), 1, IDENT2)
-    cand = find_decomposition(1, GroupContext(G))
+    cand = find_decomposition(1, GroupContext(G)).found
     assert cand.y == G.identity
     assert cand.a_basis.group_order == 72
     assert set(closure(G, cand.a_basis.elements)) == set(closure(G, G.generators))
@@ -45,7 +45,7 @@ def test_find_decomposition_abelian_m1():
 
 def test_find_decomposition_order21_m3():
     G = build("G21a")
-    cand = find_decomposition(3, GroupContext(G))
+    cand = find_decomposition(3, GroupContext(G)).found
     assert naive_order(G, cand.y) == 3
     assert cand.a_basis.group_order == 7
     part = closure(G, cand.a_basis.elements)
@@ -60,13 +60,10 @@ def test_find_decomposition_order21_m3():
 
 def test_find_decomposition_order21_failures():
     G = build("G21a")
-    with pytest.raises(DecompositionFailed):
-        find_decomposition(7, GroupContext(G))
-    with pytest.raises(DecompositionFailed):
-        find_decomposition(1, GroupContext(G))
-    with pytest.raises(DecompositionFailed) as failed:  # S3's generators have orders 2 and 3
-        find_decomposition(4, GroupContext(build("S3_table")))
-    assert failed.value.reason == "m does not divide the lcm of the generator orders"
+    assert find_decomposition(7, GroupContext(G)).found is None
+    assert find_decomposition(1, GroupContext(G)).found is None
+    failed = find_decomposition(4, GroupContext(build("S3_table")))  # S3's generators have orders 2 and 3
+    assert (failed.m, failed.found, failed.error) == (4, None, "m does not divide the lcm of the generator orders")
 
 
 def test_standard_decomposition_abelian():
@@ -161,7 +158,7 @@ def test_success_on_proper_subgroup_is_filtered_by_the_sweep():
     # subgroup generated by its output (order 2, not 4); the divisor sweep
     # must discard it in favor of m = 1.
     G = semidirect((2, 2), 1, IDENT2)
-    cand = find_decomposition(2, GroupContext(G))
+    cand = find_decomposition(2, GroupContext(G)).found
     assert cand.a_basis.group_order == 1
     assert naive_order(G, cand.y) == 2
     assert len(closure(G, list(cand.a_basis.elements) + [cand.y])) == 2  # proper subgroup
@@ -208,19 +205,15 @@ def test_not_in_class_error():
     context = GroupContext(S4)
     assert context.derived is None
     for m in divisors(math.lcm(*context.gen_orders)):
-        with pytest.raises(DecompositionFailed) as failed:
-            find_decomposition(m, context)
-        assert failed.value.reason == "derived subgroup is not abelian"
+        failed = find_decomposition(m, context)
+        assert (failed.found, failed.error) == (None, "derived subgroup is not abelian")
     with pytest.raises(NotInClassError):
         standard_decomposition(S4)
 
 
 def _finder_alone(G, m):
-    try:
-        cand = find_decomposition(m, GroupContext(G))
-    except DecompositionFailed as exc:
-        return (m, exc.reason, None), None
-    return (m, None, m * cand.a_basis.group_order), cand
+    attempt = find_decomposition(m, GroupContext(G))
+    return (m, attempt.error, attempt.found and attempt.found.group_order), attempt.found
 
 
 @pytest.mark.parametrize("name", corpus_names() + ["A1009"])
@@ -245,9 +238,8 @@ def test_finder_basis_equals_the_basis_from_scratch(name):
         context = GroupContext(G)
         succeeded = 0
         for m in divisors(math.lcm(*context.gen_orders)):
-            try:
-                found = find_decomposition(m, context)
-            except DecompositionFailed:
+            found = find_decomposition(m, context).found
+            if found is None:
                 continue
             succeeded += 1
             derived = context.derived
@@ -276,12 +268,10 @@ def test_attempts_decided_by_arithmetic_make_no_oracle_call(name):
         context = GroupContext(G)
         for m in range(-1, 2 * context.m_bar + 2):
             before = G.operation_count
-            try:
-                find_decomposition(m, context)
-            except DecompositionFailed as exc:
-                if exc.reason in ARITHMETIC_REASONS:
-                    assert G.operation_count == before, (m, exc.reason)
-                    seen.add(exc.reason)
+            reason = find_decomposition(m, context).error
+            if reason in ARITHMETIC_REASONS:
+                assert G.operation_count == before, (m, reason)
+                seen.add(reason)
     assert "m does not divide the lcm of the generator orders" in seen
     if corpus_entry(name).gamma > 1:
         assert "derived subgroup order shares a factor with m" in seen

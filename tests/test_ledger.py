@@ -1,0 +1,54 @@
+"""Decisions on the seed-0 benchmark pairs: no error object is made, and the
+oracle calls of each group are pinned.
+
+The decision sweep expects most of its attempts to fail, and a table lookup
+to miss; both are return values, so a decision in the class constructs no
+GrpextError. A change that moves a count re-pins it here and says by how
+much in CHANGES.md.
+"""
+
+import pytest
+
+from corpus import bench_ladder
+from grpext import blackbox, iso
+from grpext.errors import GrpextError
+
+# entry id -> oracle calls of (G, H) after iso.isomorphic on the seed-0 files
+LEDGER = {
+    "kscan-large-gamma": {  # 2 811 in all
+        "a211": (299, 323),
+        "a1009": (356, 401),
+        "a1009-no": (356, 378),
+        "a1019": (328, 370),
+    },
+    "decomp-wide-abelian": {  # 4 056 in all
+        "a25-31-31": (496, 436),
+        "a11-11-table": (162, 156),
+        "r4i1-rep0-rep0": (290, 290),
+        "r4i1-rep0-rep1": (290, 288),
+        "r4i1-rep3-table": (230, 215),
+        "r4i2-rep2": (524, 524),
+        "a3-3-no": (69, 86),
+    },
+}
+
+
+@pytest.mark.parametrize("workload", list(LEDGER))
+def test_seed0_decisions_construct_no_error_and_keep_their_oracle_calls(workload, tmp_path, monkeypatch):
+    constructed = []
+    init = GrpextError.__init__
+
+    def recording_init(self, *args):
+        constructed.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(GrpextError, "__init__", recording_init)
+    calls = {}
+    with bench_ladder() as ladder:
+        for item in ladder.prepare(workload, 0, tmp_path, write=True):
+            G, H = (blackbox.load_group(item.files[side].read_text(encoding="utf-8")) for side in "gh")
+            witness = iso.isomorphic(G, H).witness
+            assert (witness and witness.k) == item.entry.k, item.entry.id
+            calls[item.entry.id] = (G.operation_count, H.operation_count)
+    assert constructed == []
+    assert calls == LEDGER[workload]
