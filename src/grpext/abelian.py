@@ -19,12 +19,7 @@ from typing import Optional, Sequence
 
 from .arith import smith_normal_form, trial_factor
 from .blackbox import ElementCode, GroupHandle, _max_table_entries, group_pow
-from .errors import (
-    InvariantBreachError,
-    MalformedInputError,
-    MemoryBudgetError,
-    NotAbelianError,
-)
+from .errors import InvariantBreachError, MalformedInputError, MemoryBudgetError
 
 
 @dataclass(frozen=True)
@@ -226,26 +221,24 @@ def _insert_p_element(
 
 def abelian_basis(
     gens: Sequence[ElementCode], start: AbelianBasis, orders: Optional[Sequence[int]] = None
-) -> AbelianBasis:
-    """Basis of <gens, start> in start.G; start = AbelianBasis(G) gives that of <gens>.
+) -> Optional[AbelianBasis]:
+    """Basis of <gens, start> in start.G, or None when two of them do not commute;
+    start = AbelianBasis(G) gives that of <gens>.
 
-    The generators are first split into their prime-power parts; within each
-    prime the first part, of exact order, is the basis as it stands, and each
-    later one is decomposed over the partial basis, repaired by a normal form.
-    Without orders, gens are checked to commute with each other and with start
-    (NotAbelianError otherwise) and their orders are found by element_order; a
-    caller that has checked both passes the orders, in the order of gens. Each
-    prime starts from its part of start and that part's table, gens in start
-    are dropped, and the result keeps every table still over its part.
+    gens in start, repeats and the identity are dropped; the rest are checked to
+    commute with each other and with start. Their orders are found by
+    element_order, unless the caller passes them, in the order of gens. The
+    generators are then split into their prime-power parts; within each prime
+    the first part, of exact order, is the basis as it stands, and each later
+    one is decomposed over the partial basis, repaired by a normal form. Each
+    prime starts from its part of start and that part's table, and the result
+    keeps every table still over its part.
     """
     G = start.G
     unique = list(dict.fromkeys(g for g in gens if g != G.identity and g not in start.elements))
-    if orders is None:
-        if pair := check_commuting(G, start.elements + tuple(unique), known=len(start.elements)):
-            raise NotAbelianError("generators %d and %d do not commute" % pair)
-        orders = {g: element_order(G, g) for g in unique}
-    else:
-        orders = dict(zip(gens, orders))
+    if check_commuting(G, start.elements + tuple(unique), known=len(start.elements)):
+        return None
+    orders = dict(zip(gens, orders)) if orders is not None else {g: element_order(G, g) for g in unique}
     per_prime: dict[int, list[tuple[ElementCode, int]]] = {}
     for g in unique:
         n = orders[g]

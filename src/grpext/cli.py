@@ -178,6 +178,8 @@ def _selftest_checks():
     def decompose_table():
         G = blackbox.load_group("semidirect\nA 8 9 5\nm 1\n1 0 0\n0 1 0\n0 0 1\n")
         basis = abelian.abelian_basis(G.generators, abelian.AbelianBasis(G))
+        if basis is None:
+            return False
         table = abelian.DecompositionTable(G, basis.elements, basis.orders)
         for _ in range(40):
             target = [rng.randrange(q) for q in (8, 9, 5)]

@@ -3,8 +3,9 @@
 For a candidate cyclic order m the finder first decides by arithmetic, with
 no oracle call: m must divide m-bar, the lcm of the generator orders; G' must
 be abelian of order prime to m; and gcd(m, m-bar / m) = 1, which makes each
-g_j^m, of order n_j / gcd(n_j, m), prime to m. Then the g_j^m must commute
-with each other and with G'. After these checks A_m = <G', g_j^m> is abelian,
+g_j^m, of order n_j / gcd(n_j, m), prime to m. Then abelian_basis builds
+the basis of A_m from that of G' and the g_j^m, or returns None when they do
+not commute. After these checks A_m = <G', g_j^m> is abelian,
 normal (it contains G') and of order prime to m, so the part picked for each
 prime power q of m has image of order q in G/A_m, and m divides the order of
 their product g: z = g^{ord(g)/m} has order m. A_m's basis comes last.
@@ -14,16 +15,16 @@ where the basis of each A_m starts, so that a run inserts only the g_j^m; the
 generator orders, m-bar and its primes, over which m is factored; the part
 g_k^{n_k/q} picked for each prime power q; and the powers g_j^m, where g_j^m
 is (g_j^{m/l})^l for the least prime l of m. Parts of one generator give z
-with no order search, and commutation is tested only for pairs not already
-known to commute.
+with no order search, and abelian_basis tests commutation only for pairs not
+already known to commute.
 The derived subgroup G' is the normal closure of the commutators [g_i, g_j]
 of the generators, which can be larger than the subgroup they generate. Its
 basis starts from those commutators and takes in every conjugate by a
 generator that falls outside its span, round after round, until none does.
 Conjugates by generators suffice because G is finite, so each g^{-1} is a
 power of g. A round that takes in an element at least doubles the span, so at
-most log2|G'| rounds run. Every element taken in lies in G', so elements
-that do not commute show that G' is not abelian.
+most log2|G'| rounds run. Every element taken in lies in G', so when
+abelian_basis finds two that do not commute, G' is not abelian.
 A finder run returns a DecompositionAttempt: a StandardDecomposition with
 gamma = m, or the reason the first failed check gives. The sweep runs the
 finder for every divisor m of m-bar and keeps the decomposition with the
@@ -39,17 +40,18 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import AbelianBasis, DecompositionTable, abelian_basis, check_commuting, element_order
+from .abelian import AbelianBasis, DecompositionTable, abelian_basis, element_order
 from .arith import divisors, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
-from .errors import NotAbelianError, NotInClassError
+from .errors import NotInClassError
 
 
 class GroupContext:
     """The finder's data about G that is the same for every m.
 
     GroupContext(G) computes the generator orders, their lcm m_bar and its
-    primes, and the basis of G' (None when G' is not abelian); its p-tables, the
+    primes, and the basis of G' that _derived_basis returns, None when G' is
+    not abelian; its p-tables, the
     prime-power parts and the generator powers are computed on first use,
     then kept, so a sweep computes each of them once.
     """
@@ -59,10 +61,7 @@ class GroupContext:
         self.gen_orders = tuple(element_order(G, g) for g in G.generators)  # in generator order
         self.m_bar = math.lcm(*self.gen_orders)  # lcm() is 1: the trivial group
         self.primes = tuple(sorted({p for n in self.gen_orders for p, _ in trial_factor(n)}))  # of m_bar
-        try:
-            self.derived: Optional[AbelianBasis] = _derived_basis(G)
-        except NotAbelianError:
-            self.derived = None
+        self.derived = _derived_basis(G)
         self._parts: dict = {}
         self._powers: dict = {1: tuple(G.generators)}
 
@@ -89,12 +88,12 @@ class GroupContext:
         return self._powers[m]
 
 
-def _derived_basis(G: GroupHandle) -> AbelianBasis:
+def _derived_basis(G: GroupHandle) -> Optional[AbelianBasis]:
     """Basis of G' by the closure rounds of the module docstring, each conjugate of a
-    p-element looked up in the p-table; raises NotAbelianError when G' is not abelian."""
+    p-element looked up in the p-table; None when G' is not abelian."""
     basis = abelian_basis(commutator_generators(G), AbelianBasis(G))
-    conjugators = [(g, G.inv(g)) for g in G.generators] if basis.elements else []
-    while True:
+    conjugators = [(g, G.inv(g)) for g in G.generators] if basis and basis.elements else []
+    while basis is not None:
         escaped: list[ElementCode] = []
         for p, pairs in basis.parts.items():
             for x, _ in pairs:
@@ -107,6 +106,7 @@ def _derived_basis(G: GroupHandle) -> AbelianBasis:
         if not escaped:
             return basis
         basis = abelian_basis(escaped, basis)
+    return None
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,9 @@ def find_decomposition(m: int, context: GroupContext) -> DecompositionAttempt:
     reason of the first check that fails.
 
     The arithmetic checks (m | m_bar, G' abelian of order prime to m,
-    gcd(m, m_bar / m) = 1) come before any oracle call, then the commutation
-    of the g_j^m; after them m divides the order of the assembled element (see
+    gcd(m, m_bar / m) = 1) come before any oracle call, then abelian_basis
+    over G' and the g_j^m, which checks that they commute and, passed their
+    orders, finds none by search; after them m divides the order of the assembled element (see
     the module docstring). The decomposition is of the subgroup its output
     generates, which is G when G decomposes at m.
     """
@@ -160,8 +161,9 @@ def find_decomposition(m: int, context: GroupContext) -> DecompositionAttempt:
     if math.gcd(m, context.m_bar // m) != 1:  # some ord(g_j^m) = n_j / gcd(n_j, m) shares it
         return DecompositionAttempt(m, None, "generator power order shares a factor with m")
 
-    xs, hs = context.derived.elements, context.gen_powers(m)
-    if check_commuting(G, xs + hs, known=len(xs)):  # the basis of the abelian G' commutes
+    h_orders = [n // math.gcd(n, m) for n in context.gen_orders]  # ord(g_j^m)
+    a_basis = abelian_basis(context.gen_powers(m), context.derived, h_orders)
+    if a_basis is None:
         return DecompositionAttempt(m, None, "candidate abelian part does not commute")
 
     picks = [context.part(p**e) for p, e in trial_factor(m, context.primes)]
@@ -170,9 +172,7 @@ def find_decomposition(m: int, context: GroupContext) -> DecompositionAttempt:
         g = G.mul(g, part)
     # parts of one generator are commuting powers of coprime orders q, so g has order m
     z = g if len({k for k, _ in picks}) <= 1 else group_pow(G, g, element_order(G, g) // m)
-    h_orders = [n // math.gcd(n, m) for n in context.gen_orders]  # ord(g_j^m)
-    sd = StandardDecomposition(m, abelian_basis(hs, context.derived, h_orders), z)
-    return DecompositionAttempt(m, sd, None)
+    return DecompositionAttempt(m, StandardDecomposition(m, a_basis, z), None)
 
 
 def standard_decomposition_with_attempts(
@@ -206,8 +206,10 @@ def _covers(sd: StandardDecomposition, context: GroupContext) -> bool:
 
     A contains G' and each generator's gamma-th power, so <y>A is a subgroup,
     and it is G when it holds every generator. Take a generator g of order
-    n = s * r, s made of the primes of gamma. If g lies in <y>A, g^gamma lies
-    in A, of order prime to gamma, so s divides gamma. Then g^gamma, of order r,
+    n = s * r, s made of the primes of gamma. The finder's check
+    gcd(gamma, m_bar / gamma) = 1 gives each prime of gamma the same exponent
+    in gamma as in m_bar, a multiple of n, so s divides gamma and
+    r = n / gcd(n, gamma). Then g^gamma, of order r,
     generates the part of <g> of order r, and g lies in <y>A exactly when
     w = g^r does. When every part of y is a power of g, y generates the
     subgroup of <g> of order gamma, which holds w. Otherwise w is looked up in
@@ -219,11 +221,7 @@ def _covers(sd: StandardDecomposition, context: GroupContext) -> bool:
     table = functools.cache(lambda t: DecompositionTable(G, elements[:t], orders[:t]))
     y_from = {context.part(p**e)[0] for p, e in trial_factor(gamma, context.primes)}
     for k, (g, n) in enumerate(zip(G.generators, context.gen_orders)):
-        r = n
-        while (d := math.gcd(r, gamma)) > 1:
-            r //= d
-        if gamma % (n // r):
-            return False
+        r = n // math.gcd(n, gamma)
         if r == n or y_from == {k} or (w := group_pow(G, g, r)) == sd.y:
             continue
         if table(1).decompose(w) is None and table(len(elements)).decompose(w) is None:

@@ -9,14 +9,6 @@ class MalformedInputError(GrpextError):
     """Unknown element code, bad group/matrix file, or invalid matrix data."""
 
 
-class NotAbelianError(GrpextError):
-    """abelian_basis was given generators that do not commute."""
-
-
-class MembershipError(GrpextError):
-    """mu was given an element outside <y>A of its decomposition."""
-
-
 class NotInClassError(GrpextError):
     """No candidate cyclic order admits a decomposition, or no decomposition covers the group."""
 

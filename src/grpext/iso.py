@@ -29,7 +29,7 @@ from .abelian import DecompositionTable, group_pow
 from .arith import crt, discrete_log, trial_factor
 from .blackbox import ElementCode, GroupHandle, closure
 from .decomp import StandardDecomposition, standard_decomposition
-from .errors import InvariantBreachError, MalformedInputError, MembershipError
+from .errors import InvariantBreachError, MalformedInputError
 
 GAMMA_MISMATCH = "gamma-mismatch"          # condition (ii)
 ABELIAN_MISMATCH = "abelian-part-mismatch"  # condition (i)
@@ -146,8 +146,9 @@ def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode
     """Total map mu(y1^j * x) = y2^{k j} * psi(x) realized through the oracles.
 
     One DecompositionTable over (y1,) + the basis of A1 factors each g as
-    y1^j * x in at most ~sqrt(gamma |A1|) products; g outside <y1>A1 raises
-    MembershipError. A table of more codes than the GRPEXT_MEM_MB cap allows
+    y1^j * x in at most ~sqrt(gamma |A1|) products. The sweep's cover proof has
+    shown <y1>A1 = G, so a g of G that does not factor raises
+    InvariantBreachError. A table of more codes than the GRPEXT_MEM_MB cap allows
     raises MemoryBudgetError (exit code 2 in the CLI).
     """
     sd1, sd2 = witness.source, witness.target
@@ -157,7 +158,7 @@ def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode
 
     def mu(g: ElementCode) -> ElementCode:
         if (vec := table.decompose(g)) is None:
-            raise MembershipError("element does not factor over the decomposition")
+            raise InvariantBreachError("element does not factor over the decomposition")
         j, *x = vec
         exps = (witness.k * j % gamma,) + autring.apply_blocks(witness.psi_blocks, x)
         parts = [group_pow(H, h, e) for h, e in zip(factors, exps) if e]

@@ -21,7 +21,7 @@ from grpext import autring, blackbox
 from grpext.abelian import DecompositionTable
 from grpext.arith import divisors, trial_factor
 from grpext.blackbox import GroupHandle, TableGroupSpec, closure, group_pow
-from grpext.errors import MalformedInputError, MembershipError
+from grpext.errors import InvariantBreachError, MalformedInputError
 
 
 LADDER_PATH = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
@@ -86,6 +86,35 @@ def symmetric_table(n: int) -> GroupHandle:
     return blackbox.table_group(TableGroupSpec(len(perms), table), name=f"S{n}")
 
 
+def quaternion_table() -> GroupHandle:
+    """The quaternion group Q8 as the Cayley table of 1, -1, i, -i, j, -j, k, -k."""
+    units = [(s, a) for a in "1ijk" for s in (1, -1)]  # identity first
+
+    def mul(x, y):
+        (s, a), (t, b) = x, y
+        if "1" in (a, b):
+            return s * t, b if a == "1" else a
+        if a == b:
+            return -s * t, "1"
+        return s * t * (1 if a + b in ("ij", "jk", "ki") else -1), ({"i", "j", "k"} - {a, b}).pop()
+
+    index = {u: i for i, u in enumerate(units)}
+    table = tuple(tuple(index[mul(x, y)] for y in units) for x in units)
+    return blackbox.table_group(TableGroupSpec(8, table), name="Q8")
+
+
+def direct_product(G: GroupHandle, H: GroupHandle) -> GroupHandle:
+    """G x H as the Cayley table of the pairs (g, h), numbered |H| * g + h over
+    the materialized tables, so the identity stays at 0."""
+    a, b = materialize_table(G), materialize_table(H)
+    n = a.n * b.n
+    table = tuple(
+        tuple(a.table[i // b.n][j // b.n] * b.n + b.table[i % b.n][j % b.n] for j in range(n))
+        for i in range(n)
+    )
+    return blackbox.table_group(TableGroupSpec(n, table), name=f"{G.name}x{H.name}")
+
+
 def write_table(path, G: GroupHandle) -> None:
     """Write a small black-box group as a `table` group file."""
     spec = materialize_table(G)
@@ -145,7 +174,7 @@ def strip_mu(witness):
             for h, e in zip(sd2.a_basis.elements, mapped):
                 out = H.mul(out, group_pow(H, h, e))
             return H.mul(out, group_pow(H, sd2.y, witness.k * j % sd1.gamma))
-        raise MembershipError("element does not factor over the decomposition")
+        raise InvariantBreachError("element does not factor over the decomposition")
 
     return mu
 
@@ -286,17 +315,24 @@ def second_presentations() -> dict[str, tuple[GroupHandle, GroupHandle]]:
     }
 
 
+def drawn_generators(G: GroupHandle, rng) -> GroupHandle:
+    """A view of G on random elements, drawn one at a time until their closure
+    is the whole group."""
+    elements = closure(G, G.generators)
+    gens: list = []
+    while len(closure(G, gens)) < len(elements):
+        gens.append(rng.choice(elements))
+    return with_generators(G, gens)
+
+
 def random_generators(name: str, rng) -> GroupHandle:
     """The corpus group on random elements, drawn one at a time until they
     generate it: as `gens` that SemidirectGroupSpec accepts, or for a Cayley
-    table, until their closure is the whole group."""
+    table, by drawn_generators."""
     spec, G = corpus_entry(name).semidirect, build(name)
-    gens: list = []
     if spec is None:
-        elements = closure(G, G.generators)
-        while len(closure(G, gens)) < len(elements):
-            gens.append(rng.choice(elements))
-        return with_generators(G, gens)
+        return drawn_generators(G, rng)
+    gens: list = []
     while True:
         gens.append((tuple(rng.randrange(q) for q in spec.qs), rng.randrange(spec.m)))
         try:
@@ -401,6 +437,27 @@ def naive_gamma(G: GroupHandle) -> Optional[int]:
         if naive_decomposition_exists(G, elements, derived, m):
             return m
     return None
+
+
+def naive_in_class(G: GroupHandle) -> bool:
+    """Whether G has a normal abelian A with G/A cyclic and gcd(|A|, |G/A|) = 1,
+    checked from first principles (for groups of at most a few hundred elements).
+
+    Such an A is a normal Hall subgroup, so it holds every element whose order
+    divides |A|, and nothing else. G/A, of order m, is then cyclic exactly when
+    G has an element of order m, whose powers meet A trivially.
+    """
+    elements = closure(G, G.generators)
+    n = len(elements)
+    orders = {g: naive_order(G, g) for g in elements}
+    for m in divisors(n):
+        a = n // m
+        part = [g for g in elements if a % orders[g] == 0]
+        if math.gcd(a, m) != 1 or len(part) != a or m not in orders.values():
+            continue
+        if all(G.mul(x, y) == G.mul(y, x) and a % orders[G.mul(x, y)] == 0 for x in part for y in part):
+            return True
+    return False
 
 
 def _order_profile(G: GroupHandle, elements) -> dict[int, int]:

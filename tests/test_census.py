@@ -1,16 +1,39 @@
-"""Every coprime cyclic extension A x| Z_m of order at most 47 against the naive oracles.
+"""The census of coprime cyclic extensions A x| Z_m against the naive oracles.
 
-The census splits into classes by `isomorphic` against one representative
-each. Every "yes" is proved by exhaustive verification of its mu, and every
-two representatives of one order are refuted by `naive_isomorphic`, so the
-partition by `isomorphic` is the partition into isomorphism classes. gamma is
-checked against `naive_gamma` on each representative; a "yes" has already
-matched the gamma of its group against that of the representative.
+To order 47 the whole census splits into classes by `isomorphic` against one
+representative each. Every "yes" is proved by exhaustive verification of its
+mu, and every two representatives of one order are refuted by
+`naive_isomorphic`, so the partition by `isomorphic` is the partition into
+isomorphism classes. gamma is checked against `naive_gamma` on each
+representative; a "yes" has already matched the gamma of its group against
+that of the representative.
+
+Orders 48 to 64 hold 1 736 groups, 1 285 of order 48, too many to split
+whole. A Hypothesis sample draws a shape (order, A's moduli and m) and two
+groups of that shape or of that order, each also as a relabelled table and on
+drawn generators, and checks the same three things on them, and that
+`naive_in_class` holds.
 """
 
+import functools
 import itertools
+import random
 
-from corpus import census, naive_gamma, naive_isomorphic
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import (
+    census,
+    drawn_generators,
+    naive_gamma,
+    naive_in_class,
+    naive_isomorphic,
+    naive_order,
+    relabel,
+    semidirect,
+    with_generators,
+)
+from grpext.blackbox import closure
 from grpext.decomp import standard_decomposition
 from grpext.iso import build_mu, isomorphic, verify_isomorphism
 
@@ -31,3 +54,67 @@ def test_census_to_order_47_matches_the_naive_oracles():
     for R, S in pairs:
         assert not naive_isomorphic(R, S), (R.name, S.name)
     assert (len(groups), sum(map(len, reps.values())), len(pairs)) == (323, 113, 156)
+
+
+@functools.cache
+def _census_48_to_64() -> tuple[dict, dict]:
+    """(shape -> its groups, order -> its groups) for the census of orders 48 to 64,
+    where a census name begins with A's moduli and m."""
+    shapes: dict[tuple, list] = {}
+    orders: dict[int, list] = {}
+    for n, G in census(64):
+        if n >= 48:
+            shapes.setdefault((n, *G.name.split(":")[:2]), []).append(G)
+            orders.setdefault(n, []).append(G)
+    return shapes, orders
+
+
+def _few_generators(G):
+    """G on elements of largest order first, each kept only when it lies
+    outside the closure of those kept, so naive_isomorphic has few images to try."""
+    elements = sorted(closure(G, G.generators), key=lambda g: -naive_order(G, g))
+    gens: list = []
+    for g in elements:
+        if g not in closure(G, gens):
+            gens.append(g)
+    return with_generators(G, gens)
+
+
+def _verified_yes(G, H) -> bool:
+    result = isomorphic(G, H)
+    if result.is_isomorphic:
+        assert verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive"), (G.name, H.name)
+    return result.is_isomorphic
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_census_sample_48_to_64_matches_the_naive_oracles(data):
+    shapes, orders = _census_48_to_64()
+    shape = data.draw(st.sampled_from(sorted(shapes)))
+    G = data.draw(st.sampled_from(shapes[shape]))
+    others = [K for K in shapes[shape] if K is not G]
+    H = data.draw(st.sampled_from(others if others and data.draw(st.booleans()) else orders[shape[0]]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    views = [relabel(G, rng), drawn_generators(G, rng)]
+    gamma = naive_gamma(G)
+    assert naive_in_class(G), G.name
+    for X in [G] + views:
+        assert standard_decomposition(X).gamma == gamma, X.name
+    for X in views:
+        assert _verified_yes(G, X), X.name
+    same = _verified_yes(views[0], relabel(H, rng))
+    assert _verified_yes(views[1], drawn_generators(H, rng)) == same, (G.name, H.name)
+    assert same or not naive_isomorphic(_few_generators(G), H), (G.name, H.name)
+
+
+def test_the_k_scan_compares_every_psi_block():
+    # no census group to order 64 has a psi-block after the first of size 2 or
+    # more with a gamma of two or more units. Here A = Z_3 x Z_5^2 and gamma = 4:
+    # the blocks [2] agree at k = 1 and 3, the Z_5^2 blocks 2I and 3I share their
+    # determinant, and only k = 3 maps one onto the other
+    G = semidirect((3, 5, 5), 4, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    H = semidirect((3, 5, 5), 4, [[2, 0, 0], [0, 3, 0], [0, 0, 3]])
+    result = isomorphic(G, H)
+    assert result.is_isomorphic and result.witness.k == 3
+    assert verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive")

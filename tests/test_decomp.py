@@ -11,6 +11,7 @@ from corpus import (
     naive_gamma,
     naive_order,
     naive_power,
+    quaternion_table,
     second_presentations,
     semidirect,
     symmetric_table,
@@ -18,7 +19,7 @@ from corpus import (
 from grpext import abelian, decomp
 from grpext.abelian import AbelianBasis, abelian_basis
 from grpext.arith import divisors
-from grpext.blackbox import closure, commutator_generators, table_group, TableGroupSpec
+from grpext.blackbox import closure, commutator_generators
 from grpext.decomp import (
     GroupContext,
     find_decomposition,
@@ -168,36 +169,8 @@ def test_success_on_proper_subgroup_is_filtered_by_the_sweep():
     assert products == {1: 4, 2: 2}
 
 
-def _quaternion_table():
-    # Q8 as signed units: 1, -1, i, -i, j, -j, k, -k
-    mul = {}
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def combine(a, b):
-        sign = -1 if (a.startswith("-") ^ b.startswith("-")) else 1
-        xa, xb = a.lstrip("-"), b.lstrip("-")
-        rules = {
-            ("1", "1"): (1, "1"),
-            ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-            ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-        }
-        if xa == "1":
-            s, out = 1, xb
-        elif xb == "1":
-            s, out = 1, xa
-        else:
-            s, out = rules[(xa, xb)]
-        sign *= s
-        return out if sign == 1 else "-" + out
-
-    index = {n: i for i, n in enumerate(names)}
-    table = [[index[combine(a, b)] for b in names] for a in names]
-    return TableGroupSpec(8, tuple(tuple(r) for r in table))
-
-
 def test_not_in_class_error():
-    Q8 = table_group(_quaternion_table(), name="Q8")
+    Q8 = quaternion_table()
     with pytest.raises(NotInClassError):
         standard_decomposition(Q8)
     # S4' = A4 is not abelian, so the finder refuses every m before it picks an element

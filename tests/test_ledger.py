@@ -1,16 +1,17 @@
-"""Decisions on the seed-0 benchmark pairs: no error object is made, and the
-oracle calls of each group are pinned.
+"""The seed-0 benchmark entries: no error object is made by a decision, and
+the oracle calls of every workload are pinned.
 
 The decision sweep expects most of its attempts to fail, and a table lookup
 to miss; both are return values, so a decision in the class constructs no
-GrpextError. A change that moves a count re-pins it here and says by how
-much in CHANGES.md.
+GrpextError. The `cli-verified` entries are pinned by the oracle-calls lines
+of the CLI report, as a user runs them. A change that moves a count re-pins it
+here and says by how much in CHANGES.md.
 """
 
 import pytest
 
 from corpus import bench_ladder
-from grpext import blackbox, iso
+from grpext import blackbox, cli, iso
 from grpext.errors import GrpextError
 
 # entry id -> oracle calls of (G, H) after iso.isomorphic on the seed-0 files
@@ -30,6 +31,13 @@ LEDGER = {
         "r4i2-rep2": (524, 524),
         "a3-3-no": (69, 86),
     },
+}
+
+# cli-verified entry id -> the oracle-calls lines of its report on the seed-0 files
+CLI_LEDGER = {  # 606 454 in all; the sampled mu check of g21 makes most of them
+    "g21": ["oracle-calls-g 521668", "oracle-calls-h 84173"],
+    "a3-3-no": ["oracle-calls-g 69", "oracle-calls-h 86"],
+    "a25-31-31-decomp": ["oracle-calls 458"],
 }
 
 
@@ -52,3 +60,14 @@ def test_seed0_decisions_construct_no_error_and_keep_their_oracle_calls(workload
             calls[item.entry.id] = (G.operation_count, H.operation_count)
     assert constructed == []
     assert calls == LEDGER[workload]
+
+
+def test_seed0_cli_reports_keep_their_oracle_calls(tmp_path, capsys):
+    lines = {}
+    with bench_ladder() as ladder:
+        for item in ladder.prepare("cli-verified", 0, tmp_path, write=True):
+            if item.entry.id in CLI_LEDGER:
+                assert cli.main(ladder.cli_argv(item)) == 0, item.entry.id
+                out = capsys.readouterr().out.splitlines()
+                lines[item.entry.id] = [line for line in out if line.startswith("oracle-calls")]
+    assert lines == CLI_LEDGER
