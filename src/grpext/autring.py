@@ -22,7 +22,10 @@ It owns the arithmetic of action matrices over per-row moduli (mat_mul,
 mat_vec, mat_pow): the action of a cyclic group on a general abelian group
 A = Z_{q_1} x ... x Z_{q_s} is one s x s matrix with row i reduced mod q_i,
 and blocks_from_rows is the only place that splits such a matrix into one
-AutMatrix per prime.
+AutMatrix per prime. Its layout is block-diagonal, one square block per run
+of coordinates (a prime of A, or an exponent run in psi), and two helpers are
+the one owner of that layout: block_diagonal assembles such a matrix from its
+blocks and diagonal_block reads one block back.
 """
 
 from __future__ import annotations
@@ -50,6 +53,22 @@ CONJUGACY_TRIES = 200  # averages of random endomorphisms that conjugacy makes b
 
 def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(x) for x in r) for r in rows)
+
+
+def block_diagonal(blocks: Sequence[Sequence[Sequence[int]]]) -> IntMatrix:
+    """The square blocks placed down the diagonal in order, zero elsewhere."""
+    s = sum(map(len, blocks))
+    rows, pos = [], 0
+    for block in blocks:
+        k = len(block)
+        rows += [(0,) * pos + tuple(row) + (0,) * (s - pos - k) for row in block]
+        pos += k
+    return tuple(rows)
+
+
+def diagonal_block(rows: Sequence[Sequence[int]], start: int, stop: int) -> IntMatrix:
+    """The square block of rows on the diagonal from index start to stop."""
+    return tuple(tuple(row[start:stop]) for row in rows[start:stop])
 
 
 def _runs(keys: Sequence) -> list[tuple]:
@@ -222,12 +241,8 @@ def psi(u: AutMatrix) -> BlockDiagGF:
     if not is_in_R(u):
         raise MalformedInputError("psi is defined on units only")
     p = u.ptype.p
-    blocks = []
-    for _, start, stop in u.ptype.block_structure():
-        blocks.append(
-            _freeze([[u.rows[i][j] % p for j in range(start, stop)] for i in range(start, stop)])
-        )
-    return BlockDiagGF(p, tuple(blocks))
+    blocks = (diagonal_block(u.rows, start, stop) for _, start, stop in u.ptype.block_structure())
+    return BlockDiagGF(p, tuple(tuple(tuple(x % p for x in row) for row in b) for b in blocks))
 
 
 # --- F_p matrix and polynomial helpers ------------------------------------
@@ -420,16 +435,7 @@ def rcf(mat: Sequence[Sequence[int]], p: int) -> RCFResult:
     t_mat = _gf_inv(t_inv, p)
     if t_mat is None:
         raise InvariantBreachError("cyclic vectors did not form a basis")
-    form = [[0] * n for _ in range(n)]
-    pos = 0
-    for f in factors:
-        k = len(f) - 1
-        block = _companion(f, p)
-        for i in range(k):
-            for j in range(k):
-                form[pos + i][pos + j] = block[i][j]
-        pos += k
-    form_f = _freeze(form)
+    form_f = block_diagonal([_companion(f, p) for f in factors])
     if _gf_mul(t_mat, mat, p) != _gf_mul(form_f, t_mat, p):
         raise InvariantBreachError("canonical form transform failed verification")
     return RCFResult(p, form_f, t_mat, tuple(factors))
@@ -541,9 +547,7 @@ def conjugacy(
             if bit == "1":
                 total = add(total, mul(mul(left, r), right))
                 left, right = mul(left, u2_inv), mul(right, u1.rows)
-        singular = [
-            (a, b) for a, b in singular if charpoly([row[a:b] for row in total[a:b]], p)[0] == 0
-        ]
+        singular = [(a, b) for a, b in singular if charpoly(diagonal_block(total, a, b), p)[0] == 0]
         if not singular:
             break
     else:
@@ -604,24 +608,18 @@ class AutBlocks:
 
     @cached_property
     def rows(self) -> IntMatrix:
-        """The action as one s x s matrix, zero between distinct primes."""
-        s = len(self.moduli)
-        full = [[0] * s for _ in range(s)]
-        pos = 0
-        for block in self.blocks:
-            k = block.ptype.s
-            for i in range(k):
-                full[pos + i][pos : pos + k] = block.rows[i]
-            pos += k
-        return tuple(map(tuple, full))
+        """The action as one s x s matrix: block_diagonal of the prime blocks."""
+        return block_diagonal([b.rows for b in self.blocks])
 
 
 def blocks_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> AutBlocks:
     """Validate a full s x s action matrix and split it into per-prime blocks.
 
-    The q_i must be prime powers ascending by (prime, exponent). Entries
-    coupling distinct primes must be zero; each prime block must be an
-    invertible endomorphism matrix of its component, entries in range.
+    The q_i must be prime powers ascending by (prime, exponent). Each prime's
+    block is read with diagonal_block, and rows must equal block_diagonal of
+    those blocks: the first entry in row-major order that couples distinct
+    primes and is not zero is named. Each prime block must be an invertible
+    endomorphism matrix of its component, entries in range.
     """
     s = len(qs)
     if len(rows) != s or any(len(r) != s for r in rows):
@@ -635,17 +633,13 @@ def blocks_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> AutBlo
     if parsed != sorted(parsed):
         raise MalformedInputError("prime powers must be ascending (prime, then exponent)")
     spans = _runs([p for p, _ in parsed])
-    block_of = [b for b, (_, lo, hi) in enumerate(spans) for _ in range(lo, hi)]
-    for i in range(s):
-        for j in range(s):
-            if block_of[i] != block_of[j] and rows[i][j] != 0:
-                raise MalformedInputError(
-                    f"entry ({i + 1},{j + 1}) couples distinct primes; must be 0"
-                )
+    squares = [diagonal_block(rows, start, stop) for _, start, stop in spans]
+    if (full := block_diagonal(squares)) != tuple(map(tuple, rows)):
+        i, j = next((i, j) for i in range(s) for j in range(s) if rows[i][j] != full[i][j])
+        raise MalformedInputError(f"entry ({i + 1},{j + 1}) couples distinct primes; must be 0")
     blocks = []
-    for p, start, stop in spans:
-        ptype = PType(p, tuple(e for _, e in parsed[start:stop]))
-        block = validate_M(ptype, [row[start:stop] for row in rows[start:stop]])
+    for (p, start, stop), square in zip(spans, squares):
+        block = validate_M(PType(p, tuple(e for _, e in parsed[start:stop])), square)
         if not is_in_R(block):
             raise MalformedInputError(f"action block for p={p} is not invertible")
         blocks.append(block)

@@ -42,22 +42,10 @@ def count_classes(r: int) -> int:
     return len(class_triples(r))
 
 
-def _block_diagonal(triple: ClassTriple, r: int, q: int) -> list[list[int]]:
-    rows = [[0] * r for _ in range(r)]
-    pos = 0
+def _block_diagonal(triple: ClassTriple, q: int) -> autring.IntMatrix:
     # lifts to Z_q of the companion blocks of X+1, X-1 and X^2+1 over F_3
-    for block, count in (
-        (((q - 1,),), triple.k1),
-        (((1,),), triple.k2),
-        (((0, q - 1), (1, 0)), triple.k3),
-    ):
-        size = len(block)
-        for _ in range(count):
-            for i in range(size):
-                for j in range(size):
-                    rows[pos + i][pos + j] = block[i][j]
-            pos += size
-    return rows
+    blocks = [((q - 1,),)] * triple.k1 + [((1,),)] * triple.k2 + [((0, q - 1), (1, 0))] * triple.k3
+    return autring.block_diagonal(blocks)
 
 
 def class_representatives(r: int, i: int) -> list[autring.AutBlocks]:
@@ -65,7 +53,9 @@ def class_representatives(r: int, i: int) -> list[autring.AutBlocks]:
 
     The blocks X+1, X-1 and X^2+1 lift as -1, 1 and [[0, -1], [1, 0]] mod
     q = 3^i: the first squares to 1 and the last to -1, so each lift has order
-    dividing 4 and reduces mod 3 to its companion block.
+    dividing 4 and reduces mod 3 to its companion block. The lifts of a triple,
+    k1 of X+1, then k2 of X-1, then k3 of X^2+1, are placed down the diagonal
+    by autring.block_diagonal.
     """
     if i < 1:
         raise MalformedInputError("i must be >= 1")
@@ -74,7 +64,7 @@ def class_representatives(r: int, i: int) -> list[autring.AutBlocks]:
         raise MalformedInputError(f"3^{i} has more than {digits} digits, more than a file can hold")
     ptype = autring.PType(3, (i,) * r)
     return [
-        autring.AutBlocks((autring.validate_M(ptype, _block_diagonal(triple, r, 3**i)),))
+        autring.AutBlocks((autring.validate_M(ptype, _block_diagonal(triple, 3**i)),))
         for triple in class_triples(r)
     ]
 

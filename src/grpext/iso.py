@@ -61,25 +61,25 @@ class IsoResult:
 def conjugation_action(sd: StandardDecomposition) -> autring.AutBlocks:
     """Blockwise matrix of conjugation by y on the basis of A, proved a unit with M^gamma = 1.
 
-    y maps each A_p to itself, so column i is y g_i y^{-1} decomposed over the
-    p-table of g_i, zero outside it. This is the one place the action facts are
-    checked: blocks_from_rows proves each block a unit, and M^gamma = 1 is checked here.
+    y maps each A_p to itself, so the p-block's column i is y g_i y^{-1}
+    decomposed over the p-table, and autring.block_diagonal places the blocks.
+    This is the one place the action facts are checked: blocks_from_rows proves
+    each block a unit, and M^gamma = 1 is checked here.
     """
     G, basis = sd.G, sd.a_basis
-    s = len(basis.elements)
     y = sd.y
     y_inv = G.inv(y)
-    columns = []
+    blocks = []
     for p, pairs in basis.parts.items():
-        before, after = (0,) * len(columns), (0,) * (s - len(columns) - len(pairs))
+        columns = []
         for g, _ in pairs:
             column = basis.table(p).decompose(G.mul(G.mul(y, g), y_inv))
             if column is None:
                 raise InvariantBreachError("conjugate of a basis element left the abelian part")
-            columns.append(before + column + after)
-    rows = [[columns[j][i] for j in range(s)] for i in range(s)]
+            columns.append(column)
+        blocks.append(tuple(zip(*columns)))
     try:
-        action = autring.blocks_from_rows(basis.orders, rows)
+        action = autring.blocks_from_rows(basis.orders, autring.block_diagonal(blocks))
     except MalformedInputError as exc:
         raise InvariantBreachError(f"conjugation action is not an automorphism: {exc}") from None
     if autring.blocks_pow(action, sd.gamma) != autring.blocks_pow(action, 0):

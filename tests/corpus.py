@@ -468,11 +468,17 @@ def _order_profile(G: GroupHandle, elements) -> dict[int, int]:
     return profile
 
 
-def naive_isomorphic(G: GroupHandle, H: GroupHandle, max_candidates: int = 500_000) -> bool:
-    """Brute-force oracle: search all order-respecting generator images.
+def naive_isomorphic(G: GroupHandle, H: GroupHandle) -> bool:
+    """Brute-force oracle: a backtracking search for an isomorphism G -> H.
 
-    A candidate map on the generators is extended over a spanning tree of G
-    and accepted only if it is a bijective homomorphism.
+    The generators of G get their images one at a time, largest order first,
+    each from the elements of H of the same order. After each choice the
+    partial map f is closed by f(a g) = f(a) f(g) over the generators chosen
+    so far, so it is defined on the subgroup they generate; the branch is
+    pruned as soon as a product lands on an already-mapped element with a
+    different image, or on an image that is taken. A generator that is
+    already mapped adds nothing and is passed over. A map that reaches the
+    last generator is an injective homomorphism of G into H, and |G| = |H|.
     """
     els_g = closure(G, G.generators)
     els_h = closure(H, H.generators)
@@ -483,48 +489,41 @@ def naive_isomorphic(G: GroupHandle, H: GroupHandle, max_candidates: int = 500_0
     orders_h: dict[int, list] = {}
     for h in els_h:
         orders_h.setdefault(naive_order(H, h), []).append(h)
+    gens = sorted(G.generators, key=lambda g: -naive_order(G, g))
+    pools = [orders_h[naive_order(G, g)] for g in gens]
 
-    gens = G.generators
-    pools = [orders_h.get(naive_order(G, g), []) for g in gens]
-    total = math.prod(len(p) for p in pools) if pools else 1
-    if total > max_candidates:
-        raise RuntimeError(f"candidate space too large for the oracle: {total}")
+    def close(fmap: dict, pairs: list) -> Optional[dict]:
+        """A copy of fmap, closed over the (g, f(g)) pairs, the last one new;
+        None on a clash. The mapped elements owe only their products with it."""
+        fmap, used = dict(fmap), set(fmap.values())
+        queue = [(a, pairs[-1:]) for a in fmap]
+        while queue:
+            a, owed = queue.pop()
+            for g, h in owed:
+                b, image = G.mul(a, g), H.mul(fmap[a], h)
+                if b in fmap:
+                    if fmap[b] != image:
+                        return None
+                elif image in used:
+                    return None
+                else:
+                    fmap[b] = image
+                    used.add(image)
+                    queue.append((b, pairs))
+        return fmap
 
-    # spanning tree: each non-identity element reached as parent * generator
-    tree: dict = {G.identity: None}
-    frontier = [G.identity]
-    order_seq = [G.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for idx, g in enumerate(gens):
-                b = G.mul(a, g)
-                if b not in tree:
-                    tree[b] = (a, idx)
-                    order_seq.append(b)
-                    nxt.append(b)
-        frontier = nxt
-
-    n = len(els_g)
-    for images in itertools.product(*pools):
-        fmap = {G.identity: H.identity}
-        for b in order_seq[1:]:
-            parent, idx = tree[b]
-            fmap[b] = H.mul(fmap[parent], images[idx])
-        if len(set(fmap.values())) != n:
-            continue
-        good = True
-        for a in els_g:
-            fa = fmap[a]
-            for idx, g in enumerate(gens):
-                if fmap[G.mul(a, g)] != H.mul(fa, images[idx]):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+    def extend(fmap: dict, pairs: list, i: int) -> bool:
+        while i < len(gens) and gens[i] in fmap:
+            i += 1
+        if i == len(gens):
             return True
-    return False
+        for h in pools[i]:
+            closed = close(fmap, pairs + [(gens[i], h)])
+            if closed is not None and extend(closed, pairs + [(gens[i], h)], i + 1):
+                return True
+        return False
+
+    return extend({G.identity: H.identity}, [], 0)
 
 
 # --- census -----------------------------------------------------------------

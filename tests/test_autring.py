@@ -564,6 +564,53 @@ def test_blocks_apply_and_pow():
     assert cubed.blocks[1] == make_matrix(PType(5, (1,)), [[3]])
 
 
+_square_blocks = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=k, max_size=k)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_square_blocks, max_size=4))
+def test_diagonal_block_reads_back_each_block_of_block_diagonal(blocks):
+    full = autring.block_diagonal(blocks)
+    s = sum(map(len, blocks))
+    assert len(full) == s and all(len(row) == s for row in full)
+    start = 0
+    for block in blocks:
+        assert autring.diagonal_block(full, start, start + len(block)) == tuple(map(tuple, block))
+        start += len(block)
+    # the blocks read back whole, so a nonzero entry more would lie off every block
+    assert sum(map(bool, itertools.chain(*full))) == sum(bool(x) for b in blocks for row in b for x in row)
+
+
+@st.composite
+def _aut_blocks(draw):
+    """A valid AutBlocks of one to three primes, each block a random unit."""
+    blocks = []
+    for p in sorted(draw(st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=3))):
+        exps = tuple(sorted(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))))
+        blocks.append(random_unit(PType(p, exps), random.Random(draw(st.integers(0, 2**32)))))
+    return AutBlocks(tuple(blocks))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_aut_blocks(), st.data())
+def test_blocks_from_rows_splits_rows_back_and_names_the_first_coupling_entry(a, data):
+    assert autring.blocks_from_rows(a.moduli, a.rows) == a
+    s = len(a.moduli)
+    prime = [b.ptype.p for b in a.blocks for _ in range(b.ptype.s)]
+    off_block = [(i, j) for i in range(s) for j in range(s) if prime[i] != prime[j]]
+    if not off_block:
+        return
+    coupled = data.draw(st.sets(st.sampled_from(off_block), min_size=1))
+    rows = [list(row) for row in a.rows]
+    for i, j in coupled:
+        rows[i][j] = data.draw(st.integers(1, 9))
+    i, j = min(coupled)
+    with pytest.raises(MalformedInputError, match=rf"^entry \({i + 1},{j + 1}\) couples distinct primes; must be 0$"):
+        autring.blocks_from_rows(a.moduli, rows)
+
+
 def test_matrix_file_round_trip():
     u = make_matrix(MIXED_TYPE, [[2, 1, 0, 0], [0, 1, 5, 4], [3, 4, 3, 2], [0, 27, 54, 10]])
     again = parse_matrix_file(format_matrix(u))

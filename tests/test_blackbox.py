@@ -556,6 +556,8 @@ def test_large_a_entry_parse_is_bounded(q, accepted):
         ("semidirect\nA 3 3\nm 2\n0 3\n1 0\n", "outside"),  # entry 3 >= 3
         ("semidirect\nA 9 3\nm 2\n8 0\n0 2\n", "ascending"),  # 9 before 3
         ("semidirect\nA 2 3\nm 5\n1 1\n0 1\n", "couples"),  # entry between primes 2 and 3
+        # two coupling entries: the first in row-major order is named
+        ("semidirect\nA 2 3 5\nm 7\n1 1 0\n0 1 0\n1 0 1\n", r"entry \(1,2\) couples distinct primes"),
         ("table 2\n0 1\n1 2\n", "row"),  # entry out of range
         ("table 2\n0 1\n0 1\n", "identity"),  # x*y = y: associative, permutation rows, column 0 is (0, 0)
         ("table 3\n0 2 1\n1 0 2\n2 1 0\n", "identity"),  # column 0 is the identity, row 0 is not

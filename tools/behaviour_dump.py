@@ -1,0 +1,134 @@
+"""Dump what the grpext CLI prints on a fixed set of inputs, to compare two checkouts.
+
+Run from the root of a checkout:
+    PYTHONPATH=src:tests python3 tools/behaviour_dump.py OUT
+
+For every run OUT holds the command line, the exit code, the report less its
+wall-time-ms line, the stderr text and, for a run with --out-dir, the name and
+contents of every file written there. Two checkouts that behave alike write
+byte-identical OUT files; `cmp` or `diff` of the two shows what moved.
+
+The inputs, written into a temporary directory that is the working
+directory of every run:
+- the 35 corpus groups of tests/corpus.py plus Q8, S4 and D6 as Cayley
+  tables: `standard-decomposition` of each, and `isomorphic --verify
+  exhaustive` of every ordered pair;
+- `isomorphic` with the default sampled check on four isomorphic corpus pairs;
+- every entry of the three benchmark workloads at seeds 0 and 7, run as
+  bench/ladder.py's cli_argv gives it; bench/ladder.py is loaded by path and
+  only read (corpus.bench_ladder);
+- `conjugacy` on each ladder matrix pair in the other order too;
+- `count-classes --r R --emit-reps I` for R <= 6 and I <= 2 (I = 0 is refused).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import corpus
+from grpext import cli
+
+EXTRA_TABLES = {
+    "Q8": corpus.quaternion_table,
+    "S4": lambda: corpus.symmetric_table(4),
+    "D6": lambda: corpus.dihedral_table(6),
+}
+SAMPLED_PAIRS = [("G21a", "G21b"), ("D7", "D7_table"), ("A4", "A4_table"), ("Z5xZ4_a", "Z5xZ4_b")]
+LADDER_SEEDS = (0, 7)
+
+
+def _write_group(name: str) -> None:
+    """NAME.grp: a semidirect corpus group as its semidirect file, any other as a Cayley table."""
+    path = Path(f"{name}.grp")
+    if name in EXTRA_TABLES:
+        corpus.write_table(path, EXTRA_TABLES[name]())
+    elif (spec := corpus.corpus_entry(name).semidirect) is None:
+        corpus.write_table(path, corpus.build(name))
+    else:
+        lines = ["semidirect", "A " + " ".join(map(str, spec.qs)), f"m {spec.m}"]
+        lines += [" ".join(map(str, row)) for row in spec.rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def corpus_runs(names=None, pairs=None, sampled=()) -> list[list[str]]:
+    """Write the groups named (default: the corpus and EXTRA_TABLES) into the
+    working directory. The runs are standard-decomposition of each, exhaustive
+    isomorphic of each pair (default: every ordered pair) and sampled
+    isomorphic of each pair in sampled."""
+    names = corpus.corpus_names() + list(EXTRA_TABLES) if names is None else list(names)
+    for name in names:
+        _write_group(name)
+    pairs = [(g, h) for g in names for h in names] if pairs is None else pairs
+    runs = [["standard-decomposition", f"{name}.grp"] for name in names]
+    runs += [["isomorphic", f"{g}.grp", f"{h}.grp", "--verify", "exhaustive"] for g, h in pairs]
+    return runs + [["isomorphic", f"{g}.grp", f"{h}.grp"] for g, h in sampled]
+
+
+def ladder_runs(workloads=None, seeds=LADDER_SEEDS, ids=None) -> list[list[str]]:
+    """Write the ladder's files of each workload (default: all) and seed into
+    the working directory. The runs are its entries (default: all, else those
+    in ids), and each conjugacy entry again with its matrices swapped."""
+    runs = []
+    with corpus.bench_ladder() as ladder:
+        for workload in ladder.WORKLOADS if workloads is None else workloads:
+            for seed in seeds:
+                out = Path(f"{workload}-{seed}")
+                out.mkdir()
+                for item in ladder.prepare(workload, seed, out, write=True):
+                    if ids is not None and item.entry.id not in ids:
+                        continue
+                    argv = ladder.cli_argv(item)
+                    runs.append(argv)
+                    if argv[0] == "conjugacy":
+                        runs.append([argv[0], argv[2], argv[1]] + argv[3:])
+    return runs
+
+
+def count_classes_runs() -> list[list[str]]:
+    return [
+        ["count-classes", "--r", str(r), "--emit-reps", str(i), "--out-dir", f"reps-r{r}-i{i}"]
+        for r in range(1, 7) for i in range(3)
+    ]
+
+
+def _run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    report = [ln for ln in out.getvalue().splitlines(True) if not ln.startswith("wall-time-ms ")]
+    text = [f"$ grpext {' '.join(argv)}\n", f"exit {code}\n", "stdout:\n", *report, "stderr:\n", err.getvalue()]
+    if "--out-dir" in argv and (out_dir := Path(argv[argv.index("--out-dir") + 1])).is_dir():
+        for path in sorted(out_dir.iterdir()):
+            text += [f"file {path.name}:\n", path.read_text(encoding="utf-8")]
+    return "".join(text)
+
+
+def dump(runs: list[list[str]]) -> str:
+    """The record of each run, in order."""
+    return "".join(_run(argv) for argv in runs)
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 1:
+        print("usage: PYTHONPATH=src:tests python3 tools/behaviour_dump.py OUT", file=sys.stderr)
+        return 2
+    out, cwd = Path(args[0]).resolve(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            runs = corpus_runs(sampled=SAMPLED_PAIRS) + ladder_runs() + count_classes_runs()
+            text = dump(runs)
+        finally:
+            os.chdir(cwd)
+    out.write_text(text, encoding="utf-8")
+    print(f"runs {len(runs)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
