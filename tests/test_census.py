@@ -15,8 +15,10 @@ drawn generators, and checks the same three things on them, and that
 `naive_in_class` holds; there `naive_isomorphic` also confirms every "yes".
 """
 
+import dataclasses
 import functools
 import itertools
+import math
 import random
 
 from hypothesis import given, settings
@@ -38,22 +40,49 @@ from grpext.decomp import standard_decomposition
 from grpext.iso import build_mu, isomorphic, verify_isomorphism
 
 
-def test_census_to_order_47_matches_the_naive_oracles():
-    groups = census(47)
+@functools.cache
+def _census_to_47() -> tuple[dict, list]:
+    """(order -> its class representatives, (R, G, witness) for every other group):
+    the census to order 47 split by `isomorphic` against one representative each."""
     reps: dict[int, list] = {}
-    for n, G in groups:
+    witnesses = []
+    for n, G in census(47):
         for R in reps.setdefault(n, []):
-            result = isomorphic(R, G)
-            if result.is_isomorphic:
-                assert verify_isomorphism(R, G, build_mu(result.witness), mode="exhaustive"), G.name
+            if (witness := isomorphic(R, G).witness) is not None:
+                witnesses.append((R, G, witness))
                 break
         else:
-            assert standard_decomposition(G).gamma == naive_gamma(G), G.name
             reps[n].append(G)
+    return reps, witnesses
+
+
+def test_census_to_order_47_matches_the_naive_oracles():
+    reps, witnesses = _census_to_47()
+    for R, G, witness in witnesses:
+        assert verify_isomorphism(R, G, build_mu(witness), mode="exhaustive"), G.name
+    representatives = [R for same_order in reps.values() for R in same_order]
+    for R in representatives:
+        assert standard_decomposition(R).gamma == naive_gamma(R), R.name
     pairs = [pair for same_order in reps.values() for pair in itertools.combinations(same_order, 2)]
     for R, S in pairs:
         assert not naive_isomorphic(R, S), (R.name, S.name)
-    assert (len(groups), sum(map(len, reps.values())), len(pairs)) == (323, 113, 156)
+    assert (len(witnesses) + len(representatives), len(representatives), len(pairs)) == (323, 113, 156)
+
+
+def test_sampled_verdict_matches_exhaustive_on_the_census():
+    # each census witness, and k + 1 and k + 2 where they are units mod gamma: mu is
+    # then a bijection, and on a cyclic A it may still be an isomorphism
+    verdicts = []
+    for R, G, witness in _census_to_47()[1]:
+        for k in (witness.k, witness.k + 1, witness.k + 2):
+            if math.gcd(k, witness.source.gamma) == 1:
+                # the same values, each computed once: sampled mode calls mu about 600 times
+                mu = functools.cache(build_mu(dataclasses.replace(witness, k=k)))
+                exhaustive = verify_isomorphism(R, G, mu, mode="exhaustive")
+                sampled = verify_isomorphism(R, G, mu, mode="sampled", seed=0, sample_pairs=200)
+                assert sampled == exhaustive, (R.name, G.name, k)
+                verdicts.append(exhaustive)
+    assert (len(verdicts), verdicts.count(False)) == (534, 70)
 
 
 @functools.cache

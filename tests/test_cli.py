@@ -76,13 +76,13 @@ def test_trivial_group_goes_through_the_sweep(tmp_path, capsys):
         "gamma 1\nk 1\npsi-block trivial\nmu-check exhaustive pass\noracle-calls-g 3\n"
         "oracle-calls-h 2\nwall-time-ms X\n"
     )
-    # with no generator, every sampled element is the identity: 10 000 pairs (1, 1)
+    # with no generator, (1, 1) is the one pair that sampled mode checks
     code, out, _ = run_cli(capsys, "isomorphic", str(path), str(path))
     assert code == 0
     assert strip_wall_time(out) == (
         f"command isomorphic\ninput-g sha256:{digest}\ninput-h sha256:{digest}\nverdict yes\n"
-        "gamma 1\nk 1\npsi-block trivial\nmu-check sampled pass\noracle-calls-g 10002\n"
-        "oracle-calls-h 10001\nwall-time-ms X\n"
+        "gamma 1\nk 1\npsi-block trivial\nmu-check sampled pass\noracle-calls-g 3\n"
+        "oracle-calls-h 2\nwall-time-ms X\n"
     )
 
 

@@ -222,55 +222,34 @@ def test_verify_isomorphism_sampled_mode():
     assert not verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=500)
 
 
-def _random_element_rebuilding_atoms(G, rng, word_length=24):
-    """Reference sampler that recomputes the generator inverses on every call."""
-    atoms = list(G.generators) + [G.inv(g) for g in G.generators]
-    out = rng.choice(atoms)
-    for _ in range(word_length - 1):
-        out = G.mul(out, rng.choice(atoms))
-    return out
-
-
-@pytest.mark.parametrize("length", [1, 2, 24])
-def test_random_word_of_l_letters_costs_l_minus_1_products(length):
+def test_product_replacement_draws_cost_two_products_after_a_pinned_warmup(monkeypatch):
     G = build("G21a")
-    atoms = list(G.generators) + [G.inv(g) for g in G.generators]
-    rng, reference_rng = random.Random(length), random.Random(length)
+    monkeypatch.setattr(G, "inv", lambda a: pytest.fail("the sampler inverted an element"))
+    draws = iso._random_elements(G, random.Random(0))
     before = G.operation_count
-    word = iso._random_element(G, atoms, rng, word_length=length)
-    assert G.operation_count - before == length - 1
-    # the same draws as a word built from the identity, so the same element
-    expected = G.identity
-    for _ in range(length):
-        expected = G.mul(expected, reference_rng.choice(atoms))
-    assert word == expected and rng.getstate() == reference_rng.getstate()
+    next(draws)  # the warm-up, then the first draw's step
+    assert G.operation_count - before == 2 * iso.REPLACEMENT_WARMUP + 2 == 102
+    for _ in range(1000):
+        before = G.operation_count
+        next(draws)
+        assert G.operation_count - before == 2
 
 
-def test_sampled_verification_builds_atoms_once(monkeypatch):
-    G, H = build("G21a"), build("G21b")
-    mu = build_mu(isomorphic(G, H).witness)
-    sampled = []
-    real = iso._random_element
+def test_product_replacement_repeats_with_its_seed():
+    G = build("G21a")
+    first, again, other = (
+        list(itertools.islice(iso._random_elements(G, random.Random(seed)), 500)) for seed in (0, 0, 1)
+    )
+    assert first == again != other
 
-    def recording(*args):
-        sampled.append(real(*args))
-        return sampled[-1]
 
-    monkeypatch.setattr(iso, "_random_element", recording)
-    before = G.operation_count
-    assert verify_isomorphism(G, H, mu, seed=0, sample_pairs=1000)
-    calls = G.operation_count - before
-    reference = build("G21a")
-    rng = random.Random(0)
-    assert sampled == [_random_element_rebuilding_atoms(reference, rng) for _ in range(2000)]
-
-    monkeypatch.setattr(iso, "_random_element", lambda G, atoms, rng: _random_element_rebuilding_atoms(G, rng))
-    before = G.operation_count
-    assert verify_isomorphism(G, H, mu, seed=0, sample_pairs=1000)
-    # the patched run builds the atoms once as well and then ignores them
-    rebuilding_calls = G.operation_count - before - len(G.generators)
-    # one inverse per generator for the whole run, not one per generator per element
-    assert rebuilding_calls - calls == (2 * 1000 - 1) * len(G.generators) == 3998
+def test_product_replacement_covers_small_and_large_groups():
+    # all 21 elements of G21a within 2 100 draws; on |G| = 1 017 072, 10 000
+    # uniform draws repeat about 49 times, so a walk that mixes keeps >= 9 900
+    G = build("G21a")
+    assert len(set(itertools.islice(iso._random_elements(G, random.Random(0)), 2100))) == 21
+    G = semidirect((1009,), 1008, [[11]])
+    assert len(set(itertools.islice(iso._random_elements(G, random.Random(0)), 10_000))) >= 9900
 
 
 def test_each_side_decomposed_once():
