@@ -15,7 +15,8 @@ isomorphism mu(y1^j x) = y2^{k j} psi(x), which factors each element of G as
 y1^j x with one decomposition-table lookup over <y1>A1, and
 verify_isomorphism checks it, on all |G|^2 pairs or by default on the generator
 pairs and random pairs, whose elements product replacement draws at two
-products each after a warm-up of 2 * REPLACEMENT_WARMUP.
+products each after a warm-up of 2 * REPLACEMENT_WARMUP. Either way it maps
+each distinct element once and reads its image from a map kept for the call.
 """
 
 from __future__ import annotations
@@ -210,35 +211,35 @@ def verify_isomorphism(
     Sampled mode checks mu(ab) = mu(a) mu(b) on every pair of generators, then on
     sample_pairs pairs of elements drawn by _random_elements from
     random.Random(seed). Drawing costs 2 * REPLACEMENT_WARMUP products in G once
-    and two per element; each pair then costs one product in G and one in H
-    besides its three mu calls (a table lookup in G, powers in H). A G with no
-    generators is trivial, and (1, 1) is its one pair.
+    and two per element; each pair then costs one product in G and one in H.
+    Element codes are canonical, so mu (a table lookup in G, powers in H) runs
+    once per distinct element, and later pairs read its image from a map. A G
+    with no generators is trivial, and (1, 1) is its one pair.
     """
+    images: dict[ElementCode, ElementCode] = {}
+
+    def image(a: ElementCode) -> ElementCode:
+        if a not in images:
+            images[a] = mu(a)
+        return images[a]
+
     if mode == "exhaustive":
         elements = closure(G, G.generators, limit=EXHAUSTIVE_LIMIT)
         if elements is None:
             raise MalformedInputError(
                 f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
             )
-        images = {a: mu(a) for a in elements}
         # not one-to-one, or |H| > |G| so mu is not onto
-        if len(set(images.values())) != len(elements) or closure(H, H.generators, len(elements)) is None:
+        if len(set(map(image, elements))) != len(elements) or closure(H, H.generators, len(elements)) is None:
             return False
-        for a in elements:
-            for b in elements:
-                if images[G.mul(a, b)] != H.mul(images[a], images[b]):
-                    return False
-        return True
-    if mode == "sampled":
-        gen_images = [mu(a) for a in G.generators]
-        for a, mu_a in zip(G.generators, gen_images):
-            for b, mu_b in zip(G.generators, gen_images):
-                if mu(G.mul(a, b)) != H.mul(mu_a, mu_b):
-                    return False
+        pairs = itertools.product(elements, repeat=2)
+    elif mode == "sampled":
+        pairs = itertools.product(G.generators, repeat=2)
         if G.generators:
             draws = _random_elements(G, random.Random(seed))
-            pairs = ((next(draws), next(draws)) for _ in range(sample_pairs))
+            pairs = itertools.chain(pairs, ((next(draws), next(draws)) for _ in range(sample_pairs)))
         else:  # the trivial group: (1, 1) is its one pair
             pairs = [(G.identity, G.identity)]
-        return all(mu(G.mul(a, b)) == H.mul(mu(a), mu(b)) for a, b in pairs)
-    raise MalformedInputError(f"unknown verification mode {mode!r}")
+    else:
+        raise MalformedInputError(f"unknown verification mode {mode!r}")
+    return all(image(G.mul(a, b)) == H.mul(image(a), image(b)) for a, b in pairs)

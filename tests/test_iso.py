@@ -633,13 +633,41 @@ def test_exhaustive_verification_maps_each_element_once():
     assert sorted(mapped) == sorted(closure(G, G.generators))
 
 
-def test_sampled_verification_maps_each_generator_once():
-    G, H = build("Z3^2xZ4_W"), build("Z3^2xZ4_W")
+def test_verification_maps_each_element_once():
+    G, H = build("G21a"), build("G21b")
     mu = build_mu(isomorphic(G, H).witness)
-    mapped = []
-    assert verify_isomorphism(G, H, lambda g: mapped.append(g) or mu(g), sample_pairs=0)
-    gens = list(G.generators)
-    assert mapped == gens + [G.mul(a, b) for a in gens for b in gens]
+
+    def mapped(**kwargs):
+        calls = []
+        assert verify_isomorphism(G, H, lambda g: calls.append(g) or mu(g), **kwargs)
+        assert len(calls) == len(set(calls)), kwargs
+        return set(calls)
+
+    gens = set(G.generators)
+    assert mapped(sample_pairs=0) == gens | {G.mul(a, b) for a in gens for b in gens}
+    elements = set(closure(G, G.generators))
+    assert len(elements) == 21
+    assert mapped() == elements  # the default 10 000 pairs meet all 21 elements
+    assert mapped(mode="exhaustive") == elements
+
+
+def test_the_image_map_hides_no_mismatch():
+    # mu changed at one element: the map keeps the wrong image, and both modes
+    # still reject the map
+    G, H = build("G21a"), build("G21b")
+    mu = build_mu(isomorphic(G, H).witness)
+    gens = set(G.generators)
+    draws = iso._random_elements(G, random.Random(0))
+    reached = {next(draws) for _ in range(2 * 10_000)}
+    moved = G.parse_element("3;0")
+    assert moved in reached and moved not in gens | {G.mul(a, b) for a in gens for b in gens}
+    changed_at = lambda wrong: lambda g: H.identity if g == wrong else mu(g)
+    for wrong in (moved, G.generators[0]):
+        assert changed_at(wrong)(wrong) != mu(wrong)
+        assert not verify_isomorphism(G, H, changed_at(wrong))
+        assert not verify_isomorphism(G, H, changed_at(wrong), mode="exhaustive")
+    # the generator pairs alone do not meet 3;0: the random pairs find it
+    assert verify_isomorphism(G, H, changed_at(moved), sample_pairs=0)
 
 
 @pytest.mark.parametrize("name", sorted(second_presentations()))
