@@ -1,7 +1,7 @@
 """Square-root-time primitives on abelian subgroups of a black-box group.
 
-Element order uses baby-step/giant-step with a doubling radius, so no a-priori
-bound on the group order is needed. Factoring an element over fixed
+Element order is arith.order_search over the oracle product: baby-step/giant-step
+with a doubling radius, so no bound on the group order is needed. Factoring over fixed
 generators (an abelian basis, or y followed by a basis of the abelian part A)
 uses the meet-in-the-middle table over the low digits of each exponent, one
 dict from code to digits; it returns None for an element outside their span.
@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .arith import smith_normal_form, trial_factor
-from .blackbox import ElementCode, GroupHandle, _max_table_entries, group_pow
+from .arith import _max_table_entries, order_search, smith_normal_form, trial_factor
+from .blackbox import ElementCode, GroupHandle, group_pow
 from .errors import InvariantBreachError, MalformedInputError, MemoryBudgetError
 
 
@@ -65,37 +65,8 @@ TABLE_ENTRY_BYTES = 209  # plus 8 per digit
 
 
 def element_order(G: GroupHandle, g: ElementCode) -> int:
-    """Smallest n >= 1 with g^n = identity, in O(sqrt(n) log n) oracle calls."""
-    if g == G.identity:
-        return 1
-    cap = _max_table_entries(BABY_ENTRY_BYTES)
-    baby: dict[ElementCode, int] = {G.identity: 0}
-    cur = g  # g^j for j = len(baby)
-    j = 1
-    radius = 32
-    while True:
-        if radius > cap:
-            raise MemoryBudgetError(
-                f"baby-step table for order finding would exceed {cap} entries"
-            )
-        while j < radius:
-            if cur == G.identity:
-                return j
-            if cur in baby:  # cannot happen for honest oracles; fail loudly
-                raise InvariantBreachError("power sequence repeated before identity")
-            baby[cur] = j
-            cur = G.mul(cur, g)
-            j += 1
-        if cur == G.identity:
-            return j
-        stride = cur  # g^radius
-        w = stride
-        for k in range(1, radius + 1):
-            hit = baby.get(w)
-            if hit is not None:
-                return radius * k - hit
-            w = G.mul(w, stride)
-        radius *= 2
+    """Smallest n >= 1 with g^n = identity: arith.order_search over G.mul, O(sqrt(n)) oracle calls."""
+    return order_search(G.mul, G.identity, g, BABY_ENTRY_BYTES)
 
 
 class DecompositionTable:

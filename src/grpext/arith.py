@@ -2,19 +2,21 @@
 
 Everything here works on plain Python integers, so intermediate values may grow
 arbitrarily large without overflow. smith_normal_form also runs over any other
-Euclidean ring whose elements supply the integer operators (autring uses it
-over F_p[x]). Every integer the package reads from text goes through read_ints.
+Euclidean ring whose elements supply the integer operators (autring uses it over
+F_p[x]), and order_search, the one order search, over any multiplication, capped
+by GRPEXT_MEM_MB. Every integer the package reads from text goes through read_ints.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import MalformedInputError
+from .errors import InvariantBreachError, MalformedInputError, MemoryBudgetError
 
 Factorization = list[tuple[int, int]]
 
@@ -117,6 +119,48 @@ def discrete_log(g: int, h: int, p: int, n: int, primes: Sequence[int] = ()) -> 
             hq, i = hq * stride % p, i + 1
         parts.append((i * r + baby[hq], qf))
     return crt(parts)
+
+
+def _max_table_entries(entry_bytes: int) -> int:
+    text = os.environ.get("GRPEXT_MEM_MB", "1024")
+    mb = read_ints(text, "GRPEXT_MEM_MB")[0] if text.isascii() and text.isdigit() else 0
+    if mb < 1:
+        raise MalformedInputError(f"GRPEXT_MEM_MB must be a positive integer, not {text!r}")
+    return max(1024, (mb << 20) // entry_bytes)
+
+
+def order_search(mul: Callable, one, g, entry_bytes: int, limit: Optional[int] = None) -> Optional[int]:
+    """Least n >= 1 with g^n = one under mul, or None once every n <= limit is ruled out; g must
+    lie in a group. Baby-step giant-step with a doubling radius r: the giant steps g^{rk}, k <= r,
+    first meet the dict of g^j, j < r, at k = ceil(n / r), within about 4.5 sqrt(n) products.
+    A dict of more keys than GRPEXT_MEM_MB holds at entry_bytes each raises MemoryBudgetError."""
+    if g == one:
+        return 1
+    cap = _max_table_entries(entry_bytes)
+    limit = cap * cap + 1 if limit is None else limit  # beyond the steps of any admitted radius
+    baby, cur, j, radius = {one: 0}, g, 1, 32  # cur = g^j
+    while True:
+        radius = min(radius, limit)
+        if radius > cap:
+            raise MemoryBudgetError(f"baby-step table for order finding would exceed {cap} entries")
+        while j < radius:
+            if cur == one:
+                return j
+            if cur in baby:  # cannot happen in a group; fail loudly
+                raise InvariantBreachError("power sequence repeated before identity")
+            baby[cur] = j
+            cur = mul(cur, g)
+            j += 1
+        if cur == one:
+            return j
+        w = stride = cur  # g^radius
+        for k in range(1, min(radius, -(-limit // radius)) + 1):  # no k past ceil(limit / radius)
+            if (hit := baby.get(w)) is not None:
+                return n if (n := radius * k - hit) <= limit else None
+            w = mul(w, stride)
+        if radius * radius >= limit:  # the steps covered limit
+            return None
+        radius *= 2
 
 
 _TRIAL_BOUND = 1000

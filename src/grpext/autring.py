@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .arith import content_lines, is_prime, keyword_ints, prime_power, read_ints
-from .arith import smith_normal_form, trial_factor
+from .arith import order_search, smith_normal_form, trial_factor
 from .errors import (
     Condition3Error,
     InvariantBreachError,
@@ -49,6 +49,9 @@ from .errors import (
 IntMatrix = tuple[tuple[int, ...], ...]
 
 CONJUGACY_TRIES = 200  # averages of random endomorphisms that conjugacy makes before it gives up
+# matrix_order's search holds ORDER_ENTRY_BYTES + 64 s + (36 + 4 d) s^2 bytes per entry of d 30-bit digits:
+# the worst tracemalloc peak at radii 2^10..2^17, s <= 19, 20..399-bit entries, first search included
+ORDER_ENTRY_BYTES = 250
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -450,7 +453,8 @@ def matrix_order(u, cap: Optional[int] = None, *, multiple: Optional[int] = None
     power until it is I, in O(omega(n) log n) products. None when u^n != I.
 
     With only cap, for callers that know no multiple (the CLI's --order-cap):
-    the least n <= cap with u^n = I by walking u, u^2, ...; None past the cap.
+    the least n <= cap with u^n = I by arith.order_search, in O(sqrt(min(n, cap)))
+    products; None past the cap or for a non-unit (MemoryBudgetError past GRPEXT_MEM_MB).
     """
     if (cap is None) == (multiple is None):
         raise MalformedInputError("matrix_order needs exactly one of cap and multiple")
@@ -470,13 +474,13 @@ def matrix_order(u, cap: Optional[int] = None, *, multiple: Optional[int] = None
         return order
     if cap < 1:
         raise MalformedInputError("order cap must be >= 1")
-    ident = identity_matrix(u.ptype)
-    w = u
-    for n in range(1, cap + 1):
-        if w == ident:
-            return n
-        w = star_mul(w, u)
-    return None
+    if not is_in_R(u):
+        return None
+    moduli = u.moduli
+    s, digits = len(moduli), -(-max(moduli).bit_length() // 30)
+    entry_bytes = ORDER_ENTRY_BYTES + 64 * s + s * s * (36 + 4 * digits)  # s + 1 tuples, s^2 ints
+    one = identity_matrix(u.ptype).rows
+    return order_search(lambda a, b: mat_mul(a, b, moduli), one, u.rows, entry_bytes, cap)
 
 
 def conjugacy(
@@ -485,22 +489,22 @@ def conjugacy(
     """Solve U * u1 = u2 * U for U in the unit group, or report None.
 
     This is where its precondition is checked: both inputs must be units
-    (MalformedInputError otherwise) whose orders are coprime with p and divide
-    the known multiple, or are at most order_cap when no multiple is known
-    (Condition3Error otherwise; see matrix_order). Then every psi block is
-    semisimple, so the inputs are conjugate exactly when the characteristic
-    polynomials of their psi blocks agree (BlockDiagGF.charpolys); None when
-    they differ. Otherwise Y = sum_{i<n} u2^{-i} R u1^i, with n the lcm of the
-    two orders, gives Y u1 = u2 Y for any R (Maschke's argument); the sum is
-    built by doubling in O(log n) products. R is block diagonal, drawn by
-    PType.entry_rule from a random.Random(0) made on each call, so the answer
-    repeats. As psi is a ring homomorphism, each psi block of Y is the average
-    of that block of R: a uniform intertwiner, invertible with probability at
-    least 0.288 per isotypic component (prod_i (1 - q^{-i}) over F_q; Holt,
-    Eick & O'Brien 2005, section 7.5). So a draw replaces only the blocks of R
-    whose average is singular, and the draws needed follow the worst block.
-    Past CONJUGACY_TRIES draws InvariantBreachError is raised. Y is verified
-    by substitution and is_in_R before returning.
+    (MalformedInputError otherwise) whose orders are coprime with p and divide the
+    known multiple, or are at most order_cap, searched in O(sqrt(order_cap))
+    products, when no multiple is known (Condition3Error otherwise; see
+    matrix_order). Then every psi block is semisimple, so the inputs are conjugate
+    exactly when the characteristic polynomials of their psi blocks agree
+    (BlockDiagGF.charpolys); None when they differ. Otherwise Y = sum_{i<n}
+    u2^{-i} R u1^i, with n the lcm of the two orders, gives Y u1 = u2 Y for any R
+    (Maschke's argument); the sum is built by doubling in O(log n) products. R is
+    block diagonal, drawn by PType.entry_rule from a random.Random(0) made on each
+    call, so the answer repeats. As psi is a ring homomorphism, each psi block of
+    Y is the average of that block of R: a uniform intertwiner, invertible with
+    probability at least 0.288 per isotypic component (prod_i (1 - q^{-i}) over
+    F_q; Holt, Eick & O'Brien 2005, section 7.5). So a draw replaces only the
+    blocks of R whose average is singular, and the draws needed follow the worst
+    block. Past CONJUGACY_TRIES draws InvariantBreachError is raised. Y is
+    verified by substitution and is_in_R before returning.
     """
     if u1.ptype != u2.ptype:
         raise MalformedInputError("conjugacy requires matching types")

@@ -23,13 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import autring
-from .arith import content_lines, keyword_ints, read_ints
+from .arith import _max_table_entries, content_lines, keyword_ints, read_ints
 from .errors import MalformedInputError
 
 ElementCode = int
@@ -324,14 +323,6 @@ class SemidirectGroupSpec:
 
 # Worst tracemalloc peak per entry of _Memo fills of 32 to 131 072 int pairs in [2^61, 2^90), CPython 3.11
 IMAGE_ENTRY_BYTES = 188
-
-
-def _max_table_entries(entry_bytes: int) -> int:
-    text = os.environ.get("GRPEXT_MEM_MB", "1024")
-    mb = read_ints(text, "GRPEXT_MEM_MB")[0] if text.isascii() and text.isdigit() else 0
-    if mb < 1:
-        raise MalformedInputError(f"GRPEXT_MEM_MB must be a positive integer, not {text!r}")
-    return max(1024, (mb << 20) // entry_bytes)
 
 
 class _Memo(dict):

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import autring
-from .abelian import DecompositionTable, group_pow
+from .abelian import DecompositionTable
 from .arith import crt, discrete_log, trial_factor
-from .blackbox import ElementCode, GroupHandle, closure
+from .blackbox import ElementCode, GroupHandle, closure, group_pow
 from .decomp import StandardDecomposition, standard_decomposition
 from .errors import InvariantBreachError, MalformedInputError
 

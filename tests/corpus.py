@@ -147,6 +147,16 @@ def is_in_N(u: autring.AutMatrix) -> bool:
     )
 
 
+def walked_order(u: autring.AutMatrix, cap: int) -> Optional[int]:
+    """The least n <= cap with u^n = I, walking u, u^2, ... with one mat_mul each; None past cap."""
+    ident, w = autring.identity_matrix(u.ptype).rows, u.rows
+    for n in range(1, cap + 1):
+        if w == ident:
+            return n
+        w = autring.mat_mul(w, u.rows, u.moduli)
+    return None
+
+
 def format_matrix(u: autring.AutMatrix) -> str:
     """The text that autring.parse_matrix_file reads back."""
     head = "ptype " + str(u.ptype.p) + " " + " ".join(str(e) for e in u.ptype.exps)

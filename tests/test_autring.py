@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import format_matrix, is_in_N
+from corpus import format_matrix, is_in_N, walked_order
 from grpext.autring import (
     AutBlocks,
     AutMatrix,
@@ -33,7 +34,8 @@ from grpext.autring import (
     validate_M,
 )
 from grpext import autring
-from grpext.errors import Condition3Error, InvariantBreachError, MalformedInputError
+from grpext.arith import trial_factor
+from grpext.errors import Condition3Error, InvariantBreachError, MalformedInputError, MemoryBudgetError
 
 MIXED_TYPE = PType(3, (1, 2, 2, 5))
 
@@ -327,13 +329,67 @@ def test_matrix_order():
 )
 def test_matrix_order_from_a_multiple_matches_the_walk(ptype):
     units = enumerate_R(ptype)
-    orders = [matrix_order(u, 10**6) for u in units]
+    orders = [walked_order(u, 10**6) for u in units]
     exponent = math.lcm(*orders)
     divs = [d for d in range(1, 3 * exponent + 1) if (3 * exponent) % d == 0]
     for u, order in zip(units, orders):
         for d in divs:
             assert matrix_order(u, multiple=d) == (order if d % order == 0 else None)
         assert matrix_order(AutBlocks((u,)), multiple=exponent) == order
+        assert matrix_order(u, exponent) == matrix_order(u, order) == order
+        assert order == 1 or matrix_order(u, order - 1) is None
+
+
+def test_matrix_order_under_a_cap_of_a_non_unit_is_none():
+    assert matrix_order(make_matrix(PType(3, (1, 1)), [[1, 1], [1, 1]]), 100) is None
+    assert matrix_order(make_matrix(PType(2, (2,)), [[2]]), 100) is None  # 2^2 = 0 mod 4
+
+
+def _counting_mat_mul(monkeypatch) -> list[int]:
+    counts, real = [0], autring.mat_mul
+
+    def mat_mul(*args):  # star_mul multiplies through it too
+        counts[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(autring, "mat_mul", mat_mul)
+    return counts
+
+
+def test_matrix_order_under_a_cap_makes_a_square_root_of_products(monkeypatch):
+    p = 1000003
+    n = p - 1  # the order of 2 mod p, by pow
+    for q, _ in trial_factor(p - 1):
+        while n % q == 0 and pow(2, n // q, p) == 1:
+            n //= q
+    two = make_matrix(PType(p, (1,)), [[2]])
+    torus = make_matrix(PType(101, (1, 1)), [[0, 3], [1, 4]])  # x^2 - 4x - 3 is irreducible mod 101
+    counts = _counting_mat_mul(monkeypatch)
+    for u, cap, order, bound in [(two, 2_000_000, n, n), (two, 1000, None, 1000), (torus, 10**6, 10200, 10200)]:
+        counts[0] = 0
+        assert matrix_order(u, cap) == order
+        assert counts[0] <= 5 * math.isqrt(bound - 1) + 5 + 64  # the doubling radius peaks near 4.5 sqrt(n)
+    assert n > 10**5 and walked_order(torus, 10**6) == 10200
+
+
+WIDE_PRIME = 1208925819614629174706189  # an 80-bit prime
+
+
+def test_largest_admitted_matrix_search_fits_the_budget(monkeypatch):
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    u = random_unit(PType(WIDE_PRIME, (1, 2)), random.Random(0))  # of order far above any cap here
+    radius, peaks = 32, []
+    while radius <= 1 << 15:  # a cap of r^2 ends the search at radius r
+        tracemalloc.start()
+        try:
+            assert matrix_order(u, radius * radius) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        except MemoryBudgetError:
+            break
+        finally:
+            tracemalloc.stop()
+        radius *= 2
+    assert 2048 <= radius <= 1 << 15 and max(peaks) <= 1 << 20  # the doubling past the cap raised
 
 
 def test_conjugacy_self_and_1x1():

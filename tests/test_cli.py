@@ -475,6 +475,21 @@ def test_non_utf8_input_is_malformed(tmp_path, capsys, command, extra):
     assert err.startswith(f"error {bad} is not UTF-8 text: ") and err.count("\n") == 1
 
 
+def test_conjugacy_under_a_large_order_cap_searches_by_square_roots(tmp_path, capsys, monkeypatch):
+    # orders 1 000 002 and 1 000 000 006: a walk takes seconds to minutes, the search under one
+    for p, g, cap in [(1000003, 2, "2000000"), (1000000007, 5, "2000000000")]:
+        path = tmp_path / f"u{p}.mat"
+        path.write_text(f"ptype {p} 1\n{g}\n")
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "conjugacy", str(path), str(path), "--order-cap", cap)
+        assert (code, err, out.splitlines()[3]) == (0, "", "conjugate yes")
+        assert time.perf_counter() - started < 5
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")  # the second search needs a radius near 2^15
+    code, out, err = run_cli(capsys, "conjugacy", str(path), str(path), "--order-cap", cap)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error baby-step table for order finding would exceed \d+ entries\n", err)
+
+
 def test_precondition_violation_exits_nonzero(tmp_path, capsys):
     m1 = tmp_path / "m1.mat"
     m1.write_text("ptype 3 1 1\n1 1\n0 1\n")  # order 3 = p: condition fails
