@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isomorphic", help="decide isomorphism of two group files")
     p.add_argument("group_g")
     p.add_argument("group_h")
-    p.add_argument("--verify", choices=["exhaustive", "sampled"], default="sampled")
+    p.add_argument("--verify", choices=["exhaustive", "sampled"], default="sampled",
+                   help="all |G|^2 pairs; sampled: if |G| <= 100, else generator and 10000 random pairs")
     p.add_argument("--seed", type=_int_flag, default=0)
     p.set_defaults(func=cmd_isomorphic)
 

@@ -13,10 +13,11 @@ endomorphism averaged over <M1>. A positive verdict always carries a witness
 (k plus a basis-to-basis matrix psi). build_mu turns it into the explicit
 isomorphism mu(y1^j x) = y2^{k j} psi(x), which factors each element of G as
 y1^j x with one decomposition-table lookup over <y1>A1, and
-verify_isomorphism checks it, on all |G|^2 pairs or by default on the generator
-pairs and random pairs, whose elements product replacement draws at two
-products each after a warm-up of 2 * REPLACEMENT_WARMUP. Either way it maps
-each distinct element once and reads its image from a map kept for the call.
+verify_isomorphism checks it on all |G|^2 pairs in exhaustive mode, and in the
+default sampled mode while |G|^2 <= sample_pairs. On a larger G sampled mode
+pays a failed closure of about (isqrt(sample_pairs) + 1) * |gens| products, then
+checks the generator pairs and random pairs, whose elements product replacement
+draws at two products each. Either way it maps each distinct element once.
 """
 
 from __future__ import annotations
@@ -204,18 +205,21 @@ def verify_isomorphism(
     seed: int = 0,
     sample_pairs: int = 10_000,
 ) -> bool:
-    """Check that mu preserves products (and is a bijection onto H, in exhaustive mode).
+    """Check that mu preserves products (and is a bijection onto H when all pairs are checked).
 
-    Exhaustive mode checks |H| <= |G| and all |G|^2 pairs, so it is refused
-    with MalformedInputError for a G of more than EXHAUSTIVE_LIMIT elements.
-    Sampled mode checks mu(ab) = mu(a) mu(b) on every pair of generators, then on
-    sample_pairs pairs of elements drawn by _random_elements from
-    random.Random(seed). Drawing costs 2 * REPLACEMENT_WARMUP products in G once
-    and two per element; each pair then costs one product in G and one in H.
-    Element codes are canonical, so mu (a table lookup in G, powers in H) runs
-    once per distinct element, and later pairs read its image from a map. A G
-    with no generators is trivial, and (1, 1) is its one pair.
+    Both modes start from closure(G, G.generators, limit): limit EXHAUSTIVE_LIMIT
+    in exhaustive mode, isqrt(sample_pairs) in sampled mode. If G fits, mu must be
+    one-to-one with |H| <= |G| and all |G|^2 pairs are checked, every pair that
+    any draws could meet: a proof in either mode. Otherwise exhaustive mode is
+    refused with MalformedInputError, and sampled mode, after the failed closure
+    (at most about (limit + 1) * |gens| products), checks every pair of
+    generators, then sample_pairs pairs drawn by _random_elements from
+    random.Random(seed): 2 * REPLACEMENT_WARMUP products in G once, two per
+    element, and one product in G and one in H per pair. Codes are canonical, so
+    mu runs once per distinct element and later pairs read its image from a map.
     """
+    if mode not in ("exhaustive", "sampled"):
+        raise MalformedInputError(f"unknown verification mode {mode!r}")
     images: dict[ElementCode, ElementCode] = {}
 
     def image(a: ElementCode) -> ElementCode:
@@ -223,23 +227,19 @@ def verify_isomorphism(
             images[a] = mu(a)
         return images[a]
 
-    if mode == "exhaustive":
-        elements = closure(G, G.generators, limit=EXHAUSTIVE_LIMIT)
-        if elements is None:
-            raise MalformedInputError(
-                f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
-            )
+    limit = EXHAUSTIVE_LIMIT if mode == "exhaustive" else math.isqrt(sample_pairs)
+    elements = closure(G, G.generators, limit)
+    if elements is not None:
         # not one-to-one, or |H| > |G| so mu is not onto
         if len(set(map(image, elements))) != len(elements) or closure(H, H.generators, len(elements)) is None:
             return False
         pairs = itertools.product(elements, repeat=2)
-    elif mode == "sampled":
-        pairs = itertools.product(G.generators, repeat=2)
-        if G.generators:
-            draws = _random_elements(G, random.Random(seed))
-            pairs = itertools.chain(pairs, ((next(draws), next(draws)) for _ in range(sample_pairs)))
-        else:  # the trivial group: (1, 1) is its one pair
-            pairs = [(G.identity, G.identity)]
+    elif mode == "exhaustive":
+        raise MalformedInputError(
+            f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
+        )
     else:
-        raise MalformedInputError(f"unknown verification mode {mode!r}")
+        draws = _random_elements(G, random.Random(seed))
+        randoms = ((next(draws), next(draws)) for _ in range(sample_pairs))
+        pairs = itertools.chain(itertools.product(G.generators, repeat=2), randoms)
     return all(image(G.mul(a, b)) == H.mul(image(a), image(b)) for a, b in pairs)

@@ -76,7 +76,7 @@ def test_trivial_group_goes_through_the_sweep(tmp_path, capsys):
         "gamma 1\nk 1\npsi-block trivial\nmu-check exhaustive pass\noracle-calls-g 3\n"
         "oracle-calls-h 2\nwall-time-ms X\n"
     )
-    # with no generator, (1, 1) is the one pair that sampled mode checks
+    # with no generator the closure is {1}: sampled mode checks its one pair, as exhaustive mode does
     code, out, _ = run_cli(capsys, "isomorphic", str(path), str(path))
     assert code == 0
     assert strip_wall_time(out) == (

@@ -221,6 +221,35 @@ def test_verify_isomorphism_sampled_mode():
     changed = lambda code: G.identity if code == moved else code
     assert verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=0)
     assert not verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=500)
+    # 400 < 21^2 pairs: the check draws, and its random pairs find 3;0 too
+    assert verify_isomorphism(G, H, mu, mode="sampled", seed=0, sample_pairs=400)
+    assert not verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=400)
+
+
+def test_sampled_mode_checks_all_pairs_when_they_fit_in_the_sample(monkeypatch):
+    # 21^2 = 441 pairs: sample_pairs = 441 maps every element once and draws nothing
+    G, H = build("G21a"), build("G21b")
+    mu = build_mu(isomorphic(G, H).witness)
+    monkeypatch.setattr(iso, "_random_elements", lambda *args: pytest.fail("the check drew random elements"))
+    mapped = []
+    assert verify_isomorphism(G, H, lambda g: mapped.append(g) or mu(g), sample_pairs=441)
+    assert sorted(mapped) == closure(G, G.generators)
+    # the trivial map preserves every product: only the one-to-one check refuses it
+    assert not verify_isomorphism(G, H, lambda g: H.identity, sample_pairs=441)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_mode_below_all_pairs_keeps_its_draws_and_pair_order(seed, monkeypatch):
+    # 440 < 21^2: the generator pairs, then _random_elements's draws two at a time,
+    # read off the products in H of mu = the identity onto a second copy of G21a
+    G, H = build("G21a"), build("G21a")
+    checked = []
+    mul = H.mul
+    monkeypatch.setattr(H, "mul", lambda a, b: checked.append((a, b)) or mul(a, b))
+    assert verify_isomorphism(G, H, lambda g: g, seed=seed, sample_pairs=440)
+    draws = iso._random_elements(build("G21a"), random.Random(seed))
+    expected = list(itertools.product(G.generators, repeat=2)) + [(next(draws), next(draws)) for _ in range(440)]
+    assert checked == expected
 
 
 def test_product_replacement_draws_cost_two_products_after_a_pinned_warmup(monkeypatch):
@@ -663,11 +692,14 @@ def test_the_image_map_hides_no_mismatch():
     reached = {next(draws) for _ in range(2 * 10_000)}
     moved = G.parse_element("3;0")
     assert moved in reached and moved not in gens | {G.mul(a, b) for a in gens for b in gens}
+    # 400 pairs are fewer than 21^2, so the check draws, and its 800 draws meet 3;0
+    assert moved in set(itertools.islice(iso._random_elements(G, random.Random(0)), 2 * 400))
     changed_at = lambda wrong: lambda g: H.identity if g == wrong else mu(g)
     for wrong in (moved, G.generators[0]):
         assert changed_at(wrong)(wrong) != mu(wrong)
         assert not verify_isomorphism(G, H, changed_at(wrong))
         assert not verify_isomorphism(G, H, changed_at(wrong), mode="exhaustive")
+        assert not verify_isomorphism(G, H, changed_at(wrong), sample_pairs=400)
     # the generator pairs alone do not meet 3;0: the random pairs find it
     assert verify_isomorphism(G, H, changed_at(moved), sample_pairs=0)
 

@@ -13,7 +13,8 @@ directory of every run:
 - the 35 corpus groups of tests/corpus.py plus Q8, S4 and D6 as Cayley
   tables: `standard-decomposition` of each, and `isomorphic --verify
   exhaustive` of every ordered pair;
-- `isomorphic` with the default sampled check on four isomorphic corpus pairs;
+- `isomorphic` with the default sampled check on four isomorphic corpus pairs,
+  all of at most 100 elements, so the check takes its all-pairs path;
 - every entry of the three benchmark workloads at seeds 0 and 7, run as
   bench/ladder.py's cli_argv gives it; bench/ladder.py is loaded by path and
   only read (corpus.bench_ladder);
