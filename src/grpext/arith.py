@@ -126,7 +126,7 @@ def _max_table_entries(entry_bytes: int) -> int:
     mb = read_ints(text, "GRPEXT_MEM_MB")[0] if text.isascii() and text.isdigit() else 0
     if mb < 1:
         raise MalformedInputError(f"GRPEXT_MEM_MB must be a positive integer, not {text!r}")
-    return max(1024, (mb << 20) // entry_bytes)
+    return (mb << 20) // entry_bytes
 
 
 def order_search(mul: Callable, one, g, entry_bytes: int, limit: Optional[int] = None) -> Optional[int]:

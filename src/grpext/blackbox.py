@@ -328,7 +328,9 @@ IMAGE_ENTRY_BYTES = 188
 class _Memo(dict):
     """key -> fn(key), computed on first use and kept while the GRPEXT_MEM_MB cap has room."""
 
-    cap = 1024  # no cap is below it, so a memo reads GRPEXT_MEM_MB only once it holds this many
+    # no cap is below it (1 MiB at IMAGE_ENTRY_BYTES = 188 is 5 577 entries), so a memo
+    # reads GRPEXT_MEM_MB only once it holds this many
+    cap = 1024
 
     def __init__(self, fn: Callable[[int], int]):
         self.fn = fn

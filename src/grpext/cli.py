@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group_g")
     p.add_argument("group_h")
     p.add_argument("--verify", choices=["exhaustive", "sampled"], default="sampled",
-                   help="all |G|^2 pairs; sampled: if |G| <= 100, else generator and 10000 random pairs")
+                   help="a proof on the |G| * |gens| edges of the Cayley graph of G; sampled: if "
+                        "|G| <= 100, else generator and 10000 random pairs")
     p.add_argument("--seed", type=_int_flag, default=0)
     p.set_defaults(func=cmd_isomorphic)
 

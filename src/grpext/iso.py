@@ -13,11 +13,12 @@ endomorphism averaged over <M1>. A positive verdict always carries a witness
 (k plus a basis-to-basis matrix psi). build_mu turns it into the explicit
 isomorphism mu(y1^j x) = y2^{k j} psi(x), which factors each element of G as
 y1^j x with one decomposition-table lookup over <y1>A1, and
-verify_isomorphism checks it on all |G|^2 pairs in exhaustive mode, and in the
-default sampled mode while |G|^2 <= sample_pairs. On a larger G sampled mode
-pays a failed closure of about (isqrt(sample_pairs) + 1) * |gens| products, then
-checks the generator pairs and random pairs, whose elements product replacement
-draws at two products each. Either way it maps each distinct element once.
+verify_isomorphism proves it on the Cayley graph of G, |G| * |gens| products on
+each side, in exhaustive mode and in the default sampled mode while
+|G|^2 <= sample_pairs. On a larger G sampled mode pays a failed closure of
+about (isqrt(sample_pairs) + 1) * |gens| products, then checks the generator
+pairs and random pairs, whose elements product replacement draws at two
+products each. Either way it maps each distinct element once.
 """
 
 from __future__ import annotations
@@ -205,18 +206,22 @@ def verify_isomorphism(
     seed: int = 0,
     sample_pairs: int = 10_000,
 ) -> bool:
-    """Check that mu preserves products (and is a bijection onto H when all pairs are checked).
+    """Check that mu preserves products, and that it is a bijection onto H when G fits.
 
     Both modes start from closure(G, G.generators, limit): limit EXHAUSTIVE_LIMIT
-    in exhaustive mode, isqrt(sample_pairs) in sampled mode. If G fits, mu must be
-    one-to-one with |H| <= |G| and all |G|^2 pairs are checked, every pair that
-    any draws could meet: a proof in either mode. Otherwise exhaustive mode is
-    refused with MalformedInputError, and sampled mode, after the failed closure
-    (at most about (limit + 1) * |gens| products), checks every pair of
-    generators, then sample_pairs pairs drawn by _random_elements from
-    random.Random(seed): 2 * REPLACEMENT_WARMUP products in G once, two per
-    element, and one product in G and one in H per pair. Codes are canonical, so
-    mu runs once per distinct element and later pairs read its image from a map.
+    in exhaustive mode, isqrt(sample_pairs) in sampled mode. If G fits, the check
+    is a proof in either mode. It checks mu(1) = 1, mu one-to-one with H.generators
+    in its image, and mu(a g) = mu(a) mu(g) on each edge of the Cayley graph (a in
+    G, g in S = G.generators): |G| * |S| products in G and in H. Lemma: the w with
+    mu(x w) = mu(x) mu(w) for every x are closed under products and hold 1 and S,
+    so they are all of G; the image is then a subgroup of H that holds its
+    generators. Otherwise exhaustive mode is refused with MalformedInputError,
+    and sampled mode, after the failed closure (at most about (limit + 1) * |gens|
+    products), checks every pair of generators, then sample_pairs pairs drawn by
+    _random_elements from random.Random(seed): 2 * REPLACEMENT_WARMUP products in
+    G once, two per element, and one product in G and one in H per pair. Codes are
+    canonical, so mu runs once per distinct element and later pairs read its image
+    from a map.
     """
     if mode not in ("exhaustive", "sampled"):
         raise MalformedInputError(f"unknown verification mode {mode!r}")
@@ -230,10 +235,10 @@ def verify_isomorphism(
     limit = EXHAUSTIVE_LIMIT if mode == "exhaustive" else math.isqrt(sample_pairs)
     elements = closure(G, G.generators, limit)
     if elements is not None:
-        # not one-to-one, or |H| > |G| so mu is not onto
-        if len(set(map(image, elements))) != len(elements) or closure(H, H.generators, len(elements)) is None:
+        mapped = set(map(image, elements))
+        if image(G.identity) != H.identity or len(mapped) != len(elements) or not mapped.issuperset(H.generators):
             return False
-        pairs = itertools.product(elements, repeat=2)
+        pairs = itertools.product(elements, G.generators)
     elif mode == "exhaustive":
         raise MalformedInputError(
             f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"

@@ -536,6 +536,16 @@ def naive_isomorphic(G: GroupHandle, H: GroupHandle) -> bool:
     return extend({G.identity: H.identity}, [], 0)
 
 
+def naive_is_isomorphism(G: GroupHandle, H: GroupHandle, mu) -> bool:
+    """Whether mu is an isomorphism G -> H: mu(a b) = mu(a) mu(b) on all |G|^2
+    pairs, and the images of G's elements are the elements of H, each once."""
+    elements = closure(G, G.generators)
+    images = {a: mu(a) for a in elements}
+    if sorted(images.values()) != closure(H, H.generators):
+        return False
+    return all(images[G.mul(a, b)] == H.mul(images[a], images[b]) for a in elements for b in elements)
+
+
 # --- census -----------------------------------------------------------------
 
 

@@ -392,6 +392,21 @@ def test_largest_admitted_matrix_search_fits_the_budget(monkeypatch):
     assert 2048 <= radius <= 1 << 15 and max(peaks) <= 1 << 20  # the doubling past the cap raised
 
 
+def test_a_wide_matrix_search_keeps_the_budget(monkeypatch):
+    # 12 x 12 over F_1000003: 6 778 bytes per entry, so 1 MiB admits 154 entries
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    u = random_unit(PType(1000003, (1,) * 12), random.Random(0))
+    with pytest.raises(MemoryBudgetError, match="exceed 154 entries"):
+        matrix_order(u, 1 << 20)  # the rounds at radius 32, 64 and 128, then the doubling raises
+    tracemalloc.start()
+    try:
+        assert matrix_order(u, 128 * 128) is None  # a cap of r^2 ends the search at radius r
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 def test_conjugacy_self_and_1x1():
     ptype = PType(7, (1,))
     two = make_matrix(ptype, [[2]])

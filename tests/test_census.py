@@ -31,6 +31,7 @@ from corpus import (
     drawn_generators,
     naive_gamma,
     naive_in_class,
+    naive_is_isomorphism,
     naive_isomorphic,
     relabel,
     semidirect,
@@ -71,16 +72,18 @@ def test_census_to_order_47_matches_the_naive_oracles():
 
 def test_sampled_verdict_matches_exhaustive_on_the_census():
     # each census witness, and k + 1 and k + 2 where they are units mod gamma: mu is
-    # then a bijection, and on a cyclic A it may still be an isomorphism
+    # then a bijection, and on a cyclic A it may still be an isomorphism. Both modes
+    # agree with the all-pairs check of naive_is_isomorphism
     verdicts = []
     for R, G, witness in _census_to_47()[1]:
         for k in (witness.k, witness.k + 1, witness.k + 2):
             if math.gcd(k, witness.source.gamma) == 1:
                 mu = build_mu(dataclasses.replace(witness, k=k))
+                naive = naive_is_isomorphism(R, G, mu)
                 exhaustive = verify_isomorphism(R, G, mu, mode="exhaustive")
                 sampled = verify_isomorphism(R, G, mu, mode="sampled", seed=0, sample_pairs=200)
-                assert sampled == exhaustive, (R.name, G.name, k)
-                verdicts.append(exhaustive)
+                assert sampled == exhaustive == naive, (R.name, G.name, k)
+                verdicts.append(naive)
     assert (len(verdicts), verdicts.count(False)) == (534, 70)
 
 

@@ -69,20 +69,21 @@ def test_trivial_group_goes_through_the_sweep(tmp_path, capsys):
         f"command standard-decomposition\ninput sha256:{digest}\ngamma 1\nabelian-order 1\n"
         "abelian-type -\ngroup-order 1\ny 0\nattempt 1 ok 1\noracle-calls 0\nwall-time-ms X\n"
     )
+    # with no generator the closure is {1} and its Cayley graph has no edge: both modes
+    # check mu(1) = 1 and multiply nothing
     code, out, _ = run_cli(capsys, "isomorphic", str(path), str(path), "--verify", "exhaustive")
     assert code == 0
     assert strip_wall_time(out) == (
         f"command isomorphic\ninput-g sha256:{digest}\ninput-h sha256:{digest}\nverdict yes\n"
-        "gamma 1\nk 1\npsi-block trivial\nmu-check exhaustive pass\noracle-calls-g 3\n"
-        "oracle-calls-h 2\nwall-time-ms X\n"
+        "gamma 1\nk 1\npsi-block trivial\nmu-check exhaustive pass\noracle-calls-g 2\n"
+        "oracle-calls-h 1\nwall-time-ms X\n"
     )
-    # with no generator the closure is {1}: sampled mode checks its one pair, as exhaustive mode does
     code, out, _ = run_cli(capsys, "isomorphic", str(path), str(path))
     assert code == 0
     assert strip_wall_time(out) == (
         f"command isomorphic\ninput-g sha256:{digest}\ninput-h sha256:{digest}\nverdict yes\n"
-        "gamma 1\nk 1\npsi-block trivial\nmu-check sampled pass\noracle-calls-g 3\n"
-        "oracle-calls-h 2\nwall-time-ms X\n"
+        "gamma 1\nk 1\npsi-block trivial\nmu-check sampled pass\noracle-calls-g 2\n"
+        "oracle-calls-h 1\nwall-time-ms X\n"
     )
 
 
@@ -160,7 +161,8 @@ def test_out_of_class_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
 
 
 def test_exhaustive_verification_refuses_a_large_group(tmp_path, capsys):
-    # |G| = 1009 * 1008: the |G|^2 check would take hours, so it stops at 1024 elements
+    # |G| = 1009 * 1008: mapping every element would take up to 1024 products per mu
+    # lookup, about 10^9 in all, so the check stops at 1024 elements
     a, b = tmp_path / "a.grp", tmp_path / "b.grp"
     a.write_text("semidirect\nA 1009\nm 1008\n11\n")
     b.write_text("semidirect\nA 1009\nm 1008\n367\n")

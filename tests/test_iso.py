@@ -16,6 +16,7 @@ from corpus import (
     corpus_entry,
     mixed_generators,
     naive_gamma,
+    naive_is_isomorphism,
     naive_isomorphic,
     random_generators,
     relabel,
@@ -179,16 +180,28 @@ def test_verify_isomorphism_detects_bad_maps():
     G = build("G21a")
     H = build("G21a")
     identity_map = lambda code: code
-    assert verify_isomorphism(G, H, identity_map, mode="exhaustive")
     elements = closure(G, G.generators)
     swapped = {a: a for a in elements}
     swapped[elements[1]], swapped[elements[2]] = elements[2], elements[1]
-    assert not verify_isomorphism(G, H, lambda code: swapped[code], mode="exhaustive")
-    # a homomorphism that is not injective
-    assert not verify_isomorphism(G, H, lambda code: H.identity, mode="exhaustive")
-    # x -> 2x embeds Z3 in Z6: an injective homomorphism that misses half of H
-    Z3, Z6 = (table_group(cyclic_table_spec(n)) for n in (3, 6))
-    assert not verify_isomorphism(Z3, Z6, lambda code: 2 * code, mode="exhaustive")
+    Z1, Z2, Z3, Z6 = (table_group(cyclic_table_spec(n)) for n in (1, 2, 3, 6))
+    assert list(Z1.generators) == [] and list(Z2.generators) == [1]
+    refused = [
+        # a bijection with mu(1) = 1: only the products on the edges a -> a g refuse it
+        (G, H, lambda code: swapped[code]),
+        # a homomorphism that is not injective
+        (G, H, lambda code: H.identity),
+        # x -> 2x embeds Z3 in Z6: an injective homomorphism that misses half of H
+        (Z3, Z6, lambda code: 2 * code),
+        # x -> x mod 3 maps Z6 onto Z3: a homomorphism onto H that is not one-to-one
+        (Z6, Z3, lambda code: code % 3),
+        # {1} has no edge, so only mu(1) = 1 refuses this map onto the generator of Z2
+        (Z1, Z2, lambda code: 1),
+    ]
+    for mode in ("exhaustive", "sampled"):
+        assert verify_isomorphism(G, H, identity_map, mode=mode)
+        for source, target, mu in refused:
+            assert not naive_is_isomorphism(source, target, mu)
+            assert not verify_isomorphism(source, target, mu, mode=mode)
     with pytest.raises(MalformedInputError, match="unknown verification mode 'bogus'"):
         verify_isomorphism(G, H, identity_map, mode="bogus")
 
@@ -234,7 +247,7 @@ def test_sampled_mode_checks_all_pairs_when_they_fit_in_the_sample(monkeypatch):
     mapped = []
     assert verify_isomorphism(G, H, lambda g: mapped.append(g) or mu(g), sample_pairs=441)
     assert sorted(mapped) == closure(G, G.generators)
-    # the trivial map preserves every product: only the one-to-one check refuses it
+    # the trivial map preserves every product: the one-to-one and onto checks refuse it
     assert not verify_isomorphism(G, H, lambda g: H.identity, sample_pairs=441)
 
 
@@ -697,11 +710,29 @@ def test_the_image_map_hides_no_mismatch():
     changed_at = lambda wrong: lambda g: H.identity if g == wrong else mu(g)
     for wrong in (moved, G.generators[0]):
         assert changed_at(wrong)(wrong) != mu(wrong)
+        assert not naive_is_isomorphism(G, H, changed_at(wrong))
         assert not verify_isomorphism(G, H, changed_at(wrong))
         assert not verify_isomorphism(G, H, changed_at(wrong), mode="exhaustive")
         assert not verify_isomorphism(G, H, changed_at(wrong), sample_pairs=400)
     # the generator pairs alone do not meet 3;0: the random pairs find it
     assert verify_isomorphism(G, H, changed_at(moved), sample_pairs=0)
+
+
+def test_verification_multiplies_along_the_cayley_graph_edges():
+    # mu as a dict lookup makes no oracle call: the check's products are the
+    # closure of G, then one product in G and one in H per edge (a, a g)
+    G, H = build("G21a"), build("G21b")
+    mu = build_mu(isomorphic(G, H).witness)
+    images = {g: mu(g) for g in closure(G, G.generators)}
+    before = G.operation_count
+    closure(G, G.generators)
+    closure_products = G.operation_count - before
+    edges = len(images) * len(G.generators)
+    for mode in ("exhaustive", "sampled"):
+        before_g, before_h = G.operation_count, H.operation_count
+        assert verify_isomorphism(G, H, images.__getitem__, mode=mode)
+        assert (G.operation_count - before_g, H.operation_count - before_h) == (closure_products + edges, edges)
+    assert (closure_products, edges) == (42, 42)
 
 
 @pytest.mark.parametrize("name", sorted(second_presentations()))
