@@ -121,22 +121,26 @@ def discrete_log(g: int, h: int, p: int, n: int, primes: Sequence[int] = ()) -> 
     return crt(parts)
 
 
-def _max_table_entries(entry_bytes: int) -> int:
+def _max_table_entries(entry_bytes: int, reserve: int = 0) -> int:
+    """Entries of entry_bytes each that GRPEXT_MEM_MB holds once reserve bytes are set aside."""
     text = os.environ.get("GRPEXT_MEM_MB", "1024")
     mb = read_ints(text, "GRPEXT_MEM_MB")[0] if text.isascii() and text.isdigit() else 0
     if mb < 1:
         raise MalformedInputError(f"GRPEXT_MEM_MB must be a positive integer, not {text!r}")
-    return (mb << 20) // entry_bytes
+    return max((mb << 20) - reserve, 0) // entry_bytes
 
 
-def order_search(mul: Callable, one, g, entry_bytes: int, limit: Optional[int] = None) -> Optional[int]:
+def order_search(
+    mul: Callable, one, g, entry_bytes: int, limit: Optional[int] = None, reserve: int = 0
+) -> Optional[int]:
     """Least n >= 1 with g^n = one under mul, or None once every n <= limit is ruled out; g must
     lie in a group. Baby-step giant-step with a doubling radius r: the giant steps g^{rk}, k <= r,
     first meet the dict of g^j, j < r, at k = ceil(n / r), within about 4.5 sqrt(n) products.
-    A dict of more keys than GRPEXT_MEM_MB holds at entry_bytes each raises MemoryBudgetError."""
+    A dict of more keys than GRPEXT_MEM_MB holds at entry_bytes each, after reserve bytes for
+    what the search holds beside its entries, raises MemoryBudgetError."""
     if g == one:
         return 1
-    cap = _max_table_entries(entry_bytes)
+    cap = _max_table_entries(entry_bytes, reserve)
     limit = cap * cap + 1 if limit is None else limit  # beyond the steps of any admitted radius
     baby, cur, j, radius = {one: 0}, g, 1, 32  # cur = g^j
     while True:

@@ -52,6 +52,9 @@ CONJUGACY_TRIES = 200  # averages of random endomorphisms that conjugacy makes b
 # matrix_order's search holds ORDER_ENTRY_BYTES + 64 s + (36 + 4 d) s^2 bytes per entry of d 30-bit digits:
 # the worst tracemalloc peak at radii 2^10..2^17, s <= 19, 20..399-bit entries, first search included
 ORDER_ENTRY_BYTES = 250
+# CPython keeps up to 2 000 freed tuples of each length below 20. A search's s-tuples fill that free
+# list at any radius, so for s < 20 matrix_order sets ORDER_FREE_TUPLES * (40 + 8 s) bytes aside
+ORDER_FREE_TUPLES = 2000
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -480,7 +483,8 @@ def matrix_order(u, cap: Optional[int] = None, *, multiple: Optional[int] = None
     s, digits = len(moduli), -(-max(moduli).bit_length() // 30)
     entry_bytes = ORDER_ENTRY_BYTES + 64 * s + s * s * (36 + 4 * digits)  # s + 1 tuples, s^2 ints
     one = identity_matrix(u.ptype).rows
-    return order_search(lambda a, b: mat_mul(a, b, moduli), one, u.rows, entry_bytes, cap)
+    reserve = ORDER_FREE_TUPLES * (40 + 8 * s) if s < 20 else 0
+    return order_search(lambda a, b: mat_mul(a, b, moduli), one, u.rows, entry_bytes, cap, reserve)
 
 
 def conjugacy(

@@ -10,15 +10,18 @@ those of psi(M2)^k for the k of one class, which block determinants fix; only
 the smallest matching k reaches the conjugacy solver, which decides by the
 same rule and proves the match with an explicit conjugator, a random
 endomorphism averaged over <M1>. A positive verdict always carries a witness
-(k plus a basis-to-basis matrix psi). build_mu turns it into the explicit
-isomorphism mu(y1^j x) = y2^{k j} psi(x), which factors each element of G as
-y1^j x with one decomposition-table lookup over <y1>A1, and
-verify_isomorphism proves it on the Cayley graph of G, |G| * |gens| products on
-each side, in exhaustive mode and in the default sampled mode while
-|G|^2 <= sample_pairs. On a larger G sampled mode pays a failed closure of
-about (isqrt(sample_pairs) + 1) * |gens| products, then checks the generator
+(k plus a basis-to-basis matrix psi), which fixes the explicit isomorphism
+mu(y1^j x) = y2^{k j} psi(x).
+
+verify_isomorphism proves the witness while |G| is at most EXHAUSTIVE_LIMIT in
+exhaustive mode, or isqrt(sample_pairs) in the default sampled mode: one
+breadth-first closure of G over T = (y1,) + the basis of A1 builds mu along
+its edges, |G| * |T| - |T| products on each side, and checks every edge, that
+mu is one-to-one and that its image holds the generators of H. On a larger G
+sampled mode builds mu by build_mu, which factors each element of G as y1^j x
+with one decomposition-table lookup over <y1>A1, and checks the generator
 pairs and random pairs, whose elements product replacement draws at two
-products each. Either way it maps each distinct element once.
+products each; it maps each distinct element once.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import autring
 from .abelian import DecompositionTable
 from .arith import crt, discrete_log, trial_factor
-from .blackbox import ElementCode, GroupHandle, closure, group_pow
+from .blackbox import ElementCode, GroupHandle, group_pow
 from .decomp import StandardDecomposition, standard_decomposition
 from .errors import InvariantBreachError, MalformedInputError
 
@@ -148,6 +151,17 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     return IsoResult(None, NO_CONJUGATING_K)
 
 
+def _image(witness: IsomorphismWitness, vec: Sequence[int]) -> ElementCode:
+    """mu(y1^j x) = y2^{k j} psi(x) for vec = (j, x) over (y1,) + the basis of A1,
+    as the product in H of the powers of y2 and the basis of A2."""
+    sd2 = witness.target
+    H = sd2.G
+    j, *x = vec
+    exps = (witness.k * j % witness.source.gamma,) + autring.apply_blocks(witness.psi_blocks, x)
+    parts = [group_pow(H, h, e) for h, e in zip((sd2.y,) + sd2.a_basis.elements, exps) if e]
+    return functools.reduce(H.mul, parts) if parts else H.identity
+
+
 def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode]:
     """Total map mu(y1^j * x) = y2^{k j} * psi(x) realized through the oracles.
 
@@ -157,20 +171,59 @@ def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode
     InvariantBreachError. A table of more codes than the GRPEXT_MEM_MB cap allows
     raises MemoryBudgetError (exit code 2 in the CLI).
     """
-    sd1, sd2 = witness.source, witness.target
-    H, gamma = sd2.G, sd1.gamma
-    table = DecompositionTable(sd1.G, (sd1.y,) + sd1.a_basis.elements, (gamma,) + sd1.a_basis.orders)
-    factors = (sd2.y,) + sd2.a_basis.elements
+    sd1 = witness.source
+    table = DecompositionTable(sd1.G, (sd1.y,) + sd1.a_basis.elements, (sd1.gamma,) + sd1.a_basis.orders)
 
     def mu(g: ElementCode) -> ElementCode:
         if (vec := table.decompose(g)) is None:
             raise InvariantBreachError("element does not factor over the decomposition")
-        j, *x = vec
-        exps = (witness.k * j % gamma,) + autring.apply_blocks(witness.psi_blocks, x)
-        parts = [group_pow(H, h, e) for h, e in zip(factors, exps) if e]
-        return functools.reduce(H.mul, parts) if parts else H.identity
+        return _image(witness, vec)
 
     return mu
+
+
+def _prove(witness: IsomorphismWitness) -> bool:
+    """Whether the witness's mu is an isomorphism, by one closure of G over T = (y1,) + the basis of A1.
+
+    mu(t) is computed once per t in T. The first edge x -> x t into an element
+    sets mu(x t) = mu(x) mu(t); every later edge into it must give its image
+    again. An edge from 1 costs no product, so the closure makes |G| * |T| - |T|
+    products in G, and as many in H besides the powers that give mu(T). Lemma: a map with mu(1) = 1 and mu(x t) =
+    mu(x) mu(t) on every edge is a homomorphism on <T>, by induction on the
+    length of a word in T, and it agrees with the witness on T, so it is the
+    witness's map. <T> = G once it holds G.generators (the sweep's cover proof;
+    a miss or a closure of other than |G| = gamma |A1| elements raises
+    InvariantBreachError). An injective homomorphism whose image holds the
+    generators of H is onto H. An identity element of T mapped to 1 adds no
+    edge; mapped elsewhere, the edge from 1 refutes it.
+    """
+    sd1, sd2 = witness.source, witness.target
+    G, H, n = sd1.G, sd2.G, sd1.group_order
+    gens = (sd1.y,) + sd1.a_basis.elements
+    gen_images = [_image(witness, [int(i == t) for i in range(len(gens))]) for t in range(len(gens))]
+    edges = [(t, m) for t, m in zip(gens, gen_images) if t != G.identity or m != H.identity]
+    images = {G.identity: H.identity}
+    frontier = [G.identity]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for t, m in edges:
+                xt, image = (t, m) if x == G.identity else (G.mul(x, t), H.mul(images[x], m))
+                if xt in images:
+                    if images[xt] != image:
+                        return False
+                elif len(images) == n:
+                    raise InvariantBreachError(f"y and the basis of A generate more than |G| = {n} elements")
+                else:
+                    images[xt] = image
+                    reached.append(xt)
+        frontier = reached
+    if len(images) != n:
+        raise InvariantBreachError(f"y and the basis of A generate {len(images)} elements, not |G| = {n}")
+    if not images.keys() >= set(G.generators):
+        raise InvariantBreachError("a generator of G lies outside the closure of y and the basis of A")
+    mapped = set(images.values())
+    return len(mapped) == n and mapped.issuperset(H.generators)
 
 
 REPLACEMENT_SLOTS = 10  # product-replacement slots, or one per generator if G has more
@@ -199,32 +252,35 @@ def _random_elements(G: GroupHandle, rng: random.Random) -> Iterator[ElementCode
 
 
 def verify_isomorphism(
-    G: GroupHandle,
-    H: GroupHandle,
-    mu: Callable[[ElementCode], ElementCode],
+    witness: IsomorphismWitness,
     mode: str = "sampled",
     seed: int = 0,
     sample_pairs: int = 10_000,
 ) -> bool:
-    """Check that mu preserves products, and that it is a bijection onto H when G fits.
+    """Check that the witness's mu preserves products, and prove it an isomorphism when G fits.
 
-    Both modes start from closure(G, G.generators, limit): limit EXHAUSTIVE_LIMIT
-    in exhaustive mode, isqrt(sample_pairs) in sampled mode. If G fits, the check
-    is a proof in either mode. It checks mu(1) = 1, mu one-to-one with H.generators
-    in its image, and mu(a g) = mu(a) mu(g) on each edge of the Cayley graph (a in
-    G, g in S = G.generators): |G| * |S| products in G and in H. Lemma: the w with
-    mu(x w) = mu(x) mu(w) for every x are closed under products and hold 1 and S,
-    so they are all of G; the image is then a subgroup of H that holds its
-    generators. Otherwise exhaustive mode is refused with MalformedInputError,
-    and sampled mode, after the failed closure (at most about (limit + 1) * |gens|
-    products), checks every pair of generators, then sample_pairs pairs drawn by
-    _random_elements from random.Random(seed): 2 * REPLACEMENT_WARMUP products in
-    G once, two per element, and one product in G and one in H per pair. Codes are
-    canonical, so mu runs once per distinct element and later pairs read its image
-    from a map.
+    G and H are witness.source.G and witness.target.G, and the decision has
+    proved |G| = witness.source.group_order. If that is at most the limit,
+    EXHAUSTIVE_LIMIT in exhaustive mode and isqrt(sample_pairs) in sampled mode,
+    the check is a proof in either mode (_prove: one closure of G over y1 and the
+    basis of A1). Otherwise exhaustive mode is refused with MalformedInputError,
+    and sampled mode builds mu by build_mu, checks every pair of generators, then
+    sample_pairs pairs drawn by _random_elements from random.Random(seed):
+    2 * REPLACEMENT_WARMUP products in G once, two per element, and one product
+    in G and one in H per pair. Codes are canonical, so mu runs once per distinct
+    element and later pairs read its image from a map.
     """
     if mode not in ("exhaustive", "sampled"):
         raise MalformedInputError(f"unknown verification mode {mode!r}")
+    limit = EXHAUSTIVE_LIMIT if mode == "exhaustive" else math.isqrt(sample_pairs)
+    if witness.source.group_order <= limit:
+        return _prove(witness)
+    if mode == "exhaustive":
+        raise MalformedInputError(
+            f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
+        )
+    G, H = witness.source.G, witness.target.G
+    mu = build_mu(witness)
     images: dict[ElementCode, ElementCode] = {}
 
     def image(a: ElementCode) -> ElementCode:
@@ -232,19 +288,7 @@ def verify_isomorphism(
             images[a] = mu(a)
         return images[a]
 
-    limit = EXHAUSTIVE_LIMIT if mode == "exhaustive" else math.isqrt(sample_pairs)
-    elements = closure(G, G.generators, limit)
-    if elements is not None:
-        mapped = set(map(image, elements))
-        if image(G.identity) != H.identity or len(mapped) != len(elements) or not mapped.issuperset(H.generators):
-            return False
-        pairs = itertools.product(elements, G.generators)
-    elif mode == "exhaustive":
-        raise MalformedInputError(
-            f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
-        )
-    else:
-        draws = _random_elements(G, random.Random(seed))
-        randoms = ((next(draws), next(draws)) for _ in range(sample_pairs))
-        pairs = itertools.chain(itertools.product(G.generators, repeat=2), randoms)
+    draws = _random_elements(G, random.Random(seed))
+    randoms = ((next(draws), next(draws)) for _ in range(sample_pairs))
+    pairs = itertools.chain(itertools.product(G.generators, repeat=2), randoms)
     return all(image(G.mul(a, b)) == H.mul(image(a), image(b)) for a, b in pairs)

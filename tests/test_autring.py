@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -393,18 +397,41 @@ def test_largest_admitted_matrix_search_fits_the_budget(monkeypatch):
 
 
 def test_a_wide_matrix_search_keeps_the_budget(monkeypatch):
-    # 12 x 12 over F_1000003: 6 778 bytes per entry, so 1 MiB admits 154 entries
+    # 12 x 12 over F_1000003: 6 778 bytes per entry, and 272 000 bytes set aside for
+    # the free 12-tuples, so 1 MiB admits 114 entries
     monkeypatch.setenv("GRPEXT_MEM_MB", "1")
     u = random_unit(PType(1000003, (1,) * 12), random.Random(0))
-    with pytest.raises(MemoryBudgetError, match="exceed 154 entries"):
-        matrix_order(u, 1 << 20)  # the rounds at radius 32, 64 and 128, then the doubling raises
+    with pytest.raises(MemoryBudgetError, match="exceed 114 entries"):
+        matrix_order(u, 1 << 20)  # the rounds at radius 32 and 64, then the doubling raises
     tracemalloc.start()
     try:
-        assert matrix_order(u, 128 * 128) is None  # a cap of r^2 ends the search at radius r
+        assert matrix_order(u, 64 * 64) is None  # a cap of r^2 ends the search at radius r
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+def test_the_first_wide_matrix_search_of_a_process_keeps_the_budget():
+    # a fresh interpreter has no free 12-tuples yet: the search's own fill the free
+    # list, about 272 KB beside the entries, and the peak still fits in 1 MiB
+    code = """if True:
+        import random, tracemalloc
+        from grpext.autring import PType, matrix_order, random_unit
+        from grpext.errors import MemoryBudgetError
+        u = random_unit(PType(1000003, (1,) * 12), random.Random(0))
+        tracemalloc.start()
+        try:
+            matrix_order(u, 1 << 20)
+        except MemoryBudgetError as exc:
+            print(exc, tracemalloc.get_traced_memory()[1])
+        """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, GRPEXT_MEM_MB="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    message, peak = out.rsplit(" ", 1)
+    assert message == "baby-step table for order finding would exceed 114 entries"
+    assert int(peak) <= 1 << 20
 
 
 def test_conjugacy_self_and_1x1():

@@ -13,6 +13,11 @@ whole. A Hypothesis sample draws a shape (order, A's moduli and m) and two
 groups of that shape or of that order, each also as a relabelled table and on
 drawn generators, and checks the same three things on them, and that
 `naive_in_class` holds; there `naive_isomorphic` also confirms every "yes".
+
+Each census witness to order 47, and each "yes" of the sample, is also changed
+to k + 1 (and k + 2) and to a psi with one entry moved by 1, and the verdict of
+`verify_isomorphism` on the changed witness must equal the all-pairs check of
+`naive_is_isomorphism` on its `strip_mu` map.
 """
 
 import dataclasses
@@ -35,10 +40,13 @@ from corpus import (
     naive_isomorphic,
     relabel,
     semidirect,
+    strip_mu,
 )
+from grpext import autring
 from grpext.blackbox import TableGroupSpec, table_group
 from grpext.decomp import standard_decomposition
-from grpext.iso import build_mu, isomorphic, verify_isomorphism
+from grpext.errors import MalformedInputError
+from grpext.iso import isomorphic, verify_isomorphism
 
 
 @functools.cache
@@ -60,7 +68,7 @@ def _census_to_47() -> tuple[dict, list]:
 def test_census_to_order_47_matches_the_naive_oracles():
     reps, witnesses = _census_to_47()
     for R, G, witness in witnesses:
-        assert verify_isomorphism(R, G, build_mu(witness), mode="exhaustive"), G.name
+        assert verify_isomorphism(witness, mode="exhaustive"), G.name
     representatives = [R for same_order in reps.values() for R in same_order]
     for R in representatives:
         assert standard_decomposition(R).gamma == naive_gamma(R), R.name
@@ -70,21 +78,61 @@ def test_census_to_order_47_matches_the_naive_oracles():
     assert (len(witnesses) + len(representatives), len(representatives), len(pairs)) == (323, 113, 156)
 
 
-def test_sampled_verdict_matches_exhaustive_on_the_census():
-    # each census witness, and k + 1 and k + 2 where they are units mod gamma: mu is
-    # then a bijection, and on a cyclic A it may still be an isomorphism. Both modes
-    # agree with the all-pairs check of naive_is_isomorphism
+def _moved_psi(witness):
+    """The witness with the first psi entry, by block, row and column, that moves by 1
+    and leaves a unit moved by 1; None when no entry can."""
+    blocks = witness.psi_blocks.blocks
+    for b, block in enumerate(blocks):
+        for i, j in itertools.product(range(block.ptype.s), repeat=2):
+            rows = [list(row) for row in block.rows]
+            rows[i][j] = (rows[i][j] + 1) % block.ptype.moduli[i]
+            try:
+                moved = autring.validate_M(block.ptype, rows)
+            except MalformedInputError:
+                continue
+            if autring.is_in_R(moved):
+                return dataclasses.replace(witness, psi_blocks=autring.AutBlocks(blocks[:b] + (moved,) + blocks[b + 1 :]))
+    return None
+
+
+@functools.cache
+def _census_verdicts() -> tuple:
+    """(witness, naive verdict, psi moved) for each census witness to order 47 with k,
+    k + 1 and k + 2 where they are units mod gamma, and with one psi entry moved by 1
+    where that leaves a unit: mu stays a bijection, and may still be an isomorphism.
+    The verdict is the all-pairs check of naive_is_isomorphism on strip_mu."""
     verdicts = []
     for R, G, witness in _census_to_47()[1]:
-        for k in (witness.k, witness.k + 1, witness.k + 2):
-            if math.gcd(k, witness.source.gamma) == 1:
-                mu = build_mu(dataclasses.replace(witness, k=k))
-                naive = naive_is_isomorphism(R, G, mu)
-                exhaustive = verify_isomorphism(R, G, mu, mode="exhaustive")
-                sampled = verify_isomorphism(R, G, mu, mode="sampled", seed=0, sample_pairs=200)
-                assert sampled == exhaustive == naive, (R.name, G.name, k)
-                verdicts.append(naive)
+        ks = [k for k in (witness.k, witness.k + 1, witness.k + 2) if math.gcd(k, witness.source.gamma) == 1]
+        variants = [(dataclasses.replace(witness, k=k), False) for k in ks]
+        if (moved := _moved_psi(witness)) is not None:
+            variants.append((moved, True))
+        verdicts += [(w, naive_is_isomorphism(R, G, strip_mu(w)), m) for w, m in variants]
+    return tuple(verdicts)
+
+
+def test_sampled_verdict_matches_exhaustive_on_the_census():
+    # each census witness, and k + 1 and k + 2 where they are units mod gamma. The
+    # sampled check of 200 pairs proves only groups of at most 14 elements, and
+    # samples the rest; both agree with the all-pairs check
+    verdicts = []
+    for witness, naive, moved in _census_verdicts():
+        if not moved:
+            exhaustive = verify_isomorphism(witness, mode="exhaustive")
+            sampled = verify_isomorphism(witness, mode="sampled", seed=0, sample_pairs=200)
+            assert sampled == exhaustive == naive, (witness.source.G.name, witness.target.G.name, witness.k)
+            verdicts.append(naive)
     assert (len(verdicts), verdicts.count(False)) == (534, 70)
+
+
+def test_witness_verdicts_match_the_naive_check_on_the_census():
+    # the proof in both modes, on each census witness, k + 1, k + 2 and a moved psi entry
+    verdicts = []
+    for witness, naive, _ in _census_verdicts():
+        for mode in ("exhaustive", "sampled"):
+            assert verify_isomorphism(witness, mode=mode) == naive, (witness.source.G.name, witness.target.G.name)
+        verdicts.append(naive)
+    assert (len(verdicts), verdicts.count(False)) == (731, 154)
 
 
 @functools.cache
@@ -103,8 +151,16 @@ def _census_48_to_64() -> tuple[dict, dict]:
 def _verified_yes(G, H) -> bool:
     result = isomorphic(G, H)
     if result.is_isomorphic:
-        assert verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive"), (G.name, H.name)
+        assert verify_isomorphism(result.witness, mode="exhaustive"), (G.name, H.name)
         assert naive_isomorphic(G, H), (G.name, H.name)
+        # on relabelled tables and drawn generators, (y1,) + the basis of A1 is not G.generators
+        witness = result.witness
+        variants = [_moved_psi(witness)]
+        if math.gcd(witness.k + 1, witness.source.gamma) == 1:
+            variants.append(dataclasses.replace(witness, k=witness.k + 1))
+        for w in filter(None, variants):
+            naive = naive_is_isomorphism(G, H, strip_mu(w))
+            assert verify_isomorphism(w, mode="exhaustive") == verify_isomorphism(w) == naive, (G.name, H.name)
     return result.is_isomorphic
 
 
@@ -138,7 +194,7 @@ def test_the_k_scan_compares_every_psi_block():
     H = semidirect((3, 5, 5), 4, [[2, 0, 0], [0, 3, 0], [0, 0, 3]])
     result = isomorphic(G, H)
     assert result.is_isomorphic and result.witness.k == 3
-    assert verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive")
+    assert verify_isomorphism(result.witness, mode="exhaustive")
 
 
 def test_naive_isomorphic_searches_many_generators_and_equal_order_profiles():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -9,6 +10,7 @@ import pytest
 from corpus import build, dihedral_table, relabel, symmetric_table, write_table
 from grpext import abelian, autring, blackbox, classes, iso
 from grpext.cli import main
+from grpext.decomp import standard_decomposition
 from grpext.errors import InvariantBreachError
 
 G21A = "semidirect\nA 7\nm 3\n2\n"
@@ -69,20 +71,20 @@ def test_trivial_group_goes_through_the_sweep(tmp_path, capsys):
         f"command standard-decomposition\ninput sha256:{digest}\ngamma 1\nabelian-order 1\n"
         "abelian-type -\ngroup-order 1\ny 0\nattempt 1 ok 1\noracle-calls 0\nwall-time-ms X\n"
     )
-    # with no generator the closure is {1} and its Cayley graph has no edge: both modes
-    # check mu(1) = 1 and multiply nothing
+    # y1 = 1 and A is trivial: y1 maps to 1, so the closure over y1 and A's basis has no
+    # edge, and both modes prove mu on {1} without a product
     code, out, _ = run_cli(capsys, "isomorphic", str(path), str(path), "--verify", "exhaustive")
     assert code == 0
     assert strip_wall_time(out) == (
         f"command isomorphic\ninput-g sha256:{digest}\ninput-h sha256:{digest}\nverdict yes\n"
-        "gamma 1\nk 1\npsi-block trivial\nmu-check exhaustive pass\noracle-calls-g 2\n"
+        "gamma 1\nk 1\npsi-block trivial\nmu-check exhaustive pass\noracle-calls-g 1\n"
         "oracle-calls-h 1\nwall-time-ms X\n"
     )
     code, out, _ = run_cli(capsys, "isomorphic", str(path), str(path))
     assert code == 0
     assert strip_wall_time(out) == (
         f"command isomorphic\ninput-g sha256:{digest}\ninput-h sha256:{digest}\nverdict yes\n"
-        "gamma 1\nk 1\npsi-block trivial\nmu-check sampled pass\noracle-calls-g 2\n"
+        "gamma 1\nk 1\npsi-block trivial\nmu-check sampled pass\noracle-calls-g 1\n"
         "oracle-calls-h 1\nwall-time-ms X\n"
     )
 
@@ -133,6 +135,14 @@ def test_exhaustive_verification_fails_a_yes_onto_a_larger_group(tmp_path, capsy
     assert code == 1
     assert "verdict yes\n" in out
     assert "mu-check exhaustive fail\n" in out
+    # the same wrong yes with H's own decomposition as the witness's target: the proof
+    # maps y1, of order 3, to a power of y2, of order 7, and an edge fails
+    onto_h = lambda G, H: iso.IsoResult(
+        dataclasses.replace(real_isomorphic(G, G).witness, target=standard_decomposition(H)), None
+    )
+    monkeypatch.setattr(iso, "isomorphic", onto_h)
+    code, out, _ = run_cli(capsys, "isomorphic", str(a), str(b), "--verify", "exhaustive")
+    assert (code, "verdict yes\n" in out, "mu-check exhaustive fail\n" in out) == (1, True, True)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -28,13 +29,14 @@ from corpus import (
     with_generators,
 )
 from grpext import abelian, autring, iso
-from grpext.blackbox import closure, table_group
-from grpext.decomp import standard_decomposition
-from grpext.errors import MalformedInputError, NotInClassError
+from grpext.blackbox import closure, group_pow, table_group
+from grpext.decomp import StandardDecomposition, standard_decomposition
+from grpext.errors import InvariantBreachError, MalformedInputError, NotInClassError
 from grpext.iso import (
     ABELIAN_MISMATCH,
     GAMMA_MISMATCH,
     NO_CONJUGATING_K,
+    IsomorphismWitness,
     build_mu,
     conjugation_action,
     isomorphic,
@@ -114,7 +116,7 @@ def test_remark_pair_mu_is_exhaustively_verified():
     assert mu(G.identity) == H.identity
     y1 = G.parse_element("0;1")
     assert mu(y1) == H.parse_element("0;2")  # y1 -> y2^2 is forced by k = 2
-    assert verify_isomorphism(G, H, mu, mode="exhaustive")
+    assert verify_isomorphism(result.witness, mode="exhaustive")
 
 
 def test_failure_reasons():
@@ -149,8 +151,7 @@ def test_isomorphic_pairs_with_mu_verification(pair):
     G, H = build(pair[0]), build(pair[1])
     result = isomorphic(G, H)
     assert result.is_isomorphic
-    mu = build_mu(result.witness)
-    assert verify_isomorphism(G, H, mu, mode="exhaustive")
+    assert verify_isomorphism(result.witness, mode="exhaustive")
 
 
 def test_symmetry_on_sample():
@@ -176,34 +177,72 @@ def test_transitivity_within_class():
     assert isomorphic(a, c).is_isomorphic
 
 
-def test_verify_isomorphism_detects_bad_maps():
-    G = build("G21a")
-    H = build("G21a")
-    identity_map = lambda code: code
-    elements = closure(G, G.generators)
-    swapped = {a: a for a in elements}
-    swapped[elements[1]], swapped[elements[2]] = elements[2], elements[1]
-    Z1, Z2, Z3, Z6 = (table_group(cyclic_table_spec(n)) for n in (1, 2, 3, 6))
-    assert list(Z1.generators) == [] and list(Z2.generators) == [1]
-    refused = [
-        # a bijection with mu(1) = 1: only the products on the edges a -> a g refuse it
-        (G, H, lambda code: swapped[code]),
-        # a homomorphism that is not injective
-        (G, H, lambda code: H.identity),
-        # x -> 2x embeds Z3 in Z6: an injective homomorphism that misses half of H
-        (Z3, Z6, lambda code: 2 * code),
-        # x -> x mod 3 maps Z6 onto Z3: a homomorphism onto H that is not one-to-one
-        (Z6, Z3, lambda code: code % 3),
-        # {1} has no edge, so only mu(1) = 1 refuses this map onto the generator of Z2
-        (Z1, Z2, lambda code: 1),
+def _with_psi(witness, rows):
+    """The witness with its one psi-block replaced by rows, an endomorphism that need not be a unit."""
+    (block,) = witness.psi_blocks.blocks
+    return dataclasses.replace(witness, psi_blocks=autring.AutBlocks((autring.validate_M(block.ptype, rows),)))
+
+
+def _refuted_witnesses():
+    """(why, witness) for witnesses whose mu is not an isomorphism; each check of the proof refuses one."""
+    w21 = isomorphic(build("G21a"), build("G21b")).witness
+    w21_self = isomorphic(build("G21a"), build("G21a")).witness
+    z3_s3 = semidirect((3, 3), 2, [[1, 0], [0, 2]])
+    w_z3_s3 = isomorphic(z3_s3, z3_s3).witness
+    (psi,) = w_z3_s3.psi_blocks.blocks
+    sheared = [[psi.rows[0][0], (psi.rows[0][1] + 1) % 3], list(psi.rows[1])]
+    z3_2 = semidirect((3, 3), 1, [[1, 0], [0, 1]])
+    w_z3_2 = isomorphic(z3_2, z3_2).witness
+    Z3, Z7 = (table_group(cyclic_table_spec(n)) for n in (3, 7))
+    twice_b = abelian.AbelianBasis(Z3, (1, 1), (3, 3))
+    z3_ident = autring.AutBlocks((autring.identity_matrix(autring.PType(3, (1,))),))
+    z3_claimed = dataclasses.replace(standard_decomposition(Z3), gamma=2, y=Z3.identity)
+    return [
+        # y1 -> y2^2 onto a second G21a: a bijection that breaks y a y^-1 = a^2, so an edge refuses it
+        ("wrong k", dataclasses.replace(w21_self, k=2)),
+        # a psi that no longer commutes with the action: an edge refuses it
+        ("perturbed psi", _with_psi(w_z3_s3, sheared)),
+        # psi = 0 maps G21a onto <y2>: a homomorphism, not one-to-one and not onto
+        ("singular psi", _with_psi(w21, [[0]])),
+        # Z3^2 onto Z3 through a target basis (b, b): a homomorphism onto H, so only
+        # the one-to-one check refuses it
+        ("smaller target", dataclasses.replace(w_z3_2, target=StandardDecomposition(1, twice_b, Z3.identity))),
+        # Z7 onto A2 < G21b: an injective homomorphism whose image misses y2
+        ("larger target", dataclasses.replace(w21, source=standard_decomposition(Z7))),
+        # y1 = 1 of a Z3 claimed as gamma = 2 maps to y2 of S3: the edge 1 -> 1 y1 refuses it
+        ("identity of T off 1", IsomorphismWitness(1, z3_ident, z3_claimed, standard_decomposition(build("S3_table")))),
     ]
+
+
+def test_verify_isomorphism_detects_bad_maps():
+    refused = _refuted_witnesses()
     for mode in ("exhaustive", "sampled"):
-        assert verify_isomorphism(G, H, identity_map, mode=mode)
-        for source, target, mu in refused:
-            assert not naive_is_isomorphism(source, target, mu)
-            assert not verify_isomorphism(source, target, mu, mode=mode)
+        for g, h in (("G21a", "G21b"), ("G21a", "G21a")):
+            assert verify_isomorphism(isomorphic(build(g), build(h)).witness, mode=mode)
+        for why, witness in refused:
+            assert not naive_is_isomorphism(witness.source.G, witness.target.G, strip_mu(witness)), why
+            assert not verify_isomorphism(witness, mode=mode), why
     with pytest.raises(MalformedInputError, match="unknown verification mode 'bogus'"):
-        verify_isomorphism(G, H, identity_map, mode="bogus")
+        verify_isomorphism(refused[0][1], mode="bogus")
+
+
+def test_the_proof_refuses_a_decomposition_that_does_not_cover_g():
+    G, H = build("G21a"), build("G21b")
+    witness = isomorphic(G, H).witness
+    sd = witness.source
+    onto_z7 = dataclasses.replace(witness, target=standard_decomposition(table_group(cyclic_table_spec(7))))
+    cases = [
+        # <A1> has the 7 elements claimed, and mu maps it onto Z7, but G's generators leave it
+        (dataclasses.replace(onto_z7, source=dataclasses.replace(sd, gamma=1, y=G.identity)), "outside the closure"),
+        # y1 of order 3 under gamma = 1: the closure passes the 7 elements claimed
+        (dataclasses.replace(onto_z7, source=dataclasses.replace(sd, gamma=1)), r"more than \|G\| = 7 "),
+        # gamma = 6 claims 42 elements; the closure holds 21
+        (dataclasses.replace(witness, source=dataclasses.replace(sd, gamma=6)), r"21 elements, not \|G\| = 42"),
+    ]
+    for bad, message in cases:
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(InvariantBreachError, match=message):
+                verify_isomorphism(bad, mode=mode)
 
 
 def test_every_relabelled_d6_is_out_of_class_against_s3():
@@ -217,38 +256,37 @@ def test_every_relabelled_d6_is_out_of_class_against_s3():
                 isomorphic(*pair)
 
 
-def test_verify_isomorphism_sampled_mode():
+def test_verify_isomorphism_sampled_mode(monkeypatch):
     G, H = build("G21a"), build("G21b")
-    result = isomorphic(G, H)
-    mu = build_mu(result.witness)
-    assert verify_isomorphism(G, H, mu, mode="sampled", seed=0, sample_pairs=500)
+    witness = isomorphic(G, H).witness
+    assert verify_isomorphism(witness, mode="sampled", seed=0, sample_pairs=500)
+    # 400 < 21^2 pairs: the check draws, and samples the map build_mu returns
+    assert verify_isomorphism(witness, mode="sampled", seed=0, sample_pairs=400)
     # constant non-identity maps break multiplicativity immediately
     wrong = H.parse_element("1;0")
-    assert not verify_isomorphism(
-        G, H, lambda code: wrong, mode="sampled", seed=0, sample_pairs=50
-    )
+    monkeypatch.setattr(iso, "build_mu", lambda w: lambda code: wrong)
+    assert not verify_isomorphism(witness, mode="sampled", seed=0, sample_pairs=50)
     # the identity map of G changed only at 3;0, which is neither a generator nor a
     # product of two generators: the generator pairs pass and the random pairs fail
     moved = G.parse_element("3;0")
     assert moved not in {G.mul(a, b) for a in G.generators for b in G.generators} | set(G.generators)
-    changed = lambda code: G.identity if code == moved else code
-    assert verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=0)
-    assert not verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=500)
-    # 400 < 21^2 pairs: the check draws, and its random pairs find 3;0 too
-    assert verify_isomorphism(G, H, mu, mode="sampled", seed=0, sample_pairs=400)
-    assert not verify_isomorphism(G, G, changed, mode="sampled", seed=0, sample_pairs=400)
+    onto_itself = isomorphic(G, G).witness
+    monkeypatch.setattr(iso, "build_mu", lambda w: lambda code: G.identity if code == moved else code)
+    assert verify_isomorphism(onto_itself, mode="sampled", seed=0, sample_pairs=0)
+    assert not verify_isomorphism(onto_itself, mode="sampled", seed=0, sample_pairs=400)
+    # 500 >= 21^2 pairs: the proof builds mu itself, so the changed map is never read
+    assert verify_isomorphism(onto_itself, mode="sampled", seed=0, sample_pairs=500)
 
 
 def test_sampled_mode_checks_all_pairs_when_they_fit_in_the_sample(monkeypatch):
-    # 21^2 = 441 pairs: sample_pairs = 441 maps every element once and draws nothing
+    # 21^2 = 441 pairs: sample_pairs = 441 proves the witness, with no draw and no build_mu
     G, H = build("G21a"), build("G21b")
-    mu = build_mu(isomorphic(G, H).witness)
+    witness = isomorphic(G, H).witness
     monkeypatch.setattr(iso, "_random_elements", lambda *args: pytest.fail("the check drew random elements"))
-    mapped = []
-    assert verify_isomorphism(G, H, lambda g: mapped.append(g) or mu(g), sample_pairs=441)
-    assert sorted(mapped) == closure(G, G.generators)
-    # the trivial map preserves every product: the one-to-one and onto checks refuse it
-    assert not verify_isomorphism(G, H, lambda g: H.identity, sample_pairs=441)
+    monkeypatch.setattr(iso, "build_mu", lambda w: pytest.fail("the proof factored elements"))
+    assert verify_isomorphism(witness, sample_pairs=441)
+    # psi = 0 maps G onto <y2> and preserves every product: the one-to-one check refuses it
+    assert not verify_isomorphism(_with_psi(witness, [[0]]), sample_pairs=441)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -256,10 +294,12 @@ def test_sampled_mode_below_all_pairs_keeps_its_draws_and_pair_order(seed, monke
     # 440 < 21^2: the generator pairs, then _random_elements's draws two at a time,
     # read off the products in H of mu = the identity onto a second copy of G21a
     G, H = build("G21a"), build("G21a")
+    witness = isomorphic(G, H).witness
+    monkeypatch.setattr(iso, "build_mu", lambda w: lambda g: g)
     checked = []
     mul = H.mul
     monkeypatch.setattr(H, "mul", lambda a, b: checked.append((a, b)) or mul(a, b))
-    assert verify_isomorphism(G, H, lambda g: g, seed=seed, sample_pairs=440)
+    assert verify_isomorphism(witness, seed=seed, sample_pairs=440)
     draws = iso._random_elements(build("G21a"), random.Random(seed))
     expected = list(itertools.product(G.generators, repeat=2)) + [(next(draws), next(draws)) for _ in range(440)]
     assert checked == expected
@@ -669,21 +709,39 @@ def test_a1009_mu_factors_each_element_in_one_table_lookup():
             assert image == reference(g)
 
 
-def test_exhaustive_verification_maps_each_element_once():
+def test_exhaustive_verification_maps_each_element_once(monkeypatch):
+    # the proof builds mu along its closure, not by build_mu: in G it multiplies each
+    # edge x -> x t of the Cayley graph over T = (y1,) + the basis of A1 once, x != 1
     G, H = build("G21a"), build("G21b")
-    mu = build_mu(isomorphic(G, H).witness)
-    mapped = []
-    assert verify_isomorphism(G, H, lambda g: mapped.append(g) or mu(g), mode="exhaustive")
-    assert sorted(mapped) == sorted(closure(G, G.generators))
+    witness = isomorphic(G, H).witness
+    T = (witness.source.y,) + witness.source.a_basis.elements
+    edges = sorted((x, t) for x in closure(G, G.generators) if x != G.identity for t in T)
+    monkeypatch.setattr(iso, "build_mu", lambda w: pytest.fail("the proof factored elements"))
+    products = []
+    mul = G.mul
+    monkeypatch.setattr(G, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
+    for mode in ("exhaustive", "sampled"):
+        products.clear()
+        assert verify_isomorphism(witness, mode=mode)
+        assert sorted(products) == edges
+    assert len(edges) == 40
 
 
-def test_verification_maps_each_element_once():
+def test_verification_maps_each_element_once(monkeypatch):
     G, H = build("G21a"), build("G21b")
-    mu = build_mu(isomorphic(G, H).witness)
+    witness = isomorphic(G, H).witness
+    calls = []
+    real_build_mu = iso.build_mu
+
+    def counted_build_mu(w):
+        mu = real_build_mu(w)
+        return lambda g: calls.append(g) or mu(g)
+
+    monkeypatch.setattr(iso, "build_mu", counted_build_mu)
 
     def mapped(**kwargs):
-        calls = []
-        assert verify_isomorphism(G, H, lambda g: calls.append(g) or mu(g), **kwargs)
+        calls.clear()
+        assert verify_isomorphism(witness, **kwargs)
         assert len(calls) == len(set(calls)), kwargs
         return set(calls)
 
@@ -691,48 +749,67 @@ def test_verification_maps_each_element_once():
     assert mapped(sample_pairs=0) == gens | {G.mul(a, b) for a in gens for b in gens}
     elements = set(closure(G, G.generators))
     assert len(elements) == 21
-    assert mapped() == elements  # the default 10 000 pairs meet all 21 elements
-    assert mapped(mode="exhaustive") == elements
+    assert mapped(sample_pairs=440) == elements  # 440 random pairs meet all 21 elements
+    assert mapped() == mapped(mode="exhaustive") == set()  # the proof maps no element by build_mu
 
 
-def test_the_image_map_hides_no_mismatch():
-    # mu changed at one element: the map keeps the wrong image, and both modes
-    # still reject the map
+def test_the_image_map_hides_no_mismatch(monkeypatch):
+    # mu changed at one element: the sampled check's map keeps the wrong image, and
+    # the check still rejects the map
     G, H = build("G21a"), build("G21b")
-    mu = build_mu(isomorphic(G, H).witness)
+    witness = isomorphic(G, H).witness
+    mu = build_mu(witness)
     gens = set(G.generators)
-    draws = iso._random_elements(G, random.Random(0))
-    reached = {next(draws) for _ in range(2 * 10_000)}
     moved = G.parse_element("3;0")
-    assert moved in reached and moved not in gens | {G.mul(a, b) for a in gens for b in gens}
+    assert moved not in gens | {G.mul(a, b) for a in gens for b in gens}
     # 400 pairs are fewer than 21^2, so the check draws, and its 800 draws meet 3;0
     assert moved in set(itertools.islice(iso._random_elements(G, random.Random(0)), 2 * 400))
     changed_at = lambda wrong: lambda g: H.identity if g == wrong else mu(g)
     for wrong in (moved, G.generators[0]):
         assert changed_at(wrong)(wrong) != mu(wrong)
         assert not naive_is_isomorphism(G, H, changed_at(wrong))
-        assert not verify_isomorphism(G, H, changed_at(wrong))
-        assert not verify_isomorphism(G, H, changed_at(wrong), mode="exhaustive")
-        assert not verify_isomorphism(G, H, changed_at(wrong), sample_pairs=400)
+        monkeypatch.setattr(iso, "build_mu", lambda w: changed_at(wrong))
+        assert not verify_isomorphism(witness, sample_pairs=400)
     # the generator pairs alone do not meet 3;0: the random pairs find it
-    assert verify_isomorphism(G, H, changed_at(moved), sample_pairs=0)
+    monkeypatch.setattr(iso, "build_mu", lambda w: changed_at(moved))
+    assert verify_isomorphism(witness, sample_pairs=0)
 
 
 def test_verification_multiplies_along_the_cayley_graph_edges():
-    # mu as a dict lookup makes no oracle call: the check's products are the
-    # closure of G, then one product in G and one in H per edge (a, a g)
+    # the proof's products: one in G and one in H per edge x -> x t with x != 1 over
+    # T = (y1,) + the basis of A1, plus the powers in H that give mu(T)
     G, H = build("G21a"), build("G21b")
-    mu = build_mu(isomorphic(G, H).witness)
-    images = {g: mu(g) for g in closure(G, G.generators)}
-    before = G.operation_count
-    closure(G, G.generators)
-    closure_products = G.operation_count - before
-    edges = len(images) * len(G.generators)
+    witness = isomorphic(G, H).witness
+    sd1, sd2 = witness.source, witness.target
+    T = (sd1.y,) + sd1.a_basis.elements
+    (psi,) = witness.psi_blocks.blocks
+    before = H.operation_count
+    group_pow(H, sd2.y, witness.k)
+    group_pow(H, sd2.a_basis.elements[0], psi.rows[0][0])
+    powers = H.operation_count - before
+    edges = len(closure(G, G.generators)) * len(T) - len(T)
     for mode in ("exhaustive", "sampled"):
         before_g, before_h = G.operation_count, H.operation_count
-        assert verify_isomorphism(G, H, images.__getitem__, mode=mode)
-        assert (G.operation_count - before_g, H.operation_count - before_h) == (closure_products + edges, edges)
-    assert (closure_products, edges) == (42, 42)
+        assert verify_isomorphism(witness, mode=mode)
+        assert (G.operation_count - before_g, H.operation_count - before_h) == (edges, edges + powers)
+    assert (edges, powers) == (40, 3)
+
+
+def test_sampled_verification_above_the_limit_attempts_no_closure(monkeypatch):
+    # |G| = 1 017 072 > isqrt(100): the check goes straight to build_mu and its samples.
+    # It used to run a closure of G first, which failed at 11 elements after 10 products
+    # and brought the G side of this check to 150 145 products
+    G, H = semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[367]])
+    witness = isomorphic(G, H).witness
+    real_build_mu = iso.build_mu
+    at_build = []
+    monkeypatch.setattr(iso, "build_mu", lambda w: at_build.append((G.operation_count, H.operation_count)) or real_build_mu(w))
+    before = (G.operation_count, H.operation_count)
+    assert verify_isomorphism(witness, sample_pairs=100)
+    assert at_build == [before]
+    attempt = semidirect((1009,), 1008, [[11]])
+    assert closure(attempt, attempt.generators, 10) is None
+    assert (G.operation_count - before[0], attempt.operation_count) == (150_145 - 10, 10)
 
 
 @pytest.mark.parametrize("name", sorted(second_presentations()))
@@ -744,7 +821,7 @@ def test_second_presentation_is_isomorphic_to_the_first(name):
     assert standard_decomposition(G).group_order == n
     result = isomorphic(G, H)
     assert result.is_isomorphic
-    assert verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive")
+    assert verify_isomorphism(result.witness, mode="exhaustive")
 
 
 def test_relabelled_tables_are_isomorphic_to_the_original():
@@ -767,7 +844,7 @@ def _decides_yes_at_the_naive_gamma(G, H):
     # and H's decomposition meets the definition: A abelian and normal, |A| * gamma = |H|
     result = isomorphic(G, H)
     assert result.is_isomorphic
-    assert verify_isomorphism(G, H, build_mu(result.witness), mode="exhaustive")
+    assert verify_isomorphism(result.witness, mode="exhaustive")
     sd = result.witness.target
     assert result.witness.source.gamma == sd.gamma == naive_gamma(H)
     part = set(closure(H, list(sd.a_basis.elements)))
