@@ -13,15 +13,10 @@ endomorphism averaged over <M1>. A positive verdict always carries a witness
 (k plus a basis-to-basis matrix psi), which fixes the explicit isomorphism
 mu(y1^j x) = y2^{k j} psi(x).
 
-verify_isomorphism proves the witness while |G| is at most EXHAUSTIVE_LIMIT in
-exhaustive mode, or isqrt(sample_pairs) in the default sampled mode: one
-breadth-first closure of G over T = (y1,) + the basis of A1 builds mu along
-its edges, |G| * |T| - |T| products on each side, and checks every edge, that
-mu is one-to-one and that its image holds the generators of H. On a larger G
-sampled mode builds mu by build_mu, which factors each element of G as y1^j x
-with one decomposition-table lookup over <y1>A1, and checks the generator
-pairs and random pairs, whose elements product replacement draws at two
-products each; it maps each distinct element once.
+verify_isomorphism proves the witness: by default by the relators of G's
+standard presentation, in G and on their images in H, at any |G|; in
+exhaustive mode by one closure of G, while |G| is at most EXHAUSTIVE_LIMIT.
+build_mu maps each element of G through one decomposition table over <y1>A1.
 """
 
 from __future__ import annotations
@@ -29,9 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import autring
 from .abelian import DecompositionTable
@@ -44,7 +38,7 @@ GAMMA_MISMATCH = "gamma-mismatch"          # condition (ii)
 ABELIAN_MISMATCH = "abelian-part-mismatch"  # condition (i)
 NO_CONJUGATING_K = "no-conjugating-k"       # condition (iii)
 
-EXHAUSTIVE_LIMIT = 1024  # group elements, so at most ~10^6 pairs are checked
+EXHAUSTIVE_LIMIT = 1024  # group elements, so the closure makes at most ~10^3 |T| products
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,7 @@ class IsomorphismWitness:
     psi_blocks: autring.AutBlocks
     source: StandardDecomposition
     target: StandardDecomposition
+    action: autring.AutBlocks  # M1: conjugation by y1 on the basis of A1 (conjugation_action)
 
 
 @dataclass(frozen=True)
@@ -146,20 +141,25 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
             psi_blocks=autring.AutBlocks(tuple(found)),
             source=sd1,
             target=sd2,
+            action=m1,
         )
         return IsoResult(witness, None)
     return IsoResult(None, NO_CONJUGATING_K)
+
+
+def _word(G: GroupHandle, elements: Sequence[ElementCode], exps: Sequence[int]) -> ElementCode:
+    """The product in G of the powers elements[i]^exps[i], in order."""
+    parts = [group_pow(G, g, e) for g, e in zip(elements, exps) if e]
+    return functools.reduce(G.mul, parts) if parts else G.identity
 
 
 def _image(witness: IsomorphismWitness, vec: Sequence[int]) -> ElementCode:
     """mu(y1^j x) = y2^{k j} psi(x) for vec = (j, x) over (y1,) + the basis of A1,
     as the product in H of the powers of y2 and the basis of A2."""
     sd2 = witness.target
-    H = sd2.G
     j, *x = vec
     exps = (witness.k * j % witness.source.gamma,) + autring.apply_blocks(witness.psi_blocks, x)
-    parts = [group_pow(H, h, e) for h, e in zip((sd2.y,) + sd2.a_basis.elements, exps) if e]
-    return functools.reduce(H.mul, parts) if parts else H.identity
+    return _word(sd2.G, (sd2.y,) + sd2.a_basis.elements, exps)
 
 
 def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode]:
@@ -169,7 +169,7 @@ def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode
     y1^j * x in at most ~sqrt(gamma |A1|) products. The sweep's cover proof has
     shown <y1>A1 = G, so a g of G that does not factor raises
     InvariantBreachError. A table of more codes than the GRPEXT_MEM_MB cap allows
-    raises MemoryBudgetError (exit code 2 in the CLI).
+    raises MemoryBudgetError. No verification calls it.
     """
     sd1 = witness.source
     table = DecompositionTable(sd1.G, (sd1.y,) + sd1.a_basis.elements, (sd1.gamma,) + sd1.a_basis.orders)
@@ -226,69 +226,72 @@ def _prove(witness: IsomorphismWitness) -> bool:
     return len(mapped) == n and mapped.issuperset(H.generators)
 
 
-REPLACEMENT_SLOTS = 10  # product-replacement slots, or one per generator if G has more
-REPLACEMENT_WARMUP = 50  # steps before the first element is drawn
+def _broken_relator(
+    G: GroupHandle, y: ElementCode, basis: Sequence[ElementCode], gamma: int, action: autring.AutBlocks
+) -> Optional[str]:
+    """The first relator of the standard presentation that y and basis break in G, None when all hold.
 
-
-def _random_elements(G: GroupHandle, rng: random.Random) -> Iterator[ElementCode]:
-    """Random elements of <G.generators> (at least one) by product replacement with
-    an accumulator (Leedham-Green & Murray's "rattle").
-
-    The slots start as the generators, cycled; the accumulator starts at 1. Each
-    step picks slots i != j, replaces x_i by x_i x_j or x_j x_i on a coin, and
-    sets acc = acc x_i: two products and no inverse. After REPLACEMENT_WARMUP
-    steps acc is yielded once per step.
+    The relators, in this order: y^gamma, a_i^{q_i} for the moduli q_i of
+    action, a_i a_j = a_j a_i for j < i, and y a_i = (prod_l a_l^{M[l][i]}) y
+    for M = action.rows. None needs an inverse. Indices count from 1.
     """
-    gens = G.generators
-    slots = [gens[i % len(gens)] for i in range(max(REPLACEMENT_SLOTS, len(gens)))]
-    acc = G.identity
-    for step in itertools.count():
-        i = rng.randrange(len(slots))
-        j = (i + 1 + rng.randrange(len(slots) - 1)) % len(slots)
-        slots[i] = G.mul(slots[i], slots[j]) if rng.getrandbits(1) else G.mul(slots[j], slots[i])
-        acc = G.mul(acc, slots[i])
-        if step >= REPLACEMENT_WARMUP:
-            yield acc
+    if group_pow(G, y, gamma) != G.identity:
+        return "y^gamma"
+    for i, (a, q) in enumerate(zip(basis, action.moduli), 1):
+        if group_pow(G, a, q) != G.identity:
+            return f"a_{i}^q_{i}"
+    for (i, a), (j, b) in itertools.combinations(enumerate(basis, 1), 2):
+        if G.mul(a, b) != G.mul(b, a):
+            return f"[a_{i}, a_{j}]"
+    for i, (a, column) in enumerate(zip(basis, zip(*action.rows)), 1):
+        if G.mul(y, a) != G.mul(_word(G, basis, column), y):
+            return f"y a_{i} y^-1"
+    return None
 
 
-def verify_isomorphism(
-    witness: IsomorphismWitness,
-    mode: str = "sampled",
-    seed: int = 0,
-    sample_pairs: int = 10_000,
-) -> bool:
-    """Check that the witness's mu preserves products, and prove it an isomorphism when G fits.
+def verify_isomorphism(witness: IsomorphismWitness, mode: str = "sampled") -> bool:
+    """Prove or refute that the witness's mu is an isomorphism G = witness.source.G -> H.
 
-    G and H are witness.source.G and witness.target.G, and the decision has
-    proved |G| = witness.source.group_order. If that is at most the limit,
-    EXHAUSTIVE_LIMIT in exhaustive mode and isqrt(sample_pairs) in sampled mode,
-    the check is a proof in either mode (_prove: one closure of G over y1 and the
-    basis of A1). Otherwise exhaustive mode is refused with MalformedInputError,
-    and sampled mode builds mu by build_mu, checks every pair of generators, then
-    sample_pairs pairs drawn by _random_elements from random.Random(seed):
-    2 * REPLACEMENT_WARMUP products in G once, two per element, and one product
-    in G and one in H per pair. Codes are canonical, so mu runs once per distinct
-    element and later pairs read its image from a map.
+    Exhaustive mode runs _prove and refuses a G of more than EXHAUSTIVE_LIMIT
+    elements with MalformedInputError. The default mode ("sampled", a name the
+    CLI keeps) proves mu by relators in O(s^2 log |G|) products, s the length
+    of A1's basis a_1..a_s of orders q_i:
+    1. no oracle call: False unless both sides share gamma and the type
+       (q_1..q_s), k is prime to gamma, and psi is a unit of that type;
+    2. the relators of _broken_relator hold in G on y1 and the a_i, with
+       M1 = witness.action; the decision has proved them, so a broken one
+       raises InvariantBreachError naming it;
+    3. the same relators, with the same M1, hold in H on mu(y1) = y2^k and
+       mu(a_i) = prod_l b_l^{psi[l][i]}; a broken one gives False.
+    Lemma (von Dyck; Holt, Eick & O'Brien 2005). In the group P presented on
+    Y, a_1..a_s by these relators, N = <a_i> is abelian of order at most
+    prod q_i and Y N Y^-1 lies in N, so N is normal (Y^-1 = Y^{gamma-1}) and
+    |P| <= gamma prod q_i. The cover proofs give <y1, a_i> = G and <y2>A2 = H,
+    so the images of Y and the a_i, with k prime to gamma and psi a unit,
+    generate G and H: P maps onto both. The decision proved
+    |G| = |H| = gamma prod q_i, so both maps are isomorphisms, and mu is the
+    second after the inverse of the first. The premise is that source and
+    target are the decision's own decompositions: a forged one, such as a
+    target basis that repeats an element, or y1 = 1 with G's generators
+    outside <y1>A1, can pass the relators; only exhaustive mode refuses it.
     """
     if mode not in ("exhaustive", "sampled"):
         raise MalformedInputError(f"unknown verification mode {mode!r}")
-    limit = EXHAUSTIVE_LIMIT if mode == "exhaustive" else math.isqrt(sample_pairs)
-    if witness.source.group_order <= limit:
-        return _prove(witness)
+    sd1, sd2 = witness.source, witness.target
     if mode == "exhaustive":
-        raise MalformedInputError(
-            f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
-        )
-    G, H = witness.source.G, witness.target.G
-    mu = build_mu(witness)
-    images: dict[ElementCode, ElementCode] = {}
-
-    def image(a: ElementCode) -> ElementCode:
-        if a not in images:
-            images[a] = mu(a)
-        return images[a]
-
-    draws = _random_elements(G, random.Random(seed))
-    randoms = ((next(draws), next(draws)) for _ in range(sample_pairs))
-    pairs = itertools.chain(itertools.product(G.generators, repeat=2), randoms)
-    return all(image(G.mul(a, b)) == H.mul(image(a), image(b)) for a, b in pairs)
+        if sd1.group_order > EXHAUSTIVE_LIMIT:
+            raise MalformedInputError(
+                f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
+            )
+        return _prove(witness)
+    gamma, orders = sd1.gamma, sd1.a_basis.orders
+    if sd2.gamma != gamma or sd2.a_basis.orders != orders:
+        return False
+    if math.gcd(witness.k, gamma) != 1:
+        return False
+    if witness.psi_blocks.moduli != orders or not all(map(autring.is_in_R, witness.psi_blocks.blocks)):
+        return False
+    if broken := _broken_relator(sd1.G, sd1.y, sd1.a_basis.elements, gamma, witness.action):
+        raise InvariantBreachError(f"relator {broken} fails in G on y and the basis of A")
+    images = [_image(witness, [int(i == t) for i in range(len(orders) + 1)]) for t in range(len(orders) + 1)]
+    return _broken_relator(sd2.G, images[0], images[1:], gamma, witness.action) is None

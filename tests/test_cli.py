@@ -11,7 +11,7 @@ from corpus import build, dihedral_table, relabel, symmetric_table, write_table
 from grpext import abelian, autring, blackbox, classes, iso
 from grpext.cli import main
 from grpext.decomp import standard_decomposition
-from grpext.errors import InvariantBreachError
+from grpext.errors import InvariantBreachError, MemoryBudgetError
 
 G21A = "semidirect\nA 7\nm 3\n2\n"
 G21B = "semidirect\nA 7\nm 3\n4\n"
@@ -50,15 +50,43 @@ def test_bad_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "error GRPEXT_MEM_MB must be a positive integer, not 'abc'\n"
 
 
-def test_mu_table_over_the_memory_cap_exits_2(tmp_path, capsys, monkeypatch):
-    # the decision fits in 1 MiB; mu's table over <y>A (123 x 123 codes) does not
+def test_verification_under_the_memory_cap_builds_no_mu_table(tmp_path, capsys, monkeypatch):
+    # the decision and the relator proof fit in 1 MiB; mu's table over <y>A (123 x 123
+    # codes), which only build_mu builds, does not
     path = tmp_path / "g.grp"
     path.write_text("semidirect\nA 15013\nm 15012\n2\n")
     monkeypatch.setenv("GRPEXT_MEM_MB", "1")
     code, out, err = run_cli(capsys, "isomorphic", str(path), str(path))
-    assert code == 2
-    assert out == ""
-    assert re.fullmatch(r"error decomposition table of 15129 exceeds \d+\n", err)
+    assert (code, err) == (0, "")
+    assert "mu-check sampled pass\n" in out
+    G = blackbox.load_group(path.read_text())
+    with pytest.raises(MemoryBudgetError, match=r"decomposition table of 15129 exceeds \d+"):
+        iso.build_mu(iso.isomorphic(G, G).witness)
+
+
+@pytest.mark.parametrize("qs, m, rows, power", [
+    ((1009,), 1008, [[11]], 5),  # the determinant case: a primitive root g against g^5
+    ((1033, 1033), 1034, [[0, 1032], [1, 3]], 3),  # the companion of x^2 - 3x + 1, in SL_2, against its cube
+])
+def test_large_in_class_pairs_are_proved_by_few_oracle_calls(tmp_path, capsys, qs, m, rows, power):
+    # |G| is about 10^6 and 1.1 * 10^9: the relator proof takes at most 1 000 oracle
+    # calls on each side beyond the decision's
+    action = autring.blocks_from_rows(qs, rows)
+    head = ["semidirect", "A " + " ".join(map(str, qs)), f"m {m}"]
+    texts = [
+        "\n".join(head + [" ".join(map(str, row)) for row in u]) + "\n"
+        for u in (action.rows, autring.blocks_pow(action, power).rows)
+    ]
+    paths = [tmp_path / "g.grp", tmp_path / "h.grp"]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    G, H = (blackbox.load_group(text) for text in texts)
+    assert iso.isomorphic(G, H).is_isomorphic
+    code, out, _ = run_cli(capsys, "isomorphic", *map(str, paths))
+    assert code == 0 and "mu-check sampled pass\n" in out
+    calls = dict(line.split() for line in out.splitlines() if line.startswith("oracle-calls"))
+    assert int(calls["oracle-calls-g"]) - G.operation_count <= 1000
+    assert int(calls["oracle-calls-h"]) - H.operation_count <= 1000
 
 
 def test_trivial_group_goes_through_the_sweep(tmp_path, capsys):

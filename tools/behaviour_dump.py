@@ -13,9 +13,8 @@ directory of every run:
 - the 35 corpus groups of tests/corpus.py plus Q8, S4 and D6 as Cayley
   tables: `standard-decomposition` of each, and `isomorphic --verify
   exhaustive` of every ordered pair;
-- `isomorphic` with the default sampled check on four isomorphic corpus pairs,
-  all of at most 100 elements, so the check proves the witness on one
-  closure of G over y and the basis of A;
+- `isomorphic` with the default sampled check, the relator proof, on four
+  isomorphic corpus pairs;
 - every entry of the three benchmark workloads at seeds 0 and 7, run as
   bench/ladder.py's cli_argv gives it; bench/ladder.py is loaded by path and
   only read (corpus.bench_ladder);
