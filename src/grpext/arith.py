@@ -4,7 +4,9 @@ Everything here works on plain Python integers, so intermediate values may grow
 arbitrarily large without overflow. smith_normal_form also runs over any other
 Euclidean ring whose elements supply the integer operators (autring uses it over
 F_p[x]), and order_search, the one order search, over any multiplication, capped
-by GRPEXT_MEM_MB. Every integer the package reads from text goes through read_ints.
+by GRPEXT_MEM_MB. Every integer the package reads from text goes through read_ints,
+except the table rows of canonical labels, which blackbox.parse_group_file reads
+through one index per table; read_ints decides every other token and every rejection.
 """
 
 from __future__ import annotations

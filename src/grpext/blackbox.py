@@ -515,8 +515,11 @@ def parse_group_file(text: str):
                     action rows of s integers and any `gens a_1 ... a_s j` lines
       matrix file   `ptype p e_1 ... e_s` and s rows of s integers
       element text  one token: `i` (table, cyclic) or `a_1,...,a_s;j` (semidirect)
-    A table row is checked for length only: validate_table_spec's permutation
-    check is also its range check, and columns need no scan.
+    A table row of canonical labels `0`..`n-1` is read through one index of
+    them, so all n² entries share its n ints; any other row goes to read_ints,
+    which reads every other spelling and words every rejection. A row is
+    checked for length only: validate_table_spec's permutation check is also
+    its range check, and columns need no scan.
     """
     lines = content_lines(text)
     if not lines:
@@ -528,8 +531,15 @@ def parse_group_file(text: str):
             raise MalformedInputError("table order must be >= 1")
         if len(lines) != 1 + n:
             raise MalformedInputError(f"expected {n} table rows, got {len(lines) - 1}")
-        rows = tuple(read_ints(ln, f"row {i}", n) for i, ln in enumerate(lines[1:]))
-        return TableGroupSpec(n, rows)
+        index = {str(i): i for i in range(n)}
+        rows = []
+        for i, ln in enumerate(lines[1:]):
+            try:
+                row = tuple(map(index.__getitem__, ln.split()))
+            except KeyError:
+                row = ()
+            rows.append(row if len(row) == n else read_ints(ln, f"row {i}", n))
+        return TableGroupSpec(n, tuple(rows))
     if kind == "semidirect":
         keyword_ints(lines[0], "semidirect", 0)
         if len(lines) < 3:

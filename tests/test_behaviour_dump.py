@@ -48,3 +48,23 @@ def test_dump_records_exit_code_report_stderr_and_written_files(tmp_path, monkey
         "standard-decomposition missing.grp\nexit 2\nstdout:\nstderr:\n"
         "error [Errno 2] No such file or directory: 'missing.grp'\n"
     )
+
+
+def test_table_parse_runs_cover_respelled_labels_and_each_bad_row(tmp_path, monkeypatch):
+    tool = _tool()
+    monkeypatch.chdir(tmp_path)
+    records = tool.dump(tool.table_parse_runs()).split("$ grpext ")[1:]
+    assert [r.splitlines()[0] for r in records] == [
+        f"standard-decomposition {name}.grp"
+        for name in ["Q8-respelled", "out-of-range", "repeated", "short-row", "non-integer"]
+    ]
+    canonical = tool.dump(tool.corpus_runs(["Q8"], pairs=[]))  # Q8 is outside the scope class
+    assert records[0] == canonical[len("$ grpext ") :].replace("Q8.grp", "Q8-respelled.grp")
+    assert {"00", "-0", "+1", "01"} <= set((tmp_path / "Q8-respelled.grp").read_text().split())
+    errors = [r.splitlines()[1:] for r in records[1:]]
+    assert errors == [
+        ["exit 2", "stdout:", "stderr:", "error row 2 is not a permutation"],
+        ["exit 2", "stdout:", "stderr:", "error row 2 is not a permutation"],
+        ["exit 2", "stdout:", "stderr:", "error row 2 has 4 entries, expected 5"],
+        ["exit 2", "stdout:", "stderr:", "error row 2 entry 'x' is not an integer"],
+    ]

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -11,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import build, corpus_entry, corpus_names, cyclic_table_spec, materialize_table, semidirect
+from corpus import (
+    build,
+    corpus_entry,
+    corpus_names,
+    cyclic_table_spec,
+    materialize_table,
+    quaternion_table,
+    semidirect,
+)
 from grpext import autring, blackbox, cli
 from grpext.abelian import element_order
 from grpext.arith import prime_power, trial_factor
@@ -596,6 +605,32 @@ def test_table_entry_out_of_range_or_repeated_names_its_row(entry):
     # row 1 of Z_3 is "1 2 0"; its last entry becomes the given one ("2" repeats)
     with pytest.raises(MalformedInputError, match=r"^row 1 is not a permutation$"):
         parse_group_file(f"table 3\n0 1 2\n1 2 {entry}\n2 0 1\n")
+
+
+def test_respelled_table_entries_parse_like_their_canonical_labels():
+    # each 0 and 1 of Q8's table spelled in turn as 00, -0, +0, 0 and +1, 01, 1
+    spec = materialize_table(quaternion_table())
+    spellings = {0: itertools.cycle(["00", "-0", "+0", "0"]), 1: itertools.cycle(["+1", "01", "1"])}
+    rows = [[next(spellings[x]) if x in spellings else str(x) for x in row] for row in spec.table]
+    assert {"00", "-0", "+1", "01"} <= {tok for row in rows for tok in row}
+    again = parse_group_file(_table_text(rows))
+    assert again.table == spec.table and again.generators == spec.generators
+
+
+def test_table_entries_share_one_int_per_label():
+    # a 605-table read by int() kept 210 797 distinct ints (every entry >= 257)
+    n = 605
+    text = _table_text(cyclic_table_spec(n).table)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spec = parse_group_file(text)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len({id(x) for row in spec.table for x in row}) == n
+    rows_bytes = sum(map(sys.getsizeof, spec.table))  # 2.9 MB; one int() per entry retained 8.5 MB
+    assert retained < 1.5 * rows_bytes
 
 
 def test_cyclic_group_matches_table_backend():

@@ -15,6 +15,9 @@ directory of every run:
   exhaustive` of every ordered pair;
 - `isomorphic` with the default sampled check, the relator proof, on four
   isomorphic corpus pairs;
+- `standard-decomposition` of Q8's table with non-canonical spellings of its
+  labels, and of Z_5's table with a row holding an out-of-range entry, a
+  repeated entry, too few entries or a non-integer token;
 - every entry of the three benchmark workloads at seeds 0 and 7, run as
   bench/ladder.py's cli_argv gives it; bench/ladder.py is loaded by path and
   only read (corpus.bench_ladder);
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -90,6 +94,24 @@ def ladder_runs(workloads=None, seeds=LADDER_SEEDS, ids=None) -> list[list[str]]
     return runs
 
 
+def table_parse_runs() -> list[list[str]]:
+    """Write Q8's table with its 0s and 1s respelled (00, -0, +0, +1, 01), and
+    Z_5's table with one bad row each, into the working directory. The runs
+    are standard-decomposition of each."""
+    spellings = {0: itertools.cycle(["00", "-0", "+0", "0"]), 1: itertools.cycle(["+1", "01", "1"])}
+    rows = [[next(spellings[x]) if x in spellings else str(x) for x in row]
+            for row in corpus.materialize_table(corpus.quaternion_table()).table]
+    files = {"Q8-respelled": rows}
+    for name, row in [("out-of-range", "2 3 4 5 1"), ("repeated", "2 3 4 2 1"),
+                      ("short-row", "2 3 4 0"), ("non-integer", "2 3 x 0 1")]:
+        files[name] = [[str((i + j) % 5) for j in range(5)] for i in range(5)]
+        files[name][2] = row.split()
+    for name, rows in files.items():
+        text = f"table {len(rows)}\n" + "".join(" ".join(row) + "\n" for row in rows)
+        Path(f"{name}.grp").write_text(text, encoding="utf-8")
+    return [["standard-decomposition", f"{name}.grp"] for name in files]
+
+
 def count_classes_runs() -> list[list[str]]:
     return [
         ["count-classes", "--r", str(r), "--emit-reps", str(i), "--out-dir", f"reps-r{r}-i{i}"]
@@ -122,7 +144,8 @@ def main(args: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            runs = corpus_runs(sampled=SAMPLED_PAIRS) + ladder_runs() + count_classes_runs()
+            runs = corpus_runs(sampled=SAMPLED_PAIRS) + table_parse_runs() + ladder_runs()
+            runs += count_classes_runs()
             text = dump(runs)
         finally:
             os.chdir(cwd)
