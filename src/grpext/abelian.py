@@ -2,9 +2,9 @@
 
 Element order is arith.order_search over the oracle product: baby-step/giant-step
 with a doubling radius, so no bound on the group order is needed. Factoring over fixed
-generators (an abelian basis, or y followed by a basis of the abelian part A)
-uses the meet-in-the-middle table over the low digits of each exponent, one
-dict from code to digits; it returns None for an element outside their span.
+commuting generators uses the meet-in-the-middle table over the low digits of
+each exponent, one dict from code to digits; it returns None for an element
+outside their span. Over y and a basis of the abelian part A it decides <y>A.
 An abelian basis keeps one table per prime, over its p-part. The tables are
 capped by the GRPEXT_MEM_MB environment variable (default 1024), at the bytes
 per entry that a build measurably holds.
@@ -12,13 +12,12 @@ per entry that a build measurably holds.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .arith import _max_table_entries, order_search, smith_normal_form, trial_factor
-from .blackbox import ElementCode, GroupHandle, group_pow
+from .blackbox import ElementCode, GroupHandle, group_pow, word
 from .errors import InvariantBreachError, MalformedInputError, MemoryBudgetError
 
 
@@ -77,14 +76,14 @@ class DecompositionTable:
     coordinate at a time, each entry times g_i up to r_i - 1 times, where the
     first power of g_i is g_i itself: (prod r_i - 1) - #{i : r_i >= 2}
     products, none by the identity, plus the strides. Dependent elements
-    leave fewer than prod r_i entries. A lookup walks the high digits with the
-    strides g_i^{-r_i} until it lands in the dict: at most prod ceil(n_i / r_i)
-    products, and None for an element outside the span. Coordinate 0 is walked
-    from the left and the others from the right, so a hit proves
-    g = g_0^{v_0} prod g_i^{v_i} whenever g_1, ..., g_t commute, whether or not
-    g_0 commutes with them: over (y,) + a basis of A the table factors all of
-    <y>A. Over an abelian basis both walks give the same element for the same
-    product.
+    leave fewer than prod r_i entries. A lookup walks the high digits from the
+    right with the strides g_i^{-r_i} until it lands in the dict: at most
+    prod ceil(n_i / r_i) products, and None for an element outside the span.
+    Over commuting elements a hit is the factorization. Over (y,) + the basis
+    of an A that y normalizes, hit or miss decides membership of <y>A and the
+    vector is not read: w = y^j a, r the radius of y and b = floor(j / r) give
+    w y^{-r b} = y^{j - r b} (y^{r b} a y^{-r b}), whose second factor lies in
+    A for the other coordinates to peel; a hit writes w over y and A.
     """
 
     def __init__(self, G: GroupHandle, elements: Sequence[ElementCode], orders: Sequence[int]):
@@ -128,7 +127,7 @@ class DecompositionTable:
             cur = value
             for b in range(self.b_counts[i]):
                 if b > 0:
-                    cur = G.mul(self._down[0], cur) if i == 0 else G.mul(cur, self._down[i])
+                    cur = G.mul(cur, self._down[i])
                 vec = search(i + 1, cur, highs + (b,))
                 if vec is not None:
                     return vec
@@ -181,8 +180,7 @@ def _insert_p_element(
         if order == 1:
             continue
         exps = [form.u_inv[i][j] % member_orders[i] for i in range(size)]
-        powers = [group_pow(G, g, e) for g, e in zip(members, exps) if e]
-        y = functools.reduce(G.mul, powers) if powers else G.identity
+        y = word(G, members, exps)
         if group_pow(G, y, order) != G.identity or group_pow(G, y, order // p) == G.identity:
             raise InvariantBreachError("rebuilt basis element has a wrong order")
         new_basis.append((y, order))

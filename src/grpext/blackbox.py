@@ -95,6 +95,15 @@ def group_pow(G: GroupHandle, g: ElementCode, n: int) -> ElementCode:
     return result
 
 
+def word(G: GroupHandle, elements: Sequence[ElementCode], exps: Sequence[int]) -> ElementCode:
+    """prod_i elements[i]^exps[i] in G, in order: no product for a zero exponent or by the identity."""
+    result = G.identity
+    for g, e in zip(elements, exps):
+        if (part := group_pow(G, g, e)) != G.identity:
+            result = part if result == G.identity else G.mul(result, part)
+    return result
+
+
 def commutator_generators(G: GroupHandle) -> list[ElementCode]:
     """The commutators [g_i, g_j] = g_i g_j g_i^{-1} g_j^{-1} of the generators, i < j.
 
@@ -368,9 +377,7 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
         gcd, coeffs = a, [c * x0 for c in coeffs] + [y0]
     if gcd != 1:
         raise MalformedInputError(f"the generators' j-parts do not generate Z_{m}")
-    h = G.identity
-    for g, c in zip(moving, coeffs):
-        h = G.mul(h, group_pow(G, g, c % m))
+    h = word(G, moving, [c % m for c in coeffs])
     vectors = [g for g in G.generators if not g % m]
     vectors += [G.mul(g, G.inv(group_pow(G, h, g % m))) for g in moving]
     vectors = [decode(v)[0] for v in vectors + [group_pow(G, h, m)]]

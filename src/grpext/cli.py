@@ -187,10 +187,7 @@ def _selftest_checks():
             vec = table.decompose(code)
             if vec is None:
                 return False
-            rebuilt = G.identity
-            for e, exp in zip(basis.elements, vec):
-                rebuilt = G.mul(rebuilt, blackbox.group_pow(G, e, exp))
-            if rebuilt != code:
+            if blackbox.word(G, basis.elements, vec) != code:
                 return False
         return True
 

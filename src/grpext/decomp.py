@@ -42,7 +42,7 @@ from typing import Optional
 
 from .abelian import AbelianBasis, DecompositionTable, abelian_basis, element_order
 from .arith import divisors, trial_factor
-from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow
+from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow, word
 from .errors import NotInClassError
 
 
@@ -167,9 +167,7 @@ def find_decomposition(m: int, context: GroupContext) -> DecompositionAttempt:
         return DecompositionAttempt(m, None, "candidate abelian part does not commute")
 
     picks = [context.part(p**e) for p, e in trial_factor(m, context.primes)]
-    g = picks[0][1] if picks else G.identity
-    for _, part in picks[1:]:
-        g = G.mul(g, part)
+    g = word(G, [part for _, part in picks], [1] * len(picks))
     # parts of one generator are commuting powers of coprime orders q, so g has order m
     z = g if len({k for k, _ in picks}) <= 1 else group_pow(G, g, element_order(G, g) // m)
     return DecompositionAttempt(m, StandardDecomposition(m, a_basis, z), None)
@@ -213,8 +211,9 @@ def _covers(sd: StandardDecomposition, context: GroupContext) -> bool:
     generates the part of <g> of order r, and g lies in <y>A exactly when
     w = g^r does. When every part of y is a power of g, y generates the
     subgroup of <g> of order gamma, which holds w. Otherwise w is looked up in
-    a table over (y,), and only on a miss in one over (y,) + the basis of A.
-    In the class the best decomposition has order |G|, so it passes.
+    a table over (y,), and only on a miss in one over (y,) + the basis of A;
+    only hit or miss is read, which decides membership of <y>A (see
+    DecompositionTable). In the class the best decomposition passes.
     """
     G, gamma = sd.G, sd.gamma
     elements, orders = (sd.y,) + sd.a_basis.elements, (gamma,) + sd.a_basis.orders

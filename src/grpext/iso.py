@@ -16,21 +16,19 @@ mu(y1^j x) = y2^{k j} psi(x).
 verify_isomorphism proves the witness: by default by the relators of G's
 standard presentation, in G and on their images in H, at any |G|; in
 exhaustive mode by one closure of G, while |G| is at most EXHAUSTIVE_LIMIT.
-build_mu maps each element of G through one decomposition table over <y1>A1.
+build_mu looks each element of G up in the map that closure builds.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import autring
-from .abelian import DecompositionTable
 from .arith import crt, discrete_log, trial_factor
-from .blackbox import ElementCode, GroupHandle, group_pow
+from .blackbox import ElementCode, GroupHandle, group_pow, word
 from .decomp import StandardDecomposition, standard_decomposition
 from .errors import InvariantBreachError, MalformedInputError
 
@@ -147,61 +145,38 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
     return IsoResult(None, NO_CONJUGATING_K)
 
 
-def _word(G: GroupHandle, elements: Sequence[ElementCode], exps: Sequence[int]) -> ElementCode:
-    """The product in G of the powers elements[i]^exps[i], in order."""
-    parts = [group_pow(G, g, e) for g, e in zip(elements, exps) if e]
-    return functools.reduce(G.mul, parts) if parts else G.identity
+def _generator_images(witness: IsomorphismWitness) -> list[ElementCode]:
+    """mu(y1^j x) = y2^{k j} psi(x) on y1 and the a_i: y2^k, then psi(a_i) = prod_l b_l^{psi[l][i]}."""
+    sd2, s = witness.target, len(witness.source.a_basis.orders)
+    columns = [autring.apply_blocks(witness.psi_blocks, [int(i == j) for i in range(s)]) for j in range(s)]
+    y2k = group_pow(sd2.G, sd2.y, witness.k % witness.source.gamma)
+    return [y2k] + [word(sd2.G, sd2.a_basis.elements, column) for column in columns]
 
 
-def _image(witness: IsomorphismWitness, vec: Sequence[int]) -> ElementCode:
-    """mu(y1^j x) = y2^{k j} psi(x) for vec = (j, x) over (y1,) + the basis of A1,
-    as the product in H of the powers of y2 and the basis of A2."""
-    sd2 = witness.target
-    j, *x = vec
-    exps = (witness.k * j % witness.source.gamma,) + autring.apply_blocks(witness.psi_blocks, x)
-    return _word(sd2.G, (sd2.y,) + sd2.a_basis.elements, exps)
+def _closure(witness: IsomorphismWitness) -> Optional[dict[ElementCode, ElementCode]]:
+    """mu on G by one closure over T = (y1,) + the basis of A1; None when an edge gives a second image.
 
-
-def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode]:
-    """Total map mu(y1^j * x) = y2^{k j} * psi(x) realized through the oracles.
-
-    One DecompositionTable over (y1,) + the basis of A1 factors each g as
-    y1^j * x in at most ~sqrt(gamma |A1|) products. The sweep's cover proof has
-    shown <y1>A1 = G, so a g of G that does not factor raises
-    InvariantBreachError. A table of more codes than the GRPEXT_MEM_MB cap allows
-    raises MemoryBudgetError. No verification calls it.
-    """
-    sd1 = witness.source
-    table = DecompositionTable(sd1.G, (sd1.y,) + sd1.a_basis.elements, (sd1.gamma,) + sd1.a_basis.orders)
-
-    def mu(g: ElementCode) -> ElementCode:
-        if (vec := table.decompose(g)) is None:
-            raise InvariantBreachError("element does not factor over the decomposition")
-        return _image(witness, vec)
-
-    return mu
-
-
-def _prove(witness: IsomorphismWitness) -> bool:
-    """Whether the witness's mu is an isomorphism, by one closure of G over T = (y1,) + the basis of A1.
-
+    A G of more than EXHAUSTIVE_LIMIT elements is refused with MalformedInputError.
     mu(t) is computed once per t in T. The first edge x -> x t into an element
     sets mu(x t) = mu(x) mu(t); every later edge into it must give its image
     again. An edge from 1 costs no product, so the closure makes |G| * |T| - |T|
-    products in G, and as many in H besides the powers that give mu(T). Lemma: a map with mu(1) = 1 and mu(x t) =
-    mu(x) mu(t) on every edge is a homomorphism on <T>, by induction on the
-    length of a word in T, and it agrees with the witness on T, so it is the
-    witness's map. <T> = G once it holds G.generators (the sweep's cover proof;
-    a miss or a closure of other than |G| = gamma |A1| elements raises
-    InvariantBreachError). An injective homomorphism whose image holds the
-    generators of H is onto H. An identity element of T mapped to 1 adds no
-    edge; mapped elsewhere, the edge from 1 refutes it.
+    products in G, and as many in H besides the powers that give mu(T). Lemma:
+    a map with mu(1) = 1 and mu(x t) = mu(x) mu(t) on every edge is a
+    homomorphism on <T>, by induction on the length of a word in T, and it
+    agrees with the witness on T, so it is the witness's map. <T> = G once it
+    holds G.generators (the sweep's cover proof; a miss or a closure of other
+    than |G| = gamma |A1| elements raises InvariantBreachError). An identity
+    element of T mapped to 1 adds no edge; mapped elsewhere, the edge from 1
+    refutes it.
     """
     sd1, sd2 = witness.source, witness.target
     G, H, n = sd1.G, sd2.G, sd1.group_order
-    gens = (sd1.y,) + sd1.a_basis.elements
-    gen_images = [_image(witness, [int(i == t) for i in range(len(gens))]) for t in range(len(gens))]
-    edges = [(t, m) for t, m in zip(gens, gen_images) if t != G.identity or m != H.identity]
+    if n > EXHAUSTIVE_LIMIT:
+        raise MalformedInputError(
+            f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
+        )
+    pairs = zip((sd1.y,) + sd1.a_basis.elements, _generator_images(witness))
+    edges = [(t, m) for t, m in pairs if t != G.identity or m != H.identity]
     images = {G.identity: H.identity}
     frontier = [G.identity]
     while frontier:
@@ -211,7 +186,7 @@ def _prove(witness: IsomorphismWitness) -> bool:
                 xt, image = (t, m) if x == G.identity else (G.mul(x, t), H.mul(images[x], m))
                 if xt in images:
                     if images[xt] != image:
-                        return False
+                        return None
                 elif len(images) == n:
                     raise InvariantBreachError(f"y and the basis of A generate more than |G| = {n} elements")
                 else:
@@ -222,8 +197,29 @@ def _prove(witness: IsomorphismWitness) -> bool:
         raise InvariantBreachError(f"y and the basis of A generate {len(images)} elements, not |G| = {n}")
     if not images.keys() >= set(G.generators):
         raise InvariantBreachError("a generator of G lies outside the closure of y and the basis of A")
+    return images
+
+
+def _prove(witness: IsomorphismWitness) -> bool:
+    """Whether mu is an isomorphism: _closure's homomorphism, one-to-one, its image holding H's generators."""
+    if (images := _closure(witness)) is None:
+        return False
     mapped = set(images.values())
-    return len(mapped) == n and mapped.issuperset(H.generators)
+    return len(mapped) == len(images) and mapped.issuperset(witness.target.G.generators)
+
+
+def build_mu(witness: IsomorphismWitness) -> Callable[[ElementCode], ElementCode]:
+    """mu(y1^j x) = y2^{k j} psi(x) as a lookup in _closure's map (no verification calls it);
+    InvariantBreachError when mu is not a homomorphism, MalformedInputError for a code outside G."""
+    if (images := _closure(witness)) is None:
+        raise InvariantBreachError("mu is not a homomorphism: two edges give an element different images")
+
+    def mu(g: ElementCode) -> ElementCode:
+        if g not in images:
+            raise MalformedInputError(f"unknown element code {g!r}")
+        return images[g]
+
+    return mu
 
 
 def _broken_relator(
@@ -244,7 +240,7 @@ def _broken_relator(
         if G.mul(a, b) != G.mul(b, a):
             return f"[a_{i}, a_{j}]"
     for i, (a, column) in enumerate(zip(basis, zip(*action.rows)), 1):
-        if G.mul(y, a) != G.mul(_word(G, basis, column), y):
+        if G.mul(y, a) != G.mul(word(G, basis, column), y):
             return f"y a_{i} y^-1"
     return None
 
@@ -252,12 +248,13 @@ def _broken_relator(
 def verify_isomorphism(witness: IsomorphismWitness, mode: str = "sampled") -> bool:
     """Prove or refute that the witness's mu is an isomorphism G = witness.source.G -> H.
 
-    Exhaustive mode runs _prove and refuses a G of more than EXHAUSTIVE_LIMIT
-    elements with MalformedInputError. The default mode ("sampled", a name the
-    CLI keeps) proves mu by relators in O(s^2 log |G|) products, s the length
-    of A1's basis a_1..a_s of orders q_i:
+    Exhaustive mode runs _prove, whose closure refuses a G of more than
+    EXHAUSTIVE_LIMIT elements with MalformedInputError. The default mode
+    ("sampled", a name the CLI keeps) proves mu by relators in
+    O(s^2 log |G|) products, s the length of A1's basis a_1..a_s of orders q_i:
     1. no oracle call: False unless both sides share gamma and the type
-       (q_1..q_s), k is prime to gamma, and psi is a unit of that type;
+       (q_1..q_s), k is prime to gamma, and each psi-block keeps the entry
+       rule of that type and is a unit;
     2. the relators of _broken_relator hold in G on y1 and the a_i, with
        M1 = witness.action; the decision has proved them, so a broken one
        raises InvariantBreachError naming it;
@@ -279,19 +276,17 @@ def verify_isomorphism(witness: IsomorphismWitness, mode: str = "sampled") -> bo
         raise MalformedInputError(f"unknown verification mode {mode!r}")
     sd1, sd2 = witness.source, witness.target
     if mode == "exhaustive":
-        if sd1.group_order > EXHAUSTIVE_LIMIT:
-            raise MalformedInputError(
-                f"exhaustive verification refused: subgroup has more than {EXHAUSTIVE_LIMIT} elements"
-            )
         return _prove(witness)
     gamma, orders = sd1.gamma, sd1.a_basis.orders
-    if sd2.gamma != gamma or sd2.a_basis.orders != orders:
+    if sd2.gamma != gamma or sd2.a_basis.orders != orders or math.gcd(witness.k, gamma) != 1:
         return False
-    if math.gcd(witness.k, gamma) != 1:
+    try:  # validate_M checks the entry rule of each psi-block's type
+        psi = [autring.validate_M(b.ptype, b.rows) for b in witness.psi_blocks.blocks]
+    except MalformedInputError:
         return False
-    if witness.psi_blocks.moduli != orders or not all(map(autring.is_in_R, witness.psi_blocks.blocks)):
+    if witness.psi_blocks.moduli != orders or not all(map(autring.is_in_R, psi)):
         return False
     if broken := _broken_relator(sd1.G, sd1.y, sd1.a_basis.elements, gamma, witness.action):
         raise InvariantBreachError(f"relator {broken} fails in G on y and the basis of A")
-    images = [_image(witness, [int(i == t) for i in range(len(orders) + 1)]) for t in range(len(orders) + 1)]
-    return _broken_relator(sd2.G, images[0], images[1:], gamma, witness.action) is None
+    y2k, *images = _generator_images(witness)
+    return _broken_relator(sd2.G, y2k, images, gamma, witness.action) is None

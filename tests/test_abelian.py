@@ -11,7 +11,6 @@ from corpus import (
     cyclic_table_spec,
     mixed_generators,
     naive_order,
-    naive_power,
     semidirect,
 )
 from grpext import abelian, blackbox
@@ -23,7 +22,7 @@ from grpext.abelian import (
     element_order,
 )
 from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow, load_group
-from grpext.decomp import standard_decomposition
+from grpext.decomp import standard_decomposition, standard_decomposition_with_attempts
 from grpext.errors import InvariantBreachError, MalformedInputError, MemoryBudgetError
 
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -168,20 +167,25 @@ def test_decompose_returns_none_outside_the_span():
     assert DecompositionTable(G21, basis.elements, basis.orders).decompose(G21.parse_element("0;1")) is None
 
 
-def test_y_first_table_factors_every_element():
-    # g = y^{v_0} * prod a_i^{v_i}, recomposed by naive powers
+def test_y_first_table_decides_membership_of_y_times_a():
+    # over (y,) + the basis of A the walk from the right hits exactly the elements of
+    # <y>A: all of G for the standard decomposition, a proper subgroup for an attempt
+    # that decomposes only that subgroup
+    proper = 0
     for name in corpus_names():
         G = build(name)
-        sd = standard_decomposition(G)
-        gens, orders = (sd.y,) + sd.a_basis.elements, (sd.gamma,) + sd.a_basis.orders
-        table = DecompositionTable(G, gens, orders)
-        for g in closure(G, G.generators):
-            vec = table.decompose(g)
-            assert all(0 <= v < q for v, q in zip(vec, orders))
-            rebuilt = G.identity
-            for e, exp in zip(gens, vec):
-                rebuilt = G.mul(rebuilt, naive_power(G, e, exp))
-            assert rebuilt == g, (name, g)
+        elements = closure(G, G.generators)
+        best, attempts = standard_decomposition_with_attempts(G)
+        for sd in [a.found for a in attempts if a.found is not None]:
+            gens, orders = (sd.y,) + sd.a_basis.elements, (sd.gamma,) + sd.a_basis.orders
+            inside = set(closure(G, gens))
+            assert len(inside) == sd.group_order
+            assert len(inside) == len(elements) or sd is not best
+            table = DecompositionTable(G, gens, orders)
+            for g in elements:
+                assert (table.decompose(g) is not None) == (g in inside), (name, sd.gamma, g)
+            proper += len(inside) < len(elements)
+    assert proper > 0
 
 
 def test_y_only_table_rejects_the_abelian_part():

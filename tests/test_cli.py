@@ -11,7 +11,7 @@ from corpus import build, dihedral_table, relabel, symmetric_table, write_table
 from grpext import abelian, autring, blackbox, classes, iso
 from grpext.cli import main
 from grpext.decomp import standard_decomposition
-from grpext.errors import InvariantBreachError, MemoryBudgetError
+from grpext.errors import InvariantBreachError, MalformedInputError
 
 G21A = "semidirect\nA 7\nm 3\n2\n"
 G21B = "semidirect\nA 7\nm 3\n4\n"
@@ -51,8 +51,9 @@ def test_bad_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_verification_under_the_memory_cap_builds_no_mu_table(tmp_path, capsys, monkeypatch):
-    # the decision and the relator proof fit in 1 MiB; mu's table over <y>A (123 x 123
-    # codes), which only build_mu builds, does not
+    # the decision and the relator proof fit in 1 MiB. build_mu maps by the closure of G
+    # and builds no table, so on this G of 2.25 * 10^8 elements it refuses, as
+    # exhaustive mode does
     path = tmp_path / "g.grp"
     path.write_text("semidirect\nA 15013\nm 15012\n2\n")
     monkeypatch.setenv("GRPEXT_MEM_MB", "1")
@@ -60,7 +61,7 @@ def test_verification_under_the_memory_cap_builds_no_mu_table(tmp_path, capsys, 
     assert (code, err) == (0, "")
     assert "mu-check sampled pass\n" in out
     G = blackbox.load_group(path.read_text())
-    with pytest.raises(MemoryBudgetError, match=r"decomposition table of 15129 exceeds \d+"):
+    with pytest.raises(MalformedInputError, match="exhaustive verification refused: subgroup has more than 1024"):
         iso.build_mu(iso.isomorphic(G, G).witness)
 
 

@@ -679,19 +679,48 @@ def test_mu_equals_the_strip_reference_on_every_element():
             assert mu(g) == reference(g), (a, b, g)
 
 
-def test_a1009_mu_factors_each_element_in_one_table_lookup():
+def test_build_mu_refuses_a_group_above_the_exhaustive_limit():
+    # |G| = 1 017 072: build_mu maps by the closure of G, so it refuses before any product
     G, H = semidirect((1009,), 1008, [[11]]), semidirect((1009,), 1008, [[367]])
     witness = isomorphic(G, H).witness
-    mu, reference = build_mu(witness), strip_mu(witness)
-    bound = math.ceil(1008 / 32) * math.ceil(1009 / 32)  # 1 024 products of the lookup
-    rng = random.Random(1009)
-    for i in range(300):
-        g = G.parse_element(f"{rng.randrange(1009)};{rng.randrange(1008)}")
-        before = G.operation_count
-        image = mu(g)
-        assert G.operation_count - before <= bound
-        if i < 10:
-            assert image == reference(g)
+    before = (G.operation_count, H.operation_count)
+    with pytest.raises(MalformedInputError, match="exhaustive verification refused: subgroup has more than 1024"):
+        build_mu(witness)
+    assert (G.operation_count, H.operation_count) == before
+
+
+def test_build_mu_refuses_a_map_that_is_not_a_homomorphism():
+    # y1 -> y2 from G21a onto G21b breaks y a y^-1 = a^2: an edge of the closure gives
+    # an element a second image
+    witness = dataclasses.replace(isomorphic(build("G21a"), build("G21b")).witness, k=1)
+    with pytest.raises(InvariantBreachError, match="not a homomorphism"):
+        build_mu(witness)
+    assert not verify_isomorphism(witness, mode="exhaustive")
+
+
+def test_build_mu_refuses_a_code_outside_g():
+    G = build("G21a")
+    mu = build_mu(isomorphic(G, build("G21b")).witness)
+    assert len({mu(g) for g in closure(G, G.generators)}) == 21
+    for code in (21, -1, 10**9):
+        with pytest.raises(MalformedInputError, match=f"unknown element code {code}"):
+            mu(code)
+
+
+def test_a_psi_block_off_its_entry_rule_is_refused_by_arithmetic():
+    # the 3-part of A has type (3, 9): entry (2,1) of its block must be divisible by 3.
+    # ((1, 0), (1, 1)) is a unit mod 3 with the right moduli, so before H's relators
+    # only the entry rule refuses it
+    G = semidirect((3, 9), 2, IDENT2)
+    witness = isomorphic(G, G).witness
+    two, three = witness.psi_blocks.blocks
+    off_rule = autring.AutMatrix(three.ptype, ((1, 0), (1, 1)))
+    assert three.ptype.moduli == (3, 9) and autring.is_in_R(off_rule)
+    forged = dataclasses.replace(witness, psi_blocks=autring.AutBlocks((two, off_rule)))
+    before = G.operation_count
+    assert not verify_isomorphism(forged)
+    assert G.operation_count == before
+    assert not verify_isomorphism(forged, mode="exhaustive")
 
 
 def test_exhaustive_verification_maps_each_element_once(monkeypatch):
