@@ -22,10 +22,13 @@ It owns the arithmetic of action matrices over per-row moduli (mat_mul,
 mat_vec, mat_pow): the action of a cyclic group on a general abelian group
 A = Z_{q_1} x ... x Z_{q_s} is one s x s matrix with row i reduced mod q_i,
 and blocks_from_rows is the only place that splits such a matrix into one
-AutMatrix per prime. Its layout is block-diagonal, one square block per run
-of coordinates (a prime of A, or an exponent run in psi), and two helpers are
-the one owner of that layout: block_diagonal assembles such a matrix from its
-blocks and diagonal_block reads one block back.
+AutMatrix per prime. It is also the one check of an automorphism of A: group
+files, iso.conjugation_action and the psi of an isomorphism witness
+(iso.verify_isomorphism) all go through it. Its layout is block-diagonal, one
+square block per run of coordinates (a prime of A, or an exponent run in
+psi), and two helpers are the one owner of that layout: block_diagonal
+assembles such a matrix from its blocks and diagonal_block reads one block
+back.
 """
 
 from __future__ import annotations
@@ -656,13 +659,6 @@ def blocks_from_rows(qs: Sequence[int], rows: Sequence[Sequence[int]]) -> AutBlo
 
 def blocks_pow(a: AutBlocks, n: int) -> AutBlocks:
     return AutBlocks(tuple(star_pow(x, n) for x in a.blocks))
-
-
-def apply_blocks(a: AutBlocks, vec: Sequence[int]) -> tuple[int, ...]:
-    """Apply the full action matrix to an exponent vector, per-coordinate moduli."""
-    if len(vec) != len(a.moduli):
-        raise MalformedInputError("vector length does not match block sizes")
-    return mat_vec(a.rows, vec, a.moduli)
 
 
 # --- Matrix text format -----------------------------------------------------

@@ -281,9 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group_g")
     p.add_argument("group_h")
     p.add_argument("--verify", choices=["exhaustive", "sampled"], default="sampled",
-                   help="exhaustive: a proof by one closure of G over y and the basis of A, each edge "
-                        "multiplied once (|G| <= 1024); sampled: relator proof at any size; --seed is "
-                        "accepted and unused")
+                   help="both first check gamma, the type of A, psi and k by arithmetic; exhaustive: "
+                        "then a proof by one closure of G over y and the basis of A, each edge multiplied "
+                        "once (|G| <= 1024); sampled: then a relator proof at any size; --seed is accepted "
+                        "and unused")
     p.add_argument("--seed", type=_int_flag, default=0)
     p.set_defaults(func=cmd_isomorphic)
 

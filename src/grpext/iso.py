@@ -13,20 +13,22 @@ endomorphism averaged over <M1>. A positive verdict always carries a witness
 (k plus a basis-to-basis matrix psi), which fixes the explicit isomorphism
 mu(y1^j x) = y2^{k j} psi(x).
 
-verify_isomorphism proves the witness: by default by the relators of G's
-standard presentation, in G and on their images in H, at any |G|; in
+verify_isomorphism checks the witness one way. Both modes first check its
+arithmetic with no oracle call, psi by autring.blocks_from_rows like every
+automorphism of A. Then it proves the witness: by default by the relators of
+G's standard presentation, in G and on their images in H, at any |G|; in
 exhaustive mode by one closure of G, while |G| is at most EXHAUSTIVE_LIMIT.
 build_mu looks each element of G up in the map that closure builds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import autring
+from .abelian import check_commuting
 from .arith import crt, discrete_log, trial_factor
 from .blackbox import ElementCode, GroupHandle, group_pow, word
 from .decomp import StandardDecomposition, standard_decomposition
@@ -147,10 +149,9 @@ def isomorphic(G: GroupHandle, H: GroupHandle) -> IsoResult:
 
 def _generator_images(witness: IsomorphismWitness) -> list[ElementCode]:
     """mu(y1^j x) = y2^{k j} psi(x) on y1 and the a_i: y2^k, then psi(a_i) = prod_l b_l^{psi[l][i]}."""
-    sd2, s = witness.target, len(witness.source.a_basis.orders)
-    columns = [autring.apply_blocks(witness.psi_blocks, [int(i == j) for i in range(s)]) for j in range(s)]
+    sd2 = witness.target
     y2k = group_pow(sd2.G, sd2.y, witness.k % witness.source.gamma)
-    return [y2k] + [word(sd2.G, sd2.a_basis.elements, column) for column in columns]
+    return [y2k] + [word(sd2.G, sd2.a_basis.elements, column) for column in zip(*witness.psi_blocks.rows)]
 
 
 def _closure(witness: IsomorphismWitness) -> Optional[dict[ElementCode, ElementCode]]:
@@ -228,17 +229,17 @@ def _broken_relator(
     """The first relator of the standard presentation that y and basis break in G, None when all hold.
 
     The relators, in this order: y^gamma, a_i^{q_i} for the moduli q_i of
-    action, a_i a_j = a_j a_i for j < i, and y a_i = (prod_l a_l^{M[l][i]}) y
-    for M = action.rows. None needs an inverse. Indices count from 1.
+    action, a_i a_j = a_j a_i for i < j (abelian.check_commuting, which skips
+    equal pairs and the identity), and y a_i = (prod_l a_l^{M[l][i]}) y for
+    M = action.rows. None needs an inverse. Indices count from 1.
     """
     if group_pow(G, y, gamma) != G.identity:
         return "y^gamma"
     for i, (a, q) in enumerate(zip(basis, action.moduli), 1):
         if group_pow(G, a, q) != G.identity:
             return f"a_{i}^q_{i}"
-    for (i, a), (j, b) in itertools.combinations(enumerate(basis, 1), 2):
-        if G.mul(a, b) != G.mul(b, a):
-            return f"[a_{i}, a_{j}]"
+    if pair := check_commuting(G, basis):
+        return f"[a_{pair[0] + 1}, a_{pair[1] + 1}]"
     for i, (a, column) in enumerate(zip(basis, zip(*action.rows)), 1):
         if G.mul(y, a) != G.mul(word(G, basis, column), y):
             return f"y a_{i} y^-1"
@@ -248,13 +249,14 @@ def _broken_relator(
 def verify_isomorphism(witness: IsomorphismWitness, mode: str = "sampled") -> bool:
     """Prove or refute that the witness's mu is an isomorphism G = witness.source.G -> H.
 
-    Exhaustive mode runs _prove, whose closure refuses a G of more than
+    1. Both modes, with no oracle call: False unless both sides share gamma
+       and the type (q_1..q_s) of A1's basis a_1..a_s, psi has those moduli
+       and passes autring.blocks_from_rows (each block keeps the entry rule
+       of its type and is a unit), and k is prime to gamma.
+    Exhaustive mode then runs _prove, whose closure refuses a G of more than
     EXHAUSTIVE_LIMIT elements with MalformedInputError. The default mode
-    ("sampled", a name the CLI keeps) proves mu by relators in
-    O(s^2 log |G|) products, s the length of A1's basis a_1..a_s of orders q_i:
-    1. no oracle call: False unless both sides share gamma and the type
-       (q_1..q_s), k is prime to gamma, and each psi-block keeps the entry
-       rule of that type and is a unit;
+    ("sampled", a name the CLI keeps) then proves mu by relators in
+    O(s^2 log |G|) products:
     2. the relators of _broken_relator hold in G on y1 and the a_i, with
        M1 = witness.action; the decision has proved them, so a broken one
        raises InvariantBreachError naming it;
@@ -275,17 +277,17 @@ def verify_isomorphism(witness: IsomorphismWitness, mode: str = "sampled") -> bo
     if mode not in ("exhaustive", "sampled"):
         raise MalformedInputError(f"unknown verification mode {mode!r}")
     sd1, sd2 = witness.source, witness.target
-    if mode == "exhaustive":
-        return _prove(witness)
     gamma, orders = sd1.gamma, sd1.a_basis.orders
-    if sd2.gamma != gamma or sd2.a_basis.orders != orders or math.gcd(witness.k, gamma) != 1:
+    if sd2.gamma != gamma or sd2.a_basis.orders != orders or witness.psi_blocks.moduli != orders:
         return False
-    try:  # validate_M checks the entry rule of each psi-block's type
-        psi = [autring.validate_M(b.ptype, b.rows) for b in witness.psi_blocks.blocks]
+    try:  # the one check of an automorphism of A: each block keeps its entry rule and is a unit
+        autring.blocks_from_rows(orders, witness.psi_blocks.rows)
     except MalformedInputError:
         return False
-    if witness.psi_blocks.moduli != orders or not all(map(autring.is_in_R, psi)):
+    if math.gcd(witness.k, gamma) != 1:
         return False
+    if mode == "exhaustive":
+        return _prove(witness)
     if broken := _broken_relator(sd1.G, sd1.y, sd1.a_basis.elements, gamma, witness.action):
         raise InvariantBreachError(f"relator {broken} fails in G on y and the basis of A")
     y2k, *images = _generator_images(witness)

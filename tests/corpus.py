@@ -180,7 +180,7 @@ def strip_mu(witness):
                 w = G.mul(w, y1_inv)
                 continue
             out = H.identity
-            mapped = autring.apply_blocks(witness.psi_blocks, vec)
+            mapped = autring.mat_vec(witness.psi_blocks.rows, vec, witness.psi_blocks.moduli)
             for h, e in zip(sd2.a_basis.elements, mapped):
                 out = H.mul(out, group_pow(H, h, e))
             return H.mul(out, group_pow(H, sd2.y, witness.k * j % sd1.gamma))

@@ -20,7 +20,6 @@ from grpext.autring import (
     _Fpx,
     _gf_inv,
     _gf_mul,
-    apply_blocks,
     charpoly,
     blocks_pow,
     conjugacy,
@@ -651,12 +650,8 @@ def test_blocks_apply_and_pow():
     blocks = AutBlocks(
         (make_matrix(PType(2, (1, 1)), [[0, 1], [1, 1]]), make_matrix(PType(5, (1,)), [[2]]))
     )
-    assert apply_blocks(blocks, (1, 0, 3)) == (0, 1, 1)
     assert blocks.moduli == (2, 2, 5)
     assert blocks.rows == ((0, 1, 0), (1, 1, 0), (0, 0, 2))
-    for vec in [(1, 0), (1, 0, 3, 0)]:
-        with pytest.raises(MalformedInputError):
-            apply_blocks(blocks, vec)
     cubed = blocks_pow(blocks, 3)
     assert cubed.blocks[0] == identity_matrix(PType(2, (1, 1)))
     assert cubed.blocks[1] == make_matrix(PType(5, (1,)), [[3]])

@@ -201,7 +201,7 @@ def _refuted_witnesses():
     sheared = [[psi.rows[0][0], (psi.rows[0][1] + 1) % 3], list(psi.rows[1])]
     z3_2 = semidirect((3, 3), 1, [[1, 0], [0, 1]])
     w_z3_2 = isomorphic(z3_2, z3_2).witness
-    Z3, Z7, Z9 = (table_group(cyclic_table_spec(n)) for n in (3, 7, 9))
+    Z3, Z9 = (table_group(cyclic_table_spec(n)) for n in (3, 9))
     twice_b = abelian.AbelianBasis(Z3, (1, 1), (3, 3))
     z3_ident = _identity_blocks(3, (1,))
     z3_claimed = dataclasses.replace(standard_decomposition(Z3), gamma=2, y=Z3.identity)
@@ -210,6 +210,8 @@ def _refuted_witnesses():
     # gamma is 3, with A = Z14). y -> y^4 keeps the relators but maps onto G21a only
     sd42 = find_decomposition(6, GroupContext(semidirect((7,), 6, [[2]]))).found
     w42 = IsomorphismWitness(1, _identity_blocks(7, (1,)), sd42, sd42, conjugation_action(sd42))
+    # <y^2, A> of index 2 in it: y^2 acts on A as G21a's y1 does
+    into_42 = dataclasses.replace(sd42, gamma=3, y=group_pow(sd42.G, sd42.y, 2))
     z9 = standard_decomposition(Z9)
     w_z9 = IsomorphismWitness(1, _identity_blocks(3, (2,)), z9, standard_decomposition(z3_2), _identity_blocks(3, (2,)))
     twice_b_target = StandardDecomposition(1, twice_b, Z3.identity)
@@ -224,19 +226,28 @@ def _refuted_witnesses():
         # the one-to-one check refuses it. The relators hold, as the target is not a
         # decomposition of H: only exhaustive mode refuses it
         ("smaller target", dataclasses.replace(w_z3_2, target=twice_b_target), ("exhaustive",)),
-        # Z7 onto A2 < G21b: an injective homomorphism whose image misses y2
-        ("larger target", dataclasses.replace(w21, source=standard_decomposition(Z7)), both),
+        # G21a onto <y^2, A> of Z7 x| Z6, a target that does not cover H: an injective
+        # homomorphism that keeps the relators, so only exhaustive mode's check of H's
+        # generators refuses it
+        ("larger target", dataclasses.replace(w21, k=1, psi_blocks=_identity_blocks(7, (1,)), target=into_42),
+         ("exhaustive",)),
         # y1 = 1 of a Z3 claimed as gamma = 2 maps to y2 of S3: the edge 1 -> 1 y1, and
         # the relator y a y^-1 = a in H, refuse it
         ("identity of T off 1", IsomorphismWitness(1, z3_ident, z3_claimed, s3, z3_ident), both),
         # y1 -> y1^4 of order 3, with gcd(4, 6) = 2: a homomorphism onto Z7 x| Z3
         ("k not prime to gamma", dataclasses.replace(w42, k=4), both),
-        # gamma 6 against gamma 3: y1 -> y2 onto G21a keeps every relator
+        # gamma 6 against gamma 3: y1 -> y2 onto G21a, whose y2 acts by 2, not by M1's 4
         ("gamma mismatch", dataclasses.replace(w42, target=w21_self.target), both),
+        # G21a into Z7 x| Z6 decomposed at gamma 6: y1 -> y^2 keeps every relator of gamma 3,
+        # so the relator proof needs equal gamma, as |H| = gamma |A| is its premise
+        ("gamma into a larger H", dataclasses.replace(w21, psi_blocks=_identity_blocks(7, (1,)), target=sd42), both),
         # Z9 onto Z3^2, whose first basis element keeps every relator of the type (9)
         ("type mismatch", w_z9, both),
         # psi over Z_11 maps a to a^7 = 1, a unit mod 11 but not mod 7
         ("psi of another type", _with_psi(w21_self, [[7]], autring.PType(11, (1,))), both),
+        # G21b's psi (4) relabelled over Z_11: a bijection of the closure, as the closure
+        # reads only the generator images; the moduli 11 against the type (7) refuse it
+        ("relabelled psi", _with_psi(w21, w21.psi_blocks.rows, autring.PType(11, (1,))), both),
     ]
 
 
@@ -253,10 +264,24 @@ def test_verify_isomorphism_detects_bad_maps():
         verify_isomorphism(refused[0][1], mode="bogus")
 
 
+def test_exhaustive_mode_checks_the_witness_arithmetic_first():
+    # psi relabelled over another prime keeps its rows, so the closure alone would map
+    # G21a onto G21b; both modes refuse it by arithmetic, with no oracle call
+    G, H = build("G21a"), build("G21b")
+    witness = isomorphic(G, H).witness
+    for p in (11, 13):
+        relabelled = _with_psi(witness, witness.psi_blocks.rows, autring.PType(p, (1,)))
+        before = (G.operation_count, H.operation_count)
+        for mode in ("exhaustive", "sampled"):
+            assert not verify_isomorphism(relabelled, mode=mode), (p, mode)
+        assert (G.operation_count, H.operation_count) == before
+
+
 def test_the_proof_refuses_a_decomposition_that_does_not_cover_g():
-    # each case: a forged source, the closure's error, and what the relator proof gives:
-    # the relator in G it names, False, or None where the source (y1 = 1, G's generators
-    # outside <y1>A1) lies outside the relator proof's premise and only the closure counts
+    # each case: a forged witness that passes the arithmetic, the closure's error, and the
+    # relator in G that the relator proof names, or None where the source (y1 = 1, G's
+    # generators outside <y1>A1) lies outside the relator proof's premise and only the
+    # closure counts
     G, H = build("G21a"), build("G21b")
     witness = isomorphic(G, H).witness
     sd = witness.source
@@ -269,13 +294,16 @@ def test_the_proof_refuses_a_decomposition_that_does_not_cover_g():
     z9_as_z3 = StandardDecomposition(1, abelian.AbelianBasis(Z9, (1,), (3,)), Z9.identity)
     s3_as_klein = StandardDecomposition(1, abelian.AbelianBasis(S3, (t1, t2), (2, 2)), S3.identity)
     y1_is_1 = dataclasses.replace(sd, gamma=1, y=G.identity)
+    ys_are_1 = dataclasses.replace(
+        witness, source=dataclasses.replace(sd, y=G.identity), target=dataclasses.replace(witness.target, y=H.identity)
+    )
     cases = [
         # <A1> has the 7 elements claimed, and mu maps it onto Z7, but G's generators leave it
         (dataclasses.replace(onto_z7, source=y1_is_1), "outside the closure", None),
         # y1 of order 3 under gamma = 1: the closure passes the 7 elements claimed
         (dataclasses.replace(onto_z7, source=dataclasses.replace(sd, gamma=1)), r"more than \|G\| = 7 ", r"y\^gamma"),
-        # gamma = 6 claims 42 elements; the closure holds 21. H has gamma 3
-        (dataclasses.replace(witness, source=dataclasses.replace(sd, gamma=6)), r"21 elements, not \|G\| = 42", False),
+        # y1 = y2 = 1: the closure holds A1's 7 elements of the 21 claimed
+        (ys_are_1, r"7 elements, not \|G\| = 21", r"y a_1 y\^-1"),
         # the generator 1 of Z9 claimed of order 3
         (IsomorphismWitness(1, z3_ident, z9_as_z3, z3, z3_ident), r"more than \|G\| = 3 ", r"a_1\^q_1"),
         # two transpositions of S3 claimed as a basis of Z2^2
@@ -284,11 +312,14 @@ def test_the_proof_refuses_a_decomposition_that_does_not_cover_g():
     for bad, closure_message, relators in cases:
         with pytest.raises(InvariantBreachError, match=closure_message):
             verify_isomorphism(bad, mode="exhaustive")
-        if relators is False:
-            assert not verify_isomorphism(bad)
-        elif relators is not None:
+        if relators is not None:
             with pytest.raises(InvariantBreachError, match=f"relator {relators} fails in G"):
                 verify_isomorphism(bad)
+    # gamma = 6 claims 42 elements against H's gamma 3: arithmetic refuses it in both modes
+    gamma_6 = dataclasses.replace(witness, source=dataclasses.replace(sd, gamma=6))
+    before = (G.operation_count, H.operation_count)
+    assert not verify_isomorphism(gamma_6) and not verify_isomorphism(gamma_6, mode="exhaustive")
+    assert (G.operation_count, H.operation_count) == before
     # an action that is not y1's: the closure does not read it, the relators refuse it
     (block,) = witness.action.blocks
     not_y1s = dataclasses.replace(witness, action=autring.AutBlocks((autring.identity_matrix(block.ptype),)))

@@ -40,7 +40,9 @@ class Mutant:
 
 
 ISO = "src/grpext/iso.py"
+BLACKBOX = "src/grpext/blackbox.py"
 BAD_MAPS = "tests/test_iso.py::test_verify_isomorphism_detects_bad_maps"
+COVER = "tests/test_iso.py::test_the_proof_refuses_a_decomposition_that_does_not_cover_g"
 
 MUTANTS = (
     Mutant(
@@ -69,14 +71,78 @@ MUTANTS = (
         ISO,
         "    if not images.keys() >= set(G.generators):",
         "    if False:",
-        ("tests/test_iso.py::test_the_proof_refuses_a_decomposition_that_does_not_cover_g",),
+        (COVER,),
     ),
     Mutant(
         "relators-psi-entry-rule",
         ISO,
-        "psi = [autring.validate_M(b.ptype, b.rows) for b in witness.psi_blocks.blocks]",
-        "psi = witness.psi_blocks.blocks",
+        "autring.blocks_from_rows(orders, witness.psi_blocks.rows)",
+        "witness.psi_blocks.rows",
         ("tests/test_iso.py::test_a_psi_block_off_its_entry_rule_is_refused_by_arithmetic",),
+    ),
+    Mutant(
+        "exhaustive-skips-arithmetic",
+        ISO,
+        'raise MalformedInputError(f"unknown verification mode {mode!r}")\n',
+        'raise MalformedInputError(f"unknown verification mode {mode!r}")\n'
+        '    if mode == "exhaustive":\n        return _prove(witness)\n',
+        ("tests/test_iso.py::test_exhaustive_mode_checks_the_witness_arithmetic_first",),
+    ),
+    Mutant(
+        "arithmetic-gamma",
+        ISO,
+        "if sd2.gamma != gamma or sd2.a_basis.orders",
+        "if sd2.a_basis.orders",
+        (BAD_MAPS,),
+    ),
+    Mutant(
+        "arithmetic-type",
+        ISO,
+        "sd2.a_basis.orders != orders or witness",
+        "witness",
+        (BAD_MAPS,),
+    ),
+    Mutant(
+        "arithmetic-psi-moduli",
+        ISO,
+        " or witness.psi_blocks.moduli != orders:",
+        ":",
+        ("tests/test_iso.py::test_exhaustive_mode_checks_the_witness_arithmetic_first",),
+    ),
+    Mutant(
+        "arithmetic-k-prime-to-gamma",
+        ISO,
+        "    if math.gcd(witness.k, gamma) != 1:\n        return False\n",
+        "",
+        (BAD_MAPS,),
+    ),
+    Mutant(
+        "relator-y-gamma",
+        ISO,
+        "if group_pow(G, y, gamma) != G.identity:",
+        "if False:",
+        (COVER,),
+    ),
+    Mutant(
+        "relator-a-orders",
+        ISO,
+        "if group_pow(G, a, q) != G.identity:",
+        "if False:",
+        (COVER,),
+    ),
+    Mutant(
+        "relator-commutators",
+        ISO,
+        "if pair := check_commuting(G, basis):",
+        "if pair := None:",
+        (COVER,),
+    ),
+    Mutant(
+        "relator-action",
+        ISO,
+        "if G.mul(y, a) != G.mul(word(G, basis, column), y):",
+        "if False:",
+        (COVER,),
     ),
     Mutant(
         "relators-in-h",
@@ -91,6 +157,51 @@ MUTANTS = (
         "    G, gamma = sd.G, sd.gamma\n",
         "    return True\n    G, gamma = sd.G, sd.gamma\n",
         ("tests/test_iso.py::test_every_relabelled_d6_is_out_of_class_against_s3",),
+    ),
+    Mutant(
+        "k-scan-first-psi-block",
+        ISO,
+        "zip(psi2, targets)):",
+        "zip(psi2[:1], targets)):",
+        ("tests/test_census.py::test_the_k_scan_compares_every_psi_block",),
+    ),
+    Mutant(
+        "condition-i-by-order",
+        ISO,
+        "if sd1.a_basis.orders != sd2.a_basis.orders:",
+        "if sd1.group_order != sd2.group_order:",
+        ("tests/test_census.py::test_census_to_order_47_matches_the_naive_oracles",),
+    ),
+    Mutant(
+        "gens-generation-skipped",
+        BLACKBOX,
+        "        _require_generation(self)\n",
+        "",
+        ("tests/test_blackbox.py::test_gens_accepted_exactly_when_they_generate",),
+    ),
+    Mutant(
+        "light-one-generator",
+        BLACKBOX,
+        "    for g in spec.generators:",
+        "    for g in spec.generators[:1]:",
+        (
+            "tests/test_blackbox.py::test_latin_rows_with_a_bad_column_fail_associativity",
+            "tests/test_blackbox.py::test_permutation_rows_with_identity_accepted_exactly_when_a_group",
+        ),
+    ),
+    Mutant(
+        "conjugacy-final-substitution",
+        "src/grpext/autring.py",
+        "if star_mul(total, u1) != star_mul(u2, total) or not is_in_R(total):",
+        "if False:",
+        ("tests/test_cli.py::test_invalid_solver_assignment_is_an_invariant_breach",),
+    ),
+    Mutant(
+        "element-order-linear",
+        "src/grpext/abelian.py",
+        "    return order_search(G.mul, G.identity, g, BABY_ENTRY_BYTES)\n",
+        "    n, x = 1, g\n    while x != G.identity:\n        n, x = n + 1, G.mul(x, g)\n    return n\n",
+        ("tests/test_acceptance.py::test_criterion_8_sqrt_scaling",),
     ),
 )
 
