@@ -4,10 +4,9 @@ Element order is arith.order_search over the oracle product: baby-step/giant-ste
 with a doubling radius, so no bound on the group order is needed. Factoring over fixed
 commuting generators uses the meet-in-the-middle table over the low digits of
 each exponent, one dict from code to digits; it returns None for an element
-outside their span. Over y and a basis of the abelian part A it decides <y>A.
-An abelian basis keeps one table per prime, over its p-part. The tables are
-capped by the GRPEXT_MEM_MB environment variable (default 1024), at the bytes
-per entry that a build measurably holds.
+outside their span. An abelian basis keeps one table per prime, over its
+p-part. The tables are capped by the GRPEXT_MEM_MB environment variable
+(default 1024), at the bytes per entry that a build measurably holds.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def element_order(G: GroupHandle, g: ElementCode) -> int:
 
 
 class DecompositionTable:
-    """Meet-in-the-middle table for factoring elements over fixed generators.
+    """Meet-in-the-middle table for factoring elements over fixed commuting generators.
 
     One dict maps the code of g_0^{c_0} ... g_t^{c_t} to its digits, for
     0 <= c_i < r_i = ceil(sqrt(n_i)) and the orders n_i. It grows one
@@ -79,11 +78,6 @@ class DecompositionTable:
     leave fewer than prod r_i entries. A lookup walks the high digits from the
     right with the strides g_i^{-r_i} until it lands in the dict: at most
     prod ceil(n_i / r_i) products, and None for an element outside the span.
-    Over commuting elements a hit is the factorization. Over (y,) + the basis
-    of an A that y normalizes, hit or miss decides membership of <y>A and the
-    vector is not read: w = y^j a, r the radius of y and b = floor(j / r) give
-    w y^{-r b} = y^{j - r b} (y^{r b} a y^{-r b}), whose second factor lies in
-    A for the other coordinates to peel; a hit writes w over y and A.
     """
 
     def __init__(self, G: GroupHandle, elements: Sequence[ElementCode], orders: Sequence[int]):

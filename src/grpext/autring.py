@@ -166,13 +166,6 @@ def validate_M(ptype: PType, rows: Sequence[Sequence[int]]) -> AutMatrix:
     return AutMatrix(ptype, _freeze(rows))
 
 
-def make_matrix(ptype: PType, rows: Sequence[Sequence[int]]) -> AutMatrix:
-    """Reduce each row i mod p^{e_i}, then validate_M."""
-    if len(rows) != ptype.s or any(len(r) != ptype.s for r in rows):
-        raise MalformedInputError(f"matrix must be {ptype.s}x{ptype.s}")
-    return validate_M(ptype, [[x % q for x in row] for row, q in zip(rows, ptype.moduli)])
-
-
 def identity_matrix(ptype: PType) -> AutMatrix:
     return AutMatrix(ptype, _freeze([[int(i == j) for j in range(ptype.s)] for i in range(ptype.s)]))
 

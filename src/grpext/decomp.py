@@ -35,12 +35,11 @@ decomposed a proper subgroup.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import AbelianBasis, DecompositionTable, abelian_basis, element_order
+from .abelian import AbelianBasis, abelian_basis, element_order
 from .arith import divisors, trial_factor
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow, word
 from .errors import NotInClassError
@@ -207,24 +206,36 @@ def _covers(sd: StandardDecomposition, context: GroupContext) -> bool:
     n = s * r, s made of the primes of gamma. The finder's check
     gcd(gamma, m_bar / gamma) = 1 gives each prime of gamma the same exponent
     in gamma as in m_bar, a multiple of n, so s divides gamma and
-    r = n / gcd(n, gamma). Then g^gamma, of order r,
-    generates the part of <g> of order r, and g lies in <y>A exactly when
-    w = g^r does. When every part of y is a power of g, y generates the
-    subgroup of <g> of order gamma, which holds w. Otherwise w is looked up in
-    a table over (y,), and only on a miss in one over (y,) + the basis of A;
-    only hit or miss is read, which decides membership of <y>A (see
-    DecompositionTable). In the class the best decomposition passes.
+    r = n / gcd(n, gamma). Then g^gamma, of order r, generates the part of <g>
+    of order r, and g lies in <y>A exactly when w = g^r does. When every part
+    of y is a power of g, y generates the subgroup of <g> of order gamma,
+    which holds w. Otherwise: G/A is abelian of exponent dividing gamma, prime
+    to e = exp A, so x is in A exactly when x^e = 1, as its image's order
+    divides both. Pohlig-Hellman in G/A then finds, for each q^f || gamma, the
+    base-q digits of a j with (w y^j)^{gamma/q^f} in A: digit i is the d < q
+    with t c^d in A, c = y^{gamma/q}, t = (w y^j)^{gamma/q^{i+1}} over the
+    digits below i; no such d puts w outside. Cost: O(1) memory, at most
+    sum f q (1 + 2 log2 e) products in trials, O(log gamma) per digit. In the
+    class y's q-part acts nontrivially on A (else the least-m rule takes
+    m = gamma/q^f), so q | p^i - 1 for some i <= rank(A_p): q < |A|, q^2 < |G|.
     """
     G, gamma = sd.G, sd.gamma
-    elements, orders = (sd.y,) + sd.a_basis.elements, (gamma,) + sd.a_basis.orders
-    table = functools.cache(lambda t: DecompositionTable(G, elements[:t], orders[:t]))
-    y_from = {context.part(p**e)[0] for p, e in trial_factor(gamma, context.primes)}
+    e, factors = math.lcm(*sd.a_basis.orders), trial_factor(gamma, context.primes)
+    y_from = {context.part(q**f)[0] for q, f in factors}
     for k, (g, n) in enumerate(zip(G.generators, context.gen_orders)):
         r = n // math.gcd(n, gamma)
         if r == n or y_from == {k} or (w := group_pow(G, g, r)) == sd.y:
             continue
-        if table(1).decompose(w) is None and table(len(elements)).decompose(w) is None:
-            return False
+        for q, f in factors:
+            c, j = group_pow(G, sd.y, gamma // q), 0
+            for i in range(f):
+                t = group_pow(G, word(G, (w, sd.y), (1, j)), gamma // q ** (i + 1))
+                for _ in range(q):
+                    if group_pow(G, t, e) == G.identity:
+                        break
+                    t, j = G.mul(t, c), j + q**i
+                else:
+                    return False
     return True
 
 

@@ -219,6 +219,13 @@ def semidirect(qs, m, rows, gens=None, name="G"):
     return blackbox.semidirect_group(spec, name=name)
 
 
+def make_matrix(ptype: autring.PType, rows) -> autring.AutMatrix:
+    """Reduce each row i mod p^{e_i}, then autring.validate_M."""
+    if len(rows) != ptype.s or any(len(r) != ptype.s for r in rows):
+        raise MalformedInputError(f"matrix must be {ptype.s}x{ptype.s}")
+    return autring.validate_M(ptype, [[x % q for x in row] for row, q in zip(rows, ptype.moduli)])
+
+
 def table_from(handle: GroupHandle, name: str) -> GroupHandle:
     return blackbox.table_group(materialize_table(handle), name=name)
 

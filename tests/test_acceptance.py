@@ -18,6 +18,7 @@ from corpus import (
     cyclic_table_spec,
     expected_isomorphic,
     is_in_N,
+    make_matrix,
     mixed_generators,
     naive_gamma,
     naive_isomorphic,
@@ -65,8 +66,8 @@ def test_criterion_3_order21_reproduction():
     assert result.is_isomorphic and result.witness.k == 2
     # matrix-level fact behind k=1 failing and k=2 succeeding
     ptype = autring.PType(7, (1,))
-    two = autring.make_matrix(ptype, [[2]])
-    four = autring.make_matrix(ptype, [[4]])
+    two = make_matrix(ptype, [[2]])
+    four = make_matrix(ptype, [[4]])
     assert autring.conjugacy(two, four, order_cap=3) is None
     assert autring.star_pow(four, 2) == two
     mu = iso.build_mu(result.witness)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import format_matrix, is_in_N, walked_order
+from corpus import format_matrix, is_in_N, make_matrix, walked_order
 from grpext.autring import (
     AutBlocks,
     AutMatrix,
@@ -26,7 +26,6 @@ from grpext.autring import (
     enumerate_R,
     identity_matrix,
     is_in_R,
-    make_matrix,
     matrix_order,
     parse_matrix_file,
     psi,

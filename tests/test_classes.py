@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from corpus import bench_ladder
+from corpus import bench_ladder, make_matrix
 from grpext import autring, blackbox, iso
 from grpext.classes import (
     ClassTriple,
@@ -74,9 +74,9 @@ def test_lift_correction_keeps_residue_action():
 
 def test_companion_powers_stay_in_class():
     # cubes of the three companion blocks are conjugate to themselves
-    u = autring.make_matrix(autring.PType(3, (1,)), [[2]])
-    v = autring.make_matrix(autring.PType(3, (1,)), [[1]])
-    w = autring.make_matrix(autring.PType(3, (1, 1)), [[0, 2], [1, 0]])
+    u = make_matrix(autring.PType(3, (1,)), [[2]])
+    v = make_matrix(autring.PType(3, (1,)), [[1]])
+    w = make_matrix(autring.PType(3, (1, 1)), [[0, 2], [1, 0]])
     for mat in (u, v, w):
         cube = autring.star_pow(mat, 3)
         found = autring.conjugacy(mat, cube, multiple=4)

@@ -65,6 +65,17 @@ def test_verification_under_the_memory_cap_builds_no_mu_table(tmp_path, capsys, 
         iso.build_mu(iso.isomorphic(G, G).witness)
 
 
+def test_cover_proof_of_generators_a_t_and_t_fits_the_memory_cap(tmp_path, capsys, monkeypatch):
+    # (a t)^15013 lies in <y>A but not in <y>: the cover proof decides it by arithmetic,
+    # with no table over y and the basis of A
+    path = tmp_path / "g.grp"
+    path.write_text("semidirect\nA 15013\nm 15012\n2\ngens 1 1\ngens 0 1\n")
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    code, out, err = run_cli(capsys, "standard-decomposition", str(path))
+    assert (code, err) == (0, "")
+    assert "gamma 15012\n" in out
+
+
 @pytest.mark.parametrize("qs, m, rows, power", [
     ((1009,), 1008, [[11]], 5),  # the determinant case: a primitive root g against g^5
     ((1033, 1033), 1034, [[0, 1032], [1, 3]], 3),  # the companion of x^2 - 3x + 1, in SL_2, against its cube

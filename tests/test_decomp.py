@@ -328,20 +328,38 @@ def test_derived_basis_is_the_normal_closure_of_the_commutators(name):
         assert len(naive) == 8
 
 
-def test_cover_proof_finds_a_power_of_y_in_a_table_over_y_alone(monkeypatch):
-    # t^5 is a redundant generator with w = t^5 in <y>: a table over (y,) has about
-    # sqrt(15012) entries, one over (y,) + the basis of A about sqrt(15012 * 15013),
-    # more than one megabyte holds
-    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
-    G = semidirect((15013,), 15012, [[2]], gens=[((1,), 0), ((0,), 1), ((0,), 5)])
-    built = []
-    real = abelian.DecompositionTable.__init__
+def cover_proofs(monkeypatch, G):
+    """The answer of the sweep over G, and (tables built, oracle calls) of each cover proof."""
+    built, proofs = [], []
+    real_init, real_covers = abelian.DecompositionTable.__init__, decomp._covers
 
     def counted(self, H, elements, orders):
         built.append(tuple(orders))
-        real(self, H, elements, orders)
+        real_init(self, H, elements, orders)
+
+    def covers(sd, context):
+        tables, before = len(built), G.operation_count
+        passed = real_covers(sd, context)
+        proofs.append((len(built) - tables, G.operation_count - before))
+        return passed
 
     monkeypatch.setattr(abelian.DecompositionTable, "__init__", counted)
+    monkeypatch.setattr(decomp, "_covers", covers)
     sd = standard_decomposition(G)
-    assert (sd.gamma, sd.a_basis.orders) == (15012, (15013,))
-    assert built[-1] == (15012,)
+    return (sd.gamma, sd.a_basis.orders), proofs
+
+
+def test_cover_proof_of_a_redundant_power_of_y_builds_no_table(monkeypatch):
+    # t^5 is a redundant generator with w = t^5 in <y>: Pohlig-Hellman finds its digits
+    # over gamma = 2^2 * 3^3 * 139 with no table, within one megabyte
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    G = semidirect((15013,), 15012, [[2]], gens=[((1,), 0), ((0,), 1), ((0,), 5)])
+    assert cover_proofs(monkeypatch, G) == ((15012, (15013,)), [(0, 1028)])
+
+
+def test_cover_proof_of_generators_a_t_and_t_builds_no_table(monkeypatch):
+    # w = (a t)^15013 lies in <y>A but not in <y>: a table over (y,) + the basis of A
+    # would hold about sqrt(15012 * 15013) entries, more than one megabyte holds
+    monkeypatch.setenv("GRPEXT_MEM_MB", "1")
+    G = semidirect((15013,), 15012, [[2]], gens=[((1,), 1), ((0,), 1)])
+    assert cover_proofs(monkeypatch, G) == ((15012, (15013,)), [(0, 453)])

@@ -15,6 +15,7 @@ from corpus import (
     dihedral_table,
     expected_isomorphic,
     corpus_entry,
+    make_matrix,
     mixed_generators,
     naive_gamma,
     naive_is_isomorphism,
@@ -103,8 +104,8 @@ def test_remark_pair_needs_k_two():
     assert result.witness.k == 2
     # at the matrix level: (2) is not conjugate to (4), but (4)^2 = (2)
     ptype = autring.PType(7, (1,))
-    two = autring.make_matrix(ptype, [[2]])
-    four = autring.make_matrix(ptype, [[4]])
+    two = make_matrix(ptype, [[2]])
+    four = make_matrix(ptype, [[4]])
     assert autring.conjugacy(two, four, order_cap=3) is None
     assert autring.star_pow(four, 2) == two
 

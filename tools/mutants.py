@@ -41,8 +41,13 @@ class Mutant:
 
 ISO = "src/grpext/iso.py"
 BLACKBOX = "src/grpext/blackbox.py"
+DECOMP = "src/grpext/decomp.py"
 BAD_MAPS = "tests/test_iso.py::test_verify_isomorphism_detects_bad_maps"
 COVER = "tests/test_iso.py::test_the_proof_refuses_a_decomposition_that_does_not_cover_g"
+OUT_OF_CLASS = (
+    "tests/test_out_of_class.py::"
+    "test_products_and_s4_are_out_of_class_exactly_where_the_naive_predicate_says"
+)
 
 MUTANTS = (
     Mutant(
@@ -153,10 +158,24 @@ MUTANTS = (
     ),
     Mutant(
         "covers-always",
-        "src/grpext/decomp.py",
+        DECOMP,
         "    G, gamma = sd.G, sd.gamma\n",
         "    return True\n    G, gamma = sd.G, sd.gamma\n",
         ("tests/test_iso.py::test_every_relabelled_d6_is_out_of_class_against_s3",),
+    ),
+    Mutant(
+        "covers-membership-by-equality",
+        DECOMP,
+        "if group_pow(G, t, e) == G.identity:",
+        "if t == G.identity:",
+        (OUT_OF_CLASS,),
+    ),
+    Mutant(
+        "covers-first-digit-only",
+        DECOMP,
+        "for i in range(f):",
+        "for i in range(min(f, 1)):",
+        (OUT_OF_CLASS,),
     ),
     Mutant(
         "k-scan-first-psi-block",
