@@ -121,28 +121,6 @@ def commutator_generators(G: GroupHandle) -> list[ElementCode]:
     return sorted(out)
 
 
-def closure(
-    G: GroupHandle, seeds: Sequence[ElementCode], limit: Optional[int] = None
-) -> Optional[list[ElementCode]]:
-    """Subgroup generated by seeds, as a sorted code list (breadth-first); None once
-    it has more than limit elements."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    gens = [g for g in seeds]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-                    if limit is not None and len(seen) > limit:
-                        return None
-        frontier = nxt
-    return sorted(seen)
-
-
 # --- Multiplication-table backend -------------------------------------------
 
 
@@ -356,31 +334,23 @@ class _Memo(dict):
 def _require_generation(spec: SemidirectGroupSpec) -> None:
     """Raise MalformedInputError unless the generators generate A x| Z_m.
 
-    Exact, without enumerating the group. The j-parts must generate Z_m; then
-    some product h of generators has j-part 1, and by Schreier's lemma the
-    subgroup meets A in the M-closed subgroup generated by g_i h^{-j_i} and
-    h^m (conjugation by h acts on A as M). By the Burnside basis theorem that
-    subgroup is A when, for every prime p, its image in A_p/pA_p spans the
-    whole F_p-space.
+    Exact, without enumerating the group. The j-parts must generate Z_m, so some element
+    of S = <gens> acts on A as M. Let N be the M-closed subgroup of A generated by the
+    generators in A, g^m for each other (moving) generator g and [g, h] = (gh)(hg)^{-1} for
+    each pair of moving ones. N lies in S and is normal there, and S/N is abelian of exponent
+    dividing m, so (S ∩ A)/N, of order dividing |A| and a power of m, is trivial: S = A x| Z_m
+    iff N = A. By the Burnside basis theorem N = A iff its image in each A_p/pA_p spans it.
     """
     m, action = spec.m, spec.action
     *oracles, decode = _semidirect_oracles(spec)  # the code layout is written once
     G = GroupHandle(*oracles)
 
     moving = [g for g in G.generators if g % m]
-    gcd, coeffs = m, []  # sum(coeffs[i] * j_i) = gcd modulo m
-    for j in [g % m for g in moving]:
-        x0, x1, y0, y1, a, b = 1, 0, 0, 1, gcd, j
-        while b:
-            t = a // b
-            a, b, x0, x1, y0, y1 = b, a - t * b, x1, x0 - t * x1, y1, y0 - t * y1
-        gcd, coeffs = a, [c * x0 for c in coeffs] + [y0]
-    if gcd != 1:
+    if math.gcd(m, *(g % m for g in moving)) != 1:
         raise MalformedInputError(f"the generators' j-parts do not generate Z_{m}")
-    h = word(G, moving, [c % m for c in coeffs])
-    vectors = [g for g in G.generators if not g % m]
-    vectors += [G.mul(g, G.inv(group_pow(G, h, g % m))) for g in moving]
-    vectors = [decode(v)[0] for v in vectors + [group_pow(G, h, m)]]
+    vectors = [g for g in G.generators if not g % m] + [group_pow(G, g, m) for g in moving]
+    vectors += [G.mul(G.mul(g, h), G.inv(G.mul(h, g))) for g, h in itertools.combinations(moving, 2)]
+    vectors = [decode(v)[0] for v in vectors]
     start = 0
     for block in action.blocks:
         p, stop = block.ptype.p, start + block.ptype.s

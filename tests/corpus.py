@@ -20,7 +20,7 @@ from typing import Optional
 from grpext import autring, blackbox
 from grpext.abelian import DecompositionTable
 from grpext.arith import divisors, trial_factor
-from grpext.blackbox import GroupHandle, TableGroupSpec, closure, group_pow
+from grpext.blackbox import ElementCode, GroupHandle, TableGroupSpec, group_pow
 from grpext.errors import InvariantBreachError, MalformedInputError
 
 
@@ -47,16 +47,35 @@ def with_generators(G: GroupHandle, generators) -> GroupHandle:
                        parse_element=G.parse_element, format_element=G.format_element)
 
 
+def closure(G: GroupHandle, seeds, limit: Optional[int] = None) -> Optional[list[ElementCode]]:
+    """Subgroup generated by seeds, as a sorted code list (breadth-first); None once
+    it has more than limit elements. The enumeration ground truth of the oracles below."""
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in seeds:
+                b = G.mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+                    if limit is not None and len(seen) > limit:
+                        return None
+        frontier = nxt
+    return sorted(seen)
+
+
 def counting_identity_products(G: GroupHandle) -> tuple[GroupHandle, collections.Counter]:
     """A view of the same group whose products count those with the identity
-    as an operand, under the qualified name of every grpext function on the
-    call stack (so a function's count includes its callees')."""
+    as an operand, under the qualified name of every grpext or corpus function
+    on the call stack (so a function's count includes its callees')."""
     counts: collections.Counter = collections.Counter()
 
     def mul(a, b):
         if G.identity in (a, b):
             frame = sys._getframe(2)  # the caller of GroupHandle.mul
-            while frame is not None and frame.f_globals["__name__"].startswith("grpext."):
+            while frame is not None and frame.f_globals["__name__"].startswith(("grpext.", __name__)):
                 counts[frame.f_code.co_qualname] += 1
                 frame = frame.f_back
         return G._mul(a, b)
@@ -344,11 +363,13 @@ def drawn_generators(G: GroupHandle, rng) -> GroupHandle:
 
 def random_generators(name: str, rng) -> GroupHandle:
     """The corpus group on random elements, drawn one at a time until they
-    generate it: as `gens` that SemidirectGroupSpec accepts, or for a Cayley
-    table, by drawn_generators."""
-    spec, G = corpus_entry(name).semidirect, build(name)
-    if spec is None:
-        return drawn_generators(G, rng)
+    generate it: by drawn_gens, or for a Cayley table, by drawn_generators."""
+    spec = corpus_entry(name).semidirect
+    return drawn_generators(build(name), rng) if spec is None else drawn_gens(spec, rng)
+
+
+def drawn_gens(spec: Semidirect, rng) -> GroupHandle:
+    """spec's group on random `gens`, drawn one at a time until SemidirectGroupSpec accepts them."""
     gens: list = []
     while True:
         gens.append((tuple(rng.randrange(q) for q in spec.qs), rng.randrange(spec.m)))

@@ -6,6 +6,7 @@ import pytest
 
 from corpus import (
     build,
+    closure,
     corpus_names,
     counting_identity_products,
     cyclic_table_spec,
@@ -21,7 +22,7 @@ from grpext.abelian import (
     check_commuting,
     element_order,
 )
-from grpext.blackbox import closure, commutator_generators, cyclic_group, group_pow, load_group
+from grpext.blackbox import commutator_generators, cyclic_group, group_pow, load_group
 from grpext.decomp import standard_decomposition
 from grpext.errors import InvariantBreachError, MalformedInputError, MemoryBudgetError
 

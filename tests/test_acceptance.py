@@ -14,6 +14,7 @@ import pytest
 
 from corpus import (
     build,
+    closure,
     corpus_names,
     cyclic_table_spec,
     expected_isomorphic,
@@ -26,7 +27,7 @@ from corpus import (
 )
 from grpext import autring, blackbox, classes, iso
 from grpext.abelian import element_order
-from grpext.blackbox import closure, cyclic_group, table_group
+from grpext.blackbox import cyclic_group, table_group
 from grpext.cli import main as cli_main
 from grpext.decomp import standard_decomposition
 

@@ -68,3 +68,19 @@ def test_table_parse_runs_cover_respelled_labels_and_each_bad_row(tmp_path, monk
         ["exit 2", "stdout:", "stderr:", "error row 2 has 4 entries, expected 5"],
         ["exit 2", "stdout:", "stderr:", "error row 2 entry 'x' is not an integer"],
     ]
+
+
+def test_gens_parse_runs_accept_each_spanning_kind_and_name_each_failure(tmp_path, monkeypatch):
+    tool = _tool()
+    monkeypatch.chdir(tmp_path)
+    records = tool.dump(tool.gens_parse_runs()).split("$ grpext ")[1:]
+    assert [r.splitlines()[0] for r in records] == [
+        f"standard-decomposition {name}.grp" for name in tool.GENS_FILES
+    ]
+    for record in records[:3]:
+        assert record.splitlines()[1] == "exit 0"
+    assert [r.splitlines()[1:] for r in records[3:]] == [
+        ["exit 2", "stdout:", "stderr:", "error the generators' j-parts do not generate Z_3"],
+        ["exit 2", "stdout:", "stderr:",
+         "error the generators do not generate the 3-part of A (rank 1 of 2)"],
+    ]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from corpus import (
     build,
+    closure,
     corpus_entry,
     corpus_names,
     cyclic_table_spec,
@@ -27,7 +28,6 @@ from grpext.arith import prime_power, trial_factor
 from grpext.blackbox import (
     SemidirectGroupSpec,
     TableGroupSpec,
-    closure,
     commutator_generators,
     cyclic_group,
     group_pow,
@@ -383,12 +383,23 @@ def test_parse_table_file():
     assert len(closure(G, G.generators)) == 6
 
 
-def test_parse_explicit_generators():
-    # folded generating set (x1*y and y) still generates the whole group
-    text = "semidirect\nA 3 3\nm 2\n0 1\n1 0\ngens 1 0 1\ngens 0 0 1\n"
+@pytest.mark.parametrize(
+    "text",
+    [
+        # folded generating set (x1*y and y) still generates the whole group
+        pytest.param("semidirect\nA 3 3\nm 2\n0 1\n1 0\ngens 1 0 1\ngens 0 0 1\n", id="folded"),
+        # one kind of generation vector alone spans A: a commutator (both powers are 1),
+        # the generator in A (m = 1), a power ((1;1)^3 = (3;0))
+        pytest.param("semidirect\nA 7\nm 3\n2\ngens 1 1\ngens 0 1\n", id="commutator-spans"),
+        pytest.param("semidirect\nA 2 3\nm 1\n1 0\n0 1\ngens 1 1 0\n", id="a-generator-spans"),
+        pytest.param("semidirect\nA 7\nm 3\n1\ngens 1 1\n", id="power-spans"),
+    ],
+)
+def test_parse_explicit_generators(text):
+    spec = parse_group_file(text)
     G = load_group(text)
-    assert len(G.generators) == 2
-    assert len(closure(G, G.generators)) == 18
+    assert len(G.generators) == text.count("gens")
+    assert len(closure(G, G.generators)) == math.prod(spec.qs) * spec.m
 
 
 def test_non_generating_gens_rejected():

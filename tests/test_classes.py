@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from corpus import bench_ladder, make_matrix
+from corpus import bench_ladder, closure, make_matrix
 from grpext import autring, blackbox, iso
 from grpext.classes import (
     ClassTriple,
@@ -101,7 +101,7 @@ def test_brute_force_z7_m3():
 def test_representative_group_specs_load():
     spec = representative_group_specs(2, 2)[0]
     G = blackbox.semidirect_group(spec)
-    assert len(blackbox.closure(G, G.generators)) == 324
+    assert len(closure(G, G.generators)) == 324
 
 
 @pytest.mark.parametrize("r", [1, 2])

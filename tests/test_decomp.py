@@ -4,6 +4,7 @@ import pytest
 
 from corpus import (
     build,
+    closure,
     corpus_entry,
     corpus_names,
     mixed_generators,
@@ -19,7 +20,7 @@ from corpus import (
 from grpext import abelian, decomp
 from grpext.abelian import AbelianBasis, abelian_basis
 from grpext.arith import divisors
-from grpext.blackbox import closure, commutator_generators
+from grpext.blackbox import commutator_generators
 from grpext.decomp import (
     GroupContext,
     find_decomposition,

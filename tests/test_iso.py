@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from corpus import (
     ISOMORPHIC_PAIRS,
     build,
+    closure,
     corpus_names,
     cyclic_table_spec,
     dihedral_table,
@@ -30,7 +31,7 @@ from corpus import (
     with_generators,
 )
 from grpext import abelian, autring, iso
-from grpext.blackbox import closure, group_pow, table_group
+from grpext.blackbox import group_pow, table_group
 from grpext.decomp import GroupContext, StandardDecomposition, find_decomposition, standard_decomposition
 from grpext.errors import InvariantBreachError, MalformedInputError, NotInClassError
 from grpext.iso import (

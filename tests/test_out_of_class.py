@@ -17,6 +17,7 @@ import pytest
 
 from corpus import (
     census,
+    closure,
     cyclic_table_spec,
     dihedral_table,
     direct_product,
@@ -28,7 +29,7 @@ from corpus import (
     write_table,
 )
 from grpext import cli
-from grpext.blackbox import closure, table_group
+from grpext.blackbox import table_group
 from grpext.decomp import standard_decomposition
 from grpext.errors import NotInClassError
 from grpext.iso import isomorphic, verify_isomorphism

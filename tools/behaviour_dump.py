@@ -18,6 +18,10 @@ directory of every run:
 - `standard-decomposition` of Q8's table with non-canonical spellings of its
   labels, and of Z_5's table with a row holding an out-of-range entry, a
   repeated entry, too few entries or a non-integer token;
+- `standard-decomposition` of five semidirect files with `gens` lines: three
+  that generate, each by one kind of generation vector alone (a commutator,
+  a generator in A, a power), and two that do not (the j-parts miss Z_3; the
+  3-part of A has rank 1 of 2);
 - every entry of the three benchmark workloads at seeds 0 and 7, run as
   bench/ladder.py's cli_argv gives it; bench/ladder.py is loaded by path and
   only read (corpus.bench_ladder);
@@ -112,6 +116,23 @@ def table_parse_runs() -> list[list[str]]:
     return [["standard-decomposition", f"{name}.grp"] for name in files]
 
 
+GENS_FILES = {
+    "gens-commutator-spans": "A 7\nm 3\n2\ngens 1 1\ngens 0 1",
+    "gens-a-generator-spans": "A 2 3\nm 1\n1 0\n0 1\ngens 1 1 0",
+    "gens-power-spans": "A 7\nm 3\n1\ngens 1 1",
+    "gens-j-parts": "A 7\nm 3\n2\ngens 1 0",
+    "gens-3-part-rank": "A 3 3\nm 2\n0 1\n1 0\ngens 1 1 1",
+}
+
+
+def gens_parse_runs() -> list[list[str]]:
+    """Write GENS_FILES into the working directory. The runs are
+    standard-decomposition of each."""
+    for name, body in GENS_FILES.items():
+        Path(f"{name}.grp").write_text(f"semidirect\n{body}\n", encoding="utf-8")
+    return [["standard-decomposition", f"{name}.grp"] for name in GENS_FILES]
+
+
 def count_classes_runs() -> list[list[str]]:
     return [
         ["count-classes", "--r", str(r), "--emit-reps", str(i), "--out-dir", f"reps-r{r}-i{i}"]
@@ -144,8 +165,8 @@ def main(args: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            runs = corpus_runs(sampled=SAMPLED_PAIRS) + table_parse_runs() + ladder_runs()
-            runs += count_classes_runs()
+            runs = corpus_runs(sampled=SAMPLED_PAIRS) + table_parse_runs() + gens_parse_runs()
+            runs += ladder_runs() + count_classes_runs()
             text = dump(runs)
         finally:
             os.chdir(cwd)

@@ -44,6 +44,8 @@ BLACKBOX = "src/grpext/blackbox.py"
 DECOMP = "src/grpext/decomp.py"
 BAD_MAPS = "tests/test_iso.py::test_verify_isomorphism_detects_bad_maps"
 COVER = "tests/test_iso.py::test_the_proof_refuses_a_decomposition_that_does_not_cover_g"
+GENS_EXACT = "tests/test_blackbox.py::test_gens_accepted_exactly_when_they_generate"
+GENS_EXPLICIT = "tests/test_blackbox.py::test_parse_explicit_generators"
 OUT_OF_CLASS = (
     "tests/test_out_of_class.py::"
     "test_products_and_s4_are_out_of_class_exactly_where_the_naive_predicate_says"
@@ -196,7 +198,28 @@ MUTANTS = (
         BLACKBOX,
         "        _require_generation(self)\n",
         "",
-        ("tests/test_blackbox.py::test_gens_accepted_exactly_when_they_generate",),
+        (GENS_EXACT,),
+    ),
+    Mutant(
+        "generation-without-commutators",
+        BLACKBOX,
+        "    vectors += [G.mul(G.mul(g, h), G.inv(G.mul(h, g))) for g, h in itertools.combinations(moving, 2)]\n",
+        "",
+        (GENS_EXACT, GENS_EXPLICIT),
+    ),
+    Mutant(
+        "generation-without-powers",
+        BLACKBOX,
+        " + [group_pow(G, g, m) for g in moving]",
+        "",
+        (GENS_EXACT, GENS_EXPLICIT),
+    ),
+    Mutant(
+        "generation-without-a-generators",
+        BLACKBOX,
+        "vectors = [g for g in G.generators if not g % m] + ",
+        "vectors = ",
+        (GENS_EXACT, GENS_EXPLICIT),
     ),
     Mutant(
         "light-one-generator",
