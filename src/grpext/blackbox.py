@@ -340,16 +340,28 @@ def _require_generation(spec: SemidirectGroupSpec) -> None:
     each pair of moving ones. N lies in S and is normal there, and S/N is abelian of exponent
     dividing m, so (S ∩ A)/N, of order dividing |A| and a power of m, is trivial: S = A x| Z_m
     iff N = A. By the Burnside basis theorem N = A iff its image in each A_p/pA_p spans it.
+
+    The pivots are the moving generators, in file order, that lower d = gcd(m, j-parts of the
+    pivots before them); the j-parts generate Z_m iff d ends at 1. Let N' be spanned as N but
+    with [p, g] for each pivot p in place of the pairs. With c_ij = [g_i, g_j],
+    (1 - M^{j_l}) c_ij = (1 - M^{j_i}) c_lj - (1 - M^{j_j}) c_li, so in A/N' each c_ij is fixed
+    by M^{j_l} for every pivot l, hence by M, and it lies in [A/N', M], which meets
+    C_{A/N'}(M) only in 0 as gcd(|A|, m) = 1 (Fitting): N' = N.
     """
     m, action = spec.m, spec.action
     *oracles, decode = _semidirect_oracles(spec)  # the code layout is written once
     G = GroupHandle(*oracles)
 
     moving = [g for g in G.generators if g % m]
-    if math.gcd(m, *(g % m for g in moving)) != 1:
+    pivots, d = [], m
+    for g in moving:
+        if math.gcd(d, g % m) < d:
+            d = math.gcd(d, g % m)
+            pivots.append(g)
+    if d != 1:
         raise MalformedInputError(f"the generators' j-parts do not generate Z_{m}")
     vectors = [g for g in G.generators if not g % m] + [group_pow(G, g, m) for g in moving]
-    vectors += [G.mul(G.mul(g, h), G.inv(G.mul(h, g))) for g, h in itertools.combinations(moving, 2)]
+    vectors += [G.mul(G.mul(p, g), G.inv(G.mul(g, p))) for p in pivots for g in moving if g != p]
     vectors = [decode(v)[0] for v in vectors]
     start = 0
     for block in action.blocks:

@@ -221,19 +221,19 @@ def _covers(sd: StandardDecomposition, context: GroupContext) -> bool:
     """
     G, gamma = sd.G, sd.gamma
     e, factors = math.lcm(*sd.a_basis.orders), trial_factor(gamma, context.primes)
-    y_from = {context.part(q**f)[0] for q, f in factors}
+    y_from, c = {context.part(q**f)[0] for q, f in factors}, {}  # c: q -> y^(gamma/q), on first use
     for k, (g, n) in enumerate(zip(G.generators, context.gen_orders)):
         r = n // math.gcd(n, gamma)
         if r == n or y_from == {k} or (w := group_pow(G, g, r)) == sd.y:
             continue
         for q, f in factors:
-            c, j = group_pow(G, sd.y, gamma // q), 0
+            c[q], j = c[q] if q in c else group_pow(G, sd.y, gamma // q), 0
             for i in range(f):
                 t = group_pow(G, word(G, (w, sd.y), (1, j)), gamma // q ** (i + 1))
                 for _ in range(q):
                     if group_pow(G, t, e) == G.identity:
                         break
-                    t, j = G.mul(t, c), j + q**i
+                    t, j = G.mul(t, c[q]), j + q**i
                 else:
                     return False
     return True

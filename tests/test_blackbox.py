@@ -393,6 +393,9 @@ def test_parse_table_file():
         pytest.param("semidirect\nA 7\nm 3\n2\ngens 1 1\ngens 0 1\n", id="commutator-spans"),
         pytest.param("semidirect\nA 2 3\nm 1\n1 0\n0 1\ngens 1 1 0\n", id="a-generator-spans"),
         pytest.param("semidirect\nA 7\nm 3\n1\ngens 1 1\n", id="power-spans"),
+        # three pivots (j-parts 18, 8, 7 take gcd(30, ...) to 6, 2, 1), and only the commutator
+        # of the second with the third is nonzero: every pivot's commutators are needed
+        pytest.param("semidirect\nA 7\nm 30\n3\ngens 0 18\ngens 0 8\ngens 1 7\n", id="pivots-span"),
     ],
 )
 def test_parse_explicit_generators(text):
@@ -425,6 +428,7 @@ _SMALL_SEMIDIRECT = [
     ((2, 3), 1, [[1, 0], [0, 1]]),
     ((5, 7), 6, [[4, 0], [0, 6]]),
     ((2, 4), 3, [[1, 0], [0, 1]]),
+    ((7,), 30, [[3]]),  # j-parts such as 6, 10, 15 make three pivots
 ]
 
 
@@ -484,6 +488,19 @@ def test_gens_accepted_exactly_when_they_generate(case):
     else:
         assert generates
         assert len(closure(G, G.generators)) == math.prod(qs) * m
+
+
+def test_gens_check_memory_is_linear_in_the_lines():
+    # one pivot (the first line) and 400 moving lines: about 800 vectors, not one per pair
+    text = "semidirect\nA 7\nm 3\n2\n" + "".join(f"gens {i % 7} {1 + i % 2}\n" for i in range(400))
+    tracemalloc.start()
+    try:
+        spec = parse_group_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spec.generators) == 400
+    assert peak < 1 << 20
 
 
 def test_action_powers_are_lazy():

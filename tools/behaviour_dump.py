@@ -120,6 +120,8 @@ GENS_FILES = {
     "gens-commutator-spans": "A 7\nm 3\n2\ngens 1 1\ngens 0 1",
     "gens-a-generator-spans": "A 2 3\nm 1\n1 0\n0 1\ngens 1 1 0",
     "gens-power-spans": "A 7\nm 3\n1\ngens 1 1",
+    "gens-pivots-span": "A 7\nm 30\n3\ngens 0 18\ngens 0 8\ngens 1 7",
+    "gens-400-lines": "A 7\nm 3\n2\n" + "\n".join(f"gens {i % 7} {1 + i % 2}" for i in range(400)),
     "gens-j-parts": "A 7\nm 3\n2\ngens 1 0",
     "gens-3-part-rank": "A 3 3\nm 2\n0 1\n1 0\ngens 1 1 1",
 }

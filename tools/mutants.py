@@ -203,8 +203,15 @@ MUTANTS = (
     Mutant(
         "generation-without-commutators",
         BLACKBOX,
-        "    vectors += [G.mul(G.mul(g, h), G.inv(G.mul(h, g))) for g, h in itertools.combinations(moving, 2)]\n",
+        "    vectors += [G.mul(G.mul(p, g), G.inv(G.mul(g, p))) for p in pivots for g in moving if g != p]\n",
         "",
+        (GENS_EXACT, GENS_EXPLICIT),
+    ),
+    Mutant(
+        "generation-first-pivot-only",
+        BLACKBOX,
+        "for p in pivots for g in moving",
+        "for p in pivots[:1] for g in moving",
         (GENS_EXACT, GENS_EXPLICIT),
     ),
     Mutant(
