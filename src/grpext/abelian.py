@@ -189,7 +189,10 @@ def abelian_basis(
     start = AbelianBasis(G) gives that of <gens>.
 
     gens in start, repeats and the identity are dropped; the rest are checked to
-    commute with each other and with start. Their orders are found by
+    commute with each other. That they commute with start is the caller's
+    premise and is not tested: the finder proves it by arithmetic on the
+    action of each generator on G' (decomp.GroupContext.action_order), and
+    the derived closure by check_commuting. Their orders are found by
     element_order, unless the caller passes them, in the order of gens. The
     generators are then split into their prime-power parts; within each prime
     the first part, of exact order, is the basis as it stands, and each later
@@ -199,7 +202,7 @@ def abelian_basis(
     """
     G = start.G
     unique = list(dict.fromkeys(g for g in gens if g != G.identity and g not in start.elements))
-    if check_commuting(G, start.elements + tuple(unique), known=len(start.elements)):
+    if check_commuting(G, unique):
         return None
     orders = dict(zip(gens, orders)) if orders is not None else {g: element_order(G, g) for g in unique}
     per_prime: dict[int, list[tuple[ElementCode, int]]] = {}

@@ -2,21 +2,25 @@
 
 For a candidate cyclic order m the finder first decides by arithmetic, with
 no oracle call: m must divide m-bar, the lcm of the generator orders; G' must
-be abelian of order prime to m; and gcd(m, m-bar / m) = 1, which makes each
-g_j^m, of order n_j / gcd(n_j, m), prime to m. Then abelian_basis builds
-the basis of A_m from that of G' and the g_j^m, or returns None when they do
-not commute. After these checks A_m = <G', g_j^m> is abelian,
-normal (it contains G') and of order prime to m, so the part picked for each
-prime power q of m has image of order q in G/A_m, and m divides the order of
-their product g: z = g^{ord(g)/m} has order m. A_m's basis comes last.
+be abelian of order prime to m; gcd(m, m-bar / m) = 1, which makes each
+g_j^m, of order n_j / gcd(n_j, m), prime to m; and each g_j^m must
+centralize G'. The last closure round below writes g_j x g_j^{-1} over G''s
+basis for each basis element x: the columns of M_j, the action of g_j on G'.
+So g_j^m centralizes G' exactly when M_j^m = I, that is when the order c_j
+of M_j divides m, and the finder tests that c = lcm_j c_j divides m. Then
+abelian_basis builds the basis of A_m from that of G' and the g_j^m, or
+returns None when two g_j^m do not commute. After these checks
+A_m = <G', g_j^m> is abelian, normal (it contains G') and of order prime to
+m, so the part picked for each prime power q of m has image of order q in
+G/A_m, and m divides the order of their product g: z = g^{ord(g)/m} has
+order m. A_m's basis comes last.
 What does not depend on m is kept in a GroupContext, built once per group and
 shared by every m: the derived-subgroup basis with its tables per prime,
-where the basis of each A_m starts, so that a run inserts only the g_j^m; the
-generator orders, m-bar and its primes, over which m is factored; the part
-g_k^{n_k/q} picked for each prime power q; and the powers g_j^m, where g_j^m
-is (g_j^{m/l})^l for the least prime l of m. Parts of one generator give z
-with no order search, and abelian_basis tests commutation only for pairs not
-already known to commute.
+where the basis of each A_m starts, so that a run inserts only the g_j^m; c;
+the generator orders, m-bar and its primes, over which m is factored; the
+part g_k^{n_k/q} picked for each prime power q; and the powers g_j^m, where
+g_j^m is (g_j^{m/l})^l for the least prime l of m. Parts of one generator
+give z with no order search.
 The derived subgroup G' is the normal closure of the commutators [g_i, g_j]
 of the generators, which can be larger than the subgroup they generate. Its
 basis starts from those commutators and takes in every conjugate by a
@@ -24,7 +28,8 @@ generator that falls outside its span, round after round, until none does.
 Conjugates by generators suffice because G is finite, so each g^{-1} is a
 power of g. A round that takes in an element at least doubles the span, so at
 most log2|G'| rounds run. Every element taken in lies in G', so when
-abelian_basis finds two that do not commute, G' is not abelian.
+check_commuting finds one that does not commute with the basis, or
+abelian_basis two of them that do not commute, G' is not abelian.
 A finder run returns a DecompositionAttempt: a StandardDecomposition with
 gamma = m, or the reason the first failed check gives. The sweep runs the
 finder for every divisor m of m-bar and keeps the decomposition with the
@@ -39,18 +44,20 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import AbelianBasis, abelian_basis, element_order
+from .abelian import AbelianBasis, abelian_basis, check_commuting, element_order
 from .arith import divisors, trial_factor
+from .autring import mat_pow
 from .blackbox import ElementCode, GroupHandle, commutator_generators, group_pow, word
-from .errors import NotInClassError
+from .errors import InvariantBreachError, NotInClassError
 
 
 class GroupContext:
     """The finder's data about G that is the same for every m.
 
     GroupContext(G) computes the generator orders, their lcm m_bar and its
-    primes, and the basis of G' that _derived_basis returns, None when G' is
-    not abelian; its p-tables, the
+    primes, the basis of G' that _derived_basis returns, None when G' is not
+    abelian, and action_order, the lcm of the orders of the generators'
+    actions on G', found by mat_pow with no oracle call. The p-tables, the
     prime-power parts and the generator powers are computed on first use,
     then kept, so a sweep computes each of them once.
     """
@@ -60,7 +67,11 @@ class GroupContext:
         self.gen_orders = tuple(element_order(G, g) for g in G.generators)  # in generator order
         self.m_bar = math.lcm(*self.gen_orders)  # lcm() is 1: the trivial group
         self.primes = tuple(sorted({p for n in self.gen_orders for p, _ in trial_factor(n)}))  # of m_bar
-        self.derived = _derived_basis(G)
+        self.derived, actions = _derived_basis(G)
+        self.action_order = math.lcm(*(  # every g_j^m centralizes G' exactly when it divides m
+            _action_order(columns, [q for _, q in self.derived.parts[p]], n, self.primes)
+            for action, n in zip(actions, self.gen_orders) for p, columns in action.items()
+        ))
         self._parts: dict = {}
         self._powers: dict = {1: tuple(G.generators)}
 
@@ -87,25 +98,47 @@ class GroupContext:
         return self._powers[m]
 
 
-def _derived_basis(G: GroupHandle) -> Optional[AbelianBasis]:
+def _derived_basis(G: GroupHandle) -> tuple[Optional[AbelianBasis], list[dict]]:
     """Basis of G' by the closure rounds of the module docstring, each conjugate of a
-    p-element looked up in the p-table; None when G' is not abelian."""
+    p-element looked up in the p-table, None when G' is not abelian; and, from the
+    last round, the action of each generator g as p -> the columns of x -> g x g^{-1}
+    over the p-basis, one column per p-basis element x, for each p-part that g moves."""
     basis = abelian_basis(commutator_generators(G), AbelianBasis(G))
     conjugators = [(g, G.inv(g)) for g in G.generators] if basis and basis.elements else []
     while basis is not None:
-        escaped: list[ElementCode] = []
+        escaped: dict[ElementCode, None] = {}  # an ordered set
+        actions: list[dict] = [{} for _ in conjugators]
         for p, pairs in basis.parts.items():
-            for x, _ in pairs:
-                for g, g_inv in conjugators:
-                    if g_inv == x:  # g = x^{-1}, so g x g^{-1} = x
+            units = [tuple(int(i == k) for i in range(len(pairs))) for k in range(len(pairs))]
+            for k, (x, _) in enumerate(pairs):
+                for (g, g_inv), action in zip(conjugators, actions):
+                    c = x if g_inv == x else G.mul(G.mul(g, x), g_inv)  # g = x^{-1} fixes x
+                    if c == x:
                         continue
-                    c = G.mul(G.mul(g, x), g_inv)
-                    if basis.table(p).decompose(c) is None:
-                        escaped.append(c)
+                    if (column := basis.table(p).decompose(c)) is None:
+                        escaped[c] = None
+                    else:
+                        action.setdefault(p, units.copy())[k] = column
         if not escaped:
-            return basis
-        basis = abelian_basis(escaped, basis)
-    return None
+            return basis, actions
+        commuting = not check_commuting(G, basis.elements + tuple(escaped), known=len(basis.elements))
+        basis = abelian_basis(tuple(escaped), basis) if commuting else None
+    return None, []
+
+
+def _action_order(columns: list[tuple[int, ...]], moduli: list[int], n: int, primes) -> int:
+    """Order of the matrix M with these columns, row i modulo moduli[i], that
+    divides n: for each p^e || n, the least p^k with (M^{n/p^e})^{p^k} = I."""
+    rows = tuple(zip(*columns))
+    one, order = mat_pow(rows, 0, moduli), 1
+    for p, e in trial_factor(n, primes):
+        power, k = mat_pow(rows, n // p**e, moduli), 0
+        while power != one and k < e:
+            power, k = mat_pow(power, p, moduli), k + 1
+        if power != one:
+            raise InvariantBreachError(f"an action on G' has an order that does not divide {n}")
+        order *= p**k
+    return order
 
 
 @dataclass(frozen=True)
@@ -144,11 +177,12 @@ def find_decomposition(m: int, context: GroupContext) -> DecompositionAttempt:
     reason of the first check that fails.
 
     The arithmetic checks (m | m_bar, G' abelian of order prime to m,
-    gcd(m, m_bar / m) = 1) come before any oracle call, then abelian_basis
-    over G' and the g_j^m, which checks that they commute and, passed their
-    orders, finds none by search; after them m divides the order of the assembled element (see
-    the module docstring). The decomposition is of the subgroup its output
-    generates, which is G when G decomposes at m.
+    gcd(m, m_bar / m) = 1, action_order | m) come before any oracle call, then
+    abelian_basis over G' and the g_j^m, which checks that the g_j^m commute
+    with each other and, passed their orders, finds none by search; after them
+    m divides the order of the assembled element (see the module docstring).
+    The decomposition is of the subgroup its output generates, which is G
+    when G decomposes at m.
     """
     G = context.G
     if m < 1 or context.m_bar % m:
@@ -159,6 +193,8 @@ def find_decomposition(m: int, context: GroupContext) -> DecompositionAttempt:
         return DecompositionAttempt(m, None, "derived subgroup order shares a factor with m")
     if math.gcd(m, context.m_bar // m) != 1:  # some ord(g_j^m) = n_j / gcd(n_j, m) shares it
         return DecompositionAttempt(m, None, "generator power order shares a factor with m")
+    if m % context.action_order:  # some g_j^m acts on G' as M_j^m != I
+        return DecompositionAttempt(m, None, "candidate abelian part does not commute")
 
     h_orders = [n // math.gcd(n, m) for n in context.gen_orders]  # ord(g_j^m)
     a_basis = abelian_basis(context.gen_powers(m), context.derived, h_orders)
@@ -214,21 +250,25 @@ def _covers(sd: StandardDecomposition, context: GroupContext) -> bool:
     divides both. Pohlig-Hellman in G/A then finds, for each q^f || gamma, the
     base-q digits of a j with (w y^j)^{gamma/q^f} in A: digit i is the d < q
     with t c^d in A, c = y^{gamma/q}, t = (w y^j)^{gamma/q^{i+1}} over the
-    digits below i; no such d puts w outside. Cost: O(1) memory, at most
-    sum f q (1 + 2 log2 e) products in trials, O(log gamma) per digit. In the
-    class y's q-part acts nontrivially on A (else the least-m rule takes
-    m = gamma/q^f), so q | p^i - 1 for some i <= rank(A_p): q < |A|, q^2 < |G|.
+    digits below i; no such d puts w outside. As w has order s, the digits
+    below f - f_s, for q^{f_s} || s, are 0 and are not searched. Cost: O(1)
+    memory, at most sum f q (1 + 2 log2 e) products in trials, O(log gamma)
+    per digit. In the class y's q-part acts nontrivially on A (else the
+    least-m rule takes m = gamma/q^f), so q | p^i - 1 for some
+    i <= rank(A_p): q < |A|, q^2 < |G|.
     """
     G, gamma = sd.G, sd.gamma
-    e, factors = math.lcm(*sd.a_basis.orders), trial_factor(gamma, context.primes)
-    y_from, c = {context.part(q**f)[0] for q, f in factors}, {}  # c: q -> y^(gamma/q), on first use
+    e, factors = math.lcm(*sd.a_basis.orders), dict(trial_factor(gamma, context.primes))
+    y_from = {context.part(q**f)[0] for q, f in factors.items()}
+    c = {}  # q -> y^(gamma/q), on first use
     for k, (g, n) in enumerate(zip(G.generators, context.gen_orders)):
         r = n // math.gcd(n, gamma)
         if r == n or y_from == {k} or (w := group_pow(G, g, r)) == sd.y:
             continue
-        for q, f in factors:
+        for q, fs in trial_factor(n // r, context.primes):  # q^fs || s
+            f = factors[q]
             c[q], j = c[q] if q in c else group_pow(G, sd.y, gamma // q), 0
-            for i in range(f):
+            for i in range(f - fs, f):
                 t = group_pow(G, word(G, (w, sd.y), (1, j)), gamma // q ** (i + 1))
                 for _ in range(q):
                     if group_pow(G, t, e) == G.identity:

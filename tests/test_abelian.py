@@ -23,7 +23,7 @@ from grpext.abelian import (
     element_order,
 )
 from grpext.blackbox import commutator_generators, cyclic_group, group_pow, load_group
-from grpext.decomp import standard_decomposition
+from grpext.decomp import GroupContext, find_decomposition, standard_decomposition
 from grpext.errors import InvariantBreachError, MalformedInputError, MemoryBudgetError
 
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -355,10 +355,14 @@ def test_kept_start_builds_its_table_once(monkeypatch):
 
 
 def test_gens_must_commute_with_the_start():
+    # abelian_basis takes it as its callers' premise: the finder refuses, with no
+    # oracle call, each m at which some g_j^m acts on G' as a matrix other than I
     G = build("G21a")
-    x, y = G.parse_element("1;0"), G.parse_element("0;1")
-    start = abelian_basis([x], AbelianBasis(G))
-    assert abelian_basis([y], start) is None
+    context = GroupContext(G)
+    assert (context.derived.orders, context.action_order) == ((7,), 3)
+    before = G.operation_count
+    assert find_decomposition(1, context).error == "candidate abelian part does not commute"
+    assert G.operation_count == before
 
 
 @pytest.mark.parametrize("name", corpus_names())

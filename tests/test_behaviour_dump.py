@@ -77,9 +77,9 @@ def test_gens_parse_runs_accept_each_spanning_kind_and_name_each_failure(tmp_pat
     assert [r.splitlines()[0] for r in records] == [
         f"standard-decomposition {name}.grp" for name in tool.GENS_FILES
     ]
-    for record in records[:5]:
+    for record in records[:6]:
         assert record.splitlines()[1] == "exit 0"
-    assert [r.splitlines()[1:] for r in records[5:]] == [
+    assert [r.splitlines()[1:] for r in records[6:]] == [
         ["exit 2", "stdout:", "stderr:", "error the generators' j-parts do not generate Z_3"],
         ["exit 2", "stdout:", "stderr:",
          "error the generators do not generate the 3-part of A (rank 1 of 2)"],

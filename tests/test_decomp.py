@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,27 +8,32 @@ from corpus import (
     closure,
     corpus_entry,
     corpus_names,
+    cyclic_table_spec,
+    direct_product,
     mixed_generators,
     naive_derived_subgroup,
     naive_gamma,
     naive_order,
     naive_power,
     quaternion_table,
+    random_generators,
+    relabel,
     second_presentations,
     semidirect,
     symmetric_table,
+    with_generators,
 )
 from grpext import abelian, decomp
 from grpext.abelian import AbelianBasis, abelian_basis
 from grpext.arith import divisors
-from grpext.blackbox import commutator_generators
+from grpext.blackbox import commutator_generators, table_group
 from grpext.decomp import (
     GroupContext,
     find_decomposition,
     standard_decomposition,
     standard_decomposition_with_attempts,
 )
-from grpext.errors import NotInClassError
+from grpext.errors import InvariantBreachError, NotInClassError
 
 IDENT2 = [[1, 0], [0, 1]]
 
@@ -300,6 +306,60 @@ def test_sweep_builds_no_table_twice(monkeypatch, name):
         assert [a.m for a in attempts if a.found] == [2, 14, 22, 154]
 
 
+def two_prime_actions():
+    # G' = Z_5 x Z_7; the second generator acts by orders 2 and 3 on its two primes,
+    # the third by 1 and 3, so only m = 6 makes every g_j^m centralize G'
+    gens = [((0, 4), 0), ((2, 4), 5), ((2, 6), 4)]
+    return semidirect((5, 7), 6, [[4, 0], [0, 2]], gens=gens, name="A5,7")
+
+
+def test_action_order_is_the_lcm_over_every_generator_and_prime():
+    G = two_prime_actions()
+    assert GroupContext(G).action_order == 6
+    sd, attempts = standard_decomposition_with_attempts(G)
+    assert (sd.gamma, sd.a_basis.orders) == (6, (5, 7))
+    assert [(a.m, a.error) for a in attempts if a.m in (1, 2, 3)] == [
+        (m, "candidate abelian part does not commute") for m in (1, 2, 3)
+    ]
+
+
+def test_action_order_is_the_order_of_the_matrix_and_divides_n():
+    swap = [(0, 1), (1, 0)]  # columns of the swap of Z_3^2
+    assert decomp._action_order(swap, [3, 3], 4, (2,)) == 2
+    assert decomp._action_order([(2,)], [7], 6, (2, 3)) == 3
+    assert decomp._action_order([(1,)], [7], 6, (2, 3)) == 1
+    with pytest.raises(InvariantBreachError, match="does not divide 2"):
+        decomp._action_order([(2,)], [7], 2, (2,))  # 2 has order 3 modulo 7
+
+
+def _views(name):
+    G, rng = build(name), random.Random(name)
+    return [mixed_generators(G), random_generators(name, rng), relabel(G, rng)]
+
+
+@pytest.mark.parametrize("name", corpus_names() + ["A5,7", "Z1155xZ2"])
+def test_action_order_divides_m_exactly_when_every_power_centralizes_g_prime(name):
+    # on folded, drawn and relabelled generators, for every m that passes the arithmetic
+    # checks before it: m % action_order == 0 exactly when each g_j^m commutes, by the
+    # oracle, with each element of G''s basis
+    extra = {"A5,7": two_prime_actions, "Z1155xZ2": z1155xz2}
+    views = [extra[name](), mixed_generators(extra[name]())] if name in extra else _views(name)
+    outcomes = set()
+    for G in views:
+        context = GroupContext(G)
+        basis = context.derived.elements
+        for m in divisors(context.m_bar):
+            if any(m % p == 0 for p in context.derived.parts) or math.gcd(m, context.m_bar // m) != 1:
+                continue
+            powers = [naive_power(G, g, m) for g in G.generators]
+            centralizes = all(G.mul(h, x) == G.mul(x, h) for h in powers for x in basis)
+            assert (m % context.action_order == 0) == centralizes, (G.name, m)
+            outcomes.add(centralizes)
+    assert True in outcomes
+    if name in extra or corpus_entry(name).gamma > 1:
+        assert False in outcomes
+
+
 def test_group_context_built_once_per_sweep(monkeypatch):
     calls = []
     real = decomp.commutator_generators
@@ -308,7 +368,7 @@ def test_group_context_built_once_per_sweep(monkeypatch):
     before = G.operation_count
     standard_decomposition_with_attempts(G)
     assert calls == [G]
-    assert G.operation_count - before == 350  # group_pow makes no product with the identity
+    assert G.operation_count - before == 288  # group_pow makes no product with the identity
 
 
 @pytest.mark.parametrize("name", [n for n in corpus_names() if corpus_entry(n).order <= 1024])
@@ -364,3 +424,15 @@ def test_cover_proof_of_generators_a_t_and_t_builds_no_table(monkeypatch):
     monkeypatch.setenv("GRPEXT_MEM_MB", "1")
     G = semidirect((15013,), 15012, [[2]], gens=[((1,), 1), ((0,), 1)])
     assert cover_proofs(monkeypatch, G) == ((15012, (15013,)), [(0, 453)])
+
+
+def test_cover_proof_searches_every_digit_of_w(monkeypatch):
+    # Z_8 x S_3 on (1, e), (2, s), (0, r): gamma = 8 with A = <r>, and w = (2, s) has
+    # order 4 = 2^2 of 2^3 || gamma; digit 0 is not searched, digit 1 passes as
+    # w^2 = y^4, and digit 2 fails, as s lies outside <y>A
+    G = with_generators(direct_product(table_group(cyclic_table_spec(8)), symmetric_table(3)), [6, 13, 3])
+    proved, real = [], decomp._covers
+    monkeypatch.setattr(decomp, "_covers", lambda sd, context: proved.append(sd) or real(sd, context))
+    with pytest.raises(NotInClassError, match="no decomposition covers"):
+        standard_decomposition(G)
+    assert [(sd.gamma, sd.a_basis.orders) for sd in proved] == [(8, (3,))]

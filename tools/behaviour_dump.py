@@ -18,10 +18,12 @@ directory of every run:
 - `standard-decomposition` of Q8's table with non-canonical spellings of its
   labels, and of Z_5's table with a row holding an out-of-range entry, a
   repeated entry, too few entries or a non-integer token;
-- `standard-decomposition` of five semidirect files with `gens` lines: three
+- `standard-decomposition` of eight semidirect files with `gens` lines: three
   that generate, each by one kind of generation vector alone (a commutator,
-  a generator in A, a power), and two that do not (the j-parts miss Z_3; the
-  3-part of A has rank 1 of 2);
+  a generator in A, a power); one whose commutators need three pivots; one
+  of 400 lines; one whose second generator acts on G' = Z_5 x Z_7 by orders
+  2 and 3, so gamma is their lcm 6; and two that do not generate (the j-parts
+  miss Z_3; the 3-part of A has rank 1 of 2);
 - every entry of the three benchmark workloads at seeds 0 and 7, run as
   bench/ladder.py's cli_argv gives it; bench/ladder.py is loaded by path and
   only read (corpus.bench_ladder);
@@ -122,6 +124,7 @@ GENS_FILES = {
     "gens-power-spans": "A 7\nm 3\n1\ngens 1 1",
     "gens-pivots-span": "A 7\nm 30\n3\ngens 0 18\ngens 0 8\ngens 1 7",
     "gens-400-lines": "A 7\nm 3\n2\n" + "\n".join(f"gens {i % 7} {1 + i % 2}" for i in range(400)),
+    "gens-action-orders": "A 5 7\nm 6\n4 0\n0 2\ngens 0 4 0\ngens 2 4 5\ngens 2 6 4",
     "gens-j-parts": "A 7\nm 3\n2\ngens 1 0",
     "gens-3-part-rank": "A 3 3\nm 2\n0 1\n1 0\ngens 1 1 1",
 }

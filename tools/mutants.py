@@ -46,6 +46,8 @@ BAD_MAPS = "tests/test_iso.py::test_verify_isomorphism_detects_bad_maps"
 COVER = "tests/test_iso.py::test_the_proof_refuses_a_decomposition_that_does_not_cover_g"
 GENS_EXACT = "tests/test_blackbox.py::test_gens_accepted_exactly_when_they_generate"
 GENS_EXPLICIT = "tests/test_blackbox.py::test_parse_explicit_generators"
+ACTION_ORDER = "tests/test_decomp.py::test_action_order_is_the_lcm_over_every_generator_and_prime"
+EVERY_DIGIT = "tests/test_decomp.py::test_cover_proof_searches_every_digit_of_w"
 OUT_OF_CLASS = (
     "tests/test_out_of_class.py::"
     "test_products_and_s4_are_out_of_class_exactly_where_the_naive_predicate_says"
@@ -175,9 +177,30 @@ MUTANTS = (
     Mutant(
         "covers-first-digit-only",
         DECOMP,
-        "for i in range(f):",
-        "for i in range(min(f, 1)):",
-        (OUT_OF_CLASS,),
+        "for i in range(f - fs, f):",
+        "for i in range(f - fs, min(f, f - fs + 1)):",
+        (EVERY_DIGIT,),
+    ),
+    Mutant(
+        "covers-digits-from-zero",
+        DECOMP,
+        "for i in range(f - fs, f):",
+        "for i in range(fs):",
+        (OUT_OF_CLASS, EVERY_DIGIT),
+    ),
+    Mutant(
+        "centralizer-max-not-lcm",
+        DECOMP,
+        "self.action_order = math.lcm(",
+        "self.action_order = max(1, ",
+        (ACTION_ORDER,),
+    ),
+    Mutant(
+        "centralizer-first-generator",
+        DECOMP,
+        "for action, n in zip(actions, self.gen_orders)",
+        "for action, n in zip(actions[:1], self.gen_orders)",
+        (ACTION_ORDER,),
     ),
     Mutant(
         "k-scan-first-psi-block",
